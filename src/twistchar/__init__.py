@@ -1,10 +1,10 @@
-"""Exact verification of twisted-character factorizations over Q(w).
+"""Exact verification of twisted-character factorizations.
 
-Evaluates classical-group characters at root-of-unity-twisted points with
-exact cyclotomic arithmetic, classifies t-cores, and checks that each
-twisted character splits into the predicted signed product of quotient
-characters.  Includes generating-function machinery for the associated
-partition families.
+Evaluates classical-group characters at root-of-unity-twisted points in
+exact arithmetic (over Q, with Q(w) for reports and as an independent
+oracle), classifies t-cores, and checks that each twisted character splits
+into the predicted signed product of quotient characters.  Includes
+generating-function machinery for the associated partition families.
 """
 
 from .characters import (
@@ -12,6 +12,7 @@ from .characters import (
     GroupType,
     SamplingError,
     sample_points,
+    twisted_character,
     twisted_points,
     weyl_character,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "t_core_strips",
     "t_quotient",
     "theta_f",
+    "twisted_character",
     "twisted_points",
     "verify",
     "weyl_character",

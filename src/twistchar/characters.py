@@ -1,7 +1,8 @@
-"""Weyl characters of the classical groups as exact bialternant ratios.
+"""Weyl characters of the classical groups, evaluated exactly.
 
-A character value is a ratio of two determinants whose entries are powers
-of the evaluation points, computed exactly over Q(w).  The four families:
+Two independent routes.  `weyl_character` is a ratio of two determinants
+whose entries are powers of the evaluation points; it works over any exact
+scalar type (Fraction, or CycloElem for points in Q(w)).  The four families:
 
   GL  s_la      det(x_i^(b_j))             / det(x_i^(n-j))
   SP  sp_la     det(x_i^(b_j+1) - xbar_i^(b_j+1)) / same at la = empty
@@ -12,6 +13,12 @@ of the evaluation points, computed exactly over Q(w).  The four families:
 
 with b = beta_set(la, n) and xbar the inverse point.  The OO form uses
 integer exponents only, so no square roots are ever needed.
+
+`twisted_character` evaluates the same characters at the root-of-unity
+twist (X, wX, ..., w^(t-1) X) of rational points without leaving Q: it
+expands them in complete homogeneous symmetric functions h_m (Jacobi-Trudi
+for GL, the Koike-Terada determinants for SP/OE/OO) and uses the twist
+rule  prod_i prod_k 1/(1 - w^k x_i z) = prod_i 1/(1 - x_i^t z^t).
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .cyclotomic import CycloElem, CycloField, field, omega_pow
+from .cyclotomic import CycloElem, field, omega_pow
 from .linalg import det
 from .partitions import Partition, beta_set
 
@@ -41,59 +49,39 @@ class SamplingError(RuntimeError):
     """The admissible-point rejection sampler ran out of retries."""
 
 
-def _pows(x: CycloElem, exps) -> dict[int, CycloElem]:
-    out = {}
-    inv = None
-    for e in exps:
-        if e in out:
-            continue
-        if e >= 0:
-            out[e] = x ** e
-        else:
-            if inv is None:
-                inv = x.inv()
-            out[e] = inv ** (-e)
-    return out
-
-
 def _entry_matrix(g: GroupType, pts, betas):
-    rows = []
-    for x in pts:
-        if g is GroupType.GL:
-            p = _pows(x, betas)
-            rows.append([p[b] for b in betas])
-        elif g is GroupType.SP:
-            p = _pows(x, [b + 1 for b in betas] + [-(b + 1) for b in betas])
-            rows.append([p[b + 1] - p[-(b + 1)] for b in betas])
-        elif g is GroupType.OO:
-            p = _pows(x, [b + 1 for b in betas] + [-b for b in betas])
-            rows.append([p[b + 1] - p[-b] for b in betas])
-        else:
-            p = _pows(x, [b for b in betas] + [-b for b in betas])
-            rows.append([p[b] + p[-b] for b in betas])
-    return rows
+    if g is GroupType.GL:
+        return [[x ** b for b in betas] for x in pts]
+    if g is GroupType.SP:
+        return [[x ** (b + 1) - x ** -(b + 1) for b in betas] for x in pts]
+    if g is GroupType.OO:
+        return [[x ** (b + 1) - x ** -b for b in betas] for x in pts]
+    return [[x ** b + x ** -b for b in betas] for x in pts]
 
 
 @lru_cache(maxsize=4096)
-def _denominator(g: GroupType, pts: tuple) -> CycloElem:
+def _denominator(g: GroupType, pts: tuple):
     n = len(pts)
     empty_betas = beta_set((), n)
     return det(_entry_matrix(g, pts, empty_betas))
 
 
-def weyl_character(g: GroupType, la: Partition, pts: tuple) -> CycloElem:
+def weyl_character(g: GroupType, la: Partition, pts: tuple):
     """Evaluate the character of group type g at the given points.
 
-    A partition with more parts than there are points indexes no
+    The points may be Fractions or CycloElems, and the value has the same
+    type.  A partition with more parts than there are points indexes no
     representation; the character is zero by convention, and that zero is
     returned explicitly rather than raising.
     """
     n = len(pts)
     if n == 0:
         raise ValueError("at least one evaluation point is required")
+    if not all(isinstance(x, (Fraction, CycloElem)) for x in pts):
+        # int points would turn the divisions in det into float division
+        raise TypeError(f"points must be Fractions or CycloElems, got {pts}")
     if len(la) > n:
-        return pts[0].field.zero
-    fld = pts[0].field
+        return pts[0] - pts[0]
     den = _denominator(g, pts)
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
@@ -105,8 +93,58 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple) -> CycloElem:
         # exactly when la_n = 0.  Normalizing by (1 + delta) keeps oe of the
         # empty partition equal to 1 and oe_(1) equal to y + ybar.
         delta = 1 if len(la) < n else 0
-        return (fld.from_rational(2) * num) / (fld.from_rational(1 + delta) * den)
+        return 2 * num / ((1 + delta) * den)
     return num / den
+
+
+def twisted_character(
+    g: GroupType, la: Partition, xs: tuple, t: int, extra_one: bool = False
+) -> Fraction:
+    """The character of type g at (X, wX, ..., w^(t-1) X), over Q.
+
+    xs are the rational points X; extra_one appends the point 1 to the
+    twisted tuple.  The value equals weyl_character at those tn (or tn + 1)
+    points in Q(w), and is rational because the point multiset is stable
+    under Galois conjugation.  GL uses Jacobi-Trudi det(h[la_i - i + j]);
+    SP, OE and OO use the Koike-Terada determinants in h of the points and
+    their inverses, plus the point 1 for OO.
+    By the twist rule, h_m of the twisted points is h_(m/t) of the t-th
+    powers when t divides m and 0 otherwise; a point 1 turns h into its
+    prefix sums.  There is no Weyl denominator, so the points need not be
+    admissible; SP, OE and OO only need them nonzero.
+    """
+    if not all(isinstance(x, Fraction) for x in xs):
+        raise TypeError(f"points must be Fractions, got {xs}")
+    if not la:
+        return Fraction(1)
+    top = la[0] + len(la)
+    ys = xs if g is GroupType.GL else xs + tuple(1 / x for x in xs)
+    base = [Fraction(1)] + [Fraction(0)] * (top // t)
+    for y in ys:
+        yt = y ** t
+        for k in range(1, len(base)):
+            base[k] += yt * base[k - 1]
+    h = [base[m // t] if m % t == 0 else Fraction(0) for m in range(top + 1)]
+    # Each point 1 in the multiset (OO carries one of its own) multiplies
+    # the generating function by 1/(1 - z).
+    ones = (1 if g is GroupType.GL else 2) * extra_one + (g is GroupType.OO)
+    for _ in range(ones):
+        h = list(accumulate(h))
+
+    def hm(m: int) -> Fraction:
+        return h[m] if m >= 0 else Fraction(0)
+
+    cols = range(len(la))
+    if g is GroupType.GL:
+        rows = [[hm(p - i + j) for j in cols] for i, p in enumerate(la)]
+    elif g is GroupType.SP:
+        rows = [
+            [hm(p - i)] + [hm(p - i + j) + hm(p - i - j) for j in cols[1:]]
+            for i, p in enumerate(la)
+        ]
+    else:
+        rows = [[hm(p - i + j) - hm(p - i - j - 2) for j in cols] for i, p in enumerate(la)]
+    return det(rows)
 
 
 def twisted_points(pts: tuple, t: int) -> tuple:

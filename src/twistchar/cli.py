@@ -18,6 +18,8 @@ from .factorization import TheoremId, length_bound, verify
 from .partitions import (
     classify_core,
     frobenius,
+    is_z_asymmetric,
+    partitions_of,
     partitions_up_to,
     residue_counts,
     size,
@@ -25,7 +27,6 @@ from .partitions import (
     t_quotient,
 )
 from .series import SeriesZ, enum_z_cores, gf_z_cores
-from .partitions import is_z_asymmetric, partitions_of
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +56,18 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ValueError(f"bad integer list for {flag}: {text!r}")
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a positive integer (from --jobs or TWISTCHAR_JOBS), got {text!r}"
+        )
+    return jobs
 
 
 def _partition_str(la: tuple[int, ...]) -> str:
@@ -279,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated list")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("TWISTCHAR_JOBS", "1")))
+    # A string default goes through `type` as well, so a bad environment
+    # value is reported like a bad flag instead of raising here.
+    p.add_argument("--jobs", type=_jobs, default=os.environ.get("TWISTCHAR_JOBS", "1"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 

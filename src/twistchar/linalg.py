@@ -8,15 +8,6 @@ identity obtainable as x / x.
 from __future__ import annotations
 
 
-def det(rows, strategy: str = "gauss"):
-    """Determinant of a square matrix given as a list of row lists."""
-    if strategy == "gauss":
-        return _det_gauss(rows)
-    if strategy == "bareiss":
-        return _det_bareiss(rows)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def _find_pivot(m, col, start):
     for r in range(start, len(m)):
         if m[r][col]:
@@ -24,7 +15,9 @@ def _find_pivot(m, col, start):
     return None
 
 
-def _det_gauss(rows):
+def det(rows):
+    """Determinant of a square matrix given as a list of row lists, by
+    Gaussian elimination with exact division."""
     m = [list(r) for r in rows]
     n = len(m)
     if any(len(r) != n for r in m):
@@ -49,29 +42,3 @@ def _det_gauss(rows):
                 for c in range(k + 1, n):
                     m[r][c] = m[r][c] - factor * m[k][c]
     return acc if sign == 1 else -acc
-
-
-def _det_bareiss(rows):
-    # Fraction-free elimination; divisions are exact by construction.
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        raise ValueError("empty matrix has no scalar type to produce 1 from")
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        p = _find_pivot(m, k, k)
-        if p is None:
-            return m[0][0] - m[0][0]
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                num = m[r][c] * m[k][k] - m[r][k] * m[k][c]
-                m[r][c] = num if prev is None else num / prev
-            m[r][k] = m[k][k] - m[k][k]
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]

@@ -11,6 +11,7 @@ from twistchar.characters import (
     DegeneratePointError,
     GroupType,
     sample_points,
+    twisted_character,
     twisted_points,
     weyl_character,
 )
@@ -82,6 +83,20 @@ def test_long_partitions_give_zero_and_empty_points_raise():
     for g in GroupType:
         with pytest.raises(ValueError):
             weyl_character(g, (1,), ())
+
+
+def test_rational_points_stay_in_q():
+    for n, vals in POINTS.items():
+        pts = embed(vals, 3)
+        for g in GroupType:
+            for la in partitions_up_to(3, max_length=n):
+                got = weyl_character(g, la, vals)
+                assert type(got) is Fraction
+                assert pts[0].field.from_rational(got) == weyl_character(g, la, pts)
+    with pytest.raises(TypeError):
+        weyl_character(GroupType.GL, (1,), (2, 3))
+    with pytest.raises(TypeError):
+        twisted_character(GroupType.SP, (1,), (2,), 3)
 
 
 def test_degenerate_points_are_reported():

@@ -202,6 +202,20 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     assert args.jobs == 7
 
 
+@pytest.mark.parametrize(
+    "env, flags", [("abc", []), ("1", ["--jobs", "0"]), ("1", ["--jobs", "-3"])]
+)
+def test_bad_jobs_exit_one_with_a_message(monkeypatch, capsys, env, flags):
+    monkeypatch.setenv("TWISTCHAR_JOBS", env)
+    assert run(["classify", "2,1", "--t", "2", "--n", "1"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--t", "2", "--n", "1", "--max-size", "1"] + flags)
+    assert exc.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    shown = repr(flags[-1] if flags else env)
+    assert "--jobs" in last and "TWISTCHAR_JOBS" in last and shown in last
+
+
 def test_series_table(capsys):
     code, out, err = run(["series", "--z", "1", "--t", "3", "--N", "14"], capsys)
     assert code == 0

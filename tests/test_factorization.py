@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import partitions_strategy
-from twistchar.characters import GroupType, sample_points, weyl_character
+from twistchar import factorization
+from twistchar.characters import GroupType, sample_points, twisted_points, weyl_character
+from twistchar.cyclotomic import field
 from twistchar.factorization import (
     TheoremId,
     check_block_det_lemma,
@@ -103,6 +105,87 @@ def test_report_serialization_and_argument_checks():
         lhs_value(TheoremId.SCHUR_FAC, (1, 1, 1), 2, 1, sample_points(1, 2, 0))
     with pytest.raises(ValueError):
         rhs_value(TheoremId.SCHUR_FAC, (1,), 2, 2, sample_points(1, 2, 0))
+
+
+def test_mismatch_reports_the_failing_trial(monkeypatch):
+    th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
+    good = verify(th, la, t, n, seed=seed, trials=3)
+    assert good.match
+    trial1 = sample_points(n, t, factorization._trial_seed(seed, 1))
+    rhs1 = rhs_value(th, la, t, n, trial1)
+
+    def perturbed(th_, la_, t_, n_, pts):
+        val = rhs_value(th_, la_, t_, n_, pts)
+        return val + 1 if pts == trial1 else val
+
+    monkeypatch.setattr(factorization, "rhs_value", perturbed)
+    bad = verify(th, la, t, n, seed=seed, trials=3)
+    assert not bad.match
+    assert bad.lhs == lhs_value(th, la, t, n, trial1) == rhs1
+    assert bad.rhs == rhs1 + 1
+    assert bad.lhs != good.lhs
+    # A matching record still shows trial 0, byte for byte.
+    assert verify(th, la, t, n, seed=seed, trials=1).as_dict() == {
+        **good.as_dict(),
+        "trials": 1,
+    }
+
+
+# ---- the Q route against the Q(w) bialternant oracle --------------------
+#
+# lhs_value works over Q with h-determinants and the twist rule; the
+# oracle is the bialternant ratio at the tn twisted points in Q(w).
+
+GROUP = {
+    TheoremId.SCHUR_FAC: GroupType.GL,
+    TheoremId.SCHUR_ONE: GroupType.GL,
+    TheoremId.SYMPLECTIC: GroupType.SP,
+    TheoremId.EVEN_ORTH: GroupType.OE,
+    TheoremId.ODD_ORTH: GroupType.OO,
+}
+
+
+def twisted_oracle(th, la, t, pts):
+    tw = twisted_points(pts, t)
+    if th is TheoremId.SCHUR_ONE:
+        tw += (pts[0].field.one,)
+    return weyl_character(GROUP[th], la, tw)
+
+
+@pytest.mark.parametrize(
+    "t,n,max_size",
+    [(2, 1, 6), (2, 2, 6), (3, 1, 6), (3, 2, 6), (4, 1, 6), (4, 2, 6), (5, 1, 5), (6, 1, 5)],
+)
+def test_lhs_matches_bialternant_oracle(t, n, max_size):
+    pts = sample_points(n, t, seed=4)
+    for th in ALL:
+        for la in partitions_up_to(max_size, max_length=length_bound(th, t, n)):
+            assert lhs_value(th, la, t, n, pts) == twisted_oracle(th, la, t, pts), (th, la)
+
+
+@given(
+    st.sampled_from(ALL),
+    partitions_strategy(3, 3),
+    st.integers(2, 5),
+    st.integers(1, 2),
+    st.integers(0, 50),
+)
+@settings(max_examples=40, deadline=None)
+def test_twisted_values_are_rational_and_agree(th, la, t, n, seed):
+    if len(la) > length_bound(th, t, n):
+        return
+    pts = sample_points(n, t, seed)
+    want = twisted_oracle(th, la, t, pts)
+    assert not any(want.coeffs[1:])
+    assert lhs_value(th, la, t, n, pts) == want.coeffs[0]
+
+
+def test_non_rational_points_are_rejected():
+    fld = field(3)
+    pts = (fld.from_rational(2), fld.elem([1, 1]))
+    for side in (lhs_value, rhs_value):
+        with pytest.raises(ValueError, match="not rational"):
+            side(TheoremId.SCHUR_FAC, (1,), 3, 2, pts)
 
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
