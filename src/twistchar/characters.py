@@ -159,8 +159,8 @@ _RETRY_BUDGET = 200
 
 
 @lru_cache(maxsize=4096)
-def sample_points(n: int, t: int, seed: int) -> tuple:
-    """Deterministic tuple of n distinct rationals > 1 embedded in Q(w_t).
+def sample_points(n: int, t: int, seed: int) -> tuple[Fraction, ...]:
+    """Deterministic tuple of n distinct rationals > 1.
 
     Distinct rationals above 1 make every determinant denominator used by
     the verification pipeline nonzero: their pairwise products, t-th powers
@@ -171,14 +171,13 @@ def sample_points(n: int, t: int, seed: int) -> tuple:
     if n < 1 or t < 2:
         raise ValueError(f"need n >= 1 and t >= 2, got n={n}, t={t}")
     rng = random.Random(seed)
-    fld = field(t)
     for _ in range(_RETRY_BUDGET):
         xs = []
         for _ in range(n):
             num = rng.randint(3, 80)
             xs.append(Fraction(num, rng.randint(1, num - 1)))
         if _admissible(xs, t):
-            return tuple(fld.from_rational(x) for x in xs)
+            return tuple(xs)
     raise SamplingError(f"could not find admissible points for n={n}, t={t}, seed={seed}")
 
 

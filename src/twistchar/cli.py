@@ -8,6 +8,7 @@ JSON and is byte-identical across runs with the same flags and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -74,11 +75,15 @@ def _partition_str(la: tuple[int, ...]) -> str:
     return "(" + ",".join(str(p) for p in la) + ")"
 
 
-def _emit(records, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+def _open_out(path: str | None):
+    """The --out file, opened before any work so that a bad path costs none."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
+def _emit(records, fh) -> None:
+    if fh is not None:
+        for rec in records:
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -142,8 +147,9 @@ def _report_record(th: TheoremId, la, t: int, n: int, seed: int, trials: int) ->
 def cmd_verify(args) -> int:
     la = parse_partition(args.partition)
     th = TheoremId(args.theorem)
-    rec = _report_record(th, la, args.t, args.n, args.seed, args.trials)
-    _emit([rec], args.out)
+    with _open_out(args.out) as fh:
+        rec = _report_record(th, la, args.t, args.n, args.seed, args.trials)
+        _emit([rec], fh)
     if args.json:
         print(json.dumps(rec, separators=(",", ":")))
     else:
@@ -193,13 +199,14 @@ def cmd_scan(args) -> int:
         raise ValueError("need every t >= 2 and n >= 1")
 
     items = _scan_items(theorems, ts, ns, args.max_size, seeds, args.trials)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_scan_case, items, chunksize=16))
-    else:
-        records = [_scan_case(item) for item in items]
+    with _open_out(args.out) as fh:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records = list(pool.map(_scan_case, items, chunksize=16))
+        else:
+            records = [_scan_case(item) for item in items]
+        _emit(records, fh)
 
-    _emit(records, args.out)
     n_match = sum(1 for r in records if r["match"])
     n_vanish = sum(1 for r in records if r["match"] and r["predicted_vanishing"])
     mismatches = [r for r in records if not r["match"]]
@@ -227,37 +234,40 @@ def cmd_series(args) -> int:
         raise ValueError(f"need N >= 0, got {order}")
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
+    # enum_z_cores rejects an unsupported z; it takes well under a
+    # millisecond, so it runs before --out can truncate an existing file.
     cores = enum_z_cores(z, t, order)
-    counts: dict[int, int] = {}
-    for la in cores:
-        counts[size(la)] = counts.get(size(la), 0) + 1
-    lattice = SeriesZ.from_counts(counts, order)
-    brute = [0] * (order + 1)
-    for m in range(order + 1):
-        for la in partitions_of(m):
-            if is_z_asymmetric(la, z) and t_core(la, t) == la:
-                brute[m] += 1
-    product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
+    with _open_out(args.out) as fh:
+        counts: dict[int, int] = {}
+        for la in cores:
+            counts[size(la)] = counts.get(size(la), 0) + 1
+        lattice = SeriesZ.from_counts(counts, order)
+        brute = [0] * (order + 1)
+        for m in range(order + 1):
+            for la in partitions_of(m):
+                if is_z_asymmetric(la, z) and t_core(la, t) == la:
+                    brute[m] += 1
+        product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
 
-    rows = []
-    ok = True
-    for m in range(order + 1):
-        cols = [brute[m], product[m] if product is not None else None, lattice[m]]
-        agree = all(c == cols[0] for c in cols if c is not None)
-        ok = ok and agree
-        rows.append((m, cols, agree))
+        rows = []
+        ok = True
+        for m in range(order + 1):
+            cols = [brute[m], product[m] if product is not None else None, lattice[m]]
+            agree = all(c == cols[0] for c in cols if c is not None)
+            ok = ok and agree
+            rows.append((m, cols, agree))
+        _emit(
+            (
+                {"m": m, "enum": cols[0], "product": cols[1], "lattice": cols[2], "match": agree}
+                for m, cols, agree in rows
+            ),
+            fh,
+        )
     print(f"{'m':>4s} {'enum':>6s} {'product':>8s} {'lattice':>8s}")
     for m, cols, agree in rows:
         prod_txt = "-" if cols[1] is None else str(cols[1])
         mark = "" if agree else "   <- MISMATCH"
         print(f"{m:4d} {cols[0]:6d} {prod_txt:>8s} {cols[2]:8d}{mark}")
-    _emit(
-        (
-            {"m": m, "enum": cols[0], "product": cols[1], "lattice": cols[2], "match": agree}
-            for m, cols, agree in rows
-        ),
-        args.out,
-    )
     print(f"series: z={z} t={t} N={order} {'ok' if ok else 'MISMATCH'}", file=sys.stderr)
     return 0 if ok else 2
 
@@ -315,7 +325,7 @@ def main(argv=None) -> int:
     except SamplingError as exc:
         print(f"twistchar: sampling failed: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"twistchar: {exc}", file=sys.stderr)
         return 1
 

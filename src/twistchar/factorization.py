@@ -9,7 +9,8 @@ twisted value is rational, because the twisted point multiset is stable
 under Galois conjugation.  The left side expands the twisted character in
 complete homogeneous functions (Jacobi-Trudi / Koike-Terada with the twist
 rule); the right side takes bialternant ratios at the t-th powers.  The
-two routes share nothing but `det`.  Reports embed the values in Q(w).
+two routes share nothing but `det`.  Records write each value as its
+coefficient vector in Q(w), which is zero past the rational part.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .characters import GroupType, sample_points, twisted_character, weyl_character
-from .cyclotomic import CycloElem, field
+from .cyclotomic import field
 from .linalg import det
 from .partitions import (
     CoreClass,
@@ -60,14 +61,14 @@ def predicted_vanishing(th: TheoremId, cls: CoreClass) -> bool:
     return not cls.self_conjugate
 
 
-def epsilon(th: TheoremId, la: Partition, t: int, n: int) -> int:
+def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int:
     """Parity of the global sign exponent in the theorem's right-hand side.
 
-    Only defined when the theorem's core classification holds; the residue
-    counts n_i are taken at padding tn (the same padding the quotient and
-    sigma use), and r is the rank of the core.
+    cls is classify_core(la, t, n).  Only defined when the theorem's core
+    classification holds; the residue counts n_i are taken at padding tn
+    (the same padding the quotient and sigma use), and r is the rank of
+    the core.
     """
-    cls = classify_core(la, t, n)
     base = (t * (t - 1) // 2) * (n * (n + 1) // 2)
     if th is TheoremId.SCHUR_FAC:
         if not cls.empty:
@@ -109,6 +110,8 @@ def _check_args(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Non
         raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
     if len(pts) != n:
         raise ValueError(f"expected {n} points, got {len(pts)}")
+    if not all(isinstance(x, Fraction) for x in pts):
+        raise TypeError(f"points must be Fractions, got {pts}")
     if len(la) > length_bound(th, t, n):
         raise ValueError(
             f"partition has {len(la)} parts, bound for {th.value} is {length_bound(th, t, n)}"
@@ -124,42 +127,32 @@ _LHS_GROUP = {
 }
 
 
-def _rational_points(pts: tuple) -> tuple[Fraction, ...]:
-    for x in pts:
-        if any(x.coeffs[1:]):
-            raise ValueError(f"point {x} is not rational")
-    return tuple(x.coeffs[0] for x in pts)
-
-
 def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fraction:
     """The twisted character: the matching group evaluated at (X, wX, ...),
     with the point 1 appended for the appended-one theorem.
 
-    pts are rational elements of Q(w); the value is returned in Q.
+    pts are the rational points X; the value is rational.
     """
     _check_args(th, la, t, n, pts)
-    return twisted_character(
-        _LHS_GROUP[th], la, _rational_points(pts), t, extra_one=th is TheoremId.SCHUR_ONE
-    )
+    return twisted_character(_LHS_GROUP[th], la, pts, t, extra_one=th is TheoremId.SCHUR_ONE)
 
 
 def rhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fraction:
     """The factorized side: sign times a product of quotient characters.
 
-    pts are rational elements of Q(w); the value is returned in Q, and is
-    exactly zero when the vanishing predicate holds.
+    pts are the rational points X; the value is rational, and is exactly
+    zero when the vanishing predicate holds.
     The quotient is taken at the same padding as the permutation sign
     (tn, or tn+1 for the appended-one theorem), so the cyclic-rotation
     ambiguity of the quotient cannot desynchronize signs and factors.
     """
     _check_args(th, la, t, n, pts)
-    xs = _rational_points(pts)
     cls = classify_core(la, t, n)
     if predicted_vanishing(th, cls):
         return Fraction(0)
 
-    eps = epsilon(th, la, t, n)
-    xt = tuple(x ** t for x in xs)
+    eps = epsilon(th, la, t, n, cls)
+    xt = tuple(x ** t for x in pts)
     one = Fraction(1)
     if th is TheoremId.SCHUR_ONE:
         c = cls.single_row
@@ -214,8 +207,8 @@ class VerificationReport:
     t: int
     n: int
     predicted_vanishing: bool
-    lhs: CycloElem
-    rhs: CycloElem
+    lhs: Fraction
+    rhs: Fraction
     sign_exponent: int | None
     sigma_sign: int | None
     match: bool
@@ -223,6 +216,8 @@ class VerificationReport:
     trials: int
 
     def as_dict(self) -> dict:
+        # The record format: each value as its coefficient vector in Q(w_t).
+        pad = ["0"] * (field(self.t).degree - 1)
         return {
             "theorem": self.theorem.value,
             "partition": list(self.partition),
@@ -233,8 +228,8 @@ class VerificationReport:
             "predicted_vanishing": self.predicted_vanishing,
             "sign_exponent": self.sign_exponent,
             "sigma_sign": self.sigma_sign,
-            "lhs": [str(c) for c in self.lhs.coeffs],
-            "rhs": [str(c) for c in self.rhs.coeffs],
+            "lhs": [str(self.lhs)] + pad,
+            "rhs": [str(self.rhs)] + pad,
             "match": self.match,
         }
 
@@ -266,7 +261,7 @@ def verify(
         if lhs != rhs:
             break
     lhs, rhs = shown
-    eps = None if vanish else epsilon(th, la, t, n)
+    eps = None if vanish else epsilon(th, la, t, n, cls)
     if th is TheoremId.SCHUR_ONE:
         sgn = None if cls.single_row is None else sigma_c_sign(la, t, n, cls.single_row)
     else:
@@ -277,8 +272,8 @@ def verify(
         t=t,
         n=n,
         predicted_vanishing=vanish,
-        lhs=field(t).from_rational(lhs),
-        rhs=field(t).from_rational(rhs),
+        lhs=lhs,
+        rhs=rhs,
         sign_exponent=eps,
         sigma_sign=sgn,
         match=lhs == rhs,

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,42 @@ def test_scan_output_file_is_stable(tmp_path, capsys):
     recs = [json.loads(ln) for ln in p1.read_text().splitlines()]
     assert len(recs) == 26
     assert all(r["match"] for r in recs)
+
+
+def test_standing_grid_records_are_byte_identical(tmp_path, capsys):
+    # The --out bytes of the standing grid are a fixed contract: the
+    # record format must not drift when the evaluation route changes.
+    p = tmp_path / "standing.jsonl"
+    argv = [
+        "scan", "--theorems", "all", "--t", "2,3,4", "--n", "1,2",
+        "--max-size", "7", "--seeds", "0", "--out", str(p),
+    ]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "b86909f20e2aece49e8e0701b92265815ffed5debfb49c9ead2d62e786c10cb2"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--t", "2", "--n", "1", "--max-size", "1"],
+        ["verify", "schurfac", "2", "--t", "2", "--n", "1"],
+        ["series", "--z", "1", "--t", "3", "--N", "8"],
+    ],
+    ids=["scan", "verify", "series"],
+)
+def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv):
+    def never(item):
+        raise AssertionError("a case ran before --out was opened")
+
+    monkeypatch.setattr(cli, "_scan_case", never)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("twistchar: ")
+    assert str(target) in err and "Traceback" not in err
 
 
 def test_scan_rejects_bad_lists(capsys):
