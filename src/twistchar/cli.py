@@ -139,16 +139,13 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _report_record(th: TheoremId, la, t: int, n: int, seed: int, trials: int) -> dict:
-    rep = verify(th, la, t, n, seed=seed, trials=trials)
-    return rep.as_dict()
-
-
 def cmd_verify(args) -> int:
     la = parse_partition(args.partition)
     th = TheoremId(args.theorem)
+    # The record is computed before --out is opened, so a case that fails
+    # validation leaves an existing file as it was.
+    rec = verify(th, la, args.t, args.n, seed=args.seed, trials=args.trials).as_dict()
     with _open_out(args.out) as fh:
-        rec = _report_record(th, la, args.t, args.n, args.seed, args.trials)
         _emit([rec], fh)
     if args.json:
         print(json.dumps(rec, separators=(",", ":")))
@@ -166,19 +163,17 @@ def cmd_verify(args) -> int:
 
 def _scan_case(item) -> dict:
     th_value, la, t, n, seed, trials = item
-    return _report_record(TheoremId(th_value), la, t, n, seed, trials)
+    return verify(TheoremId(th_value), la, t, n, seed=seed, trials=trials).as_dict()
 
 
 def _scan_items(theorems, ts, ns, max_size, seeds, trials):
-    items = []
     for th in theorems:
         for t in ts:
             for n in ns:
                 las = list(partitions_up_to(max_size, max_length=length_bound(th, t, n)))
                 for seed in seeds:
                     for la in las:
-                        items.append((th.value, la, t, n, seed, trials))
-    return items
+                        yield (th.value, la, t, n, seed, trials)
 
 
 def cmd_scan(args) -> int:
@@ -199,33 +194,38 @@ def cmd_scan(args) -> int:
         raise ValueError("need every t >= 2 and n >= 1")
 
     items = _scan_items(theorems, ts, ns, args.max_size, seeds, args.trials)
-    with _open_out(args.out) as fh:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_scan_case, items, chunksize=16))
-        else:
-            records = [_scan_case(item) for item in items]
-        _emit(records, fh)
-
-    n_match = sum(1 for r in records if r["match"])
-    n_vanish = sum(1 for r in records if r["match"] and r["predicted_vanishing"])
-    mismatches = [r for r in records if not r["match"]]
-    if args.format == "json":
+    cases = matches = vanishes = 0
+    # Records arrive in grid order and each is written as it arrives, so a
+    # scan that stops early keeps every record before the failing case.
+    serial = args.jobs == 1
+    with _open_out(args.out) as fh, (
+        contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=args.jobs)
+    ) as pool:
+        records = map(_scan_case, items) if serial else pool.map(_scan_case, items, chunksize=16)
         for rec in records:
-            print(json.dumps(rec, separators=(",", ":")))
-    else:
-        for rec in records:
-            status = "MISMATCH" if not rec["match"] else ("vanish" if rec["predicted_vanishing"] else "ok")
-            print(
-                f"{status:8s} {rec['theorem']:9s} t={rec['t']} n={rec['n']} "
-                f"seed={rec['seed']} la={_partition_str(tuple(rec['partition']))}"
-            )
+            line = json.dumps(rec, separators=(",", ":"))
+            if fh is not None:
+                fh.write(line + "\n")
+            if args.format == "json":
+                print(line)
+            else:
+                status = (
+                    "MISMATCH" if not rec["match"]
+                    else "vanish" if rec["predicted_vanishing"] else "ok"
+                )
+                print(
+                    f"{status:8s} {rec['theorem']:9s} t={rec['t']} n={rec['n']} "
+                    f"seed={rec['seed']} la={_partition_str(tuple(rec['partition']))}"
+                )
+            cases += 1
+            matches += rec["match"]
+            vanishes += rec["match"] and rec["predicted_vanishing"]
     print(
-        f"scan: cases={len(records)} match={n_match} "
-        f"mismatch={len(mismatches)} vanish_confirmed={n_vanish}",
+        f"scan: cases={cases} match={matches} "
+        f"mismatch={cases - matches} vanish_confirmed={vanishes}",
         file=sys.stderr,
     )
-    return 2 if mismatches else 0
+    return 2 if matches < cases else 0
 
 
 def cmd_series(args) -> int:

@@ -28,34 +28,19 @@ def _poly_mul(p: list, q: list) -> list:
     return out
 
 
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of an exact integer polynomial division (monic divisor)."""
-    num = list(num)
-    d = len(den) - 1
-    quot = [0] * (len(num) - d)
-    for k in range(len(num) - 1, d - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        quot[k - d] = c
-        for i in range(d + 1):
-            num[k - d + i] -= c * den[i]
-    if any(num):
-        raise ArithmeticError("division not exact")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(t: int) -> tuple[int, ...]:
     """Coefficients of Phi_t, ascending, computed by dividing x^t - 1
     by the cyclotomic polynomials of the proper divisors of t."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    num = [-1] + [0] * (t - 1) + [1]
+    num = [Fraction(-1)] + [Fraction(0)] * (t - 1) + [Fraction(1)]
     for d in range(1, t):
         if t % d == 0:
-            num = _poly_divmod_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
+            num, rem = _poly_divmod(num, cyclotomic_poly(d))
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{t} - 1 exactly")
+    return tuple(int(c) for c in num)
 
 
 @dataclass(frozen=True)

@@ -69,40 +69,45 @@ def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int
     (the same padding the quotient and sigma use), and r is the rank of
     the core.
     """
+    if predicted_vanishing(th, cls):
+        raise ValueError(
+            f"epsilon undefined for this class: {th.value} vanishes on core {cls.core}"
+        )
     base = (t * (t - 1) // 2) * (n * (n + 1) // 2)
     if th is TheoremId.SCHUR_FAC:
-        if not cls.empty:
-            raise ValueError("epsilon undefined for this class: core is not empty")
         return base % 2
     if th is TheoremId.SCHUR_ONE:
-        if cls.single_row is None:
-            raise ValueError("epsilon undefined for this class: core has several rows")
         return (base - cls.single_row * n) % 2
 
     counts = residue_counts(la, t, t * n).counts
     r = cls.rank
     if th is TheoremId.SYMPLECTIC:
-        if not cls.symplectic:
-            raise ValueError("epsilon undefined for this class: core is not symplectic")
         e = -sum(comb(counts[i] + 1, 2) for i in range(t // 2, t - 1))
         if t % 2 == 0:
             e += n * (n + 1) // 2 + n * r
         return e % 2
     if th is TheoremId.EVEN_ORTH:
-        if not cls.orthogonal:
-            raise ValueError("epsilon undefined for this class: core is not orthogonal")
         e = -sum(comb(counts[i], 2) for i in range((t + 2) // 2, t))
         if t % 2 == 0:
             e += n * (n + t - 1) // 2 + n * r
         else:
             e += (t - 1) * n // 2
         return e % 2
-    if not cls.self_conjugate:
-        raise ValueError("epsilon undefined for this class: core is not self-conjugate")
     e = -sum(comb(counts[i] + 1, 2) for i in range((t + 1) // 2, t))
     if t % 2 == 1:
         e += n * r
     return e % 2
+
+
+def _sorting_sign(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int | None:
+    """The theorem's sorting sign: sigma at padding tn, or, for the
+    appended-one theorem, sigma_c at tn+1 with c the core's one row (None
+    when the core has several rows)."""
+    if th is not TheoremId.SCHUR_ONE:
+        return sigma_sign(la, t, n)
+    if cls.single_row is None:
+        return None
+    return sigma_c_sign(la, t, n, cls.single_row)
 
 
 def _check_args(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> None:
@@ -152,50 +157,47 @@ def rhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
         return Fraction(0)
 
     eps = epsilon(th, la, t, n, cls)
+    sgn = _sorting_sign(th, la, t, n, cls)
+    quo = t_quotient(la, t, length_bound(th, t, n))
     xt = tuple(x ** t for x in pts)
+    xt_both = xt + tuple(1 / x for x in xt)
     one = Fraction(1)
     if th is TheoremId.SCHUR_ONE:
         c = cls.single_row
-        sgn = sigma_c_sign(la, t, n, c)
-        quo = t_quotient(la, t, t * n + 1)
         val = weyl_character(GroupType.GL, quo[c], xt + (one,))
         for i in range(t):
             if i != c:
                 val = val * weyl_character(GroupType.GL, quo[i], xt)
+    elif th is TheoremId.SCHUR_FAC:
+        val = one
+        for comp in quo:
+            val = val * weyl_character(GroupType.GL, comp, xt)
+    elif th is TheoremId.SYMPLECTIC:
+        val = weyl_character(GroupType.SP, quo[t - 1], xt)
+        for i in range((t - 3) // 2 + 1):
+            mu = mu_padded(quo[t - 2 - i], quo[i], n)
+            val = val * weyl_character(GroupType.GL, mu, xt_both)
+        if t % 2 == 0:
+            val = val * weyl_character(GroupType.OO, quo[t // 2 - 1], xt)
+    elif th is TheoremId.EVEN_ORTH:
+        val = weyl_character(GroupType.OE, quo[0], xt)
+        for i in range(1, (t - 1) // 2 + 1):
+            mu = mu_padded(quo[t - i], quo[i], n)
+            val = val * weyl_character(GroupType.GL, mu, xt_both)
+        if t % 2 == 0:
+            mid = quo[t // 2]
+            val = val * weyl_character(GroupType.OO, mid, tuple(-x for x in xt))
+            if sum(mid) % 2:
+                val = -val
     else:
-        sgn = sigma_sign(la, t, n)
-        quo = t_quotient(la, t, t * n)
-        xt_both = xt + tuple(1 / x for x in xt)
-        if th is TheoremId.SCHUR_FAC:
-            val = one
-            for comp in quo:
-                val = val * weyl_character(GroupType.GL, comp, xt)
-        elif th is TheoremId.SYMPLECTIC:
-            val = weyl_character(GroupType.SP, quo[t - 1], xt)
-            for i in range((t - 3) // 2 + 1):
-                mu = mu_padded(quo[t - 2 - i], quo[i], n)
-                val = val * weyl_character(GroupType.GL, mu, xt_both)
-            if t % 2 == 0:
-                val = val * weyl_character(GroupType.OO, quo[t // 2 - 1], xt)
-        elif th is TheoremId.EVEN_ORTH:
-            val = weyl_character(GroupType.OE, quo[0], xt)
-            for i in range(1, (t - 1) // 2 + 1):
-                mu = mu_padded(quo[t - i], quo[i], n)
-                val = val * weyl_character(GroupType.GL, mu, xt_both)
-            if t % 2 == 0:
-                mid = quo[t // 2]
-                val = val * weyl_character(GroupType.OO, mid, tuple(-x for x in xt))
-                if sum(mid) % 2:
-                    val = -val
-        else:
-            val = one
-            for i in range((t - 2) // 2 + 1):
-                mu = mu_padded(quo[t - 1 - i], quo[i], n)
-                val = val * weyl_character(GroupType.GL, mu, xt_both)
-            if t % 2 == 1:
-                val = val * weyl_character(GroupType.OO, quo[(t - 1) // 2], xt)
+        val = one
+        for i in range((t - 2) // 2 + 1):
+            mu = mu_padded(quo[t - 1 - i], quo[i], n)
+            val = val * weyl_character(GroupType.GL, mu, xt_both)
+        if t % 2 == 1:
+            val = val * weyl_character(GroupType.OO, quo[(t - 1) // 2], xt)
 
-    if (eps + (0 if sgn == 1 else 1)) % 2:
+    if (eps + (sgn == -1)) % 2:
         return -val
     return val
 
@@ -262,10 +264,7 @@ def verify(
             break
     lhs, rhs = shown
     eps = None if vanish else epsilon(th, la, t, n, cls)
-    if th is TheoremId.SCHUR_ONE:
-        sgn = None if cls.single_row is None else sigma_c_sign(la, t, n, cls.single_row)
-    else:
-        sgn = sigma_sign(la, t, n)
+    sgn = _sorting_sign(th, la, t, n, cls)
     return VerificationReport(
         theorem=th,
         partition=la,

@@ -203,36 +203,33 @@ def classify_core(la: Partition, t: int, n: int) -> CoreClass:
     """Evaluate every core predicate from residue counts at padding t*n.
 
     The count conditions are stable under m -> m + t (every count gains 1),
-    so they are computed at the smallest valid padding and compared against
-    the matching n.  Accepts l(la) up to t*n + 1 because the one-row test
-    lives at padding t*n + 1.
+    so they are computed once, at padding t*n_eff with n_eff the least
+    n' >= n that fits the parts.  Accepts l(la) up to t*n + 1 because the
+    one-row test lives at padding t*n + 1; its counts are derived from
+    the ones at t*n.
     """
     if len(la) > t * n + 1:
         raise ValueError(f"partition has {len(la)} parts, bound is tn+1={t * n + 1}")
-    n_eff = n
-    while t * n_eff < len(la):
-        n_eff += 1
+    n_eff = max(n, -(-len(la) // t))
     counts = residue_counts(la, t, t * n_eff).counts
-    empty = all(c == n_eff for c in counts)
-    symplectic = counts[t - 1] == n_eff and all(
-        counts[i] + counts[t - 2 - i] == 2 * n_eff for i in range(t - 1)
-    )
-    orthogonal = counts[0] == n_eff and all(
-        counts[i] + counts[(t - i) % t] == 2 * n_eff for i in range(1, t)
-    )
-    self_conjugate = all(counts[i] + counts[t - 1 - i] == 2 * n_eff for i in range(t))
     rk = sum(max(c - n_eff, 0) for c in counts)
-
-    counts1 = residue_counts(la, t, t * n_eff + 1).counts
-    single_row: int | None = None
-    for c in range(t):
-        if counts1[c] == n_eff + 1 and all(counts1[i] == n_eff for i in range(t) if i != c):
-            single_row = c
-            break
+    # A z-asymmetric core pairs class i with class t-1-z-i (mod t): the two
+    # counts sum to 2n.  Read with the wrap, this is the whole criterion for
+    # z = 1 (Sp), -1 (O_even) and 0 (O_odd) only; for z >= 2 the classes
+    # past t-1-z must each hold n instead of pairing across the wrap.
+    symplectic, orthogonal, self_conjugate = (
+        all(counts[i] + counts[(t - 1 - z - i) % t] == 2 * n_eff for i in range(t))
+        for z in (1, -1, 0)
+    )
+    # At padding tn+1 every entry moves up by one and 0 joins class 0, so
+    # class i holds counts[i-1] + (i == 0).  Those sum to tn+1, so the core
+    # is the one row (c) exactly when class c alone differs from n.
+    off = [i for i in range(t) if counts[i - 1] + (i == 0) != n_eff]
+    single_row = off[0] if len(off) == 1 else None
 
     return CoreClass(
         core=t_core(la, t),
-        empty=empty,
+        empty=rk == 0,
         single_row=single_row,
         symplectic=symplectic,
         orthogonal=orthogonal,

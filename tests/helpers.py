@@ -329,25 +329,26 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
 
 def check_classification_flags(max_size: int, ts=(2, 3, 4, 5)) -> list:
     """classify_core flags agree with the hook-coordinate definitions
-    applied directly to the core."""
+    applied directly to the core, at the minimal padding n and at n + 1."""
     bad = []
     for la in partitions_up_to(max_size):
         for t in ts:
-            n = ceil_div(max(1, len(la)), t)
-            cls = classify_core(la, t, n)
             core = t_core(la, t)
-            ok = (
-                cls.core == core
-                and cls.empty == (core == ())
-                and cls.symplectic == is_z_asymmetric(core, 1)
-                and cls.orthogonal == is_z_asymmetric(core, -1)
-                and cls.self_conjugate == (core == conjugate(core))
-                and cls.single_row
-                == (sum(core) if len(core) <= 1 else None)
-                and cls.rank == rank(core)
-            )
-            if not ok:
-                bad.append((la, t, n))
+            n_min = ceil_div(max(1, len(la)), t)
+            for n in (n_min, n_min + 1):
+                cls = classify_core(la, t, n)
+                ok = (
+                    cls.core == core
+                    and cls.empty == (core == ())
+                    and cls.symplectic == is_z_asymmetric(core, 1)
+                    and cls.orthogonal == is_z_asymmetric(core, -1)
+                    and cls.self_conjugate == (core == conjugate(core))
+                    and cls.single_row
+                    == (sum(core) if len(core) <= 1 else None)
+                    and cls.rank == rank(core)
+                )
+                if not ok:
+                    bad.append((la, t, n))
     return bad
 
 

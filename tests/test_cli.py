@@ -189,6 +189,39 @@ def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, arg
     assert str(target) in err and "Traceback" not in err
 
 
+def test_failed_verify_leaves_out_file_alone(tmp_path, capsys):
+    # Three parts exceed tn = 2, which verify only finds inside the case.
+    p = tmp_path / "old.jsonl"
+    p.write_bytes(b'{"kept":true}\n')
+    code, _, err = run(
+        ["verify", "schurfac", "1,1,1", "--t", "2", "--n", "1", "--out", str(p)], capsys
+    )
+    assert code == 1 and err.startswith("twistchar: ")
+    assert p.read_bytes() == b'{"kept":true}\n'
+
+
+def test_failed_scan_keeps_the_records_before_the_failure(monkeypatch, tmp_path, capsys):
+    argv = ["scan", "--theorems", "schurfac", "--t", "2", "--n", "1", "--max-size", "3",
+            "--jobs", "1", "--out"]
+    clean = tmp_path / "clean.jsonl"
+    assert cli.main(argv + [str(clean)]) == 0
+    capsys.readouterr()
+
+    real, calls = cli._scan_case, []
+
+    def third_fails(item):
+        calls.append(item)
+        if len(calls) == 3:
+            raise SamplingError("exhausted")
+        return real(item)
+
+    monkeypatch.setattr(cli, "_scan_case", third_fails)
+    cut = tmp_path / "cut.jsonl"
+    code, _, err = run(argv + [str(cut)], capsys)
+    assert code == 3 and "sampling failed" in err
+    assert cut.read_text().splitlines() == clean.read_text().splitlines()[:2]
+
+
 def test_scan_rejects_bad_lists(capsys):
     bad = [
         ["scan", "--theorems", "bogus", "--t", "2", "--n", "1", "--max-size", "2"],
