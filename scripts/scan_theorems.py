@@ -14,6 +14,9 @@ GRIDS = [
     ("schurfac,schur1", "2,3", "1,2", 8),
     ("sympfact", "2,3,4", "1,2", 8),
     ("eorthfact,oorthfact", "2,3,4", "1,2", 8),
+    ("all", "5,6,7", "1", 9),
+    ("all", "5", "2", 8),
+    ("all", "2,3", "3", 8),
 ]
 
 

@@ -32,13 +32,11 @@ from .partitions import (
     CoreClass,
     FrobeniusCoords,
     Partition,
-    ResidueProfile,
     beta_set,
     classify_core,
     conjugate,
     frobenius,
     from_beta_set,
-    hook_content,
     is_z_asymmetric,
     mu_padded,
     partitions_of,
@@ -75,7 +73,6 @@ __all__ = [
     "GroupType",
     "LatticeVec",
     "Partition",
-    "ResidueProfile",
     "SamplingError",
     "SeriesZ",
     "TheoremId",
@@ -94,7 +91,6 @@ __all__ = [
     "from_beta_set",
     "gf_z_asymmetric",
     "gf_z_cores",
-    "hook_content",
     "is_z_asymmetric",
     "lhs_value",
     "mu_padded",

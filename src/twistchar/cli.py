@@ -20,7 +20,6 @@ from .partitions import (
     classify_core,
     frobenius,
     is_z_asymmetric,
-    partitions_of,
     partitions_up_to,
     residue_counts,
     size,
@@ -98,7 +97,7 @@ def cmd_classify(args) -> int:
     cls = classify_core(la, t, n)
     quo = t_quotient(la, t, t * n)
     fro = frobenius(la)
-    prof = residue_counts(la, t, t * n)
+    counts = residue_counts(la, t, t * n)
     if args.json:
         rec = {
             "partition": list(la),
@@ -107,7 +106,7 @@ def cmd_classify(args) -> int:
             "core": list(cls.core),
             "quotient": [list(q) for q in quo],
             "frobenius": {"arms": list(fro.alpha), "legs": list(fro.beta)},
-            "residue_counts": list(prof.counts),
+            "residue_counts": list(counts),
             "empty": cls.empty,
             "single_row": cls.single_row,
             "symplectic": cls.symplectic,
@@ -133,7 +132,7 @@ def cmd_classify(args) -> int:
     print(f"core           {_partition_str(cls.core)}")
     print(f"quotient       ({', '.join(_partition_str(q) for q in quo)})")
     print(f"frobenius      ({','.join(map(str, fro.alpha))} | {','.join(map(str, fro.beta))})")
-    print(f"residue counts {tuple(prof.counts)}  (padding {t * n})")
+    print(f"residue counts {counts}  (padding {t * n})")
     print(f"class          {', '.join(flags) if flags else '(none)'}")
     print(f"rank           {cls.rank}")
     return 0
@@ -238,15 +237,15 @@ def cmd_series(args) -> int:
     # millisecond, so it runs before --out can truncate an existing file.
     cores = enum_z_cores(z, t, order)
     with _open_out(args.out) as fh:
-        counts: dict[int, int] = {}
-        for la in cores:
-            counts[size(la)] = counts.get(size(la), 0) + 1
-        lattice = SeriesZ.from_counts(counts, order)
-        brute = [0] * (order + 1)
-        for m in range(order + 1):
-            for la in partitions_of(m):
-                if is_z_asymmetric(la, z) and t_core(la, t) == la:
-                    brute[m] += 1
+        lattice = SeriesZ.from_sizes(map(size, cores), order)
+        brute = SeriesZ.from_sizes(
+            (
+                size(la)
+                for la in partitions_up_to(order)
+                if is_z_asymmetric(la, z) and t_core(la, t) == la
+            ),
+            order,
+        )
         product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
 
         rows = []

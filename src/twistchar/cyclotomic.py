@@ -172,9 +172,6 @@ class CycloElem:
             return NotImplemented
         return CycloElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -201,9 +198,6 @@ class CycloElem:
         if o is NotImplemented:
             return NotImplemented
         return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, k: int) -> "CycloElem":
         base = self.inv() if k < 0 else self

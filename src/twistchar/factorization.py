@@ -79,7 +79,7 @@ def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int
     if th is TheoremId.SCHUR_ONE:
         return (base - cls.single_row * n) % 2
 
-    counts = residue_counts(la, t, t * n).counts
+    counts = residue_counts(la, t, t * n)
     r = cls.rank
     if th is TheoremId.SYMPLECTIC:
         e = -sum(comb(counts[i] + 1, 2) for i in range(t // 2, t - 1))

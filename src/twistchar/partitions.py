@@ -56,17 +56,6 @@ def conjugate(la: Partition) -> Partition:
     return tuple(sum(1 for p in la if p >= j) for j in range(1, la[0] + 1))
 
 
-def hook_content(la: Partition) -> dict[tuple[int, int], tuple[int, int]]:
-    """Map each cell (i, j), 1-based, to (hook length, content j - i)."""
-    conj = conjugate(la)
-    table = {}
-    for i, row in enumerate(la, start=1):
-        for j in range(1, row + 1):
-            hook = row - j + conj[j - 1] - i + 1
-            table[(i, j)] = (hook, j - i)
-    return table
-
-
 def rank(la: Partition) -> int:
     """Length of the Durfee diagonal, the largest k with la_k >= k."""
     r = 0
@@ -105,25 +94,19 @@ def is_z_asymmetric(la: Partition, z: int) -> bool:
     return all(b == a + z for a, b in zip(fc.alpha, fc.beta))
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
-    """Counts n_i of beta-set entries in each residue class mod t."""
-
-    t: int
-    m: int
-    counts: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i % self.t]
-
-
-def residue_counts(la: Partition, t: int, m: int) -> ResidueProfile:
+def residue_counts(la: Partition, t: int, m: int) -> tuple[int, ...]:
+    """Counts n_i of the entries of beta(la, m) in each residue class i mod t."""
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
     counts = [0] * t
     for x in beta_set(la, m):
         counts[x % t] += 1
-    return ResidueProfile(t, m, tuple(counts))
+    return tuple(counts)
+
+
+def _core_from_counts(counts: tuple[int, ...], t: int) -> Partition:
+    entries = [t * j + i for i, n_i in enumerate(counts) for j in range(n_i)]
+    return from_beta_set(sorted(entries, reverse=True))
 
 
 def t_core(la: Partition, t: int) -> Partition:
@@ -132,14 +115,7 @@ def t_core(la: Partition, t: int) -> Partition:
     Each residue class with n_i entries is replaced wholesale by the n_i
     smallest values in that class, i.e. {i, t+i, ..., t(n_i-1)+i}.
     """
-    if t < 2:
-        raise ValueError(f"modulus must be at least 2, got {t}")
-    m = max(1, len(la))
-    prof = residue_counts(la, t, m)
-    entries: list[int] = []
-    for i, n_i in enumerate(prof.counts):
-        entries.extend(t * j + i for j in range(n_i))
-    return from_beta_set(sorted(entries, reverse=True))
+    return _core_from_counts(residue_counts(la, t, max(1, len(la))), t)
 
 
 def t_core_strips(la: Partition, t: int) -> Partition:
@@ -200,18 +176,18 @@ class CoreClass:
 
 
 def classify_core(la: Partition, t: int, n: int) -> CoreClass:
-    """Evaluate every core predicate from residue counts at padding t*n.
+    """Evaluate the core and every core predicate from residue counts at padding t*n.
 
     The count conditions are stable under m -> m + t (every count gains 1),
     so they are computed once, at padding t*n_eff with n_eff the least
-    n' >= n that fits the parts.  Accepts l(la) up to t*n + 1 because the
-    one-row test lives at padding t*n + 1; its counts are derived from
-    the ones at t*n.
+    n' >= n that fits the parts; the core is rebuilt from the same counts.
+    Accepts l(la) up to t*n + 1 because the one-row test lives at padding
+    t*n + 1; its counts are derived from the ones at t*n.
     """
     if len(la) > t * n + 1:
         raise ValueError(f"partition has {len(la)} parts, bound is tn+1={t * n + 1}")
     n_eff = max(n, -(-len(la) // t))
-    counts = residue_counts(la, t, t * n_eff).counts
+    counts = residue_counts(la, t, t * n_eff)
     rk = sum(max(c - n_eff, 0) for c in counts)
     # A z-asymmetric core pairs class i with class t-1-z-i (mod t): the two
     # counts sum to 2n.  Read with the wrap, this is the whole criterion for
@@ -228,7 +204,7 @@ def classify_core(la: Partition, t: int, n: int) -> CoreClass:
     single_row = off[0] if len(off) == 1 else None
 
     return CoreClass(
-        core=t_core(la, t),
+        core=_core_from_counts(counts, t),
         empty=rk == 0,
         single_row=single_row,
         symplectic=symplectic,
@@ -238,38 +214,22 @@ def classify_core(la: Partition, t: int, n: int) -> CoreClass:
     )
 
 
-def _inversions(seq: list[int]) -> int:
-    """Inversion count by merge sort, O(m log m)."""
-    if len(seq) < 2:
-        return 0
-    mid = len(seq) // 2
-    left, right = seq[:mid], seq[mid:]
-    inv = _inversions(left) + _inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            inv += len(left) - i
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    seq[:] = merged
-    return inv
-
-
 def _block_sign(b: tuple[int, ...], t: int, class_order: Iterable[int]) -> int:
-    # One-line notation: the original 1-based positions of the beta entries,
-    # grouped by residue class in the requested order.  Entries within a
-    # class stay in decreasing value order, which is increasing position
-    # order because b itself is strictly decreasing.
-    one_line = []
-    for q in class_order:
-        one_line.extend(i + 1 for i, x in enumerate(b) if x % t == q)
-    return -1 if _inversions(one_line) % 2 else 1
+    # Sort the entries of b into class blocks in the requested order, each
+    # class keeping its order within b.  Two entries swap exactly when the
+    # later one's class comes first, so walking b and adding, for each
+    # entry, the tally of earlier entries in classes placed after its own
+    # counts the inversions.
+    place = [0] * t
+    for k, q in enumerate(class_order):
+        place[q] = k
+    tally = [0] * t
+    inversions = 0
+    for x in b:
+        k = place[x % t]
+        inversions += sum(tally[k + 1 :])
+        tally[k] += 1
+    return -1 if inversions % 2 else 1
 
 
 def sigma_sign(la: Partition, t: int, n: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterable
 
 from .partitions import (
     Partition,
@@ -19,7 +20,7 @@ from .partitions import (
     conjugate,
     from_beta_set,
     is_z_asymmetric,
-    partitions_of,
+    partitions_up_to,
     residue_counts,
     size,
     t_core,
@@ -50,11 +51,12 @@ class SeriesZ:
         return cls((1,) + (0,) * order)
 
     @classmethod
-    def from_counts(cls, counts: dict[int, int], order: int) -> "SeriesZ":
+    def from_sizes(cls, sizes: Iterable[int], order: int) -> "SeriesZ":
+        """Histogram of the sizes: q^m counts the sizes equal to m <= order."""
         row = [0] * (order + 1)
-        for m, c in counts.items():
+        for m in sizes:
             if 0 <= m <= order:
-                row[m] += c
+                row[m] += 1
         return cls(tuple(row))
 
     def __add__(self, other: "SeriesZ") -> "SeriesZ":
@@ -88,12 +90,9 @@ def enum_z_asymmetric(z: int, order: int) -> SeriesZ:
     """Count z-asymmetric partitions of each size by direct enumeration."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    row = [0] * (order + 1)
-    for m in range(order + 1):
-        for la in partitions_of(m):
-            if is_z_asymmetric(la, z):
-                row[m] += 1
-    return SeriesZ(tuple(row))
+    return SeriesZ.from_sizes(
+        (size(la) for la in partitions_up_to(order) if is_z_asymmetric(la, z)), order
+    )
 
 
 def gf_z_asymmetric(z: int, order: int) -> SeriesZ:
@@ -159,7 +158,7 @@ def phi(la: Partition, z: int, t: int) -> LatticeVec:
     if not is_z_asymmetric(la, z) or t_core(la, t) != la:
         raise ValueError(f"{la} is not a {z}-asymmetric {t}-core")
     n = max(1, -(-len(la) // t))
-    counts = residue_counts(la, t, t * n).counts
+    counts = residue_counts(la, t, t * n)
     return tuple(counts[i] - n for i in range(_lattice_dim(z, t)))
 
 

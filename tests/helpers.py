@@ -215,8 +215,8 @@ def check_core_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             base = max(1, len(la))
             for m in (base, base + 1, base + t):
                 if (
-                    residue_counts(la, t, m).counts
-                    != residue_counts(core, t, m).counts
+                    residue_counts(la, t, m)
+                    != residue_counts(core, t, m)
                 ):
                     bad.append((la, t, m))
     return bad
@@ -234,8 +234,8 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             b = ceil_div(max(1, len(mu)), t)
             for da in (0, 1):
                 for db in (0, 1):
-                    ca = residue_counts(la, t, t * (a + da)).counts
-                    cb = residue_counts(mu, t, t * (b + db)).counts
+                    ca = residue_counts(la, t, t * (a + da))
+                    cb = residue_counts(mu, t, t * (b + db))
                     tot = a + da + b + db
                     if any(
                         ca[i] + cb[t - 1 - i] != tot for i in range(t)
@@ -244,10 +244,10 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
         cores = [la for la in las if t_core(la, t) == la]
         for la in cores:
             a = ceil_div(max(1, len(la)), t)
-            ca = residue_counts(la, t, t * a).counts
+            ca = residue_counts(la, t, t * a)
             for mu in cores:
                 b = ceil_div(max(1, len(mu)), t)
-                cb = residue_counts(mu, t, t * b).counts
+                cb = residue_counts(mu, t, t * b)
                 holds = all(
                     ca[i] + cb[t - 1 - i] == a + b for i in range(t)
                 )
@@ -316,7 +316,7 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             if t_core(la, t) != la:
                 continue
             n = ceil_div(max(1, len(la)), t)
-            counts = residue_counts(la, t, t * n).counts
+            counts = residue_counts(la, t, t * n)
             for z in range(0, t - 1):
                 want = all(
                     counts[i] + counts[t - z - 1 - i] == 2 * n
@@ -329,11 +329,13 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
 
 def check_classification_flags(max_size: int, ts=(2, 3, 4, 5)) -> list:
     """classify_core flags agree with the hook-coordinate definitions
-    applied directly to the core, at the minimal padding n and at n + 1."""
+    applied directly to the core, at the minimal padding n and at n + 1.
+    The core comes from strip removal, not from residue counts, so it is
+    an independent check of classify_core's own core."""
     bad = []
     for la in partitions_up_to(max_size):
         for t in ts:
-            core = t_core(la, t)
+            core = t_core_strips(la, t)
             n_min = ceil_div(max(1, len(la)), t)
             for n in (n_min, n_min + 1):
                 cls = classify_core(la, t, n)
@@ -359,7 +361,7 @@ def check_rank_formulas(max_size: int, ts=(2, 3, 4, 5)) -> list:
     for la in partitions_up_to(max_size):
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
-            counts = residue_counts(la, t, t * n).counts
+            counts = residue_counts(la, t, t * n)
             core = t_core(la, t)
             if rank(core) != sum(max(c - n, 0) for c in counts):
                 bad.append(("clipped", la, t))

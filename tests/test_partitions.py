@@ -13,7 +13,6 @@ from twistchar.partitions import (
     conjugate,
     frobenius,
     from_beta_set,
-    hook_content,
     is_z_asymmetric,
     mu_padded,
     partitions_of,
@@ -74,31 +73,6 @@ def test_conjugate_values():
 def test_conjugate_is_an_involution(la):
     assert conjugate(conjugate(la)) == la
     assert size(conjugate(la)) == size(la)
-
-
-def test_hook_content_table():
-    table = hook_content((4, 2, 2, 1))
-    hooks = {c: h for c, (h, _) in table.items()}
-    contents = {c: v for c, (_, v) in table.items()}
-    assert [hooks[(1, j)] for j in range(1, 5)] == [7, 5, 2, 1]
-    assert [hooks[(2, j)] for j in range(1, 3)] == [4, 2]
-    assert [hooks[(3, j)] for j in range(1, 3)] == [3, 1]
-    assert hooks[(4, 1)] == 1
-    assert [contents[(1, j)] for j in range(1, 5)] == [0, 1, 2, 3]
-    assert [contents[(2, j)] for j in range(1, 3)] == [-1, 0]
-    assert [contents[(3, j)] for j in range(1, 3)] == [-2, -1]
-    assert contents[(4, 1)] == -3
-    assert hook_content(()) == {}
-
-
-@given(P)
-def test_hook_content_transposes(la):
-    table = hook_content(la)
-    flipped = hook_content(conjugate(la))
-    assert len(table) == size(la)
-    for (i, j), (h, c) in table.items():
-        fh, fc = flipped[(j, i)]
-        assert fh == h and fc == -c
 
 
 def test_frobenius_values():
@@ -177,10 +151,7 @@ def test_quotient_rotates_under_padding_shift(la, t, extra):
 
 
 def test_residue_count_values():
-    prof = residue_counts((3, 2, 1, 1, 1), 3, 6)
-    assert prof.counts == (3, 1, 2)
-    assert prof.t == 3 and prof.m == 6
-    assert prof[0] == 3 and prof[3] == 3 and prof[-1] == 2
+    assert residue_counts((3, 2, 1, 1, 1), 3, 6) == (3, 1, 2)
     with pytest.raises(ValueError):
         residue_counts((1,), 1, 2)
 
@@ -188,8 +159,8 @@ def test_residue_count_values():
 @given(P, st.integers(2, 5), st.integers(0, 2))
 def test_residue_counts_shift_with_padding(la, t, extra):
     m = max(1, len(la)) + extra
-    before = residue_counts(la, t, m).counts
-    after = residue_counts(la, t, m + t).counts
+    before = residue_counts(la, t, m)
+    after = residue_counts(la, t, m + t)
     assert after == tuple(x + 1 for x in before)
 
 
@@ -247,7 +218,7 @@ def test_sign_values():
         sigma_c_sign((1,), 2, 1, 2)
 
 
-@given(P, st.integers(2, 4), st.integers(1, 3), st.data())
+@given(P, st.integers(2, 7), st.integers(1, 3), st.data())
 def test_signs_match_quadratic_oracle(la, t, n, data):
     n = max(n, ceil_div(len(la), t))
     assert sigma_sign(la, t, n) == block_sign_oracle(la, t, t * n, range(t))
