@@ -17,6 +17,10 @@ GRIDS = [
     ("all", "5,6,7", "1", 9),
     ("all", "5", "2", 8),
     ("all", "2,3", "3", 8),
+    # even t, where Sp and O_even have both a middle and a wrap class
+    ("all", "8", "1", 9),
+    ("all", "4", "3", 8),
+    ("all", "6", "2", 8),
 ]
 
 

@@ -23,6 +23,7 @@ from .factorization import (
     check_block_det_lemma,
     epsilon,
     lhs_value,
+    predict,
     predicted_vanishing,
     rhs_value,
     verify,
@@ -99,6 +100,7 @@ __all__ = [
     "partitions_up_to",
     "phi",
     "phi_inverse",
+    "predict",
     "predicted_vanishing",
     "rank",
     "residue_counts",

@@ -89,11 +89,9 @@ def cmd_classify(args) -> int:
     la = parse_partition(args.partition)
     t, n = args.t, args.n
     if t < 2 or n < 1:
-        print(f"classify: need t >= 2 and n >= 1, got t={t}, n={n}", file=sys.stderr)
-        return 1
+        raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
     if len(la) > t * n:
-        print(f"classify: partition has {len(la)} parts, limit is tn = {t * n}", file=sys.stderr)
-        return 1
+        raise ValueError(f"partition has {len(la)} parts, limit is tn = {t * n}")
     cls = classify_core(la, t, n)
     quo = t_quotient(la, t, t * n)
     fro = frobenius(la)

@@ -11,6 +11,12 @@ complete homogeneous functions (Jacobi-Trudi / Koike-Terada with the twist
 rule); the right side takes bialternant ratios at the t-th powers.  The
 two routes share nothing but `det`.  Records write each value as its
 coefficient vector in Q(w), which is zero past the rational part.
+
+Sp, O_even and O_odd are one statement about z-asymmetric cores, z = 1, -1,
+0, where class i pairs with class t-1-z-i mod t (`partitions.partners`):
+each pair i < j gives a GL factor, the self-paired middle class 2i = t-1-z
+an odd orthogonal one and the other self-paired class the theorem's own
+group.  `predict` derives them once per case; `rhs_value` evaluates them.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .partitions import (
     Partition,
     classify_core,
     mu_padded,
+    partners,
     residue_counts,
     sigma_c_sign,
     sigma_sign,
@@ -67,7 +74,7 @@ def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int
     cls is classify_core(la, t, n).  Only defined when the theorem's core
     classification holds; the residue counts n_i are taken at padding tn
     (the same padding the quotient and sigma use), and r is the rank of
-    the core.
+    the core.  For Sp and O one sum runs over the upper class j of each pair.
     """
     if predicted_vanishing(th, cls):
         raise ValueError(
@@ -79,48 +86,33 @@ def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int
     if th is TheoremId.SCHUR_ONE:
         return (base - cls.single_row * n) % 2
 
+    z = _Z[th]
     counts = residue_counts(la, t, t * n)
-    r = cls.rank
-    if th is TheoremId.SYMPLECTIC:
-        e = -sum(comb(counts[i] + 1, 2) for i in range(t // 2, t - 1))
-        if t % 2 == 0:
-            e += n * (n + 1) // 2 + n * r
-        return e % 2
-    if th is TheoremId.EVEN_ORTH:
-        e = -sum(comb(counts[i], 2) for i in range((t + 2) // 2, t))
-        if t % 2 == 0:
-            e += n * (n + t - 1) // 2 + n * r
-        else:
-            e += (t - 1) * n // 2
-        return e % 2
-    e = -sum(comb(counts[i] + 1, 2) for i in range((t + 1) // 2, t))
-    if t % 2 == 1:
-        e += n * r
+    e = -sum(comb(counts[j] + (z >= 0), 2) for i, j in enumerate(partners(t, z)) if i < j)
+    nr = n * cls.rank
+    if th is TheoremId.SYMPLECTIC and t % 2 == 0:
+        e += n * (n + 1) // 2 + nr
+    elif th is TheoremId.EVEN_ORTH:
+        e += n * (n + t - 1) // 2 + nr if t % 2 == 0 else (t - 1) * n // 2
+    elif th is TheoremId.ODD_ORTH and t % 2 == 1:
+        e += nr
     return e % 2
 
 
-def _sorting_sign(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int | None:
-    """The theorem's sorting sign: sigma at padding tn, or, for the
-    appended-one theorem, sigma_c at tn+1 with c the core's one row (None
-    when the core has several rows)."""
-    if th is not TheoremId.SCHUR_ONE:
-        return sigma_sign(la, t, n)
-    if cls.single_row is None:
-        return None
-    return sigma_c_sign(la, t, n, cls.single_row)
-
-
-def _check_args(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> None:
+def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> None:
     if t < 2 or n < 1:
         raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
-    if len(pts) != n:
-        raise ValueError(f"expected {n} points, got {len(pts)}")
-    if not all(isinstance(x, Fraction) for x in pts):
-        raise TypeError(f"points must be Fractions, got {pts}")
     if len(la) > length_bound(th, t, n):
         raise ValueError(
             f"partition has {len(la)} parts, bound for {th.value} is {length_bound(th, t, n)}"
         )
+
+
+def _check_points(pts: tuple, n: int) -> None:
+    if len(pts) != n:
+        raise ValueError(f"expected {n} points, got {len(pts)}")
+    if not all(isinstance(x, Fraction) for x in pts):
+        raise TypeError(f"points must be Fractions, got {pts}")
 
 
 _LHS_GROUP = {
@@ -131,6 +123,9 @@ _LHS_GROUP = {
     TheoremId.ODD_ORTH: GroupType.OO,
 }
 
+# The z of the z-asymmetric cores on which each Sp/O theorem factors.
+_Z = {TheoremId.SYMPLECTIC: 1, TheoremId.EVEN_ORTH: -1, TheoremId.ODD_ORTH: 0}
+
 
 def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fraction:
     """The twisted character: the matching group evaluated at (X, wX, ...),
@@ -138,67 +133,85 @@ def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
 
     pts are the rational points X; the value is rational.
     """
-    _check_args(th, la, t, n, pts)
+    _check_case(th, la, t, n)
+    _check_points(pts, n)
     return twisted_character(_LHS_GROUP[th], la, pts, t, extra_one=th is TheoremId.SCHUR_ONE)
 
 
-def rhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fraction:
-    """The factorized side: sign times a product of quotient characters.
+@dataclass(frozen=True)
+class Prediction:
+    """What a theorem predicts for (th, la, t, n) before any point is drawn.
 
-    pts are the rational points X; the value is rational, and is exactly
-    zero when the vanishing predicate holds.
-    The quotient is taken at the same padding as the permutation sign
-    (tn, or tn+1 for the appended-one theorem), so the cyclic-rotation
-    ambiguity of the quotient cannot desynchronize signs and factors.
-    """
-    _check_args(th, la, t, n, pts)
+    The right-hand side is sign times the product of the factors' characters,
+    a factor being (group, partition, key of _POINT_SETS).  sign is 0 on
+    vanishing, else (-1)^epsilon * sigma, times (-1)^|mu| for a factor at -Y.
+    sigma is None when the appended-one theorem's core has several rows."""
+
+    t: int
+    n: int
+    vanishing: bool
+    epsilon: int | None
+    sigma: int | None
+    sign: int
+    factors: tuple[tuple[GroupType, Partition, str], ...]
+
+
+def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
+    """Classify the core once and derive the verdict, signs and factors.  The
+    quotient is taken at the sorting sign's padding (tn, or tn+1 for the
+    appended-one theorem), so its cyclic rotation cannot desynchronize the
+    two; Sp/O factors follow partners(t, z), as the module docstring says."""
+    _check_case(th, la, t, n)
     cls = classify_core(la, t, n)
+    c = cls.single_row
+    if th is not TheoremId.SCHUR_ONE:
+        sigma = sigma_sign(la, t, n)
+    else:
+        sigma = None if c is None else sigma_c_sign(la, t, n, c)
     if predicted_vanishing(th, cls):
-        return Fraction(0)
+        return Prediction(t, n, True, None, sigma, 0, ())
 
     eps = epsilon(th, la, t, n, cls)
-    sgn = _sorting_sign(th, la, t, n, cls)
+    odd = eps + (sigma == -1)
     quo = t_quotient(la, t, length_bound(th, t, n))
-    xt = tuple(x ** t for x in pts)
-    xt_both = xt + tuple(1 / x for x in xt)
-    one = Fraction(1)
-    if th is TheoremId.SCHUR_ONE:
-        c = cls.single_row
-        val = weyl_character(GroupType.GL, quo[c], xt + (one,))
-        for i in range(t):
-            if i != c:
-                val = val * weyl_character(GroupType.GL, quo[i], xt)
-    elif th is TheoremId.SCHUR_FAC:
-        val = one
-        for comp in quo:
-            val = val * weyl_character(GroupType.GL, comp, xt)
-    elif th is TheoremId.SYMPLECTIC:
-        val = weyl_character(GroupType.SP, quo[t - 1], xt)
-        for i in range((t - 3) // 2 + 1):
-            mu = mu_padded(quo[t - 2 - i], quo[i], n)
-            val = val * weyl_character(GroupType.GL, mu, xt_both)
-        if t % 2 == 0:
-            val = val * weyl_character(GroupType.OO, quo[t // 2 - 1], xt)
-    elif th is TheoremId.EVEN_ORTH:
-        val = weyl_character(GroupType.OE, quo[0], xt)
-        for i in range(1, (t - 1) // 2 + 1):
-            mu = mu_padded(quo[t - i], quo[i], n)
-            val = val * weyl_character(GroupType.GL, mu, xt_both)
-        if t % 2 == 0:
-            mid = quo[t // 2]
-            val = val * weyl_character(GroupType.OO, mid, tuple(-x for x in xt))
-            if sum(mid) % 2:
-                val = -val
+    gl = GroupType.GL
+    if th is TheoremId.SCHUR_FAC:
+        factors = [(gl, q, "Y") for q in quo]
+    elif th is TheoremId.SCHUR_ONE:
+        factors = [(gl, q, "Y,1" if i == c else "Y") for i, q in enumerate(quo)]
     else:
-        val = one
-        for i in range((t - 2) // 2 + 1):
-            mu = mu_padded(quo[t - 1 - i], quo[i], n)
-            val = val * weyl_character(GroupType.GL, mu, xt_both)
-        if t % 2 == 1:
-            val = val * weyl_character(GroupType.OO, quo[(t - 1) // 2], xt)
+        z = _Z[th]
+        factors = []
+        for i, j in enumerate(partners(t, z)):
+            if i < j:
+                factors.append((gl, mu_padded(quo[j], quo[i], n), "Y,1/Y"))
+            elif 2 * i == t - 1 - z and th is TheoremId.EVEN_ORTH:
+                factors.append((GroupType.OO, quo[i], "-Y"))
+                odd += sum(quo[i])
+            elif 2 * i == t - 1 - z:
+                factors.append((GroupType.OO, quo[i], "Y"))
+            elif i == j:
+                factors.append((_LHS_GROUP[th], quo[i], "Y"))
+    return Prediction(t, n, False, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
 
-    if (eps + (sgn == -1)) % 2:
-        return -val
+
+# A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).
+_POINT_SETS = {
+    "Y": lambda ys: ys,
+    "Y,1": lambda ys: ys + (Fraction(1),),
+    "Y,1/Y": lambda ys: ys + tuple(1 / y for y in ys),
+    "-Y": lambda ys: tuple(-y for y in ys),
+}
+
+
+def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
+    """The factorized side at the rational points X: pred.sign times each
+    factor's bialternant ratio at its point set; exactly zero on vanishing."""
+    _check_points(pts, pred.n)
+    ys = tuple(x ** pred.t for x in pts)
+    val = Fraction(pred.sign)
+    for group, mu, at in pred.factors:
+        val *= weyl_character(group, mu, _POINT_SETS[at](ys))
     return val
 
 
@@ -251,30 +264,26 @@ def verify(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    cls = classify_core(la, t, n)
-    vanish = predicted_vanishing(th, cls)
+    pred = predict(th, la, t, n)
     shown = None
     for k in range(trials):
         pts = sample_points(n, t, _trial_seed(seed, k))
-        lhs = lhs_value(th, la, t, n, pts)
-        rhs = rhs_value(th, la, t, n, pts)
+        lhs, rhs = lhs_value(th, la, t, n, pts), rhs_value(pred, pts)
         if shown is None or lhs != rhs:
             shown = (lhs, rhs)
         if lhs != rhs:
             break
     lhs, rhs = shown
-    eps = None if vanish else epsilon(th, la, t, n, cls)
-    sgn = _sorting_sign(th, la, t, n, cls)
     return VerificationReport(
         theorem=th,
         partition=la,
         t=t,
         n=n,
-        predicted_vanishing=vanish,
+        predicted_vanishing=pred.vanishing,
         lhs=lhs,
         rhs=rhs,
-        sign_exponent=eps,
-        sigma_sign=sgn,
+        sign_exponent=pred.epsilon,
+        sigma_sign=pred.sigma,
         match=lhs == rhs,
         seed=seed,
         trials=trials,

@@ -70,10 +70,6 @@ class FrobeniusCoords:
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.alpha)
-
 
 def frobenius(la: Partition) -> FrobeniusCoords:
     """Arm and leg lengths along the diagonal, alpha_i = la_i - i, beta_j = la'_j - j."""
@@ -155,6 +151,14 @@ def t_quotient(la: Partition, t: int, m: int) -> tuple[Partition, ...]:
     return tuple(from_beta_set(sorted(cl, reverse=True)) for cl in classes)
 
 
+def partners(t: int, z: int) -> tuple[int, ...]:
+    """Class i's partner t-1-z-i mod t: at padding tn the t-core is z-asymmetric
+    exactly when each class and its partner hold 2n entries together.  With
+    the wrap this holds for z = 1 (Sp), -1 (O_even) and 0 (O_odd) only; for
+    z >= 2 the classes past t-1-z must each hold n instead."""
+    return tuple((t - 1 - z - i) % t for i in range(t))
+
+
 @dataclass(frozen=True)
 class CoreClass:
     """Classification of the t-core of a partition, straight from residue counts.
@@ -189,12 +193,8 @@ def classify_core(la: Partition, t: int, n: int) -> CoreClass:
     n_eff = max(n, -(-len(la) // t))
     counts = residue_counts(la, t, t * n_eff)
     rk = sum(max(c - n_eff, 0) for c in counts)
-    # A z-asymmetric core pairs class i with class t-1-z-i (mod t): the two
-    # counts sum to 2n.  Read with the wrap, this is the whole criterion for
-    # z = 1 (Sp), -1 (O_even) and 0 (O_odd) only; for z >= 2 the classes
-    # past t-1-z must each hold n instead of pairing across the wrap.
     symplectic, orthogonal, self_conjugate = (
-        all(counts[i] + counts[(t - 1 - z - i) % t] == 2 * n_eff for i in range(t))
+        all(counts[i] + counts[j] == 2 * n_eff for i, j in enumerate(partners(t, z)))
         for z in (1, -1, 0)
     )
     # At padding tn+1 every entry moves up by one and 0 joins class 0, so

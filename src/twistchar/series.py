@@ -43,10 +43,6 @@ class SeriesZ:
         return self.coeffs[m]
 
     @classmethod
-    def zero(cls, order: int) -> "SeriesZ":
-        return cls((0,) * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "SeriesZ":
         return cls((1,) + (0,) * order)
 
@@ -58,12 +54,6 @@ class SeriesZ:
             if 0 <= m <= order:
                 row[m] += 1
         return cls(tuple(row))
-
-    def __add__(self, other: "SeriesZ") -> "SeriesZ":
-        order = min(self.order, other.order)
-        return SeriesZ(
-            tuple(a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs[: order + 1]))
-        )
 
     def __mul__(self, other: "SeriesZ") -> "SeriesZ":
         order = min(self.order, other.order)

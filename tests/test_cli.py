@@ -65,6 +65,20 @@ def test_classify_rejects_bad_arguments(capsys):
     assert run(["classify", "0", "--t", "2", "--n", "1"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["2,1", "--t", "1", "--n", "2"],
+        ["2,1", "--t", "2", "--n", "0"],
+        ["1,1,1,1", "--t", "3", "--n", "1"],
+    ],
+)
+def test_classify_errors_give_one_message_line(argv, capsys):
+    code, out, err = run(["classify"] + argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+
+
 def test_verify_text_output(capsys):
     code, out, _ = run(["verify", "schurfac", "2,1", "--t", "2", "--n", "1"], capsys)
     assert code == 0

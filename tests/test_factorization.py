@@ -1,6 +1,8 @@
 """Twisted character factorizations and the determinant identities
 behind them, verified in exact arithmetic."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from twistchar.factorization import (
     epsilon,
     length_bound,
     lhs_value,
+    predict,
     predicted_vanishing,
     rhs_value,
     verify,
@@ -32,7 +35,7 @@ ALL = list(TheoremId)
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
 @pytest.mark.parametrize(
-    "t,n", [(2, 1), (2, 2), (3, 1), (4, 2), (5, 1), (6, 1), (7, 1)]
+    "t,n", [(2, 1), (2, 2), (3, 1), (4, 2), (5, 1), (6, 1), (7, 1), (8, 1)]
 )
 def test_identities_hold_on_small_grid(th, t, n):
     for la in partitions_up_to(5, max_length=length_bound(th, t, n)):
@@ -109,7 +112,7 @@ def test_report_serialization_and_argument_checks():
     with pytest.raises(ValueError):
         lhs_value(TheoremId.SCHUR_FAC, (1, 1, 1), 2, 1, sample_points(1, 2, 0))
     with pytest.raises(ValueError):
-        rhs_value(TheoremId.SCHUR_FAC, (1,), 2, 2, sample_points(1, 2, 0))
+        rhs_value(predict(TheoremId.SCHUR_FAC, (1,), 2, 2), sample_points(1, 2, 0))
 
 
 def test_mismatch_reports_the_failing_trial(monkeypatch):
@@ -117,10 +120,10 @@ def test_mismatch_reports_the_failing_trial(monkeypatch):
     good = verify(th, la, t, n, seed=seed, trials=3)
     assert good.match
     trial1 = sample_points(n, t, factorization._trial_seed(seed, 1))
-    rhs1 = rhs_value(th, la, t, n, trial1)
+    rhs1 = rhs_value(predict(th, la, t, n), trial1)
 
-    def perturbed(th_, la_, t_, n_, pts):
-        val = rhs_value(th_, la_, t_, n_, pts)
+    def perturbed(pred, pts):
+        val = rhs_value(pred, pts)
         return val + 1 if pts == trial1 else val
 
     monkeypatch.setattr(factorization, "rhs_value", perturbed)
@@ -134,6 +137,44 @@ def test_mismatch_reports_the_failing_trial(monkeypatch):
         **good.as_dict(),
         "trials": 1,
     }
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
+def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    once = ("classify_core", "epsilon", "t_quotient", "sigma_sign", "sigma_c_sign")
+    for name in once + ("rhs_value",):
+        monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
+    rep = verify(th, (4, 4), 4, 2, trials=trials)
+    assert rep.match and not rep.predicted_vanishing
+    assert all(calls[name] <= 1 for name in once), calls
+    assert calls["rhs_value"] == trials
+
+
+def test_factor_layout_follows_the_class_pairing():
+    # Pairs i < j give GL factors at Y and 1/Y; for even t the middle class
+    # 2i = t-1-z exists for Sp and O_even, and for odd t for O_odd.
+    gl, sp, oe, oo = GroupType.GL, GroupType.SP, GroupType.OE, GroupType.OO
+    for t in range(2, 9):
+        even = t % 2 == 0
+        want = {
+            TheoremId.SYMPLECTIC: {(gl, "Y,1/Y"): (t - 1) // 2, (sp, "Y"): 1, (oo, "Y"): even},
+            TheoremId.EVEN_ORTH: {(gl, "Y,1/Y"): (t - 1) // 2, (oe, "Y"): 1, (oo, "-Y"): even},
+            TheoremId.ODD_ORTH: {(gl, "Y,1/Y"): t // 2, (oo, "Y"): not even},
+        }
+        for th, layout in want.items():
+            pred = predict(th, (), t, 1)
+            got = Counter((group, at) for group, _, at in pred.factors)
+            assert got == +Counter(layout), (th, t)
 
 
 # ---- the Q route against the Q(w) bialternant oracle --------------------
@@ -188,9 +229,10 @@ def test_twisted_values_are_rational_and_agree(th, la, t, n, seed):
 def test_non_rational_points_are_rejected():
     fld = field(3)
     pts = (fld.from_rational(2), fld.elem([1, 1]))
-    for side in (lhs_value, rhs_value):
-        with pytest.raises(TypeError, match="must be Fractions"):
-            side(TheoremId.SCHUR_FAC, (1,), 3, 2, pts)
+    with pytest.raises(TypeError, match="must be Fractions"):
+        lhs_value(TheoremId.SCHUR_FAC, (1,), 3, 2, pts)
+    with pytest.raises(TypeError, match="must be Fractions"):
+        rhs_value(predict(TheoremId.SCHUR_FAC, (1,), 3, 2), pts)
 
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])

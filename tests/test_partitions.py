@@ -77,7 +77,7 @@ def test_conjugate_is_an_involution(la):
 
 def test_frobenius_values():
     fc = frobenius((4, 2, 2, 1))
-    assert fc.alpha == (3, 0) and fc.beta == (3, 1) and fc.rank == 2
+    assert fc.alpha == (3, 0) and fc.beta == (3, 1)
     assert frobenius(()) == FrobeniusCoords((), ())
     assert rank((4, 2, 2, 1)) == 2
     assert rank(()) == 0
@@ -87,7 +87,6 @@ def test_frobenius_values():
 def test_frobenius_roundtrip(la):
     fc = frobenius(la)
     assert from_frobenius(fc.alpha, fc.beta) == la
-    assert fc.rank == rank(la)
     swapped = frobenius(conjugate(la))
     assert swapped.alpha == fc.beta and swapped.beta == fc.alpha
 

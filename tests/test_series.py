@@ -25,11 +25,9 @@ from twistchar.series import (
 def test_series_arithmetic():
     a = SeriesZ((1, 2, 3))
     b = SeriesZ((1, 1, 1, 1))
-    assert (a + b).coeffs == (2, 3, 4)
     assert (a * b).coeffs == (1, 3, 6)
     assert a.order == 2 and a[1] == 2
     assert SeriesZ.one(3).coeffs == (1, 0, 0, 0)
-    assert SeriesZ.zero(2).coeffs == (0, 0, 0)
     assert SeriesZ.from_sizes([0, 5, 9, 5, 9], 5).coeffs == (1, 0, 0, 0, 0, 2)
     assert SeriesZ.one(6).times_one_plus_power(2).coeffs == (1, 0, 1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
