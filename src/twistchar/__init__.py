@@ -30,12 +30,15 @@ from .factorization import (
 )
 from .linalg import det
 from .partitions import (
+    Abacus,
     CoreClass,
     FrobeniusCoords,
     Partition,
+    abacus,
     beta_set,
     classify_core,
     conjugate,
+    core_from_offsets,
     frobenius,
     from_beta_set,
     is_z_asymmetric,
@@ -43,13 +46,9 @@ from .partitions import (
     partitions_of,
     partitions_up_to,
     rank,
-    residue_counts,
-    sigma_c_sign,
-    sigma_sign,
     size,
     t_core,
     t_core_strips,
-    t_quotient,
 )
 from .series import (
     LatticeVec,
@@ -66,6 +65,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Abacus",
     "CoreClass",
     "CycloElem",
     "CycloField",
@@ -78,10 +78,12 @@ __all__ = [
     "SeriesZ",
     "TheoremId",
     "VerificationReport",
+    "abacus",
     "beta_set",
     "check_block_det_lemma",
     "classify_core",
     "conjugate",
+    "core_from_offsets",
     "cyclotomic_poly",
     "det",
     "enum_z_asymmetric",
@@ -103,15 +105,11 @@ __all__ = [
     "predict",
     "predicted_vanishing",
     "rank",
-    "residue_counts",
     "rhs_value",
     "sample_points",
-    "sigma_c_sign",
-    "sigma_sign",
     "size",
     "t_core",
     "t_core_strips",
-    "t_quotient",
     "theta_f",
     "twisted_character",
     "twisted_points",

@@ -17,14 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 from .characters import SamplingError
 from .factorization import TheoremId, length_bound, verify
 from .partitions import (
-    classify_core,
+    CoreClass,
+    abacus,
     frobenius,
     is_z_asymmetric,
     partitions_up_to,
-    residue_counts,
     size,
     t_core,
-    t_quotient,
 )
 from .series import SeriesZ, enum_z_cores, gf_z_cores
 
@@ -92,10 +91,11 @@ def cmd_classify(args) -> int:
         raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
     if len(la) > t * n:
         raise ValueError(f"partition has {len(la)} parts, limit is tn = {t * n}")
-    cls = classify_core(la, t, n)
-    quo = t_quotient(la, t, t * n)
+    ab = abacus(la, t, t * n)
+    cls = CoreClass(ab.offsets)
+    quo = ab.quotient
     fro = frobenius(la)
-    counts = residue_counts(la, t, t * n)
+    counts = ab.counts
     if args.json:
         rec = {
             "partition": list(la),
@@ -181,6 +181,8 @@ def cmd_scan(args) -> int:
         bad = [x for x in names if x not in {th.value for th in TheoremId}]
         if bad:
             raise ValueError(f"unknown theorem names: {bad}")
+        if not names:
+            raise ValueError(f"no theorem names in --theorems {args.theorems!r}")
         theorems = [TheoremId(x) for x in names]
     ts = _parse_int_list(args.t, "--t")
     ns = _parse_int_list(args.n, "--n")

@@ -30,17 +30,7 @@ from math import comb
 from .characters import GroupType, sample_points, twisted_character, weyl_character
 from .cyclotomic import field
 from .linalg import det
-from .partitions import (
-    CoreClass,
-    Partition,
-    classify_core,
-    mu_padded,
-    partners,
-    residue_counts,
-    sigma_c_sign,
-    sigma_sign,
-    t_quotient,
-)
+from .partitions import CoreClass, Partition, abacus, mu_padded, partners
 
 
 class TheoremId(Enum):
@@ -61,20 +51,16 @@ def predicted_vanishing(th: TheoremId, cls: CoreClass) -> bool:
         return not cls.empty
     if th is TheoremId.SCHUR_ONE:
         return cls.single_row is None
-    if th is TheoremId.SYMPLECTIC:
-        return not cls.symplectic
-    if th is TheoremId.EVEN_ORTH:
-        return not cls.orthogonal
-    return not cls.self_conjugate
+    return not cls.z_asymmetric(_Z[th])
 
 
-def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int:
+def epsilon(th: TheoremId, t: int, n: int, cls: CoreClass) -> int:
     """Parity of the global sign exponent in the theorem's right-hand side.
 
-    cls is classify_core(la, t, n).  Only defined when the theorem's core
-    classification holds; the residue counts n_i are taken at padding tn
-    (the same padding the quotient and sigma use), and r is the rank of
-    the core.  For Sp and O one sum runs over the upper class j of each pair.
+    cls is the class of the t-core.  Only defined when the theorem's core
+    classification holds; the residue counts are those at padding tn, where
+    class j holds n_j = n + cls.offsets[j] entries, and r is the rank of the
+    core.  For Sp and O one sum runs over the upper class j of each pair.
     """
     if predicted_vanishing(th, cls):
         raise ValueError(
@@ -87,8 +73,8 @@ def epsilon(th: TheoremId, la: Partition, t: int, n: int, cls: CoreClass) -> int
         return (base - cls.single_row * n) % 2
 
     z = _Z[th]
-    counts = residue_counts(la, t, t * n)
-    e = -sum(comb(counts[j] + (z >= 0), 2) for i, j in enumerate(partners(t, z)) if i < j)
+    pairs = enumerate(partners(t, z))
+    e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for i, j in pairs if i < j)
     nr = n * cls.rank
     if th is TheoremId.SYMPLECTIC and t % 2 == 0:
         e += n * (n + 1) // 2 + nr
@@ -157,23 +143,24 @@ class Prediction:
 
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
-    """Classify the core once and derive the verdict, signs and factors.  The
-    quotient is taken at the sorting sign's padding (tn, or tn+1 for the
-    appended-one theorem), so its cyclic rotation cannot desynchronize the
-    two; Sp/O factors follow partners(t, z), as the module docstring says."""
+    """Read the verdict, the signs and the factors off one abacus of la at
+    the theorem's length bound (tn, or tn+1 for the appended-one theorem),
+    the padding both the sorting sign and the quotient's rotation refer to;
+    Sp/O factors follow partners(t, z), as the module docstring says."""
     _check_case(th, la, t, n)
-    cls = classify_core(la, t, n)
+    ab = abacus(la, t, length_bound(th, t, n))
+    cls = CoreClass(ab.offsets)
     c = cls.single_row
     if th is not TheoremId.SCHUR_ONE:
-        sigma = sigma_sign(la, t, n)
+        sigma = ab.sign
     else:
-        sigma = None if c is None else sigma_c_sign(la, t, n, c)
+        sigma = None if c is None else ab.sign_with_first(c)
     if predicted_vanishing(th, cls):
         return Prediction(t, n, True, None, sigma, 0, ())
 
-    eps = epsilon(th, la, t, n, cls)
+    eps = epsilon(th, t, n, cls)
     odd = eps + (sigma == -1)
-    quo = t_quotient(la, t, length_bound(th, t, n))
+    quo = ab.quotient
     gl = GroupType.GL
     if th is TheoremId.SCHUR_FAC:
         factors = [(gl, q, "Y") for q in quo]

@@ -2,9 +2,10 @@
 
 A partition is stored as a tuple of weakly decreasing positive integers
 (canonical form, no trailing zeros).  Everything here is derived from the
-beta-set encoding beta_i = lambda_i + m - i: cores, quotients, residue
-counts, classification predicates and the permutation signs that show up
-in character factorizations.
+beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
+out on t runners (the abacus); the residue counts, the quotient, the
+sorting signs of the character factorizations and the t-core's runner
+offsets, which carry its classification, are all read off that one pass.
 """
 
 from __future__ import annotations
@@ -90,28 +91,78 @@ def is_z_asymmetric(la: Partition, z: int) -> bool:
     return all(b == a + z for a, b in zip(fc.alpha, fc.beta))
 
 
-def residue_counts(la: Partition, t: int, m: int) -> tuple[int, ...]:
-    """Counts n_i of the entries of beta(la, m) in each residue class i mod t."""
+@dataclass(frozen=True)
+class Abacus:
+    """beta(la, m) laid out on t runners, read in one pass.
+
+    runners[i] holds x // t for the entries x = i mod t, in decreasing order.
+    sign is the sign of the permutation that sorts beta(la, m) into the
+    class blocks 0..t-1, each block keeping the order of beta(la, m).
+    """
+
+    runners: tuple[tuple[int, ...], ...]
+    sign: int
+    m: int
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(r) for r in self.runners)
+
+    @property
+    def quotient(self) -> tuple[Partition, ...]:
+        """The t-quotient: runner i read as a beta set.  Its order depends on
+        m mod t; padding m + 1 instead of m rotates it cyclically by one."""
+        return tuple(from_beta_set(r) for r in self.runners)
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """The runner offsets of the t-core: each class's count minus its share
+        m'/t once the padding is raised to the multiple m' = m + k of t.  The
+        shift moves class j to class j + k and adds 0..k-1, so the vector is
+        the same for every padding and sums to 0."""
+        t, c = len(self.runners), self.counts
+        k = -self.m % t
+        share = (self.m + k) // t
+        return tuple(c[(i - k) % t] + (i < k) - share for i in range(t))
+
+    def sign_with_first(self, c: int) -> int:
+        """sign for the block order c, 0..c-1, c+1..t-1: moving block c ahead
+        of blocks 0..c-1 crosses n_c * (n_0 + ... + n_(c-1)) pairs."""
+        counts = self.counts
+        return -self.sign if counts[c] * sum(counts[:c]) % 2 else self.sign
+
+
+def abacus(la: Partition, t: int, m: int) -> Abacus:
+    """One pass over beta(la, m): the runners and the block-sorting sign."""
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
-    counts = [0] * t
+    runners: list[list[int]] = [[] for _ in range(t)]
+    # An entry swaps with every earlier entry of a higher class; tally[i]
+    # is len(runners[i]), kept as ints so that the slice sums fast.
+    tally = [0] * t
+    inversions = 0
     for x in beta_set(la, m):
-        counts[x % t] += 1
-    return tuple(counts)
+        i = x % t
+        inversions += sum(tally[i + 1 :])
+        tally[i] += 1
+        runners[i].append(x // t)
+    return Abacus(tuple(map(tuple, runners)), -1 if inversions % 2 else 1, m)
 
 
-def _core_from_counts(counts: tuple[int, ...], t: int) -> Partition:
-    entries = [t * j + i for i, n_i in enumerate(counts) for j in range(n_i)]
-    return from_beta_set(sorted(entries, reverse=True))
+def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
+    """The t-core with the given runner offsets (t = len(offsets)), built at
+    padding t*n with n = -min(offsets), the least n that gives every runner
+    n + offset >= 0 beads, each runner holding its lowest positions."""
+    t = len(offsets)
+    n = -min(offsets)
+    return from_beta_set(
+        sorted((t * j + i for i, o in enumerate(offsets) for j in range(n + o)), reverse=True)
+    )
 
 
 def t_core(la: Partition, t: int) -> Partition:
-    """The t-core via per-class beta-set reconstruction.
-
-    Each residue class with n_i entries is replaced wholesale by the n_i
-    smallest values in that class, i.e. {i, t+i, ..., t(n_i-1)+i}.
-    """
-    return _core_from_counts(residue_counts(la, t, max(1, len(la))), t)
+    """The t-core: every runner of the abacus pushed down to its lowest beads."""
+    return core_from_offsets(abacus(la, t, max(1, len(la))).offsets)
 
 
 def t_core_strips(la: Partition, t: int) -> Partition:
@@ -136,117 +187,74 @@ def t_core_strips(la: Partition, t: int) -> Partition:
     return from_beta_set(sorted(entries, reverse=True))
 
 
-def t_quotient(la: Partition, t: int, m: int) -> tuple[Partition, ...]:
-    """The t-tuple of partitions carved from the residue classes of beta(la, m).
-
-    Class i entries are t*bt_j + i; the bt_j, read as a beta set of length
-    n_i, give the component.  The component ordering depends on m mod t:
-    passing m + 1 instead of m rotates the tuple cyclically by one.
-    """
-    if t < 2:
-        raise ValueError(f"modulus must be at least 2, got {t}")
-    classes: list[list[int]] = [[] for _ in range(t)]
-    for x in beta_set(la, m):
-        classes[x % t].append(x // t)
-    return tuple(from_beta_set(sorted(cl, reverse=True)) for cl in classes)
-
-
 def partners(t: int, z: int) -> tuple[int, ...]:
-    """Class i's partner t-1-z-i mod t: at padding tn the t-core is z-asymmetric
-    exactly when each class and its partner hold 2n entries together.  With
+    """Class i's partner t-1-z-i mod t: the t-core is z-asymmetric exactly
+    when the runner offsets of each class and its partner sum to 0.  With
     the wrap this holds for z = 1 (Sp), -1 (O_even) and 0 (O_odd) only; for
-    z >= 2 the classes past t-1-z must each hold n instead."""
+    z >= 2 the classes past t-1-z must each have offset 0 instead."""
     return tuple((t - 1 - z - i) % t for i in range(t))
 
 
 @dataclass(frozen=True)
 class CoreClass:
-    """Classification of the t-core of a partition, straight from residue counts.
+    """Classification of a t-core, read off its runner offsets.
 
-    The flags are not mutually exclusive; the empty core, for instance, is
-    simultaneously empty, symplectic, orthogonal and self-conjugate.
-    single_row is the residue class c when the core is the one-row partition
-    (c), with c = 0 meaning the empty core, and None when the core has two
-    or more rows.
+    offsets[i] is runner i's count minus n at any padding tn; it does not
+    depend on n and sums to 0 (`Abacus.offsets`).  The flags are not
+    mutually exclusive; the empty core, for instance, is simultaneously
+    empty, symplectic, orthogonal and self-conjugate.
     """
 
-    core: Partition
-    empty: bool
-    single_row: int | None
-    symplectic: bool
-    orthogonal: bool
-    self_conjugate: bool
-    rank: int
+    offsets: tuple[int, ...]
+
+    @property
+    def core(self) -> Partition:
+        return core_from_offsets(self.offsets)
+
+    @property
+    def rank(self) -> int:
+        return sum(max(o, 0) for o in self.offsets)
+
+    @property
+    def empty(self) -> bool:
+        return self.rank == 0
+
+    @property
+    def single_row(self) -> int | None:
+        """c when the core is the one row (c), c = 0 for the empty core, and
+        None when the core has two or more rows.
+
+        At padding tn+1 every entry moves up by one and 0 joins class 0, so
+        class i is offsets[i-1] + (i == 0) above n; those sum to 1, so the
+        core is the one row (c) exactly when class c alone is off n."""
+        t = len(self.offsets)
+        off = [i for i in range(t) if self.offsets[i - 1] + (i == 0) != 0]
+        return off[0] if len(off) == 1 else None
+
+    def z_asymmetric(self, z: int) -> bool:
+        """Whether the core is z-asymmetric, for z = 1, -1 or 0 (see partners)."""
+        pairs = enumerate(partners(len(self.offsets), z))
+        return all(self.offsets[i] + self.offsets[j] == 0 for i, j in pairs)
+
+    @property
+    def symplectic(self) -> bool:
+        return self.z_asymmetric(1)
+
+    @property
+    def orthogonal(self) -> bool:
+        return self.z_asymmetric(-1)
+
+    @property
+    def self_conjugate(self) -> bool:
+        return self.z_asymmetric(0)
 
 
 def classify_core(la: Partition, t: int, n: int) -> CoreClass:
-    """Evaluate the core and every core predicate from residue counts at padding t*n.
-
-    The count conditions are stable under m -> m + t (every count gains 1),
-    so they are computed once, at padding t*n_eff with n_eff the least
-    n' >= n that fits the parts; the core is rebuilt from the same counts.
-    Accepts l(la) up to t*n + 1 because the one-row test lives at padding
-    t*n + 1; its counts are derived from the ones at t*n.
-    """
+    """The class of the t-core of la, for l(la) up to t*n + 1 (the appended-one
+    theorem's bound); the offsets do not depend on the padding."""
     if len(la) > t * n + 1:
         raise ValueError(f"partition has {len(la)} parts, bound is tn+1={t * n + 1}")
-    n_eff = max(n, -(-len(la) // t))
-    counts = residue_counts(la, t, t * n_eff)
-    rk = sum(max(c - n_eff, 0) for c in counts)
-    symplectic, orthogonal, self_conjugate = (
-        all(counts[i] + counts[j] == 2 * n_eff for i, j in enumerate(partners(t, z)))
-        for z in (1, -1, 0)
-    )
-    # At padding tn+1 every entry moves up by one and 0 joins class 0, so
-    # class i holds counts[i-1] + (i == 0).  Those sum to tn+1, so the core
-    # is the one row (c) exactly when class c alone differs from n.
-    off = [i for i in range(t) if counts[i - 1] + (i == 0) != n_eff]
-    single_row = off[0] if len(off) == 1 else None
-
-    return CoreClass(
-        core=_core_from_counts(counts, t),
-        empty=rk == 0,
-        single_row=single_row,
-        symplectic=symplectic,
-        orthogonal=orthogonal,
-        self_conjugate=self_conjugate,
-        rank=rk,
-    )
-
-
-def _block_sign(b: tuple[int, ...], t: int, class_order: Iterable[int]) -> int:
-    # Sort the entries of b into class blocks in the requested order, each
-    # class keeping its order within b.  Two entries swap exactly when the
-    # later one's class comes first, so walking b and adding, for each
-    # entry, the tally of earlier entries in classes placed after its own
-    # counts the inversions.
-    place = [0] * t
-    for k, q in enumerate(class_order):
-        place[q] = k
-    tally = [0] * t
-    inversions = 0
-    for x in b:
-        k = place[x % t]
-        inversions += sum(tally[k + 1 :])
-        tally[k] += 1
-    return -1 if inversions % 2 else 1
-
-
-def sigma_sign(la: Partition, t: int, n: int) -> int:
-    """Sign of the permutation sorting beta(la, tn) into class blocks 0..t-1."""
-    if len(la) > t * n:
-        raise ValueError(f"partition has {len(la)} parts, bound is tn={t * n}")
-    return _block_sign(beta_set(la, t * n), t, range(t))
-
-
-def sigma_c_sign(la: Partition, t: int, n: int, c: int) -> int:
-    """Sign of the variant sort on beta(la, tn+1) that puts class c first."""
-    if not 0 <= c < t:
-        raise ValueError(f"residue class {c} out of range for t={t}")
-    if len(la) > t * n + 1:
-        raise ValueError(f"partition has {len(la)} parts, bound is tn+1={t * n + 1}")
-    order = [c] + [i for i in range(t) if i != c]
-    return _block_sign(beta_set(la, t * n + 1), t, order)
+    return CoreClass(abacus(la, t, max(1, len(la))).offsets)
 
 
 def mu_padded(front: Partition, back: Partition, n: int) -> Partition:

@@ -15,15 +15,14 @@ from typing import Iterable
 
 from .partitions import (
     Partition,
+    abacus,
     as_partition,
-    beta_set,
     conjugate,
-    from_beta_set,
+    core_from_offsets,
     is_z_asymmetric,
+    partners,
     partitions_up_to,
-    residue_counts,
     size,
-    t_core,
 )
 
 LatticeVec = tuple[int, ...]
@@ -137,36 +136,31 @@ def _lattice_dim(z: int, t: int) -> int:
 
 
 def phi(la: Partition, z: int, t: int) -> LatticeVec:
-    """Residue-count coordinates of a z-asymmetric t-core.
-
-    The i-th coordinate is n_i - n where n_i counts beta elements in class
-    i mod t at padding tn; the value does not depend on the choice of n.
-    """
+    """Lattice coordinates of a z-asymmetric t-core: its first (t-z)//2
+    runner offsets, n_i - n with n_i the count of beta elements in class
+    i mod t at any padding tn."""
     if not 0 <= z <= t - 2:
         raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
     la = as_partition(la)
-    if not is_z_asymmetric(la, z) or t_core(la, t) != la:
+    offsets = abacus(la, t, max(1, len(la))).offsets
+    if not is_z_asymmetric(la, z) or core_from_offsets(offsets) != la:
         raise ValueError(f"{la} is not a {z}-asymmetric {t}-core")
-    n = max(1, -(-len(la) // t))
-    counts = residue_counts(la, t, t * n)
-    return tuple(counts[i] - n for i in range(_lattice_dim(z, t)))
+    return offsets[: _lattice_dim(z, t)]
 
 
 def phi_inverse(v: LatticeVec, z: int, t: int) -> Partition:
-    """Rebuild the unique z-asymmetric t-core with the given coordinates."""
+    """Rebuild the unique z-asymmetric t-core with the given coordinates:
+    class i gets offset v_i and its partner -v_i, every other class 0."""
     if not 0 <= z <= t - 2:
         raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
     d = _lattice_dim(z, t)
     if len(v) != d:
         raise ValueError(f"expected a vector of length {d}, got {len(v)}")
-    n = max((abs(x) for x in v), default=0)
-    counts = [n] * t
+    pair = partners(t, z)
+    off = [0] * t
     for i in range(d):
-        counts[i] = n + v[i]
-    for i in range((t - z + 1) // 2, t - z):
-        counts[i] = n - v[t - z - 1 - i]
-    b = sorted((t * j + i for i in range(t) for j in range(counts[i])), reverse=True)
-    return from_beta_set(tuple(b))
+        off[i], off[pair[i]] = v[i], -v[i]
+    return core_from_offsets(tuple(off))
 
 
 def _coordinate_budget(z: int, t: int, i: int, bound: int) -> list[tuple[int, int]]:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from twistchar.cyclotomic import field
 from twistchar.partitions import (
+    abacus,
     beta_set,
     classify_core,
     conjugate,
@@ -24,10 +25,8 @@ from twistchar.partitions import (
     is_z_asymmetric,
     partitions_up_to,
     rank,
-    residue_counts,
     t_core,
     t_core_strips,
-    t_quotient,
 )
 from twistchar.series import SeriesZ
 
@@ -215,8 +214,8 @@ def check_core_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             base = max(1, len(la))
             for m in (base, base + 1, base + t):
                 if (
-                    residue_counts(la, t, m)
-                    != residue_counts(core, t, m)
+                    abacus(la, t, m).counts
+                    != abacus(core, t, m).counts
                 ):
                     bad.append((la, t, m))
     return bad
@@ -234,8 +233,8 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             b = ceil_div(max(1, len(mu)), t)
             for da in (0, 1):
                 for db in (0, 1):
-                    ca = residue_counts(la, t, t * (a + da))
-                    cb = residue_counts(mu, t, t * (b + db))
+                    ca = abacus(la, t, t * (a + da)).counts
+                    cb = abacus(mu, t, t * (b + db)).counts
                     tot = a + da + b + db
                     if any(
                         ca[i] + cb[t - 1 - i] != tot for i in range(t)
@@ -244,10 +243,10 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
         cores = [la for la in las if t_core(la, t) == la]
         for la in cores:
             a = ceil_div(max(1, len(la)), t)
-            ca = residue_counts(la, t, t * a)
+            ca = abacus(la, t, t * a).counts
             for mu in cores:
                 b = ceil_div(max(1, len(mu)), t)
-                cb = residue_counts(mu, t, t * b)
+                cb = abacus(mu, t, t * b).counts
                 holds = all(
                     ca[i] + cb[t - 1 - i] == a + b for i in range(t)
                 )
@@ -316,7 +315,7 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             if t_core(la, t) != la:
                 continue
             n = ceil_div(max(1, len(la)), t)
-            counts = residue_counts(la, t, t * n)
+            counts = abacus(la, t, t * n).counts
             for z in range(0, t - 1):
                 want = all(
                     counts[i] + counts[t - z - 1 - i] == 2 * n
@@ -361,7 +360,7 @@ def check_rank_formulas(max_size: int, ts=(2, 3, 4, 5)) -> list:
     for la in partitions_up_to(max_size):
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
-            counts = residue_counts(la, t, t * n)
+            counts = abacus(la, t, t * n).counts
             core = t_core(la, t)
             if rank(core) != sum(max(c - n, 0) for c in counts):
                 bad.append(("clipped", la, t))
@@ -402,7 +401,7 @@ def check_quotient_criterion(max_size: int, ts=(2, 3, 4, 5)):
     for la in partitions_up_to(max_size):
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
-            quo = t_quotient(la, t, t * n)
+            quo = abacus(la, t, t * n).quotient
             core = t_core(la, t)
             hyp = (
                 is_z_asymmetric(core, -1)
@@ -439,7 +438,7 @@ def check_quotient_beta_relation(max_size: int, ts=(2, 3, 4, 5)) -> list:
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
             b = beta_set(la, t * n)
-            quo = t_quotient(la, t, t * n)
+            quo = abacus(la, t, t * n).quotient
             for p in range(t):
                 entries = sorted(
                     (x for x in b if x % t == p), reverse=True
@@ -460,7 +459,7 @@ def check_core_quotient_size(max_size: int, ts=(2, 3, 4, 5)) -> list:
             if core != t_core_strips(la, t):
                 bad.append(("routes", la, t))
             m = max(1, len(la))
-            quo = t_quotient(la, t, m)
+            quo = abacus(la, t, m).quotient
             if sum(la) != sum(core) + t * sum(sum(q) for q in quo):
                 bad.append(("size", la, t))
     return bad

@@ -7,6 +7,7 @@ import pytest
 
 from twistchar import cli
 from twistchar.characters import SamplingError
+from twistchar.partitions import partitions_up_to
 
 
 def run(argv, capsys):
@@ -182,6 +183,35 @@ def test_standing_grid_records_are_byte_identical(tmp_path, capsys):
     )
 
 
+def test_classify_and_series_output_is_byte_identical(capsys):
+    # Like the standing scan grid, the text and JSON of classify and the
+    # series table are a fixed contract across changes to their routes.
+    def digest(argvs):
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out, err = run(argv, capsys)
+            h.update(f"{argv}\n{code}\n{out}{err}".encode())
+        return h.hexdigest()
+
+    classify = [
+        ["classify", ",".join(map(str, la)), "--t", str(t), "--n", str(n)] + extra
+        for t, n in [(2, 1), (2, 3), (3, 2), (4, 1), (5, 2), (7, 1)]
+        for la in partitions_up_to(7, max_length=t * n)
+        for extra in ([], ["--json"])
+    ]
+    series = [
+        ["series", "--z", str(z), "--t", str(t), "--N", "16"]
+        for z in (-1, 0, 1, 2)
+        for t in (2, 3, 5, 8)
+    ]
+    assert digest(classify) == (
+        "778362d8d9761b5531e54c5399812a894512057272fcac9b44924c105f2a0611"
+    )
+    assert digest(series) == (
+        "03cc9d8421290cdca68f29d705deabfea1cf95762bde94e0ad5285bc54200d35"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -243,6 +273,8 @@ def test_scan_rejects_bad_lists(capsys):
         ["scan", "--t", "1", "--n", "1", "--max-size", "2"],
         ["scan", "--t", "2", "--n", "0", "--max-size", "2"],
         ["scan", "--t", "2", "--n", "1", "--max-size", "-1"],
+        ["scan", "--theorems", "", "--t", "2", "--n", "1", "--max-size", "2"],
+        ["scan", "--theorems", " , ", "--t", "2", "--n", "1", "--max-size", "2"],
     ]
     for argv in bad:
         assert run(argv, capsys)[0] == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import embed, partitions_strategy
-from twistchar import factorization
+from twistchar import factorization, partitions
 from twistchar.characters import GroupType, sample_points, twisted_points, weyl_character
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
@@ -23,11 +23,11 @@ from twistchar.factorization import (
 )
 from twistchar.linalg import det
 from twistchar.partitions import (
+    abacus,
     beta_set,
     classify_core,
     mu_padded,
     partitions_up_to,
-    t_quotient,
 )
 
 ALL = list(TheoremId)
@@ -57,7 +57,7 @@ def test_length_bounds():
 
 def test_sign_exponent_values():
     def eps(th, la, t, n):
-        return epsilon(th, la, t, n, classify_core(la, t, n))
+        return epsilon(th, t, n, classify_core(la, t, n))
 
     assert eps(TheoremId.SYMPLECTIC, (), 3, 1) == 1
     assert eps(TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2) == 1
@@ -151,13 +151,33 @@ def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
 
         return wrapper
 
-    once = ("classify_core", "epsilon", "t_quotient", "sigma_sign", "sigma_c_sign")
+    once = ("abacus", "epsilon")
     for name in once + ("rhs_value",):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
     rep = verify(th, (4, 4), 4, 2, trials=trials)
     assert rep.match and not rep.predicted_vanishing
     assert all(calls[name] <= 1 for name in once), calls
     assert calls["rhs_value"] == trials
+
+
+@pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
+def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
+    real, paddings = partitions.beta_set, []
+
+    def counted(la, m):
+        paddings.append(m)
+        return real(la, m)
+
+    monkeypatch.setattr(partitions, "beta_set", counted)
+    verdicts = set()
+    for t in range(2, 6):
+        for n in (1, 2):
+            m = length_bound(th, t, n)
+            for la in partitions_up_to(6, max_length=m):
+                paddings.clear()
+                verdicts.add(predict(th, la, t, n).vanishing)
+                assert paddings == [m], (la, t, n)
+    assert verdicts == {True, False}
 
 
 def test_factor_layout_follows_the_class_pairing():
@@ -295,7 +315,7 @@ def full_class_cases(max_size=6, grid=((2, 1), (2, 2), (3, 1))):
         cb0 = class_betas((), t, n)
         for la in partitions_up_to(max_size, max_length=t * n):
             cb = class_betas(la, t, n)
-            quo = t_quotient(la, t, t * n)
+            quo = abacus(la, t, t * n).quotient
             for p in range(t):
                 if len(cb[p]) == n:
                     yield pts, t, cb[p], cb0[p], quo[p], p
@@ -362,7 +382,7 @@ def test_paired_class_block_determinant():
         cb0 = class_betas((), t, n)
         for la in partitions_up_to(6, max_length=t * n):
             cb = class_betas(la, t, n)
-            quo = t_quotient(la, t, t * n)
+            quo = abacus(la, t, t * n).quotient
             nps = [len(c) for c in cb]
             for p in range(t):
                 for q in range(t):

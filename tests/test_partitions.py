@@ -7,10 +7,12 @@ from helpers import block_sign_oracle, ceil_div, from_frobenius, partitions_stra
 from twistchar.partitions import (
     CoreClass,
     FrobeniusCoords,
+    abacus,
     as_partition,
     beta_set,
     classify_core,
     conjugate,
+    core_from_offsets,
     frobenius,
     from_beta_set,
     is_z_asymmetric,
@@ -18,13 +20,9 @@ from twistchar.partitions import (
     partitions_of,
     partitions_up_to,
     rank,
-    residue_counts,
-    sigma_c_sign,
-    sigma_sign,
     size,
     t_core,
     t_core_strips,
-    t_quotient,
 )
 
 P = partitions_strategy()
@@ -127,16 +125,16 @@ def test_core_routes_agree(la, t):
 
 
 def test_quotient_values():
-    assert t_quotient((4, 2, 2, 1), 2, 4) == ((2,), (1,))
-    assert t_quotient((3, 2, 1, 1, 1), 3, 6) == ((), (1,), (1,))
+    assert abacus((4, 2, 2, 1), 2, 4).quotient == ((2,), (1,))
+    assert abacus((3, 2, 1, 1, 1), 3, 6).quotient == ((), (1,), (1,))
     with pytest.raises(ValueError):
-        t_quotient((1, 1), 2, 1)
+        abacus((1, 1), 2, 1)
 
 
 @given(P, st.integers(2, 5), st.integers(0, 2))
 def test_core_and_quotient_carry_the_size(la, t, extra):
     m = max(1, len(la)) + extra
-    quo = t_quotient(la, t, m)
+    quo = abacus(la, t, m).quotient
     assert len(quo) == t
     assert size(la) == size(t_core(la, t)) + t * sum(size(q) for q in quo)
 
@@ -144,37 +142,35 @@ def test_core_and_quotient_carry_the_size(la, t, extra):
 @given(P, st.integers(2, 5), st.integers(0, 3))
 def test_quotient_rotates_under_padding_shift(la, t, extra):
     m = max(1, len(la)) + extra
-    old = t_quotient(la, t, m)
-    new = t_quotient(la, t, m + 1)
+    old = abacus(la, t, m).quotient
+    new = abacus(la, t, m + 1).quotient
     assert new == tuple(old[(i - 1) % t] for i in range(t))
 
 
 def test_residue_count_values():
-    assert residue_counts((3, 2, 1, 1, 1), 3, 6) == (3, 1, 2)
+    ab = abacus((3, 2, 1, 1, 1), 3, 6)
+    assert ab.counts == (3, 1, 2)
+    assert ab.runners == ((2, 1, 0), (1,), (2, 0))
     with pytest.raises(ValueError):
-        residue_counts((1,), 1, 2)
+        abacus((1,), 1, 2)
 
 
 @given(P, st.integers(2, 5), st.integers(0, 2))
 def test_residue_counts_shift_with_padding(la, t, extra):
     m = max(1, len(la)) + extra
-    before = residue_counts(la, t, m)
-    after = residue_counts(la, t, m + t)
+    before = abacus(la, t, m).counts
+    after = abacus(la, t, m + t).counts
     assert after == tuple(x + 1 for x in before)
 
 
 def test_classify_core_values():
     cls = classify_core((4, 2, 2, 1), 2, 2)
-    assert cls == CoreClass(
-        core=(2, 1),
-        empty=False,
-        single_row=None,
-        symplectic=False,
-        orthogonal=False,
-        self_conjugate=True,
-        rank=1,
-    )
+    assert cls == CoreClass((-1, 1))
+    assert cls.core == (2, 1) and cls.self_conjugate and cls.rank == 1
+    assert not (cls.empty or cls.symplectic or cls.orthogonal)
+    assert cls.single_row is None
     cls = classify_core((3, 2, 1, 1, 1), 3, 2)
+    assert cls == CoreClass((1, -1, 0))
     assert cls.core == (1, 1) and cls.symplectic and cls.rank == 1
     assert not (cls.empty or cls.orthogonal or cls.self_conjugate)
     assert cls.single_row is None
@@ -201,29 +197,36 @@ def test_classify_core_ignores_padding_choice(la, t, n):
     assert classify_core(la, t, n) == classify_core(la, t, n + 1)
 
 
+@given(P, st.integers(2, 7), st.integers(0, 8))
+def test_abacus_offsets_are_the_core_at_any_padding(la, t, extra):
+    base = abacus(la, t, max(1, len(la))).offsets
+    assert abacus(la, t, max(1, len(la)) + extra).offsets == base
+    assert sum(base) == 0
+    assert core_from_offsets(base) == t_core_strips(la, t)
+
+
 def test_empty_partition_sign_closed_form():
     for t in range(2, 6):
         for n in range(1, 4):
             exp = (t * (t - 1) // 2) * (n * (n + 1) // 2)
-            assert sigma_sign((), t, n) == (-1 if exp % 2 else 1)
+            assert abacus((), t, t * n).sign == (-1 if exp % 2 else 1)
 
 
 def test_sign_values():
-    assert sigma_sign((3, 2, 1, 1, 1), 3, 2) == -1
-    assert sigma_c_sign((2, 2), 2, 1, 0) == -1
+    assert abacus((3, 2, 1, 1, 1), 3, 6).sign == -1
+    assert abacus((2, 2), 2, 3).sign_with_first(0) == -1
     with pytest.raises(ValueError):
-        sigma_sign((1,) * 7, 3, 2)
-    with pytest.raises(ValueError):
-        sigma_c_sign((1,), 2, 1, 2)
+        abacus((1,) * 7, 3, 6)
 
 
 @given(P, st.integers(2, 7), st.integers(1, 3), st.data())
 def test_signs_match_quadratic_oracle(la, t, n, data):
     n = max(n, ceil_div(len(la), t))
-    assert sigma_sign(la, t, n) == block_sign_oracle(la, t, t * n, range(t))
+    assert abacus(la, t, t * n).sign == block_sign_oracle(la, t, t * n, range(t))
     c = data.draw(st.integers(0, t - 1))
     order = [c] + [i for i in range(t) if i != c]
-    assert sigma_c_sign(la, t, n, c) == block_sign_oracle(la, t, t * n + 1, order)
+    got = abacus(la, t, t * n + 1).sign_with_first(c)
+    assert got == block_sign_oracle(la, t, t * n + 1, order)
 
 
 def test_mu_padded_values():
