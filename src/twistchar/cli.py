@@ -20,10 +20,10 @@ from .partitions import (
     CoreClass,
     abacus,
     frobenius,
-    is_z_asymmetric,
+    is_t_core,
     partitions_up_to,
     size,
-    t_core,
+    z_asymmetric_up_to,
 )
 from .series import SeriesZ, enum_z_cores, gf_z_cores
 
@@ -238,20 +238,15 @@ def cmd_series(args) -> int:
     cores = enum_z_cores(z, t, order)
     with _open_out(args.out) as fh:
         lattice = SeriesZ.from_sizes(map(size, cores), order)
-        brute = SeriesZ.from_sizes(
-            (
-                size(la)
-                for la in partitions_up_to(order)
-                if is_z_asymmetric(la, z) and t_core(la, t) == la
-            ),
-            order,
+        enumerated = SeriesZ.from_sizes(
+            (size(la) for la in z_asymmetric_up_to(z, order) if is_t_core(la, t)), order
         )
         product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
 
         rows = []
         ok = True
         for m in range(order + 1):
-            cols = [brute[m], product[m] if product is not None else None, lattice[m]]
+            cols = [enumerated[m], product[m] if product is not None else None, lattice[m]]
             agree = all(c == cols[0] for c in cols if c is not None)
             ok = ok and agree
             rows.append((m, cols, agree))
@@ -307,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("series", help="compare core counts: brute force, product, lattice")
+    p = sub.add_parser("series", help="compare core counts: enumeration, product, lattice")
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--N", type=int, required=True)

@@ -6,6 +6,7 @@ beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
 out on t runners (the abacus); the residue counts, the quotient, the
 sorting signs of the character factorizations and the t-core's runner
 offsets, which carry its classification, are all read off that one pass.
+The z-asymmetric families are built directly from Frobenius coordinates.
 """
 
 from __future__ import annotations
@@ -91,6 +92,43 @@ def is_z_asymmetric(la: Partition, z: int) -> bool:
     return all(b == a + z for a, b in zip(fc.alpha, fc.beta))
 
 
+def from_frobenius(alpha: Iterable[int], beta: Iterable[int]) -> Partition:
+    """Inverse of frobenius: row i is alpha_i + i long and column i is
+    beta_i + i long (1-based); a row below the diagonal counts the columns
+    that reach it."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    r = len(alpha)
+    for seq in (alpha, beta):
+        if len(seq) != r or min(seq, default=0) < 0 or any(a <= b for a, b in zip(seq, seq[1:])):
+            raise ValueError(f"invalid Frobenius coordinates: {alpha} | {beta}")
+    cols = [b + i + 1 for i, b in enumerate(beta)]
+    below = [sum(1 for c in cols if c >= j) for j in range(r + 1, max(cols, default=0) + 1)]
+    return tuple([a + i + 1 for i, a in enumerate(alpha)] + below)
+
+
+def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
+    """Every z-asymmetric partition with |la| <= max_size, for any integer z,
+    built from its Frobenius coordinates: distinct arms a_1 > ... > a_r with
+    legs a_i + z >= 0, that is arms >= max(0, -z), and size sum(2 a_i + z + 1)."""
+    if max_size < 0:
+        return
+    low = max(0, -z)
+
+    def rec(arms: list[int], room: int) -> Iterator[Partition]:
+        yield from_frobenius(arms, [a + z for a in arms])
+        # Each diagonal hook 2a + z + 1 is at least a + 1 since a + z >= 0,
+        # so the arms below max_size + 1 cover every hook that fits.
+        for a in range(low, arms[-1] if arms else max_size + 1):
+            hook = 2 * a + z + 1
+            if hook > room:
+                break
+            arms.append(a)
+            yield from rec(arms, room - hook)
+            arms.pop()
+
+    yield from rec([], max_size)
+
+
 @dataclass(frozen=True)
 class Abacus:
     """beta(la, m) laid out on t runners, read in one pass.
@@ -163,6 +201,15 @@ def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
 def t_core(la: Partition, t: int) -> Partition:
     """The t-core: every runner of the abacus pushed down to its lowest beads."""
     return core_from_offsets(abacus(la, t, max(1, len(la))).offsets)
+
+
+def is_t_core(la: Partition, t: int) -> bool:
+    """Whether la is its own t-core, i.e. no hook length is divisible by t:
+    every beta entry x >= t has x - t in the beta set, at any padding."""
+    if t < 2:
+        raise ValueError(f"modulus must be at least 2, got {t}")
+    entries = set(beta_set(la, len(la)))
+    return all(x - t in entries for x in entries if x >= t)
 
 
 def t_core_strips(la: Partition, t: int) -> Partition:

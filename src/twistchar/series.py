@@ -3,8 +3,10 @@
 A partition is z-asymmetric when its Frobenius legs exceed its arms by a
 fixed offset z; z = 1, -1, 0 give the symplectic, orthogonal, and
 self-conjugate families.  This module counts them three independent ways:
-brute force over partitions, truncated Pochhammer/theta products, and a
-lattice bijection for the t-core members of each family.
+direct construction from Frobenius coordinates
+(`partitions.z_asymmetric_up_to`, whose t-cores `twistchar series` keeps by
+beta-set closure), truncated Pochhammer/theta products, and a lattice
+bijection for the t-core members of each family.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .partitions import (
     core_from_offsets,
     is_z_asymmetric,
     partners,
-    partitions_up_to,
     size,
+    z_asymmetric_up_to,
 )
 
 LatticeVec = tuple[int, ...]
@@ -76,26 +78,24 @@ class SeriesZ:
 
 
 def enum_z_asymmetric(z: int, order: int) -> SeriesZ:
-    """Count z-asymmetric partitions of each size by direct enumeration."""
+    """Count z-asymmetric partitions of each size, built one by one from
+    their Frobenius coordinates."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return SeriesZ.from_sizes(
-        (size(la) for la in partitions_up_to(order) if is_z_asymmetric(la, z)), order
-    )
+    return SeriesZ.from_sizes(map(size, z_asymmetric_up_to(z, order)), order)
 
 
 def gf_z_asymmetric(z: int, order: int) -> SeriesZ:
-    """Product form: distinct parts congruent to z+1 mod 2, parts >= 1.
+    """Product form: prod (1 + q^p) over p = |z|+1, |z|+3, ...
 
-    The formal product starts at part z+1; nonpositive leading parts are
-    dropped, which for z = -1 removes a spurious (1 + q^0) factor.
+    Each diagonal hook of a z-asymmetric partition has 2a + z + 1 cells for
+    an arm a >= max(0, -z), so the hooks are distinct parts congruent to
+    z+1 mod 2, the least of them |z|+1.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     out = SeriesZ.one(order)
-    e = z + 1
-    if e < 1:
-        e += 2 * ((1 - e + 1) // 2)
+    e = abs(z) + 1
     while e <= order:
         out = out.times_one_plus_power(e)
         e += 2

@@ -122,21 +122,6 @@ def block_sign_oracle(la, t: int, m: int, class_order) -> int:
     return -1 if inversions_quadratic(one_line) % 2 else 1
 
 
-def from_frobenius(alpha, beta):
-    """Rebuild the partition whose diagonal hooks have the given arm and
-    leg lengths."""
-    cells = set()
-    for k, (a, b) in enumerate(zip(alpha, beta), start=1):
-        cells.update((k, j) for j in range(k, k + a + 1))
-        cells.update((i, k) for i in range(k, k + b + 1))
-    if not cells:
-        return ()
-    nrows = max(i for i, _ in cells)
-    return tuple(
-        sum(1 for c in cells if c[0] == r) for r in range(1, nrows + 1)
-    )
-
-
 def times_one_minus_power(s: SeriesZ, e: int) -> SeriesZ:
     """Multiply by (1 - q^e), truncated at the current order."""
     if e <= 0:

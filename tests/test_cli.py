@@ -344,6 +344,18 @@ def test_series_table(capsys):
     assert "MISMATCH" not in out
 
 
+def test_series_builds_the_enum_column_without_listing_partitions(monkeypatch, capsys):
+    argv = ["series", "--z", "1", "--t", "3", "--N", "14"]
+    want = run(argv, capsys)
+
+    def never(*args, **kwargs):
+        raise AssertionError("series walked every partition")
+
+    monkeypatch.setattr(cli, "partitions_up_to", never)
+    assert run(argv, capsys) == want
+    assert want[0] == 0
+
+
 def test_series_without_product_route(capsys):
     code, out, err = run(["series", "--z", "-1", "--t", "3", "--N", "8"], capsys)
     assert code == 0

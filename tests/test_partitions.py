@@ -1,9 +1,11 @@
 """Beta sets, cores, quotients, signs, and core classification."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import block_sign_oracle, ceil_div, from_frobenius, partitions_strategy
+from helpers import block_sign_oracle, ceil_div, partitions_strategy
 from twistchar.partitions import (
     CoreClass,
     FrobeniusCoords,
@@ -15,6 +17,8 @@ from twistchar.partitions import (
     core_from_offsets,
     frobenius,
     from_beta_set,
+    from_frobenius,
+    is_t_core,
     is_z_asymmetric,
     mu_padded,
     partitions_of,
@@ -23,6 +27,7 @@ from twistchar.partitions import (
     size,
     t_core,
     t_core_strips,
+    z_asymmetric_up_to,
 )
 
 P = partitions_strategy()
@@ -89,6 +94,24 @@ def test_frobenius_roundtrip(la):
     assert swapped.alpha == fc.beta and swapped.beta == fc.alpha
 
 
+def test_from_frobenius_inverts_frobenius():
+    for la in partitions_up_to(12):
+        assert from_frobenius(*astuple(frobenius(la))) == la
+    assert from_frobenius((3, 0), (3, 1)) == (4, 2, 2, 1)
+    assert from_frobenius((), ()) == ()
+    for alpha, beta in [((1,), ()), ((0, 1), (1, 0)), ((1, 1), (2, 0)), ((0,), (-1,))]:
+        with pytest.raises(ValueError):
+            from_frobenius(alpha, beta)
+
+
+@pytest.mark.parametrize("z", range(-4, 9))
+def test_z_asymmetric_construction_matches_the_filter(z):
+    for max_size in range(17):
+        built = sorted(z_asymmetric_up_to(z, max_size))
+        assert built == sorted(la for la in partitions_up_to(max_size) if is_z_asymmetric(la, z))
+    assert list(z_asymmetric_up_to(z, -1)) == []
+
+
 def test_asymmetric_families_of_six():
     sym = [la for la in partitions_of(6) if is_z_asymmetric(la, 1)]
     orth = [la for la in partitions_of(6) if is_z_asymmetric(la, -1)]
@@ -115,6 +138,15 @@ def test_core_values():
     assert t_core((), 4) == ()
     with pytest.raises(ValueError):
         t_core((2, 1), 1)
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+def test_core_tests_agree(t):
+    for la in partitions_up_to(14):
+        core = t_core(la, t)
+        assert is_t_core(la, t) == (core == la) == (t_core_strips(la, t) == la), la
+    with pytest.raises(ValueError):
+        is_t_core((2, 1), 1)
 
 
 @given(P, st.integers(2, 5))

@@ -43,7 +43,7 @@ def test_one_minus_power_helper():
         times_one_minus_power(SeriesZ.one(3), 0)
 
 
-@pytest.mark.parametrize("z", [-1, 0, 1, 2])
+@pytest.mark.parametrize("z", range(-4, 5))
 def test_enumeration_matches_product(z):
     assert enum_z_asymmetric(z, 20) == gf_z_asymmetric(z, 20)
 
@@ -52,21 +52,25 @@ def test_family_counts():
     assert gf_z_asymmetric(1, 6)[6] == 2
     assert gf_z_asymmetric(0, 4).coeffs == (1, 1, 0, 1, 1)
     assert gf_z_asymmetric(-1, 0).coeffs == (1,)
+    # z = -2: arms from 2 give the hooks 3, 5, 7, ...
+    assert gf_z_asymmetric(-2, 8).coeffs == (1, 0, 0, 1, 0, 1, 0, 1, 1)
 
 
-@pytest.mark.parametrize("z", [-1, 0, 1, 2])
+@pytest.mark.parametrize("z", range(-4, 5))
 def test_sizes_match_distinct_odd_or_even_parts(z):
-    # parts correspond to 2*arm + z + 1, hence the parity and the floor
+    # parts correspond to 2*arm + z + 1 with arm >= max(0, -z), hence the
+    # parity and the floor; the product form counts exactly these parts
     par = (z + 1) % 2
+    product = gf_z_asymmetric(z, 20)
     for m in range(21):
         direct = sum(1 for la in partitions_of(m) if is_z_asymmetric(la, z))
         strict = sum(
             1
             for la in partitions_of(m)
             if len(set(la)) == len(la)
-            and all(p % 2 == par and p >= z + 1 for p in la)
+            and all(p % 2 == par and p >= abs(z) + 1 for p in la)
         )
-        assert direct == strict
+        assert direct == strict == product[m], m
 
 
 def test_theta_supports():
