@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -63,9 +63,7 @@ def _jobs(text: str) -> int:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"need a positive integer (from --jobs or TWISTCHAR_JOBS), got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
     return jobs
 
 
@@ -233,11 +231,8 @@ def cmd_series(args) -> int:
         raise ValueError(f"need N >= 0, got {order}")
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    # enum_z_cores rejects an unsupported z; it takes well under a
-    # millisecond, so it runs before --out can truncate an existing file.
-    cores = enum_z_cores(z, t, order)
     with _open_out(args.out) as fh:
-        lattice = SeriesZ.from_sizes(map(size, cores), order)
+        lattice = SeriesZ.from_sizes(map(size, enum_z_cores(z, t, order)), order)
         enumerated = SeriesZ.from_sizes(
             (size(la) for la in z_asymmetric_up_to(z, order) if is_t_core(la, t)), order
         )
@@ -266,6 +261,7 @@ def cmd_series(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twistchar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -296,9 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated list")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    # A string default goes through `type` as well, so a bad environment
-    # value is reported like a bad flag instead of raising here.
-    p.add_argument("--jobs", type=_jobs, default=os.environ.get("TWISTCHAR_JOBS", "1"))
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 
@@ -312,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SamplingError as exc:

@@ -13,10 +13,11 @@ two routes share nothing but `det`.  Records write each value as its
 coefficient vector in Q(w), which is zero past the rational part.
 
 Sp, O_even and O_odd are one statement about z-asymmetric cores, z = 1, -1,
-0, where class i pairs with class t-1-z-i mod t (`partitions.partners`):
-each pair i < j gives a GL factor, the self-paired middle class 2i = t-1-z
-an odd orthogonal one and the other self-paired class the theorem's own
-group.  `predict` derives them once per case; `rhs_value` evaluates them.
+0, where class i pairs with class t-1-z-i, or with itself when that falls
+outside 0..t-1 (`partitions.partners`): each pair i < j gives a GL factor,
+the self-paired middle class 2i = t-1-z an odd orthogonal one and the
+other self-paired class the theorem's own group.  `predict` derives them
+once per case; `rhs_value` evaluates them.
 """
 
 from __future__ import annotations

@@ -235,11 +235,11 @@ def t_core_strips(la: Partition, t: int) -> Partition:
 
 
 def partners(t: int, z: int) -> tuple[int, ...]:
-    """Class i's partner t-1-z-i mod t: the t-core is z-asymmetric exactly
-    when the runner offsets of each class and its partner sum to 0.  With
-    the wrap this holds for z = 1 (Sp), -1 (O_even) and 0 (O_odd) only; for
-    z >= 2 the classes past t-1-z must each have offset 0 instead."""
-    return tuple((t - 1 - z - i) % t for i in range(t))
+    """Class i's partner t-1-z-i, or i itself when that falls outside
+    0..t-1: for every integer z the t-core is z-asymmetric exactly when the
+    runner offsets of each class and its partner sum to 0, so a self-paired
+    class has offset 0 (Garvan-Kim-Stanton)."""
+    return tuple(j if 0 <= j < t else i for i, j in ((i, t - 1 - z - i) for i in range(t)))
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ class CoreClass:
         return off[0] if len(off) == 1 else None
 
     def z_asymmetric(self, z: int) -> bool:
-        """Whether the core is z-asymmetric, for z = 1, -1 or 0 (see partners)."""
+        """Whether the core is z-asymmetric (see partners)."""
         pairs = enumerate(partners(len(self.offsets), z))
         return all(self.offsets[i] + self.offsets[j] == 0 for i, j in pairs)
 

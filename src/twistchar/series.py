@@ -6,7 +6,8 @@ self-conjugate families.  This module counts them three independent ways:
 direct construction from Frobenius coordinates
 (`partitions.z_asymmetric_up_to`, whose t-cores `twistchar series` keeps by
 beta-set closure), truncated Pochhammer/theta products, and a lattice
-bijection for the t-core members of each family.
+bijection for the t-core members of each family, with one coordinate per
+class pair i < j = t-1-z-i (`partitions.partners`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .partitions import (
     Partition,
     abacus,
     as_partition,
-    conjugate,
     core_from_offsets,
     is_z_asymmetric,
     partners,
@@ -131,47 +131,48 @@ def gf_z_cores(z: int, t: int, order: int) -> SeriesZ:
     return out
 
 
-def _lattice_dim(z: int, t: int) -> int:
-    return (t - z) // 2
+def _pairs(z: int, t: int) -> list[tuple[int, int]]:
+    # The lattice coordinates of the z-asymmetric t-cores: one per class
+    # pair i < j, the offset of class i (class j holds its negative).
+    if t < 2:
+        raise ValueError(f"need t >= 2, got {t}")
+    return [(i, j) for i, j in enumerate(partners(t, z)) if i < j]
 
 
 def phi(la: Partition, z: int, t: int) -> LatticeVec:
-    """Lattice coordinates of a z-asymmetric t-core: its first (t-z)//2
-    runner offsets, n_i - n with n_i the count of beta elements in class
-    i mod t at any padding tn."""
-    if not 0 <= z <= t - 2:
-        raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
+    """Lattice coordinates of a z-asymmetric t-core: the runner offset
+    n_i - n of the lower class i of each pair i < j (`partitions.partners`),
+    with n_i the count of beta elements in class i mod t at any padding tn."""
+    pairs = _pairs(z, t)
     la = as_partition(la)
     offsets = abacus(la, t, max(1, len(la))).offsets
     if not is_z_asymmetric(la, z) or core_from_offsets(offsets) != la:
         raise ValueError(f"{la} is not a {z}-asymmetric {t}-core")
-    return offsets[: _lattice_dim(z, t)]
+    return tuple(offsets[i] for i, _ in pairs)
 
 
 def phi_inverse(v: LatticeVec, z: int, t: int) -> Partition:
     """Rebuild the unique z-asymmetric t-core with the given coordinates:
-    class i gets offset v_i and its partner -v_i, every other class 0."""
-    if not 0 <= z <= t - 2:
-        raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
-    d = _lattice_dim(z, t)
-    if len(v) != d:
-        raise ValueError(f"expected a vector of length {d}, got {len(v)}")
-    pair = partners(t, z)
+    the lower class of each pair gets offset v_k and its partner -v_k, every
+    self-paired class 0."""
+    pairs = _pairs(z, t)
+    if len(v) != len(pairs):
+        raise ValueError(f"expected a vector of length {len(pairs)}, got {len(v)}")
     off = [0] * t
-    for i in range(d):
-        off[i], off[pair[i]] = v[i], -v[i]
+    for (i, j), x in zip(pairs, v):
+        off[i], off[j] = x, -x
     return core_from_offsets(tuple(off))
 
 
-def _coordinate_budget(z: int, t: int, i: int, bound: int) -> list[tuple[int, int]]:
-    # Cost of setting coordinate i to v is t*v^2 - b_i*v, which is 0 only
-    # at v = 0 and at least |v| otherwise, so the scan below terminates.
-    b_i = t - z - 1 - 2 * i
+def _coordinate_budget(t: int, gap: int, bound: int) -> list[tuple[int, int]]:
+    # A pair i < j = i + gap at offsets (v, -v) adds t*v^2 - gap*v cells,
+    # which is 0 only at v = 0 and at least |v| otherwise (gap < t), so the
+    # scan below terminates.
     out = []
     for direction in (1, -1):
         v = 0 if direction == 1 else -1
         while True:
-            cost = t * v * v - b_i * v
+            cost = t * v * v - gap * v
             if cost > bound:
                 break
             out.append((v, cost))
@@ -180,33 +181,13 @@ def _coordinate_budget(z: int, t: int, i: int, bound: int) -> list[tuple[int, in
 
 
 def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
-    """All z-asymmetric t-cores of size at most `bound`, sorted by size.
-
-    For 0 <= z <= t-2 this walks the lattice ball of the coordinate map;
-    z = -1 is handled by conjugating the z = 1 family, and t = 2 (where
-    only staircases are 2-cores) by scanning staircases directly.
-    """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    if t == 2 and z in (1, -1):
-        out = []
-        k = 0
-        while k * (k + 1) // 2 <= bound:
-            stair = tuple(range(k, 0, -1))
-            if is_z_asymmetric(stair, z):
-                out.append(stair)
-            k += 1
-        return sorted(out, key=lambda la: (size(la), la))
-    if z == -1:
-        return sorted(
-            (conjugate(la) for la in enum_z_cores(1, t, bound)),
-            key=lambda la: (size(la), la),
-        )
-    if not 0 <= z <= t - 2:
-        raise ValueError(f"no enumeration route for z={z}, t={t}")
-
-    d = _lattice_dim(z, t)
-    budgets = [_coordinate_budget(z, t, i, bound) for i in range(d)]
+    """All z-asymmetric t-cores of size at most `bound`, sorted by size, for
+    every integer z and t >= 2: the lattice ball of the coordinate map, one
+    coordinate per class pair.  With no pair, as when |z| >= t-1, the only
+    such core is the empty one."""
+    pairs = _pairs(z, t)
+    d = len(pairs)
+    budgets = [_coordinate_budget(t, j - i, bound) for i, j in pairs]
     out = []
     stack = [((), 0)]
     while stack:

@@ -203,13 +203,19 @@ def test_classify_and_series_output_is_byte_identical(capsys):
         ["series", "--z", str(z), "--t", str(t), "--N", "16"]
         for z in (-1, 0, 1, 2)
         for t in (2, 3, 5, 8)
+        if (z, t) not in ((2, 2), (2, 3))
     ]
     assert digest(classify) == (
         "778362d8d9761b5531e54c5399812a894512057272fcac9b44924c105f2a0611"
     )
     assert digest(series) == (
-        "03cc9d8421290cdca68f29d705deabfea1cf95762bde94e0ad5285bc54200d35"
+        "d7acfb2cd9115710cab6b634755911c47a3adb5d7ec7b8f43d2e8b8568ad9205"
     )
+    # z = 2 >= t-1: no class pair, so the empty core alone, and no product.
+    for t in (2, 3):
+        code, out, _ = run(["series", "--z", "2", "--t", str(t), "--N", "16"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split() == ["0", "1", "-", "1"]
 
 
 @pytest.mark.parametrize(
@@ -310,26 +316,21 @@ def test_verify_sampling_failure_exit_code(monkeypatch, capsys):
     assert "sampling failed" in err
 
 
-def test_jobs_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("TWISTCHAR_JOBS", "7")
-    args = cli.build_parser().parse_args(
-        ["scan", "--t", "2", "--n", "1", "--max-size", "1"]
-    )
-    assert args.jobs == 7
-
-
-@pytest.mark.parametrize(
-    "env, flags", [("abc", []), ("1", ["--jobs", "0"]), ("1", ["--jobs", "-3"])]
-)
-def test_bad_jobs_exit_one_with_a_message(monkeypatch, capsys, env, flags):
-    monkeypatch.setenv("TWISTCHAR_JOBS", env)
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bad_jobs_exit_one_with_a_message(capsys, jobs):
     assert run(["classify", "2,1", "--t", "2", "--n", "1"], capsys)[0] == 0
     with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", "--t", "2", "--n", "1", "--max-size", "1"] + flags)
+        cli.main(["scan", "--t", "2", "--n", "1", "--max-size", "1", "--jobs", jobs])
     assert exc.value.code == 1
     last = capsys.readouterr().err.splitlines()[-1]
-    shown = repr(flags[-1] if flags else env)
-    assert "--jobs" in last and "TWISTCHAR_JOBS" in last and shown in last
+    assert "--jobs" in last and repr(jobs) in last
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["series", "--z", "1", "--t", "3", "--N", "8"], capsys)[0] == 0
+    code, _, err = run(["scan", "--t", "2", "--n", "1", "--max-size", "2"], capsys)
+    assert code == 0 and "mismatch=0" in err
 
 
 def test_series_table(capsys):
@@ -375,5 +376,12 @@ def test_series_out_records(tmp_path, capsys):
 
 
 def test_series_rejects_unreachable_family(capsys):
-    assert run(["series", "--z", "-2", "--t", "3", "--N", "5"], capsys)[0] == 1
+    # Every z has a lattice column; only t < 2 and N < 0 are rejected.
+    for t, sizes in [(3, ["0"]), (4, ["0", "3", "5"])]:
+        code, out, err = run(["series", "--z", "-2", "--t", str(t), "--N", "12"], capsys)
+        assert code == 0 and "ok" in err
+        rows = [row.split() for row in out.splitlines()[1:]]
+        assert all(row[1] == row[3] and row[2] == "-" for row in rows)
+        assert [row[0] for row in rows if row[1] != "0"] == sizes
     assert run(["series", "--z", "0", "--t", "1", "--N", "5"], capsys)[0] == 1
+    assert run(["series", "--z", "1", "--t", "3", "--N", "-1"], capsys)[0] == 1

@@ -23,6 +23,7 @@ from twistchar.partitions import (
     mu_padded,
     partitions_of,
     partitions_up_to,
+    partners,
     rank,
     size,
     t_core,
@@ -221,6 +222,25 @@ def test_classify_core_single_row():
 def test_classify_core_rejects_long_partitions():
     with pytest.raises(ValueError):
         classify_core((1,) * 5, 3, 1)
+
+
+def test_partner_values():
+    assert partners(5, 1) == (3, 2, 1, 0, 4)
+    assert partners(5, -1) == (0, 4, 3, 2, 1)
+    assert partners(5, 0) == (4, 3, 2, 1, 0)
+    # a partner t-1-z-i outside 0..t-1 leaves class i paired with itself
+    assert partners(5, 2) == (2, 1, 0, 3, 4)
+    assert partners(5, -2) == (0, 1, 4, 3, 2)
+    assert partners(5, 4) == partners(5, -4) == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_core_class_z_asymmetry_matches_frobenius(t):
+    for la in partitions_up_to(16):
+        if is_t_core(la, t):
+            cls = CoreClass(abacus(la, t, max(1, len(la))).offsets)
+            for z in range(-6, 9):
+                assert cls.z_asymmetric(z) == is_z_asymmetric(la, z), (la, z)
 
 
 @given(P, st.integers(2, 4), st.integers(1, 3))

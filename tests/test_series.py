@@ -5,10 +5,12 @@ import pytest
 from helpers import qpoch_minus, qpoch_plus, times_one_minus_power
 from twistchar.partitions import (
     conjugate,
+    is_t_core,
     is_z_asymmetric,
     partitions_of,
     size,
     t_core,
+    z_asymmetric_up_to,
 )
 from twistchar.series import (
     SeriesZ,
@@ -199,17 +201,43 @@ def test_core_enumeration_values():
     assert enum_z_cores(1, 2, 40) == [()]
     assert enum_z_cores(-1, 2, 40) == [()]
     assert [size(la) for la in enum_z_cores(0, 2, 15)] == [0, 1, 3, 6, 10, 15]
-    with pytest.raises(ValueError):
-        enum_z_cores(3, 4, 10)
+    assert enum_z_cores(3, 4, 10) == [()]
     with pytest.raises(ValueError):
         enum_z_cores(1, 1, 10)
 
 
+@pytest.mark.parametrize("t", range(2, 7))
+def test_lattice_walk_matches_the_frobenius_construction(t):
+    for z in range(-t - 1, t + 2):
+        walk = enum_z_cores(z, t, 20)
+        built = [la for la in z_asymmetric_up_to(z, 20) if is_t_core(la, t)]
+        assert sorted(walk) == sorted(built), z
+        assert [size(la) for la in walk] == sorted(map(size, built)), z
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+def test_lattice_roundtrip_outside_the_product_range(t):
+    # z = -1 has (t-1)//2 class pairs, z >= t-1 none (dimension 0).
+    for z, d in [(-1, (t - 1) // 2), (t - 1, 0), (t, 0), (t + 3, 0)]:
+        assert phi((), z, t) == (0,) * d
+        vecs = [()]
+        for _ in range(d):
+            vecs = [v + (c,) for v in vecs for c in range(-2, 3)]
+        for v in vecs:
+            la = phi_inverse(v, z, t)
+            assert phi(la, z, t) == v
+            assert is_z_asymmetric(la, z) and is_t_core(la, t)
+        with pytest.raises(ValueError):
+            phi_inverse((0,) * (d + 1), z, t)
+
+
 def test_conjugation_swaps_the_sign_of_z():
-    for t in (3, 4, 5):
-        plus = enum_z_cores(1, t, 18)
-        minus = enum_z_cores(-1, t, 18)
-        assert sorted(conjugate(la) for la in plus) == sorted(minus)
+    # Both sides are lattice walks, over different class pairs.
+    for t in (3, 4, 5, 6):
+        for z in (1, 2, 3) if t >= 4 else (1,):
+            plus = enum_z_cores(z, t, 18)
+            minus = enum_z_cores(-z, t, 18)
+            assert sorted(conjugate(la) for la in plus) == sorted(minus), (z, t)
 
 
 def test_every_family_keeps_growing():
