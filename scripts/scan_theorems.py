@@ -11,16 +11,10 @@ from twistchar.cli import main
 
 GRIDS = [
     # theorems, t values, n values, max partition size
-    ("schurfac,schur1", "2,3", "1,2", 8),
-    ("sympfact", "2,3,4", "1,2", 8),
-    ("eorthfact,oorthfact", "2,3,4", "1,2", 8),
-    ("all", "5,6,7", "1", 9),
-    ("all", "5", "2", 8),
-    ("all", "2,3", "3", 8),
-    # even t, where Sp and O_even have both a middle and a wrap class
+    ("all", "2,3,4,5,6,7", "1,2,3", 12),
+    # even t past the wide grid, where Sp and O_even have both a middle
+    # and a wrap class
     ("all", "8", "1", 9),
-    ("all", "4", "3", 8),
-    ("all", "6", "2", 8),
 ]
 
 

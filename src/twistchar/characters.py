@@ -97,6 +97,28 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple):
     return num / den
 
 
+@lru_cache(maxsize=4096)
+def _twisted_h(g: GroupType, xs: tuple, t: int, extra_one: bool, top: int) -> tuple:
+    """h_0..h_top of the twisted points of twisted_character.
+
+    Every partition of a scan shares its (t, n, seed) points, so the table
+    is kept per point tuple and length; a table is immutable once built.
+    """
+    ys = xs if g is GroupType.GL else xs + tuple(1 / x for x in xs)
+    base = [Fraction(1)] + [Fraction(0)] * (top // t)
+    for y in ys:
+        yt = y ** t
+        for k in range(1, len(base)):
+            base[k] += yt * base[k - 1]
+    h = [base[m // t] if m % t == 0 else Fraction(0) for m in range(top + 1)]
+    # Each point 1 in the multiset (OO carries one of its own) multiplies
+    # the generating function by 1/(1 - z).
+    ones = (1 if g is GroupType.GL else 2) * extra_one + (g is GroupType.OO)
+    for _ in range(ones):
+        h = list(accumulate(h))
+    return tuple(h)
+
+
 def twisted_character(
     g: GroupType, la: Partition, xs: tuple, t: int, extra_one: bool = False
 ) -> Fraction:
@@ -117,19 +139,7 @@ def twisted_character(
         raise TypeError(f"points must be Fractions, got {xs}")
     if not la:
         return Fraction(1)
-    top = la[0] + len(la)
-    ys = xs if g is GroupType.GL else xs + tuple(1 / x for x in xs)
-    base = [Fraction(1)] + [Fraction(0)] * (top // t)
-    for y in ys:
-        yt = y ** t
-        for k in range(1, len(base)):
-            base[k] += yt * base[k - 1]
-    h = [base[m // t] if m % t == 0 else Fraction(0) for m in range(top + 1)]
-    # Each point 1 in the multiset (OO carries one of its own) multiplies
-    # the generating function by 1/(1 - z).
-    ones = (1 if g is GroupType.GL else 2) * extra_one + (g is GroupType.OO)
-    for _ in range(ones):
-        h = list(accumulate(h))
+    h = _twisted_h(g, xs, t, extra_one, la[0] + len(la))
 
     def hm(m: int) -> Fraction:
         return h[m] if m >= 0 else Fraction(0)

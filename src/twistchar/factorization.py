@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .characters import GroupType, sample_points, twisted_character, weyl_character
@@ -192,6 +193,14 @@ _POINT_SETS = {
 }
 
 
+@lru_cache(maxsize=4096)
+def _factor_value(group: GroupType, mu: Partition, at: str, ys: tuple) -> Fraction:
+    # Every case of a scan at one (t, n, seed) shares Y, and many share a
+    # factor (mu = () most of all), so each value is computed once.  A
+    # DegeneratePointError is raised again on every call, never cached.
+    return weyl_character(group, mu, _POINT_SETS[at](ys))
+
+
 def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     """The factorized side at the rational points X: pred.sign times each
     factor's bialternant ratio at its point set; exactly zero on vanishing."""
@@ -199,7 +208,7 @@ def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     ys = tuple(x ** pred.t for x in pts)
     val = Fraction(pred.sign)
     for group, mu, at in pred.factors:
-        val *= weyl_character(group, mu, _POINT_SETS[at](ys))
+        val *= _factor_value(group, mu, at, ys)
     return val
 
 
@@ -237,9 +246,13 @@ class VerificationReport:
         }
 
 
+_TRIAL_STRIDE = 1_000_003
+
+
 def _trial_seed(seed: int, k: int) -> int:
-    # Injective over trials so distinct seeds never share point streams.
-    return 1_000_003 * seed + k
+    # Injective over seed >= 0 and 0 <= k < _TRIAL_STRIDE (verify checks
+    # both), so distinct (seed, trial) pairs never share a point stream.
+    return _TRIAL_STRIDE * seed + k
 
 
 def verify(
@@ -250,8 +263,12 @@ def verify(
     The report carries the values of the first trial that mismatches, or
     of trial 0 when every trial matches.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    # random.Random seeds with |a|, so a negative seed would replay the
+    # points of its absolute value.
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+    if not 1 <= trials <= _TRIAL_STRIDE:
+        raise ValueError(f"need 1 <= trials <= {_TRIAL_STRIDE}, got {trials}")
     pred = predict(th, la, t, n)
     shown = None
     for k in range(trials):

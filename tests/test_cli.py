@@ -316,6 +316,21 @@ def test_verify_sampling_failure_exit_code(monkeypatch, capsys):
     assert "sampling failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "schurfac", "2", "--t", "2", "--n", "1", "--seed", "-1"],
+        ["verify", "schurfac", "2", "--t", "2", "--n", "1", "--trials", "1000004"],
+        ["scan", "--t", "2", "--n", "1", "--max-size", "2", "--seeds=-1"],
+        ["scan", "--t", "2", "--n", "1", "--max-size", "2", "--seeds=-1", "--jobs", "2"],
+    ],
+)
+def test_non_injective_seeds_exit_one_with_a_message(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bad_jobs_exit_one_with_a_message(capsys, jobs):
     assert run(["classify", "2,1", "--t", "2", "--n", "1"], capsys)[0] == 0

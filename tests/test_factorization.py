@@ -2,13 +2,21 @@
 behind them, verified in exact arithmetic."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import embed, partitions_strategy
-from twistchar import factorization, partitions
-from twistchar.characters import GroupType, sample_points, twisted_points, weyl_character
+from twistchar import characters, factorization, partitions
+from twistchar.characters import (
+    DegeneratePointError,
+    GroupType,
+    sample_points,
+    twisted_character,
+    twisted_points,
+    weyl_character,
+)
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
     TheoremId,
@@ -137,6 +145,91 @@ def test_mismatch_reports_the_failing_trial(monkeypatch):
         **good.as_dict(),
         "trials": 1,
     }
+
+
+def test_seeds_stay_injective():
+    # random.Random seeds with |a|, so seed -1 would replay seed 1's points,
+    # and a trial index past the stride would reach the next seed's stream.
+    th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
+    assert sample_points(n, t, factorization._trial_seed(-1, 0)) == sample_points(
+        n, t, factorization._trial_seed(1, 0)
+    )
+    with pytest.raises(ValueError, match="seed >= 0"):
+        verify(th, la, t, n, seed=-1)
+    with pytest.raises(ValueError, match="trials <= 1000003"):
+        verify(th, la, t, n, trials=factorization._TRIAL_STRIDE + 1)
+    assert verify(th, la, t, n, seed=0).match
+
+
+# ---- the point-keyed caches of the two routes ----------------------------
+
+_CACHES = (characters._twisted_h, factorization._factor_value)
+
+
+def _standing_grid():
+    # scan --theorems all --t 2,3,4 --n 1,2 --max-size 7 --seeds 0, in scan order
+    return [
+        verify(th, la, t, n).as_dict()
+        for th in ALL
+        for t in (2, 3, 4)
+        for n in (1, 2)
+        for la in partitions_up_to(7, max_length=length_bound(th, t, n))
+    ]
+
+
+def test_caches_are_transparent_and_reused_on_the_standing_grid():
+    for cache in _CACHES:
+        cache.cache_clear()
+    cold = _standing_grid()
+    table, factor = (cache.cache_info() for cache in _CACHES)
+    # 1077 non-empty twisted characters over 210 (group, points, t, one,
+    # length) keys; 1205 factors over 156 (group, mu, point set, Y) keys.
+    assert (table.hits, table.misses) == (867, 210)
+    assert (factor.hits, factor.misses) == (1049, 156)
+    assert _standing_grid() == cold
+    assert [cache.cache_info().misses for cache in _CACHES] == [210, 156]
+
+
+def test_cache_keys_keep_groups_apart():
+    xs = sample_points(2, 3, 0)
+    ys = tuple(x ** 3 for x in xs)
+    for cache in _CACHES:
+        cache.cache_clear()
+    # sp_(2) = h_2 and oe_(2) = h_2 - 1 at the same points.
+    sp = factorization._factor_value(GroupType.SP, (2,), "Y", ys)
+    oe = factorization._factor_value(GroupType.OE, (2,), "Y", ys)
+    assert factorization._factor_value.cache_info().misses == 2
+    assert sp == weyl_character(GroupType.SP, (2,), ys)
+    assert oe == weyl_character(GroupType.OE, (2,), ys)
+    assert sp == oe + 1
+    # The GL and OO tables of one point tuple differ (OO carries a point 1).
+    gl = twisted_character(GroupType.GL, (2, 1), xs, 3)
+    oo = twisted_character(GroupType.OO, (2, 1), xs, 3)
+    assert characters._twisted_h.cache_info().misses == 2
+    assert gl != oo
+
+
+def test_degenerate_points_raise_on_every_call():
+    # Y = (4, 4) makes the GL denominator of the empty-core factors vanish.
+    pred = predict(TheoremId.SCHUR_FAC, (), 2, 2)
+    pts = (Fraction(2), Fraction(-2))
+    factorization._factor_value.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DegeneratePointError):
+            rhs_value(pred, pts)
+    assert factorization._factor_value.cache_info().currsize == 0
+
+
+def test_a_patched_rhs_leaves_no_value_in_the_cache(monkeypatch):
+    th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
+    pred = predict(th, la, t, n)
+    trial1 = sample_points(n, t, factorization._trial_seed(seed, 1))
+    rhs1 = rhs_value(pred, trial1)
+    with monkeypatch.context() as m:
+        m.setattr(factorization, "rhs_value", lambda p, pts: rhs_value(p, pts) + 1)
+        assert not verify(th, la, t, n, seed=seed, trials=3).match
+    assert rhs_value(pred, trial1) == rhs1 == lhs_value(th, la, t, n, trial1)
+    assert verify(th, la, t, n, seed=seed, trials=3).match
 
 
 @pytest.mark.parametrize("trials", [1, 3])
