@@ -98,22 +98,23 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple):
 
 
 @lru_cache(maxsize=4096)
-def _twisted_h(g: GroupType, xs: tuple, t: int, extra_one: bool, top: int) -> tuple:
-    """h_0..h_top of the twisted points of twisted_character.
+def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
+    """h_0..h_top of the twist of xs (and of their inverses when inverted),
+    with `ones` points 1 appended after the twist.
 
     Every partition of a scan shares its (t, n, seed) points, so the table
     is kept per point tuple and length; a table is immutable once built.
+    It is keyed on what it depends on, not on the group, so SP and OE
+    share one table.
     """
-    ys = xs if g is GroupType.GL else xs + tuple(1 / x for x in xs)
+    ys = xs + tuple(1 / x for x in xs) if inverted else xs
     base = [Fraction(1)] + [Fraction(0)] * (top // t)
     for y in ys:
         yt = y ** t
         for k in range(1, len(base)):
             base[k] += yt * base[k - 1]
     h = [base[m // t] if m % t == 0 else Fraction(0) for m in range(top + 1)]
-    # Each point 1 in the multiset (OO carries one of its own) multiplies
-    # the generating function by 1/(1 - z).
-    ones = (1 if g is GroupType.GL else 2) * extra_one + (g is GroupType.OO)
+    # Each point 1 multiplies the generating function by 1/(1 - z).
     for _ in range(ones):
         h = list(accumulate(h))
     return tuple(h)
@@ -139,7 +140,10 @@ def twisted_character(
         raise TypeError(f"points must be Fractions, got {xs}")
     if not la:
         return Fraction(1)
-    h = _twisted_h(g, xs, t, extra_one, la[0] + len(la))
+    gl = g is GroupType.GL
+    # The appended one is doubled with the inverses; OO carries one of its own.
+    ones = (1 if gl else 2) * extra_one + (g is GroupType.OO)
+    h = _twisted_h(xs, not gl, ones, t, la[0] + len(la))
 
     def hm(m: int) -> Fraction:
         return h[m] if m >= 0 else Fraction(0)

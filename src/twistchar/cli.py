@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .characters import SamplingError
-from .factorization import TheoremId, length_bound, verify
+from .factorization import TheoremId, check_seed, length_bound, verify
 from .partitions import (
     CoreClass,
     abacus,
@@ -185,10 +185,13 @@ def cmd_scan(args) -> int:
     ts = _parse_int_list(args.t, "--t")
     ns = _parse_int_list(args.n, "--n")
     seeds = _parse_int_list(args.seeds, "--seeds")
-    if args.max_size < 0 or args.trials < 1 or not ts or not ns or not seeds:
-        raise ValueError("need max-size >= 0, trials >= 1, nonempty t/n/seed lists")
+    if args.max_size < 0 or not ts or not ns or not seeds:
+        raise ValueError("need max-size >= 0, nonempty t/n/seed lists")
     if any(t < 2 for t in ts) or any(n < 1 for n in ns):
         raise ValueError("need every t >= 2 and n >= 1")
+    # verify checks each seed again, but only after --out is truncated.
+    for seed in seeds:
+        check_seed(seed, args.trials)
 
     items = _scan_items(theorems, ts, ns, args.max_size, seeds, args.trials)
     cases = matches = vanishes = 0

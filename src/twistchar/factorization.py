@@ -126,7 +126,7 @@ def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
     return twisted_character(_LHS_GROUP[th], la, pts, t, extra_one=th is TheoremId.SCHUR_ONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """What a theorem predicts for (th, la, t, n) before any point is drawn.
 
@@ -150,6 +150,13 @@ def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     the padding both the sorting sign and the quotient's rotation refer to;
     Sp/O factors follow partners(t, z), as the module docstring says."""
     _check_case(th, la, t, n)
+    return _predict(th, tuple(la), t, n)
+
+
+@lru_cache(maxsize=4096)
+def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
+    # A scan visits each case once per seed, and the prediction never
+    # looks at the points, so it is derived once per (th, la, t, n).
     ab = abacus(la, t, length_bound(th, t, n))
     cls = CoreClass(ab.offsets)
     c = cls.single_row
@@ -205,6 +212,8 @@ def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     """The factorized side at the rational points X: pred.sign times each
     factor's bialternant ratio at its point set; exactly zero on vanishing."""
     _check_points(pts, pred.n)
+    if pred.vanishing:
+        return Fraction(0)
     ys = tuple(x ** pred.t for x in pts)
     val = Fraction(pred.sign)
     for group, mu, at in pred.factors:
@@ -250,9 +259,19 @@ _TRIAL_STRIDE = 1_000_003
 
 
 def _trial_seed(seed: int, k: int) -> int:
-    # Injective over seed >= 0 and 0 <= k < _TRIAL_STRIDE (verify checks
-    # both), so distinct (seed, trial) pairs never share a point stream.
+    # Injective over seed >= 0 and 0 <= k < _TRIAL_STRIDE (check_seed
+    # checks both), so distinct (seed, trial) pairs never share a point stream.
     return _TRIAL_STRIDE * seed + k
+
+
+def check_seed(seed: int, trials: int) -> None:
+    """Refuse a seed and trial count that _trial_seed would not keep apart."""
+    # random.Random seeds with |a|, so a negative seed would replay the
+    # points of its absolute value.
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+    if not 1 <= trials <= _TRIAL_STRIDE:
+        raise ValueError(f"need 1 <= trials <= {_TRIAL_STRIDE}, got {trials}")
 
 
 def verify(
@@ -263,12 +282,7 @@ def verify(
     The report carries the values of the first trial that mismatches, or
     of trial 0 when every trial matches.
     """
-    # random.Random seeds with |a|, so a negative seed would replay the
-    # points of its absolute value.
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
-    if not 1 <= trials <= _TRIAL_STRIDE:
-        raise ValueError(f"need 1 <= trials <= {_TRIAL_STRIDE}, got {trials}")
+    check_seed(seed, trials)
     pred = predict(th, la, t, n)
     shown = None
     for k in range(trials):

@@ -331,6 +331,20 @@ def test_non_injective_seeds_exit_one_with_a_message(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
 
 
+@pytest.mark.parametrize("bad", [["--seeds", "0,-1"], ["--trials", "1000004"]])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bad_seeds_and_trials_leave_scan_out_alone(tmp_path, capsys, jobs, bad):
+    # Seed 0 alone would write records; the bad entry must stop the scan first.
+    p = tmp_path / "old.jsonl"
+    p.write_bytes(b'{"kept":true}\n')
+    argv = ["scan", "--theorems", "schurfac", "--t", "2", "--n", "1", "--max-size", "3",
+            "--jobs", jobs, "--out", str(p)] + bad
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+    assert p.read_bytes() == b'{"kept":true}\n'
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bad_jobs_exit_one_with_a_message(capsys, jobs):
     assert run(["classify", "2,1", "--t", "2", "--n", "1"], capsys)[0] == 0

@@ -1,6 +1,7 @@
 """Twisted character factorizations and the determinant identities
 behind them, verified in exact arithmetic."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -182,12 +183,12 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
         cache.cache_clear()
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
-    # 1077 non-empty twisted characters over 210 (group, points, t, one,
-    # length) keys; 1205 factors over 156 (group, mu, point set, Y) keys.
-    assert (table.hits, table.misses) == (867, 210)
+    # 1077 non-empty twisted characters over 168 (points, inverted, ones,
+    # t, length) keys; 1205 factors over 156 (group, mu, point set, Y) keys.
+    assert (table.hits, table.misses) == (909, 168)
     assert (factor.hits, factor.misses) == (1049, 156)
     assert _standing_grid() == cold
-    assert [cache.cache_info().misses for cache in _CACHES] == [210, 156]
+    assert [cache.cache_info().misses for cache in _CACHES] == [168, 156]
 
 
 def test_cache_keys_keep_groups_apart():
@@ -207,6 +208,64 @@ def test_cache_keys_keep_groups_apart():
     oo = twisted_character(GroupType.OO, (2, 1), xs, 3)
     assert characters._twisted_h.cache_info().misses == 2
     assert gl != oo
+    # SP and OE read one table (the points and their inverses, no point 1),
+    # through different determinants.
+    sp = twisted_character(GroupType.SP, (3, 1), xs, 3)
+    oe = twisted_character(GroupType.OE, (3, 1), xs, 3)
+    assert characters._twisted_h.cache_info().misses == 3
+    assert sp != oe
+    twisted = twisted_points(embed(xs, 3), 3)
+    assert embed((sp,), 3)[0] == weyl_character(GroupType.SP, (3, 1), twisted)
+    assert embed((oe,), 3)[0] == weyl_character(GroupType.OE, (3, 1), twisted)
+
+
+def _t5_seeds_grid():
+    # scan --theorems all --t 5 --n 1 --max-size 3 --seeds 0,...,7, in scan
+    # order: every seed's pass over a (th, t, n) block before the next block.
+    lines = []
+    for th in ALL:
+        las = list(partitions_up_to(3, max_length=length_bound(th, 5, 1)))
+        lines += [
+            json.dumps(verify(th, la, 5, 1, seed=seed).as_dict(), separators=(",", ":"))
+            for seed in range(8)
+            for la in las
+        ]
+    return lines
+
+
+def test_each_prediction_is_derived_once_for_all_seeds():
+    for cache in _CACHES + (factorization._predict,):
+        cache.cache_clear()
+    cold = _t5_seeds_grid()
+    # 35 cases, each visited once per seed.
+    info = factorization._predict.cache_info()
+    assert (info.hits, info.misses) == (245, 35)
+    assert _t5_seeds_grid() == cold
+    assert factorization._predict.cache_info().misses == 35
+
+
+def test_predict_and_verify_accept_a_list_partition():
+    th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
+    factorization._predict.cache_clear()
+    pred = predict(th, list(la), t, n)
+    assert pred == predict(th, la, t, n) and not hasattr(pred, "__dict__")
+    assert factorization._predict.cache_info().misses == 1
+    assert verify(th, list(la), t, n).as_dict() == verify(th, la, t, n).as_dict()
+    # A case that fails its check is refused on every call, never cached.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bound for sympfact is 6"):
+            predict(th, [1] * 7, t, n)
+    assert factorization._predict.cache_info().currsize == 1
+
+
+def test_a_vanishing_rhs_checks_its_points_and_is_zero():
+    pred = predict(TheoremId.SCHUR_FAC, (1,), 2, 1)
+    assert pred.vanishing and not pred.factors
+    assert rhs_value(pred, (Fraction(3),)) == 0
+    with pytest.raises(ValueError, match="expected 1 points"):
+        rhs_value(pred, (Fraction(3), Fraction(5)))
+    with pytest.raises(TypeError):
+        rhs_value(pred, (3,))
 
 
 def test_degenerate_points_raise_on_every_call():
@@ -247,9 +306,11 @@ def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
     once = ("abacus", "epsilon")
     for name in once + ("rhs_value",):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
+    # A warm prediction cache would derive nothing, and pass for nothing.
+    factorization._predict.cache_clear()
     rep = verify(th, (4, 4), 4, 2, trials=trials)
     assert rep.match and not rep.predicted_vanishing
-    assert all(calls[name] <= 1 for name in once), calls
+    assert all(calls[name] == 1 for name in once), calls
     assert calls["rhs_value"] == trials
 
 
@@ -268,6 +329,7 @@ def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
             m = length_bound(th, t, n)
             for la in partitions_up_to(6, max_length=m):
                 paddings.clear()
+                factorization._predict.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
                 assert paddings == [m], (la, t, n)
     assert verdicts == {True, False}
