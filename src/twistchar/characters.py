@@ -23,7 +23,6 @@ rule  prod_i prod_k 1/(1 - w^k x_i z) = prod_i 1/(1 - x_i^t z^t).
 
 from __future__ import annotations
 
-import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -43,10 +42,6 @@ class GroupType(Enum):
 
 class DegeneratePointError(ValueError):
     """The Weyl denominator vanishes at the requested points."""
-
-
-class SamplingError(RuntimeError):
-    """The admissible-point rejection sampler ran out of retries."""
 
 
 def _entry_matrix(g: GroupType, pts, betas):
@@ -133,8 +128,8 @@ def twisted_character(
     their inverses, plus the point 1 for OO.
     By the twist rule, h_m of the twisted points is h_(m/t) of the t-th
     powers when t divides m and 0 otherwise; a point 1 turns h into its
-    prefix sums.  There is no Weyl denominator, so the points need not be
-    admissible; SP, OE and OO only need them nonzero.
+    prefix sums.  There is no Weyl denominator, so the points may coincide;
+    SP, OE and OO only need them nonzero.
     """
     if not all(isinstance(x, Fraction) for x in xs):
         raise TypeError(f"points must be Fractions, got {xs}")
@@ -168,44 +163,3 @@ def twisted_points(pts: tuple, t: int) -> tuple:
         raise ValueError(f"points live in Q(w_{fld.t}), expected Q(w_{t})")
     return tuple(omega_pow(fld, k) * x for k in range(t) for x in pts)
 
-
-_RETRY_BUDGET = 200
-
-
-@lru_cache(maxsize=4096)
-def sample_points(n: int, t: int, seed: int) -> tuple[Fraction, ...]:
-    """Deterministic tuple of n distinct rationals > 1.
-
-    Distinct rationals above 1 make every determinant denominator used by
-    the verification pipeline nonzero: their pairwise products, t-th powers
-    and sums x + 1/x are automatically distinct from each other and from
-    0 and 1.  The exact admissibility checks below are kept anyway, with a
-    bounded retry loop, so a bad draw is rejected rather than trusted.
-    """
-    if n < 1 or t < 2:
-        raise ValueError(f"need n >= 1 and t >= 2, got n={n}, t={t}")
-    rng = random.Random(seed)
-    for _ in range(_RETRY_BUDGET):
-        xs = []
-        for _ in range(n):
-            num = rng.randint(3, 80)
-            xs.append(Fraction(num, rng.randint(1, num - 1)))
-        if _admissible(xs, t):
-            return tuple(xs)
-    raise SamplingError(f"could not find admissible points for n={n}, t={t}, seed={seed}")
-
-
-def _admissible(xs: list[Fraction], t: int) -> bool:
-    if any(x in (0, 1, -1) for x in xs):
-        return False
-    if len(set(xs)) != len(xs):
-        return False
-    powers = [x ** t for x in xs]
-    if len(set(powers)) != len(powers):
-        return False
-    for i, a in enumerate(xs):
-        for b in xs[i + 1:]:
-            if a * b == 1 or a ** t * b ** t == 1:
-                return False
-    sums = [p + 1 / p for p in powers]
-    return len(set(sums)) == len(sums)

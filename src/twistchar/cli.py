@@ -14,11 +14,11 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .characters import SamplingError
-from .factorization import TheoremId, check_seed, length_bound, verify
+from .factorization import SamplingError, TheoremId, check_seed, length_bound, verify
 from .partitions import (
     CoreClass,
     abacus,
+    as_partition,
     frobenius,
     is_t_core,
     partitions_up_to,
@@ -45,9 +45,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse partition literal {text!r}")
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-    return parts
+    return as_partition(parts)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:

@@ -29,10 +29,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .characters import GroupType, sample_points, twisted_character, weyl_character
+from .characters import GroupType, twisted_character, weyl_character
 from .cyclotomic import field
 from .linalg import det
-from .partitions import CoreClass, Partition, abacus, mu_padded, partners
+from .partitions import CoreClass, Partition, abacus, as_partition, mu_padded, partners
 
 
 class TheoremId(Enum):
@@ -157,6 +157,8 @@ def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
 def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     # A scan visits each case once per seed, and the prediction never
     # looks at the points, so it is derived once per (th, la, t, n).
+    # Checked here, on a miss only: a refused case is never cached.
+    la = as_partition(la)
     ab = abacus(la, t, length_bound(th, t, n))
     cls = CoreClass(ab.offsets)
     c = cls.single_row
@@ -255,6 +257,37 @@ class VerificationReport:
         }
 
 
+class SamplingError(RuntimeError):
+    """The point sampler ran out of retries."""
+
+
+_RETRY_BUDGET = 200
+
+
+@lru_cache(maxsize=4096)
+def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
+    """Deterministic tuple of n distinct rationals > 1, the same for every t.
+
+    That is all the right side needs.  The t-th powers Y of distinct points
+    above 1 are distinct and above 1, so 1, Y and 1/Y share no value, no
+    product y_i y_j is 1 and -Y holds no 1: no Weyl denominator at Y,
+    (Y, 1), (Y, 1/Y) or -Y vanishes, whatever t is.  A draw that repeats a
+    value is redrawn whole; weyl_character's DegeneratePointError stays the
+    exact guard.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    rng = random.Random(seed)
+    for _ in range(_RETRY_BUDGET):
+        xs = []
+        for _ in range(n):
+            num = rng.randint(3, 80)
+            xs.append(Fraction(num, rng.randint(1, num - 1)))
+        if len(set(xs)) == n:
+            return tuple(xs)
+    raise SamplingError(f"could not find {n} distinct points for seed={seed}")
+
+
 _TRIAL_STRIDE = 1_000_003
 
 
@@ -286,7 +319,7 @@ def verify(
     pred = predict(th, la, t, n)
     shown = None
     for k in range(trials):
-        pts = sample_points(n, t, _trial_seed(seed, k))
+        pts = sample_points(n, _trial_seed(seed, k))
         lhs, rhs = lhs_value(th, la, t, n, pts), rhs_value(pred, pts)
         if shown is None or lhs != rhs:
             shown = (lhs, rhs)

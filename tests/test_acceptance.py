@@ -23,12 +23,13 @@ from helpers import (
     check_rank_formulas,
     check_small_modulus_trivial,
 )
-from twistchar.characters import GroupType, sample_points, weyl_character
+from twistchar.characters import GroupType, weyl_character
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
     TheoremId,
     check_block_det_lemma,
     lhs_value,
+    sample_points,
     verify,
 )
 from twistchar.linalg import det
@@ -144,7 +145,7 @@ def test_criterion_03_symplectic_sweep_and_product_example():
                 cases += 1
     la = (3, 2, 1, 1, 1)
     for seed in range(3):
-        pts = sample_points(2, 3, seed)
+        pts = sample_points(2, seed)
         a, b = pts
         base = (
             (a + b)

@@ -10,12 +10,12 @@ from helpers import embed, partitions_strategy, schur_ssyt
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
-    sample_points,
     twisted_character,
     twisted_points,
     weyl_character,
 )
 from twistchar.cyclotomic import field
+from twistchar.factorization import sample_points
 from twistchar.partitions import partitions_up_to
 
 P = partitions_strategy(max_part=4, max_len=4)
@@ -147,26 +147,27 @@ def test_twisted_points_layout():
 
 
 def test_sample_points_are_admissible_and_deterministic():
-    for n, t, seed in [(1, 2, 0), (2, 3, 0), (3, 4, 1), (2, 2, 9)]:
-        pts = sample_points(n, t, seed)
-        assert pts == sample_points(n, t, seed)
+    # The draw never reads t, so one tuple must serve every t.
+    for n, seed in [(1, 0), (2, 0), (3, 1), (2, 9)]:
+        pts = sample_points(n, seed)
+        assert pts == sample_points(n, seed)
         assert len(pts) == n
         assert all(type(p) is Fraction for p in pts)
         vals = pts
         assert all(v > 1 for v in vals)
-        assert len({v ** t for v in vals}) == n
-        for i, a in enumerate(vals):
-            for b in vals[i + 1 :]:
-                assert a * b != 1 and (a * b) ** t != 1
+        for t in range(2, 9):
+            assert len({v ** t for v in vals}) == n
+            for i, a in enumerate(vals):
+                for b in vals[i + 1 :]:
+                    assert a * b != 1 and (a * b) ** t != 1
+            assert len({v ** t + v ** -t for v in vals}) == n
     with pytest.raises(ValueError):
-        sample_points(0, 3, 0)
-    with pytest.raises(ValueError):
-        sample_points(2, 1, 0)
+        sample_points(0, 0)
 
 
 def test_symplectic_value_at_cubed_points():
     for seed in range(3):
-        a, b = sample_points(2, 3, seed)
+        a, b = sample_points(2, seed)
         x1, x2 = embed((a, b), 3)
         want = (
             (a + b)

@@ -1,12 +1,17 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistchar import cli
-from twistchar.characters import SamplingError
+from twistchar.factorization import SamplingError, TheoremId
 from twistchar.partitions import partitions_up_to
 
 
@@ -168,6 +173,36 @@ def test_scan_output_file_is_stable(tmp_path, capsys):
     assert all(r["match"] for r in recs)
 
 
+def _sublist(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=len(values), unique=True)
+
+
+@given(
+    theorems=_sublist([th.value for th in TheoremId]),
+    ts=_sublist([2, 3, 4, 5]),
+    ns=_sublist([1, 2]),
+    max_size=st.integers(0, 4),
+    seeds=_sublist([0, 1, 636]),
+)
+@settings(max_examples=10, deadline=None)
+def test_scan_bytes_do_not_depend_on_jobs(theorems, ts, ns, max_size, seeds):
+    argv = [
+        "scan", "--theorems", ",".join(theorems), "--t", ",".join(map(str, ts)),
+        "--n", ",".join(map(str, ns)), "--max-size", str(max_size),
+        "--seeds", ",".join(map(str, seeds)), "--format", "json",
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for jobs in ("1", "2"):
+            out = Path(tmp) / f"jobs{jobs}.jsonl"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                assert cli.main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_standing_grid_records_are_byte_identical(tmp_path, capsys):
     # The --out bytes of the standing grid are a fixed contract: the
     # record format must not drift when the evaluation route changes.
@@ -314,6 +349,15 @@ def test_verify_sampling_failure_exit_code(monkeypatch, capsys):
     code, out, err = run(["verify", "schurfac", "2", "--t", "2", "--n", "1"], capsys)
     assert code == 3
     assert "sampling failed" in err
+
+
+def test_sampling_exhaustion_exits_three(capsys):
+    # At n = 80 only about one draw in 2500 has no repeated value, and the
+    # 200 draws of seed 0 are all redrawn: no monkeypatch is needed.
+    code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "80"], capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("twistchar: sampling failed")
 
 
 @pytest.mark.parametrize(

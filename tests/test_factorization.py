@@ -13,7 +13,6 @@ from twistchar import characters, factorization, partitions
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
-    sample_points,
     twisted_character,
     twisted_points,
     weyl_character,
@@ -28,6 +27,7 @@ from twistchar.factorization import (
     predict,
     predicted_vanishing,
     rhs_value,
+    sample_points,
     verify,
 )
 from twistchar.linalg import det
@@ -119,16 +119,16 @@ def test_report_serialization_and_argument_checks():
     with pytest.raises(ValueError):
         verify(TheoremId.SCHUR_FAC, (2,), 2, 1, trials=0)
     with pytest.raises(ValueError):
-        lhs_value(TheoremId.SCHUR_FAC, (1, 1, 1), 2, 1, sample_points(1, 2, 0))
+        lhs_value(TheoremId.SCHUR_FAC, (1, 1, 1), 2, 1, sample_points(1, 0))
     with pytest.raises(ValueError):
-        rhs_value(predict(TheoremId.SCHUR_FAC, (1,), 2, 2), sample_points(1, 2, 0))
+        rhs_value(predict(TheoremId.SCHUR_FAC, (1,), 2, 2), sample_points(1, 0))
 
 
 def test_mismatch_reports_the_failing_trial(monkeypatch):
     th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
     good = verify(th, la, t, n, seed=seed, trials=3)
     assert good.match
-    trial1 = sample_points(n, t, factorization._trial_seed(seed, 1))
+    trial1 = sample_points(n, factorization._trial_seed(seed, 1))
     rhs1 = rhs_value(predict(th, la, t, n), trial1)
 
     def perturbed(pred, pts):
@@ -152,8 +152,8 @@ def test_seeds_stay_injective():
     # random.Random seeds with |a|, so seed -1 would replay seed 1's points,
     # and a trial index past the stride would reach the next seed's stream.
     th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
-    assert sample_points(n, t, factorization._trial_seed(-1, 0)) == sample_points(
-        n, t, factorization._trial_seed(1, 0)
+    assert sample_points(n, factorization._trial_seed(-1, 0)) == sample_points(
+        n, factorization._trial_seed(1, 0)
     )
     with pytest.raises(ValueError, match="seed >= 0"):
         verify(th, la, t, n, seed=-1)
@@ -192,7 +192,7 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
 
 
 def test_cache_keys_keep_groups_apart():
-    xs = sample_points(2, 3, 0)
+    xs = sample_points(2, 0)
     ys = tuple(x ** 3 for x in xs)
     for cache in _CACHES:
         cache.cache_clear()
@@ -258,6 +258,25 @@ def test_predict_and_verify_accept_a_list_partition():
     assert factorization._predict.cache_info().currsize == 1
 
 
+def test_predict_and_verify_refuse_a_non_partition():
+    factorization._predict.cache_clear()
+    for la in [(1, 2), (2, -1)]:
+        for call in (predict, verify):
+            with pytest.raises(ValueError):
+                call(TheoremId.SCHUR_FAC, la, 2, 2)
+    assert factorization._predict.cache_info().currsize == 0
+    # A trailing zero is still a partition.
+    assert predict(TheoremId.SCHUR_FAC, (2, 0), 2, 2) == predict(TheoremId.SCHUR_FAC, (2,), 2, 2)
+
+
+def test_a_draw_that_repeats_a_value_is_redrawn_whole():
+    # Trial 0 of seed 636 first draws (3/2, 3/2) at n = 2.
+    assert sample_points(2, factorization._trial_seed(636, 0)) == (
+        Fraction(29, 20),
+        Fraction(10, 7),
+    )
+
+
 def test_a_vanishing_rhs_checks_its_points_and_is_zero():
     pred = predict(TheoremId.SCHUR_FAC, (1,), 2, 1)
     assert pred.vanishing and not pred.factors
@@ -282,7 +301,7 @@ def test_degenerate_points_raise_on_every_call():
 def test_a_patched_rhs_leaves_no_value_in_the_cache(monkeypatch):
     th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
     pred = predict(th, la, t, n)
-    trial1 = sample_points(n, t, factorization._trial_seed(seed, 1))
+    trial1 = sample_points(n, factorization._trial_seed(seed, 1))
     rhs1 = rhs_value(pred, trial1)
     with monkeypatch.context() as m:
         m.setattr(factorization, "rhs_value", lambda p, pts: rhs_value(p, pts) + 1)
@@ -378,7 +397,7 @@ def twisted_oracle(th, la, t, pts):
     [(2, 1, 6), (2, 2, 6), (3, 1, 6), (3, 2, 6), (4, 1, 6), (4, 2, 6), (5, 1, 5), (6, 1, 5)],
 )
 def test_lhs_matches_bialternant_oracle(t, n, max_size):
-    pts = sample_points(n, t, seed=4)
+    pts = sample_points(n, seed=4)
     for th in ALL:
         for la in partitions_up_to(max_size, max_length=length_bound(th, t, n)):
             assert lhs_value(th, la, t, n, pts) == twisted_oracle(th, la, t, pts), (th, la)
@@ -395,7 +414,7 @@ def test_lhs_matches_bialternant_oracle(t, n, max_size):
 def test_twisted_values_are_rational_and_agree(th, la, t, n, seed):
     if len(la) > length_bound(th, t, n):
         return
-    pts = sample_points(n, t, seed)
+    pts = sample_points(n, seed)
     want = twisted_oracle(th, la, t, pts)
     assert not any(want.coeffs[1:])
     assert lhs_value(th, la, t, n, pts) == want.coeffs[0]
@@ -423,7 +442,7 @@ def test_padding_choice_does_not_matter(th):
 def test_padded_weight_swap_symmetry(front, back, n):
     if len(front) + len(back) > 2 * n:
         return
-    pts = sample_points(n, 2, seed=11)
+    pts = sample_points(n, seed=11)
     both = tuple(x ** 2 for x in pts) + tuple(x ** -2 for x in pts)
     a = weyl_character(GroupType.GL, mu_padded(front, back, n), both)
     b = weyl_character(GroupType.GL, mu_padded(back, front, n), both)
@@ -466,7 +485,7 @@ def full_class_cases(max_size=6, grid=((2, 1), (2, 2), (3, 1))):
     """Yield (points, class betas, empty-partition betas, quotient, p)
     for every residue class of full count n."""
     for t, n in grid:
-        pts = sample_points(n, t, seed=7)
+        pts = sample_points(n, seed=7)
         cb0 = class_betas((), t, n)
         for la in partitions_up_to(max_size, max_length=t * n):
             cb = class_betas(la, t, n)
@@ -531,7 +550,7 @@ def test_single_class_even_orthogonal_determinant():
 def test_paired_class_block_determinant():
     seen = 0
     for t, n in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
-        pts = sample_points(n, t, seed=7)
+        pts = sample_points(n, seed=7)
         xt = tuple(x ** t for x in pts)
         xt_both = xt + tuple(1 / x for x in xt)
         cb0 = class_betas((), t, n)
