@@ -20,12 +20,10 @@ from .partitions import (
     abacus,
     as_partition,
     frobenius,
-    is_t_core,
     partitions_up_to,
     size,
-    z_asymmetric_up_to,
 )
-from .series import SeriesZ, enum_z_cores, gf_z_cores
+from .series import SeriesZ, enum_z_asymmetric_cores, enum_z_cores, gf_z_cores
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,9 +232,7 @@ def cmd_series(args) -> int:
         raise ValueError(f"need t >= 2, got {t}")
     with _open_out(args.out) as fh:
         lattice = SeriesZ.from_sizes(map(size, enum_z_cores(z, t, order)), order)
-        enumerated = SeriesZ.from_sizes(
-            (size(la) for la in z_asymmetric_up_to(z, order) if is_t_core(la, t)), order
-        )
+        enumerated = enum_z_asymmetric_cores(z, t, order)
         product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
 
         rows = []

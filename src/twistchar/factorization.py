@@ -277,11 +277,14 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    # Numerators grow with n so that n distinct values stay likely; for
+    # n <= 20 the range is 3..80, so those draws never change.
+    top = max(80, 4 * n)
     rng = random.Random(seed)
     for _ in range(_RETRY_BUDGET):
         xs = []
         for _ in range(n):
-            num = rng.randint(3, 80)
+            num = rng.randint(3, top)
             xs.append(Fraction(num, rng.randint(1, num - 1)))
         if len(set(xs)) == n:
             return tuple(xs)

@@ -2,12 +2,14 @@
 
 A partition is z-asymmetric when its Frobenius legs exceed its arms by a
 fixed offset z; z = 1, -1, 0 give the symplectic, orthogonal, and
-self-conjugate families.  This module counts them three independent ways:
-direct construction from Frobenius coordinates
-(`partitions.z_asymmetric_up_to`, whose t-cores `twistchar series` keeps by
-beta-set closure), truncated Pochhammer/theta products, and a lattice
-bijection for the t-core members of each family, with one coordinate per
-class pair i < j = t-1-z-i (`partitions.partners`).
+self-conjugate families.  This module counts their t-cores three
+independent ways.  The enumeration (`enum_z_asymmetric_cores`) walks the
+arm tuples of the family with their sizes (`partitions.z_asymmetric_arms`),
+reads each beta set off the arms and legs, and keeps it by the same
+closure test as `partitions.is_t_core`; it builds no partition.  The
+product is a truncated Pochhammer/theta product.  The lattice walk
+(`enum_z_cores`) is a bijection for the t-core members of each family, with
+one coordinate per class pair i < j = t-1-z-i (`partitions.partners`).
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .partitions import (
     abacus,
     as_partition,
     core_from_offsets,
+    frobenius_beta_set,
+    is_core_beta_set,
     is_z_asymmetric,
     partners,
     size,
+    z_asymmetric_arms,
     z_asymmetric_up_to,
 )
 
@@ -83,6 +88,25 @@ def enum_z_asymmetric(z: int, order: int) -> SeriesZ:
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     return SeriesZ.from_sizes(map(size, z_asymmetric_up_to(z, order)), order)
+
+
+def enum_z_asymmetric_cores(z: int, t: int, order: int) -> SeriesZ:
+    """Count z-asymmetric t-cores of each size straight from the Frobenius
+    arms: each arm tuple of the walk with its size, kept when its beta set,
+    read off the arms and legs a_i + z, passes the beta-set closure test.
+    No partition is built, and no runner offset is read."""
+    if t < 2:
+        raise ValueError(f"need t >= 2, got {t}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return SeriesZ.from_sizes(
+        (
+            used
+            for arms, used in z_asymmetric_arms(z, order)
+            if is_core_beta_set(frobenius_beta_set(arms, [a + z for a in arms]), t)
+        ),
+        order,
+    )
 
 
 def gf_z_asymmetric(z: int, order: int) -> SeriesZ:
@@ -158,10 +182,15 @@ def phi_inverse(v: LatticeVec, z: int, t: int) -> Partition:
     pairs = _pairs(z, t)
     if len(v) != len(pairs):
         raise ValueError(f"expected a vector of length {len(pairs)}, got {len(v)}")
+    return core_from_offsets(_offsets(pairs, v, t))
+
+
+def _offsets(pairs: list[tuple[int, int]], v: LatticeVec, t: int) -> tuple[int, ...]:
+    # Class i of each pair gets v_k and its partner j gets -v_k.
     off = [0] * t
     for (i, j), x in zip(pairs, v):
         off[i], off[j] = x, -x
-    return core_from_offsets(tuple(off))
+    return tuple(off)
 
 
 def _coordinate_budget(t: int, gap: int, bound: int) -> list[tuple[int, int]]:
@@ -194,7 +223,7 @@ def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
         prefix, cost = stack.pop()
         i = len(prefix)
         if i == d:
-            out.append(phi_inverse(prefix, z, t))
+            out.append(core_from_offsets(_offsets(pairs, prefix, t)))
             continue
         for v, c in budgets[i]:
             if cost + c <= bound:

@@ -165,6 +165,15 @@ def test_sample_points_are_admissible_and_deterministic():
         sample_points(0, 0)
 
 
+def test_sample_points_reach_large_n():
+    # Numerators run up to max(80, 4n), so a large n still finds n
+    # distinct values on every seed.
+    for n in (60, 80, 120):
+        for seed in range(20):
+            pts = sample_points(n, seed)
+            assert len(set(pts)) == n and all(p > 1 for p in pts), (n, seed)
+
+
 def test_symplectic_value_at_cubed_points():
     for seed in range(3):
         a, b = sample_points(2, seed)

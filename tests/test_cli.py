@@ -6,11 +6,12 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistchar import cli
+from twistchar import cli, factorization
 from twistchar.factorization import SamplingError, TheoremId
 from twistchar.partitions import partitions_up_to
 
@@ -218,16 +219,17 @@ def test_standing_grid_records_are_byte_identical(tmp_path, capsys):
     )
 
 
+def output_digest(argvs, capsys):
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(argv, capsys)
+        h.update(f"{argv}\n{code}\n{out}{err}".encode())
+    return h.hexdigest()
+
+
 def test_classify_and_series_output_is_byte_identical(capsys):
     # Like the standing scan grid, the text and JSON of classify and the
     # series table are a fixed contract across changes to their routes.
-    def digest(argvs):
-        h = hashlib.sha256()
-        for argv in argvs:
-            code, out, err = run(argv, capsys)
-            h.update(f"{argv}\n{code}\n{out}{err}".encode())
-        return h.hexdigest()
-
     classify = [
         ["classify", ",".join(map(str, la)), "--t", str(t), "--n", str(n)] + extra
         for t, n in [(2, 1), (2, 3), (3, 2), (4, 1), (5, 2), (7, 1)]
@@ -240,10 +242,10 @@ def test_classify_and_series_output_is_byte_identical(capsys):
         for t in (2, 3, 5, 8)
         if (z, t) not in ((2, 2), (2, 3))
     ]
-    assert digest(classify) == (
+    assert output_digest(classify, capsys) == (
         "778362d8d9761b5531e54c5399812a894512057272fcac9b44924c105f2a0611"
     )
-    assert digest(series) == (
+    assert output_digest(series, capsys) == (
         "d7acfb2cd9115710cab6b634755911c47a3adb5d7ec7b8f43d2e8b8568ad9205"
     )
     # z = 2 >= t-1: no class pair, so the empty core alone, and no product.
@@ -251,6 +253,19 @@ def test_classify_and_series_output_is_byte_identical(capsys):
         code, out, _ = run(["series", "--z", "2", "--t", str(t), "--N", "16"], capsys)
         assert code == 0
         assert out.splitlines()[1].split() == ["0", "1", "-", "1"]
+
+
+def test_series_census_output_is_byte_identical(capsys):
+    # The whole census CI runs, at a smaller N: every -t-1 <= z <= t+1 for
+    # 2 <= t <= 8, each table with its exit code and stderr line.
+    census = [
+        ["series", "--z", str(z), "--t", str(t), "--N", "30"]
+        for t in range(2, 9)
+        for z in range(-t - 1, t + 2)
+    ]
+    assert output_digest(census, capsys) == (
+        "1f357e253d3e6ac09a7246ea294004ce22e85677950ce726693fff5ff4896296"
+    )
 
 
 @pytest.mark.parametrize(
@@ -351,13 +366,30 @@ def test_verify_sampling_failure_exit_code(monkeypatch, capsys):
     assert "sampling failed" in err
 
 
-def test_sampling_exhaustion_exits_three(capsys):
-    # At n = 80 only about one draw in 2500 has no repeated value, and the
-    # 200 draws of seed 0 are all redrawn: no monkeypatch is needed.
-    code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "80"], capsys)
+def test_sampling_exhaustion_exits_three(monkeypatch, capsys):
+    # No real n exhausts the draw any more, so every draw repeats its value
+    # here: the sampler redraws 200 times and gives up.
+    class Constant:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, low, high):
+            return low
+
+    monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Constant))
+    factorization.sample_points.cache_clear()
+    code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "2"], capsys)
+    factorization.sample_points.cache_clear()
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("twistchar: sampling failed")
+
+
+def test_verify_draws_many_distinct_points(capsys):
+    # The numerators reach 4n, so n = 60 finds 60 distinct points.
+    code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "60", "--seed", "0"], capsys)
+    assert code == 0 and err == ""
+    assert "match          True" in out
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from twistchar.partitions import (
     frobenius,
     from_beta_set,
     from_frobenius,
+    frobenius_beta_set,
     is_t_core,
     is_z_asymmetric,
     mu_padded,
@@ -28,6 +29,7 @@ from twistchar.partitions import (
     size,
     t_core,
     t_core_strips,
+    z_asymmetric_arms,
     z_asymmetric_up_to,
 )
 
@@ -111,6 +113,19 @@ def test_z_asymmetric_construction_matches_the_filter(z):
         built = sorted(z_asymmetric_up_to(z, max_size))
         assert built == sorted(la for la in partitions_up_to(max_size) if is_z_asymmetric(la, z))
     assert list(z_asymmetric_up_to(z, -1)) == []
+
+
+@pytest.mark.parametrize("z", range(-4, 9))
+def test_z_asymmetric_walk_carries_each_size(z):
+    for arms, used in z_asymmetric_arms(z, 20):
+        assert used == size(from_frobenius(arms, [a + z for a in arms]))
+    assert list(z_asymmetric_arms(z, -1)) == []
+
+
+def test_frobenius_beta_set_is_the_beta_set_at_the_length():
+    for la in partitions_up_to(14):
+        fc = frobenius(la)
+        assert frobenius_beta_set(fc.alpha, fc.beta) == set(beta_set(la, len(la))), la
 
 
 def test_asymmetric_families_of_six():

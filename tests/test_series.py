@@ -2,6 +2,7 @@
 
 import pytest
 
+from twistchar import partitions, series
 from helpers import qpoch_minus, qpoch_plus, times_one_minus_power
 from twistchar.partitions import (
     conjugate,
@@ -15,6 +16,7 @@ from twistchar.partitions import (
 from twistchar.series import (
     SeriesZ,
     enum_z_asymmetric,
+    enum_z_asymmetric_cores,
     enum_z_cores,
     gf_z_asymmetric,
     gf_z_cores,
@@ -245,3 +247,47 @@ def test_every_family_keeps_growing():
         for z in (-1, 0, 1):
             a, b, c = (len(enum_z_cores(z, t, bound)) for bound in (50, 100, 200))
             assert a < b < c
+
+
+def _enum_column_oracle(z, t, order):
+    # The enum column's former route: build every z-asymmetric partition
+    # and keep the t-cores.
+    return SeriesZ.from_sizes(
+        (size(la) for la in z_asymmetric_up_to(z, order) if is_t_core(la, t)), order
+    )
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_enum_column_matches_the_built_partitions(t):
+    for z in range(-t - 1, t + 2):
+        want = _enum_column_oracle(z, t, 30)
+        # A smaller N truncates the same count.
+        for order in range(31):
+            assert enum_z_asymmetric_cores(z, t, order).coeffs == want.coeffs[: order + 1], (z, order)
+
+
+def test_enum_column_builds_no_partition(monkeypatch):
+    want = enum_z_asymmetric_cores(1, 5, 30)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the enum column built a partition")
+
+    monkeypatch.setattr(partitions, "from_frobenius", never)
+    monkeypatch.setattr(partitions, "core_from_offsets", never)
+    monkeypatch.setattr(series, "core_from_offsets", never)
+    assert enum_z_asymmetric_cores(1, 5, 30) == want
+    assert sum(want.coeffs) > 1
+    with pytest.raises(ValueError):
+        enum_z_asymmetric_cores(1, 1, 10)
+    with pytest.raises(ValueError):
+        enum_z_asymmetric_cores(1, 3, -1)
+
+
+def test_lattice_walk_skips_phi_inverse(monkeypatch):
+    want = enum_z_cores(0, 6, 40)
+
+    def never(*args, **kwargs):
+        raise AssertionError("enum_z_cores called phi_inverse")
+
+    monkeypatch.setattr(series, "phi_inverse", never)
+    assert enum_z_cores(0, 6, 40) == want
