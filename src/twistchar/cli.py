@@ -85,11 +85,13 @@ def cmd_classify(args) -> int:
         raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
     if len(la) > t * n:
         raise ValueError(f"partition has {len(la)} parts, limit is tn = {t * n}")
-    ab = abacus(la, t, t * n)
+    # The quotient is the same at every padding that is a multiple of t, and
+    # the counts at tn are n plus the offsets: the least one that fits serves.
+    ab = abacus(la, t, t * -(-len(la) // t))
     cls = CoreClass(ab.offsets)
     quo = ab.quotient
     fro = frobenius(la)
-    counts = ab.counts
+    counts = tuple(n + o for o in cls.offsets)
     if args.json:
         rec = {
             "partition": list(la),

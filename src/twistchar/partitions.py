@@ -6,14 +6,15 @@ beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
 out on t runners (the abacus); the residue counts, the quotient, the
 sorting signs of the character factorizations and the t-core's runner
 offsets, which carry its classification, are all read off that one pass.
-The z-asymmetric families are walked as Frobenius arms, and their beta
-sets can be read off those arms without building the partition.
+The z-asymmetric families are walked as Frobenius arms, and the walk
+carries each beta set as a bitmask, one bead moved per arm, without
+building the partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 
@@ -107,18 +108,21 @@ def from_frobenius(alpha: Iterable[int], beta: Iterable[int]) -> Partition:
     return tuple([a + i + 1 for i, a in enumerate(alpha)] + below)
 
 
-def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every z-asymmetric partition with |la| <= max_size, for any integer z,
-    as its arms and its size: distinct arms a_1 > ... > a_r with legs
-    a_i + z >= 0, that is arms >= max(0, -z), and size sum(2 a_i + z + 1).
-    One depth-first walk, each arm tuple before its extensions."""
+    as its arms, its size and its beta set: distinct arms a_1 > ... > a_r
+    with legs a_i + z >= 0, that is arms >= max(0, -z), size
+    sum(2 a_i + z + 1), and beta(la, l(la)) as an int with bit x set for
+    each entry x.  One depth-first walk, each arm tuple before its
+    extensions.  At m = l(la) = a_1 + z + 1 the beta set is {m + a_i} and
+    {0..m-1} without {a_1 - a_i}, so each arm a after a_1 moves one bead."""
     if max_size < 0:
         return
     low = max(0, -z)
-    stack = [((), 0)]
+    stack = [((), 0, 0)]
     while stack:
-        arms, used = stack.pop()
-        yield arms, used
+        arms, used, beads = stack.pop()
+        yield arms, used, beads
         # Each diagonal hook 2a + z + 1 is at least a + 1 since a + z >= 0,
         # so the arms below max_size + 1 cover every hook that fits.
         more = []
@@ -126,28 +130,21 @@ def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], 
             grown = used + 2 * a + z + 1
             if grown > max_size:
                 break
-            more.append((arms + (a,), grown))
+            if arms:
+                m = arms[0] + z + 1
+                grew = beads ^ 1 << (m + a) ^ 1 << (arms[0] - a)
+            else:  # a is a_1: {1..m-1} and m + a_1
+                m = a + z + 1
+                grew = 1 << (m + a) | (1 << m) - 2
+            more.append((arms + (a,), grown, grew))
         stack.extend(reversed(more))
 
 
 def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
     """Every z-asymmetric partition with |la| <= max_size, built from the
     arms of `z_asymmetric_arms` and legs a_i + z, in the walk's order."""
-    for arms, _ in z_asymmetric_arms(z, max_size):
+    for arms, _, _ in z_asymmetric_arms(z, max_size):
         yield from_frobenius(arms, [a + z for a in arms])
-
-
-def frobenius_beta_set(alpha: Sequence[int], beta: Sequence[int]) -> set[int]:
-    """The entries of beta(la, m) at m = l(la) = beta_1 + 1, read off the
-    Frobenius coordinates: {m + alpha_i} and {0..m-1} without {m-1-beta_i}.
-    The empty partition has the empty set."""
-    if not beta:
-        return set()
-    m = beta[0] + 1
-    entries = set(range(m))
-    entries.difference_update([m - 1 - b for b in beta])
-    entries.update([m + a for a in alpha])
-    return entries
 
 
 @dataclass(frozen=True)
@@ -224,18 +221,19 @@ def t_core(la: Partition, t: int) -> Partition:
     return core_from_offsets(abacus(la, t, max(1, len(la))).offsets)
 
 
-def is_core_beta_set(entries: set[int], t: int) -> bool:
-    """Whether beta entries are those of a t-core: every entry x >= t has
-    x - t among the entries.  The test holds at every padding."""
-    return all(x - t in entries for x in entries if x >= t)
+def is_core_beads(beads: int, t: int) -> bool:
+    """Whether a beta set, bit x of `beads` set for each entry x, is that of
+    a t-core: every entry x >= t has x - t among the entries.  The test
+    holds at every padding."""
+    return not (beads >> t) & ~beads
 
 
 def is_t_core(la: Partition, t: int) -> bool:
     """Whether la is its own t-core, i.e. no hook length is divisible by t:
-    `is_core_beta_set` on beta(la, l(la))."""
+    `is_core_beads` on beta(la, l(la))."""
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
-    return is_core_beta_set(set(beta_set(la, len(la))), t)
+    return is_core_beads(sum(1 << x for x in beta_set(la, len(la))), t)
 
 
 def t_core_strips(la: Partition, t: int) -> Partition:

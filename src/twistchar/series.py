@@ -4,12 +4,13 @@ A partition is z-asymmetric when its Frobenius legs exceed its arms by a
 fixed offset z; z = 1, -1, 0 give the symplectic, orthogonal, and
 self-conjugate families.  This module counts their t-cores three
 independent ways.  The enumeration (`enum_z_asymmetric_cores`) walks the
-arm tuples of the family with their sizes (`partitions.z_asymmetric_arms`),
-reads each beta set off the arms and legs, and keeps it by the same
-closure test as `partitions.is_t_core`; it builds no partition.  The
-product is a truncated Pochhammer/theta product.  The lattice walk
-(`enum_z_cores`) is a bijection for the t-core members of each family, with
-one coordinate per class pair i < j = t-1-z-i (`partitions.partners`).
+arm tuples of the family with their sizes and beta sets
+(`partitions.z_asymmetric_arms`, one bead moved per arm) and keeps each
+beta set that passes the same closure test as `partitions.is_t_core`; it
+builds no partition.  The product is a truncated Pochhammer/theta
+product.  The lattice walk (`enum_z_cores`) is a bijection for the t-core
+members of each family, with one coordinate per class pair
+i < j = t-1-z-i (`partitions.partners`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .partitions import (
     abacus,
     as_partition,
     core_from_offsets,
-    frobenius_beta_set,
-    is_core_beta_set,
+    is_core_beads,
     is_z_asymmetric,
     partners,
     size,
@@ -92,19 +92,15 @@ def enum_z_asymmetric(z: int, order: int) -> SeriesZ:
 
 def enum_z_asymmetric_cores(z: int, t: int, order: int) -> SeriesZ:
     """Count z-asymmetric t-cores of each size straight from the Frobenius
-    arms: each arm tuple of the walk with its size, kept when its beta set,
-    read off the arms and legs a_i + z, passes the beta-set closure test.
+    arms: each arm tuple of the walk with its size, kept when the beta set
+    the walk carries passes the closure test of `partitions.is_t_core`.
     No partition is built, and no runner offset is read."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     return SeriesZ.from_sizes(
-        (
-            used
-            for arms, used in z_asymmetric_arms(z, order)
-            if is_core_beta_set(frobenius_beta_set(arms, [a + z for a in arms]), t)
-        ),
+        (used for _, used, beads in z_asymmetric_arms(z, order) if is_core_beads(beads, t)),
         order,
     )
 

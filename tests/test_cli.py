@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistchar import cli, factorization
+from twistchar import cli, factorization, partitions
 from twistchar.factorization import SamplingError, TheoremId
 from twistchar.partitions import partitions_up_to
 
@@ -70,6 +70,29 @@ def test_classify_rejects_bad_arguments(capsys):
     assert run(["classify", "1,2", "--t", "2", "--n", "1"], capsys)[0] == 1
     assert run(["classify", "a", "--t", "2", "--n", "1"], capsys)[0] == 1
     assert run(["classify", "0", "--t", "2", "--n", "1"], capsys)[0] == 1
+
+
+def test_classify_reads_one_short_abacus_whatever_n(monkeypatch, capsys):
+    # The counts at padding tn are n plus the core's offsets, so classify
+    # reads beta(la, m) at m = 6, the least multiple of t = 3 that fits la.
+    argv = ["classify", "3,2,1,1,1", "--t", "3", "--json", "--n"]
+    small = json.loads(run(argv + ["2"], capsys)[1])
+    real = partitions.beta_set
+
+    def short(la, m):
+        assert m <= 6, f"classify read beta({la}, {m})"
+        return real(la, m)
+
+    monkeypatch.setattr(partitions, "beta_set", short)
+    n = 10**9
+    code, out, err = run(argv + [str(n)], capsys)
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["residue_counts"] == [n + 1, n - 1, n] == [c - 2 + n for c in small["residue_counts"]]
+    assert {**rec, "n": 2, "residue_counts": small["residue_counts"]} == small
+    code, out, _ = run(argv[:-2] + ["--n", str(n)], capsys)
+    assert code == 0
+    assert f"residue counts ({n + 1}, {n - 1}, {n})  (padding {3 * n})" in out
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from twistchar.partitions import (
     frobenius,
     from_beta_set,
     from_frobenius,
-    frobenius_beta_set,
+    is_core_beads,
     is_t_core,
     is_z_asymmetric,
     mu_padded,
@@ -117,15 +117,12 @@ def test_z_asymmetric_construction_matches_the_filter(z):
 
 @pytest.mark.parametrize("z", range(-4, 9))
 def test_z_asymmetric_walk_carries_each_size(z):
-    for arms, used in z_asymmetric_arms(z, 20):
-        assert used == size(from_frobenius(arms, [a + z for a in arms]))
+    # ... and each beta set at the length, bit x set for each entry x.
+    for arms, used, beads in z_asymmetric_arms(z, 20):
+        la = from_frobenius(arms, [a + z for a in arms])
+        assert used == size(la)
+        assert beads == sum(1 << x for x in beta_set(la, len(la))), la
     assert list(z_asymmetric_arms(z, -1)) == []
-
-
-def test_frobenius_beta_set_is_the_beta_set_at_the_length():
-    for la in partitions_up_to(14):
-        fc = frobenius(la)
-        assert frobenius_beta_set(fc.alpha, fc.beta) == set(beta_set(la, len(la))), la
 
 
 def test_asymmetric_families_of_six():
@@ -163,6 +160,8 @@ def test_core_tests_agree(t):
         assert is_t_core(la, t) == (core == la) == (t_core_strips(la, t) == la), la
     with pytest.raises(ValueError):
         is_t_core((2, 1), 1)
+    # beta((2,1), 2) = {3, 1} is a 2-core's, beta((2,2), 2) = {3, 2} is not.
+    assert is_core_beads(0b1010, 2) and not is_core_beads(0b1100, 2)
 
 
 @given(P, st.integers(2, 5))

@@ -9,8 +9,10 @@ from twistchar.partitions import (
     is_t_core,
     is_z_asymmetric,
     partitions_of,
+    partitions_up_to,
     size,
     t_core,
+    t_core_strips,
     z_asymmetric_up_to,
 )
 from twistchar.series import (
@@ -266,6 +268,18 @@ def test_enum_column_matches_the_built_partitions(t):
             assert enum_z_asymmetric_cores(z, t, order).coeffs == want.coeffs[: order + 1], (z, order)
 
 
+@pytest.mark.parametrize("t", range(2, 9))
+def test_enum_column_matches_the_strip_removal_filter(t):
+    # Shares neither the arm walk nor the closure test with the enum column:
+    # every partition, filtered by its Frobenius coordinates and by
+    # border-strip removal.
+    cores = [la for la in partitions_up_to(16) if t_core_strips(la, t) == la]
+    for z in range(-t - 1, t + 2):
+        want = SeriesZ.from_sizes((size(la) for la in cores if is_z_asymmetric(la, z)), 16)
+        for order in range(17):
+            assert enum_z_asymmetric_cores(z, t, order).coeffs == want.coeffs[: order + 1], (z, order)
+
+
 def test_enum_column_builds_no_partition(monkeypatch):
     want = enum_z_asymmetric_cores(1, 5, 30)
 
@@ -275,6 +289,7 @@ def test_enum_column_builds_no_partition(monkeypatch):
     monkeypatch.setattr(partitions, "from_frobenius", never)
     monkeypatch.setattr(partitions, "core_from_offsets", never)
     monkeypatch.setattr(series, "core_from_offsets", never)
+    monkeypatch.setattr(partitions, "beta_set", never)
     assert enum_z_asymmetric_cores(1, 5, 30) == want
     assert sum(want.coeffs) > 1
     with pytest.raises(ValueError):
