@@ -125,6 +125,24 @@ def test_z_asymmetric_walk_carries_each_size(z):
     assert list(z_asymmetric_arms(z, -1)) == []
 
 
+def test_frobenius_beta_set_is_the_beta_set_at_the_length():
+    # The reading the walk's bitmask rests on, for every partition: at
+    # m = l(la) = beta_1 + 1 the beta set is {m + alpha_i} and {0..m-1}
+    # without {m - 1 - beta_i}.  Where la is z-asymmetric the walk agrees.
+    walked = {}
+    for z in range(-13, 14):
+        for arms, _, beads in z_asymmetric_arms(z, 14):
+            walked[from_frobenius(arms, [a + z for a in arms])] = beads
+    for la in partitions_up_to(14):
+        fc = frobenius(la)
+        m = fc.beta[0] + 1 if fc.beta else 0
+        entries = set(range(m)) - {m - 1 - b for b in fc.beta} | {m + a for a in fc.alpha}
+        assert entries == set(beta_set(la, len(la))), la
+        assert (la in walked) == any(is_z_asymmetric(la, z) for z in range(-13, 14)), la
+        if la in walked:
+            assert walked[la] == sum(1 << x for x in entries), la
+
+
 def test_asymmetric_families_of_six():
     sym = [la for la in partitions_of(6) if is_z_asymmetric(la, 1)]
     orth = [la for la in partitions_of(6) if is_z_asymmetric(la, -1)]
