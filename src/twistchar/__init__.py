@@ -20,10 +20,8 @@ from .factorization import (
     TheoremId,
     VerificationReport,
     check_block_det_lemma,
-    epsilon,
     lhs_value,
     predict,
-    predicted_vanishing,
     rhs_value,
     sample_points,
     verify,
@@ -93,7 +91,6 @@ __all__ = [
     "enum_z_asymmetric",
     "enum_z_asymmetric_cores",
     "enum_z_cores",
-    "epsilon",
     "field",
     "frobenius",
     "from_beta_set",
@@ -110,7 +107,6 @@ __all__ = [
     "phi",
     "phi_inverse",
     "predict",
-    "predicted_vanishing",
     "rank",
     "rhs_value",
     "sample_points",

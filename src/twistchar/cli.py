@@ -190,6 +190,11 @@ def cmd_scan(args) -> int:
     # verify checks each seed again, but only after --out is truncated.
     for seed in seeds:
         check_seed(seed, args.trials)
+    # A repeated entry would check the same cases at the same points twice.
+    lists = {"--theorems": [th.value for th in theorems], "--t": ts, "--n": ns, "--seeds": seeds}
+    for flag, entries in lists.items():
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"repeated entry in {flag}: {','.join(map(str, entries))}")
 
     items = _scan_items(theorems, ts, ns, args.max_size, seeds, args.trials)
     cases = matches = vanishes = 0

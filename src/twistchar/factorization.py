@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .characters import GroupType, twisted_character, weyl_character
-from .cyclotomic import field
 from .linalg import det
 from .partitions import CoreClass, Partition, abacus, as_partition, mu_padded, partners
 
@@ -45,46 +44,6 @@ class TheoremId(Enum):
 
 def length_bound(th: TheoremId, t: int, n: int) -> int:
     return t * n + 1 if th is TheoremId.SCHUR_ONE else t * n
-
-
-def predicted_vanishing(th: TheoremId, cls: CoreClass) -> bool:
-    """Whether the twisted character is identically zero, read off the core."""
-    if th is TheoremId.SCHUR_FAC:
-        return not cls.empty
-    if th is TheoremId.SCHUR_ONE:
-        return cls.single_row is None
-    return not cls.z_asymmetric(_Z[th])
-
-
-def epsilon(th: TheoremId, t: int, n: int, cls: CoreClass) -> int:
-    """Parity of the global sign exponent in the theorem's right-hand side.
-
-    cls is the class of the t-core.  Only defined when the theorem's core
-    classification holds; the residue counts are those at padding tn, where
-    class j holds n_j = n + cls.offsets[j] entries, and r is the rank of the
-    core.  For Sp and O one sum runs over the upper class j of each pair.
-    """
-    if predicted_vanishing(th, cls):
-        raise ValueError(
-            f"epsilon undefined for this class: {th.value} vanishes on core {cls.core}"
-        )
-    base = (t * (t - 1) // 2) * (n * (n + 1) // 2)
-    if th is TheoremId.SCHUR_FAC:
-        return base % 2
-    if th is TheoremId.SCHUR_ONE:
-        return (base - cls.single_row * n) % 2
-
-    z = _Z[th]
-    pairs = enumerate(partners(t, z))
-    e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for i, j in pairs if i < j)
-    nr = n * cls.rank
-    if th is TheoremId.SYMPLECTIC and t % 2 == 0:
-        e += n * (n + 1) // 2 + nr
-    elif th is TheoremId.EVEN_ORTH:
-        e += n * (n + t - 1) // 2 + nr if t % 2 == 0 else (t - 1) * n // 2
-    elif th is TheoremId.ODD_ORTH and t % 2 == 1:
-        e += nr
-    return e % 2
 
 
 def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> None:
@@ -113,6 +72,34 @@ _LHS_GROUP = {
 
 # The z of the z-asymmetric cores on which each Sp/O theorem factors.
 _Z = {TheoremId.SYMPLECTIC: 1, TheoremId.EVEN_ORTH: -1, TheoremId.ODD_ORTH: 0}
+
+
+def _epsilon(th: TheoremId, t: int, n: int, cls: CoreClass, c: int | None) -> int:
+    """Parity of the global sign exponent in the right-hand side of a case
+    that does not vanish.
+
+    cls is the class of the t-core and c its single row (the appended-one
+    theorem only).  The residue counts are those at padding tn, where class
+    j holds n_j = n + cls.offsets[j] entries, and r is the rank of the core.
+    For Sp and O one sum runs over the upper class j of each pair.
+    """
+    base = (t * (t - 1) // 2) * (n * (n + 1) // 2)
+    if th is TheoremId.SCHUR_FAC:
+        return base % 2
+    if th is TheoremId.SCHUR_ONE:
+        return (base - c * n) % 2
+
+    z = _Z[th]
+    pairs = enumerate(partners(t, z))
+    e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for i, j in pairs if i < j)
+    nr = n * cls.rank
+    if th is TheoremId.SYMPLECTIC and t % 2 == 0:
+        e += n * (n + 1) // 2 + nr
+    elif th is TheoremId.EVEN_ORTH:
+        e += n * (n + t - 1) // 2 + nr if t % 2 == 0 else (t - 1) * n // 2
+    elif th is TheoremId.ODD_ORTH and t % 2 == 1:
+        e += nr
+    return e % 2
 
 
 def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fraction:
@@ -161,15 +148,19 @@ def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     la = as_partition(la)
     ab = abacus(la, t, length_bound(th, t, n))
     cls = CoreClass(ab.offsets)
-    c = cls.single_row
-    if th is not TheoremId.SCHUR_ONE:
-        sigma = ab.sign
+    if th is TheoremId.SCHUR_ONE:
+        # The core is the one row (c), and sigma_c sorts class c first.
+        c = cls.single_row
+        vanishing = c is None
+        sigma = None if vanishing else ab.block_sign(c)
     else:
-        sigma = None if c is None else ab.sign_with_first(c)
-    if predicted_vanishing(th, cls):
+        c = None
+        vanishing = not (cls.empty if th is TheoremId.SCHUR_FAC else cls.z_asymmetric(_Z[th]))
+        sigma = ab.block_sign()
+    if vanishing:
         return Prediction(t, n, True, None, sigma, 0, ())
 
-    eps = epsilon(th, t, n, cls)
+    eps = _epsilon(th, t, n, cls, c)
     odd = eps + (sigma == -1)
     quo = ab.quotient
     gl = GroupType.GL
@@ -239,8 +230,9 @@ class VerificationReport:
     trials: int
 
     def as_dict(self) -> dict:
-        # The record format: each value as its coefficient vector in Q(w_t).
-        pad = ["0"] * (field(self.t).degree - 1)
+        # The record format: each value as its coefficient vector in Q(w_t),
+        # phi(t) entries long, zero past the rational part.
+        pad = ["0"] * (sum(gcd(k, self.t) == 1 for k in range(self.t)) - 1)
         return {
             "theorem": self.theorem.value,
             "partition": list(self.partition),

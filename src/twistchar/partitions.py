@@ -3,9 +3,10 @@
 A partition is stored as a tuple of weakly decreasing positive integers
 (canonical form, no trailing zeros).  Everything here is derived from the
 beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
-out on t runners (the abacus); the residue counts, the quotient, the
-sorting signs of the character factorizations and the t-core's runner
-offsets, which carry its classification, are all read off that one pass.
+out on t runners (the abacus); the residue counts, the quotient and the
+t-core's runner offsets, which carry its classification, are read off the
+runners, and the sorting sign of a class-block order off the beta set, on
+request.
 The z-asymmetric families are walked as Frobenius arms, and the walk
 carries each beta set as a bitmask, one bead moved per arm, without
 building the partition.
@@ -149,16 +150,13 @@ def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
 
 @dataclass(frozen=True)
 class Abacus:
-    """beta(la, m) laid out on t runners, read in one pass.
+    """beta(la, m) laid out on t runners, m = len(beta).
 
     runners[i] holds x // t for the entries x = i mod t, in decreasing order.
-    sign is the sign of the permutation that sorts beta(la, m) into the
-    class blocks 0..t-1, each block keeping the order of beta(la, m).
     """
 
+    beta: tuple[int, ...]
     runners: tuple[tuple[int, ...], ...]
-    sign: int
-    m: int
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -176,33 +174,37 @@ class Abacus:
         m'/t once the padding is raised to the multiple m' = m + k of t.  The
         shift moves class j to class j + k and adds 0..k-1, so the vector is
         the same for every padding and sums to 0."""
-        t, c = len(self.runners), self.counts
-        k = -self.m % t
-        share = (self.m + k) // t
+        t, c, m = len(self.runners), self.counts, len(self.beta)
+        k = -m % t
+        share = (m + k) // t
         return tuple(c[(i - k) % t] + (i < k) - share for i in range(t))
 
-    def sign_with_first(self, c: int) -> int:
-        """sign for the block order c, 0..c-1, c+1..t-1: moving block c ahead
-        of blocks 0..c-1 crosses n_c * (n_0 + ... + n_(c-1)) pairs."""
-        counts = self.counts
-        return -self.sign if counts[c] * sum(counts[:c]) % 2 else self.sign
+    def block_sign(self, first: int | None = None) -> int:
+        """The sign of the permutation that sorts beta into class blocks:
+        class `first`, when given, ahead of the others, which follow in the
+        order 0..t-1, each block keeping the order of beta."""
+        # An entry swaps with every earlier entry of a later block; block k
+        # is class k - 1, and block 0 is class `first` (slot first + 1 stays
+        # empty).
+        t = len(self.runners)
+        tally = [0] * (t + 1)
+        inversions = 0
+        for x in self.beta:
+            k = 0 if x % t == first else x % t + 1
+            inversions += sum(tally[k + 1 :])
+            tally[k] += 1
+        return -1 if inversions % 2 else 1
 
 
 def abacus(la: Partition, t: int, m: int) -> Abacus:
-    """One pass over beta(la, m): the runners and the block-sorting sign."""
+    """beta(la, m) with its beads placed on t runners."""
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
+    beta = beta_set(la, m)
     runners: list[list[int]] = [[] for _ in range(t)]
-    # An entry swaps with every earlier entry of a higher class; tally[i]
-    # is len(runners[i]), kept as ints so that the slice sums fast.
-    tally = [0] * t
-    inversions = 0
-    for x in beta_set(la, m):
-        i = x % t
-        inversions += sum(tally[i + 1 :])
-        tally[i] += 1
-        runners[i].append(x // t)
-    return Abacus(tuple(map(tuple, runners)), -1 if inversions % 2 else 1, m)
+    for x in beta:
+        runners[x % t].append(x // t)
+    return Abacus(beta, tuple(map(tuple, runners)))
 
 
 def core_from_offsets(offsets: tuple[int, ...]) -> Partition:

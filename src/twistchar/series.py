@@ -191,18 +191,10 @@ def _offsets(pairs: list[tuple[int, int]], v: LatticeVec, t: int) -> tuple[int, 
 
 def _coordinate_budget(t: int, gap: int, bound: int) -> list[tuple[int, int]]:
     # A pair i < j = i + gap at offsets (v, -v) adds t*v^2 - gap*v cells,
-    # which is 0 only at v = 0 and at least |v| otherwise (gap < t), so the
-    # scan below terminates.
-    out = []
-    for direction in (1, -1):
-        v = 0 if direction == 1 else -1
-        while True:
-            cost = t * v * v - gap * v
-            if cost > bound:
-                break
-            out.append((v, cost))
-            v += direction
-    return sorted(out)
+    # at least t*|v|*(|v| - 1) since gap < t, so every offset within the
+    # bound has |v| <= isqrt(bound // t) + 1.
+    r = isqrt(bound // t) + 1
+    return [(v, c) for v in range(-r, r + 1) if (c := t * v * v - gap * v) <= bound]
 
 
 def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
@@ -210,18 +202,25 @@ def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
     every integer z and t >= 2: the lattice ball of the coordinate map, one
     coordinate per class pair.  With no pair, as when |z| >= t-1, the only
     such core is the empty one."""
-    pairs = _pairs(z, t)
-    d = len(pairs)
-    budgets = [_coordinate_budget(t, j - i, bound) for i, j in pairs]
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    # A pair whose only offset within the bound is 0 holds offset 0 in
+    # every core, so the walk leaves it out.
+    moving = [
+        (pair, budget)
+        for pair in _pairs(z, t)
+        if len(budget := _coordinate_budget(t, pair[1] - pair[0], bound)) > 1
+    ]
+    pairs = [pair for pair, _ in moving]
     out = []
     stack = [((), 0)]
     while stack:
         prefix, cost = stack.pop()
         i = len(prefix)
-        if i == d:
+        if i == len(moving):
             out.append(core_from_offsets(_offsets(pairs, prefix, t)))
             continue
-        for v, c in budgets[i]:
+        for v, c in moving[i][1]:
             if cost + c <= bound:
                 stack.append((prefix + (v,), cost + c))
     return sorted(out, key=lambda la: (size(la), la))

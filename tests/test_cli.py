@@ -444,6 +444,25 @@ def test_bad_seeds_and_trials_leave_scan_out_alone(tmp_path, capsys, jobs, bad):
     assert p.read_bytes() == b'{"kept":true}\n'
 
 
+@pytest.mark.parametrize(
+    "repeat",
+    [["--seeds", "0,0"], ["--t", "2,3,2"], ["--n", "1,1"], ["--theorems", "schurfac,schurfac"]],
+    ids=["seeds", "t", "n", "theorems"],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_repeated_list_entries_leave_scan_out_alone(tmp_path, capsys, jobs, repeat):
+    # A repeated entry would check the same cases at the same points twice.
+    p = tmp_path / "old.jsonl"
+    p.write_bytes(b'{"kept":true}\n')
+    argv = ["scan", "--theorems", "schurfac", "--t", "2", "--n", "1", "--max-size", "1",
+            "--jobs", jobs, "--out", str(p)] + repeat
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+    assert repeat[0] in err
+    assert p.read_bytes() == b'{"kept":true}\n'
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bad_jobs_exit_one_with_a_message(capsys, jobs):
     assert run(["classify", "2,1", "--t", "2", "--n", "1"], capsys)[0] == 0

@@ -3,13 +3,14 @@ behind them, verified in exact arithmetic."""
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import embed, partitions_strategy
-from twistchar import characters, factorization, partitions
+from twistchar import characters, cyclotomic, factorization, partitions
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
@@ -21,11 +22,9 @@ from twistchar.cyclotomic import field
 from twistchar.factorization import (
     TheoremId,
     check_block_det_lemma,
-    epsilon,
     length_bound,
     lhs_value,
     predict,
-    predicted_vanishing,
     rhs_value,
     sample_points,
     verify,
@@ -34,7 +33,6 @@ from twistchar.linalg import det
 from twistchar.partitions import (
     abacus,
     beta_set,
-    classify_core,
     mu_padded,
     partitions_up_to,
 )
@@ -66,7 +64,7 @@ def test_length_bounds():
 
 def test_sign_exponent_values():
     def eps(th, la, t, n):
-        return epsilon(th, t, n, classify_core(la, t, n))
+        return predict(th, la, t, n).epsilon
 
     assert eps(TheoremId.SYMPLECTIC, (), 3, 1) == 1
     assert eps(TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2) == 1
@@ -77,23 +75,22 @@ def test_sign_exponent_values():
             base = ((t * (t - 1) // 2) * (n * (n + 1) // 2)) % 2
             assert eps(TheoremId.SCHUR_FAC, (), t, n) == base
             assert eps(TheoremId.SCHUR_ONE, (), t, n) == base
-    with pytest.raises(ValueError, match="epsilon undefined"):
-        eps(TheoremId.SCHUR_FAC, (1,), 2, 1)
-    with pytest.raises(ValueError, match="epsilon undefined"):
-        eps(TheoremId.SYMPLECTIC, (2,), 3, 1)
-    with pytest.raises(ValueError, match="epsilon undefined"):
-        eps(TheoremId.ODD_ORTH, (2,), 3, 1)
+    # A vanishing case has no sign exponent.
+    for th, la, t in [
+        (TheoremId.SCHUR_FAC, (1,), 2),
+        (TheoremId.SYMPLECTIC, (2,), 3),
+        (TheoremId.ODD_ORTH, (2,), 3),
+    ]:
+        pred = predict(th, la, t, 1)
+        assert pred.vanishing is True and pred.epsilon is None
 
 
 def test_vanishing_predictions_follow_core_class():
-    cls = classify_core((3, 2, 1, 1, 1), 3, 2)
-    assert not predicted_vanishing(TheoremId.SYMPLECTIC, cls)
-    assert predicted_vanishing(TheoremId.SCHUR_FAC, cls)
-    assert predicted_vanishing(TheoremId.SCHUR_ONE, cls)
-    assert predicted_vanishing(TheoremId.EVEN_ORTH, cls)
-    assert predicted_vanishing(TheoremId.ODD_ORTH, cls)
-    empty = classify_core((), 3, 1)
-    assert not any(predicted_vanishing(th, empty) for th in ALL)
+    la = (3, 2, 1, 1, 1)
+    assert not predict(TheoremId.SYMPLECTIC, la, 3, 2).vanishing
+    for th in (TheoremId.SCHUR_FAC, TheoremId.SCHUR_ONE, TheoremId.EVEN_ORTH, TheoremId.ODD_ORTH):
+        assert predict(th, la, 3, 2).vanishing
+    assert not any(predict(th, (), 3, 1).vanishing for th in ALL)
 
 
 def test_report_serialization_and_argument_checks():
@@ -122,6 +119,25 @@ def test_report_serialization_and_argument_checks():
         lhs_value(TheoremId.SCHUR_FAC, (1, 1, 1), 2, 1, sample_points(1, 0))
     with pytest.raises(ValueError):
         rhs_value(predict(TheoremId.SCHUR_FAC, (1,), 2, 2), sample_points(1, 0))
+
+
+def test_record_vectors_are_phi_t_long():
+    rep = verify(TheoremId.SCHUR_FAC, (1,), 2, 1)
+    for t in range(2, 61):
+        d = replace(rep, t=t).as_dict()
+        assert len(d["lhs"]) == len(d["rhs"]) == field(t).degree, t
+
+
+def test_a_record_at_large_t_builds_no_field(monkeypatch):
+    def never(*args):
+        raise AssertionError("the record built Q(w)")
+
+    monkeypatch.setattr(cyclotomic, "field", never)
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", never)
+    d = verify(TheoremId.SCHUR_FAC, (1,), 5040, 1).as_dict()
+    assert d["match"] and d["predicted_vanishing"]
+    assert len(d["lhs"]) == len(d["rhs"]) == 1152
+    assert d["lhs"][1:] == ["0"] * 1151
 
 
 def test_mismatch_reports_the_failing_trial(monkeypatch):
@@ -322,7 +338,7 @@ def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
 
         return wrapper
 
-    once = ("abacus", "epsilon")
+    once = ("abacus", "_epsilon")
     for name in once + ("rhs_value",):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
     # A warm prediction cache would derive nothing, and pass for nothing.

@@ -1,12 +1,16 @@
 """Beta sets, cores, quotients, signs, and core classification."""
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import block_sign_oracle, ceil_div, partitions_strategy
+from twistchar import factorization
+from twistchar.cli import main
+from twistchar.factorization import TheoremId, predict
 from twistchar.partitions import (
+    Abacus,
     CoreClass,
     FrobeniusCoords,
     abacus,
@@ -32,6 +36,7 @@ from twistchar.partitions import (
     z_asymmetric_arms,
     z_asymmetric_up_to,
 )
+from twistchar.series import enum_z_cores, phi
 
 P = partitions_strategy()
 
@@ -293,24 +298,54 @@ def test_empty_partition_sign_closed_form():
     for t in range(2, 6):
         for n in range(1, 4):
             exp = (t * (t - 1) // 2) * (n * (n + 1) // 2)
-            assert abacus((), t, t * n).sign == (-1 if exp % 2 else 1)
+            assert abacus((), t, t * n).block_sign() == (-1 if exp % 2 else 1)
 
 
 def test_sign_values():
-    assert abacus((3, 2, 1, 1, 1), 3, 6).sign == -1
-    assert abacus((2, 2), 2, 3).sign_with_first(0) == -1
+    # The abacus is the beta set on runners; signs are computed on request.
+    assert [f.name for f in fields(Abacus)] == ["beta", "runners"]
+    assert abacus((3, 2, 1, 1, 1), 3, 6).block_sign() == -1
+    assert abacus((2, 2), 2, 3).block_sign(0) == -1
     with pytest.raises(ValueError):
         abacus((1,) * 7, 3, 6)
 
 
-@given(P, st.integers(2, 7), st.integers(1, 3), st.data())
-def test_signs_match_quadratic_oracle(la, t, n, data):
-    n = max(n, ceil_div(len(la), t))
-    assert abacus(la, t, t * n).sign == block_sign_oracle(la, t, t * n, range(t))
-    c = data.draw(st.integers(0, t - 1))
-    order = [c] + [i for i in range(t) if i != c]
-    got = abacus(la, t, t * n + 1).sign_with_first(c)
-    assert got == block_sign_oracle(la, t, t * n + 1, order)
+@given(P, st.integers(2, 7), st.integers(0, 8))
+def test_signs_match_quadratic_oracle(la, t, extra):
+    m = len(la) + extra
+    ab = abacus(la, t, m)
+    assert ab.beta == beta_set(la, m)
+    assert ab.block_sign() == block_sign_oracle(la, t, m, range(t))
+    for c in range(t):
+        order = [c] + [i for i in range(t) if i != c]
+        assert ab.block_sign(c) == block_sign_oracle(la, t, m, order), c
+
+
+def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
+    calls = []
+    real = Abacus.block_sign
+
+    def counted(self, first=None):
+        calls.append(first)
+        return real(self, first)
+
+    monkeypatch.setattr(Abacus, "block_sign", counted)
+    for t in range(2, 5):
+        for la in partitions_up_to(6):
+            t_core(la, t)
+            classify_core(la, t, ceil_div(len(la), t) or 1)
+    for z, t in [(1, 3), (-1, 3), (0, 4)]:
+        for la in enum_z_cores(z, t, 20):
+            phi(la, z, t)
+    assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2", "--json"]) == 0
+    assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # The spy sees the calls of a prediction.
+    factorization._predict.cache_clear()
+    predict(TheoremId.SCHUR_ONE, (), 3, 1)
+    predict(TheoremId.SCHUR_FAC, (), 3, 1)
+    assert calls == [0, None]
 
 
 def test_mu_padded_values():

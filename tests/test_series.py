@@ -208,6 +208,35 @@ def test_core_enumeration_values():
     assert enum_z_cores(3, 4, 10) == [()]
     with pytest.raises(ValueError):
         enum_z_cores(1, 1, 10)
+    for z in (5, 0, -1):
+        with pytest.raises(ValueError, match="bound"):
+            enum_z_cores(z, 3, -1)
+    assert enum_z_cores(0, 3, 0) == [()]
+
+
+@pytest.mark.parametrize("z", [-3, -1, 0, 1, 2, 7])
+def test_lattice_walk_at_t_above_the_bound_lists_the_whole_family(z):
+    # A partition of size below t has no hook of length t, so every
+    # z-asymmetric partition of size <= N < t is a t-core.
+    want = sorted(z_asymmetric_up_to(z, 14), key=lambda la: (size(la), la))
+    assert enum_z_cores(z, 2000, 14) == want
+
+
+def test_lattice_walk_leaves_out_the_pairs_that_cannot_move(monkeypatch):
+    real, seen = series._offsets, []
+
+    def spy(pairs, v, t):
+        seen.append(list(pairs))
+        return real(pairs, v, t)
+
+    monkeypatch.setattr(series, "_offsets", spy)
+    for z, t, bound in [(0, 20, 10), (1, 20, 10), (-1, 9, 4), (0, 5, 30)]:
+        seen.clear()
+        cores = enum_z_cores(z, t, bound)
+        assert len(seen) == len(cores)
+        # Offsets (1, -1) on the pair i < j add t - (j - i) cells.
+        movable = [(i, j) for i, j in series._pairs(z, t) if t - (j - i) <= bound]
+        assert all(pairs == movable for pairs in seen), (z, t)
 
 
 @pytest.mark.parametrize("t", range(2, 7))
