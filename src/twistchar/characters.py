@@ -116,12 +116,12 @@ def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
 
 
 def twisted_character(
-    g: GroupType, la: Partition, xs: tuple, t: int, extra_one: bool = False
+    g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0
 ) -> Fraction:
     """The character of type g at (X, wX, ..., w^(t-1) X), over Q.
 
-    xs are the rational points X; extra_one appends the point 1 to the
-    twisted tuple.  The value equals weyl_character at those tn (or tn + 1)
+    xs are the rational points X; `ones` points 1 are appended to the
+    twisted tuple.  The value equals weyl_character at those tn + ones
     points in Q(w), and is rational because the point multiset is stable
     under Galois conjugation.  GL uses Jacobi-Trudi det(h[la_i - i + j]);
     SP, OE and OO use the Koike-Terada determinants in h of the points and
@@ -136,9 +136,8 @@ def twisted_character(
     if not la:
         return Fraction(1)
     gl = g is GroupType.GL
-    # The appended one is doubled with the inverses; OO carries one of its own.
-    ones = (1 if gl else 2) * extra_one + (g is GroupType.OO)
-    h = _twisted_h(xs, not gl, ones, t, la[0] + len(la))
+    # Each appended one is doubled with the inverses; OO carries one of its own.
+    h = _twisted_h(xs, not gl, (1 if gl else 2) * ones + (g is GroupType.OO), t, la[0] + len(la))
 
     def hm(m: int) -> Fraction:
         return h[m] if m >= 0 else Fraction(0)

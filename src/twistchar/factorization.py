@@ -12,12 +12,12 @@ rule); the right side takes bialternant ratios at the t-th powers.  The
 two routes share nothing but `det`.  Records write each value as its
 coefficient vector in Q(w), which is zero past the rational part.
 
-Sp, O_even and O_odd are one statement about z-asymmetric cores, z = 1, -1,
-0, where class i pairs with class t-1-z-i, or with itself when that falls
-outside 0..t-1 (`partitions.partners`): each pair i < j gives a GL factor,
-the self-paired middle class 2i = t-1-z an odd orthogonal one and the
-other self-paired class the theorem's own group.  `predict` derives them
-once per case; `rhs_value` evaluates them.
+Each theorem is a row (left group, z, k points 1) of `TheoremId`; z
+pairs the residue classes (`partitions.partners`, none for GL).  One
+rule, `CoreClass.z_asymmetric(z, k)`, gives every verdict, and one loop
+over the pairing the factors: each pair i < j a GL one, the self-paired
+middle class 2i = t-1-z an odd orthogonal one and any other self-paired
+class the left group, at (Y, 1) for the class of the point 1.
 """
 
 from __future__ import annotations
@@ -35,15 +35,22 @@ from .partitions import CoreClass, Partition, abacus, as_partition, mu_padded, p
 
 
 class TheoremId(Enum):
-    SCHUR_FAC = "schurfac"
-    SCHUR_ONE = "schur1"
-    SYMPLECTIC = "sympfact"
-    EVEN_ORTH = "eorthfact"
-    ODD_ORTH = "oorthfact"
+    """The theorem table: name, left group, z (None: no pairing), points 1."""
+
+    SCHUR_FAC = ("schurfac", GroupType.GL, None, 0)
+    SCHUR_ONE = ("schur1", GroupType.GL, None, 1)
+    SYMPLECTIC = ("sympfact", GroupType.SP, 1, 0)
+    EVEN_ORTH = ("eorthfact", GroupType.OE, -1, 0)
+    ODD_ORTH = ("oorthfact", GroupType.OO, 0, 0)
+
+    def __new__(cls, name: str, group: GroupType, z: int | None, ones: int):
+        th = object.__new__(cls)
+        th._value_, th.group, th.z, th.ones = name, group, z, ones
+        return th
 
 
 def length_bound(th: TheoremId, t: int, n: int) -> int:
-    return t * n + 1 if th is TheoremId.SCHUR_ONE else t * n
+    return t * n + th.ones
 
 
 def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> None:
@@ -62,55 +69,40 @@ def _check_points(pts: tuple, n: int) -> None:
         raise TypeError(f"points must be Fractions, got {pts}")
 
 
-_LHS_GROUP = {
-    TheoremId.SCHUR_FAC: GroupType.GL,
-    TheoremId.SCHUR_ONE: GroupType.GL,
-    TheoremId.SYMPLECTIC: GroupType.SP,
-    TheoremId.EVEN_ORTH: GroupType.OE,
-    TheoremId.ODD_ORTH: GroupType.OO,
-}
-
-# The z of the z-asymmetric cores on which each Sp/O theorem factors.
-_Z = {TheoremId.SYMPLECTIC: 1, TheoremId.EVEN_ORTH: -1, TheoremId.ODD_ORTH: 0}
-
-
-def _epsilon(th: TheoremId, t: int, n: int, cls: CoreClass, c: int | None) -> int:
+def _epsilon(th: TheoremId, t: int, n: int, cls: CoreClass, c: int) -> int:
     """Parity of the global sign exponent in the right-hand side of a case
     that does not vanish.
 
-    cls is the class of the t-core and c its single row (the appended-one
-    theorem only).  The residue counts are those at padding tn, where class
-    j holds n_j = n + cls.offsets[j] entries, and r is the rank of the core.
-    For Sp and O one sum runs over the upper class j of each pair.
+    cls is the class of the t-core and c the class of the appended point 1
+    (0 when there is none).  The residue counts are those at padding tn,
+    where class j holds n_j = n + cls.offsets[j] entries, and r is the rank
+    of the core.  For Sp and O one sum runs over the upper class j of each
+    pair.
     """
-    base = (t * (t - 1) // 2) * (n * (n + 1) // 2)
-    if th is TheoremId.SCHUR_FAC:
-        return base % 2
-    if th is TheoremId.SCHUR_ONE:
-        return (base - c * n) % 2
-
-    z = _Z[th]
+    group, z = th.group, th.z
+    if z is None:
+        return ((t * (t - 1) // 2) * (n * (n + 1) // 2) - c * n) % 2
     pairs = enumerate(partners(t, z))
     e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for i, j in pairs if i < j)
     nr = n * cls.rank
-    if th is TheoremId.SYMPLECTIC and t % 2 == 0:
+    if group is GroupType.SP and t % 2 == 0:
         e += n * (n + 1) // 2 + nr
-    elif th is TheoremId.EVEN_ORTH:
+    elif group is GroupType.OE:
         e += n * (n + t - 1) // 2 + nr if t % 2 == 0 else (t - 1) * n // 2
-    elif th is TheoremId.ODD_ORTH and t % 2 == 1:
+    elif group is GroupType.OO and t % 2 == 1:
         e += nr
     return e % 2
 
 
 def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fraction:
-    """The twisted character: the matching group evaluated at (X, wX, ...),
-    with the point 1 appended for the appended-one theorem.
+    """The twisted character: the theorem's group evaluated at
+    (X, wX, ...), with its points 1 appended.
 
     pts are the rational points X; the value is rational.
     """
     _check_case(th, la, t, n)
     _check_points(pts, n)
-    return twisted_character(_LHS_GROUP[th], la, pts, t, extra_one=th is TheoremId.SCHUR_ONE)
+    return twisted_character(th.group, la, pts, t, ones=th.ones)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,18 +116,21 @@ class Prediction:
 
     t: int
     n: int
-    vanishing: bool
     epsilon: int | None
     sigma: int | None
     sign: int
     factors: tuple[tuple[GroupType, Partition, str], ...]
 
+    @property
+    def vanishing(self) -> bool:
+        return self.sign == 0
+
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     """Read the verdict, the signs and the factors off one abacus of la at
-    the theorem's length bound (tn, or tn+1 for the appended-one theorem),
-    the padding both the sorting sign and the quotient's rotation refer to;
-    Sp/O factors follow partners(t, z), as the module docstring says."""
+    the theorem's length bound tn + k, k its points 1, the padding both the
+    sorting sign and the quotient's rotation refer to; the factors follow
+    partners(t, z), as the module docstring says."""
     _check_case(th, la, t, n)
     return _predict(th, tuple(la), t, n)
 
@@ -148,40 +143,29 @@ def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     la = as_partition(la)
     ab = abacus(la, t, length_bound(th, t, n))
     cls = CoreClass(ab.offsets)
-    if th is TheoremId.SCHUR_ONE:
-        # The core is the one row (c), and sigma_c sorts class c first.
-        c = cls.single_row
-        vanishing = c is None
-        sigma = None if vanishing else ab.block_sign(c)
-    else:
-        c = None
-        vanishing = not (cls.empty if th is TheoremId.SCHUR_FAC else cls.z_asymmetric(_Z[th]))
-        sigma = ab.block_sign()
-    if vanishing:
-        return Prediction(t, n, True, None, sigma, 0, ())
+    if not cls.z_asymmetric(th.z, th.ones):
+        # A vanishing appended-one case records no sorting sign.
+        return Prediction(t, n, None, None if th.ones else ab.block_sign(), 0, ())
 
-    eps = _epsilon(th, t, n, cls, c)
+    # With a point 1 appended, c is the class it leaves one bead above n,
+    # and sigma_c sorts class c first.
+    c = cls.excess(th.ones).index(1) if th.ones else None
+    sigma = ab.block_sign(c)
+    eps = _epsilon(th, t, n, cls, c or 0)
     odd = eps + (sigma == -1)
     quo = ab.quotient
-    gl = GroupType.GL
-    if th is TheoremId.SCHUR_FAC:
-        factors = [(gl, q, "Y") for q in quo]
-    elif th is TheoremId.SCHUR_ONE:
-        factors = [(gl, q, "Y,1" if i == c else "Y") for i, q in enumerate(quo)]
-    else:
-        z = _Z[th]
-        factors = []
-        for i, j in enumerate(partners(t, z)):
-            if i < j:
-                factors.append((gl, mu_padded(quo[j], quo[i], n), "Y,1/Y"))
-            elif 2 * i == t - 1 - z and th is TheoremId.EVEN_ORTH:
-                factors.append((GroupType.OO, quo[i], "-Y"))
-                odd += sum(quo[i])
-            elif 2 * i == t - 1 - z:
-                factors.append((GroupType.OO, quo[i], "Y"))
-            elif i == j:
-                factors.append((_LHS_GROUP[th], quo[i], "Y"))
-    return Prediction(t, n, False, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
+    factors = []
+    for i, j in enumerate(partners(t, th.z)):
+        if i < j:
+            factors.append((GroupType.GL, mu_padded(quo[j], quo[i], n), "Y,1/Y"))
+        elif i == j and th.z is not None and 2 * i == t - 1 - th.z:
+            # The middle class; even O takes it at -Y, with sign (-1)^|mu|.
+            minus = th.group is GroupType.OE
+            factors.append((GroupType.OO, quo[i], "-Y" if minus else "Y"))
+            odd += minus * sum(quo[i])
+        elif i == j:
+            factors.append((th.group, quo[i], "Y,1" if i == c else "Y"))
+    return Prediction(t, n, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
 
 
 # A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).

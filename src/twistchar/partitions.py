@@ -260,11 +260,14 @@ def t_core_strips(la: Partition, t: int) -> Partition:
     return from_beta_set(sorted(entries, reverse=True))
 
 
-def partners(t: int, z: int) -> tuple[int, ...]:
+def partners(t: int, z: int | None) -> tuple[int, ...]:
     """Class i's partner t-1-z-i, or i itself when that falls outside
-    0..t-1: for every integer z the t-core is z-asymmetric exactly when the
-    runner offsets of each class and its partner sum to 0, so a self-paired
-    class has offset 0 (Garvan-Kim-Stanton)."""
+    0..t-1, and every class itself when z is None (GL: no pairing).  For
+    every integer z the t-core is z-asymmetric exactly when the runner
+    offsets of each class and its partner sum to 0, so a self-paired class
+    has offset 0 (Garvan-Kim-Stanton)."""
+    if z is None:
+        return tuple(range(t))
     return tuple(j if 0 <= j < t else i for i, j in ((i, t - 1 - z - i) for i in range(t)))
 
 
@@ -273,9 +276,9 @@ class CoreClass:
     """Classification of a t-core, read off its runner offsets.
 
     offsets[i] is runner i's count minus n at any padding tn; it does not
-    depend on n and sums to 0 (`Abacus.offsets`).  The flags are not
-    mutually exclusive; the empty core, for instance, is simultaneously
-    empty, symplectic, orthogonal and self-conjugate.
+    depend on n and sums to 0 (`Abacus.offsets`).  Every flag is read by
+    `z_asymmetric`; the empty core, for instance, is simultaneously empty,
+    symplectic, orthogonal and self-conjugate.
     """
 
     offsets: tuple[int, ...]
@@ -288,26 +291,31 @@ class CoreClass:
     def rank(self) -> int:
         return sum(max(o, 0) for o in self.offsets)
 
+    def excess(self, ones: int = 0) -> tuple[int, ...]:
+        """Each class's count minus n at padding tn + ones, for ones < t:
+        every entry moves up by `ones` and 0..ones-1 join, so class i holds
+        offsets[i - ones] + (i < ones) above n.  The excess sums to ones."""
+        o = self.offsets
+        return tuple(o[i - ones] + (i < ones) for i in range(len(o)))
+
+    def z_asymmetric(self, z: int | None, ones: int = 0) -> bool:
+        """Whether the character with `ones` points 1 appended survives:
+        s_i + s_partner(i) >= 0 for each class i (`partners(t, z)`), s the
+        excess.  As s sums to ones, this says that some `ones` beads can be
+        removed to leave the counts z-paired; at ones = 0, z-asymmetry."""
+        s = self.excess(ones)
+        return all(s[i] + s[j] >= 0 for i, j in enumerate(partners(len(s), z)))
+
     @property
     def empty(self) -> bool:
-        return self.rank == 0
+        return self.z_asymmetric(None)
 
     @property
     def single_row(self) -> int | None:
         """c when the core is the one row (c), c = 0 for the empty core, and
-        None when the core has two or more rows.
-
-        At padding tn+1 every entry moves up by one and 0 joins class 0, so
-        class i is offsets[i-1] + (i == 0) above n; those sum to 1, so the
-        core is the one row (c) exactly when class c alone is off n."""
-        t = len(self.offsets)
-        off = [i for i in range(t) if self.offsets[i - 1] + (i == 0) != 0]
-        return off[0] if len(off) == 1 else None
-
-    def z_asymmetric(self, z: int) -> bool:
-        """Whether the core is z-asymmetric (see partners)."""
-        pairs = enumerate(partners(len(self.offsets), z))
-        return all(self.offsets[i] + self.offsets[j] == 0 for i, j in pairs)
+        None when the core has two or more rows: with one point 1 appended
+        and no pairing, the excess is 1 at class c and 0 elsewhere."""
+        return self.excess(1).index(1) if self.z_asymmetric(None, 1) else None
 
     @property
     def symplectic(self) -> bool:

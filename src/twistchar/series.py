@@ -147,7 +147,11 @@ def gf_z_cores(z: int, t: int, order: int) -> SeriesZ:
         raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
     out = SeriesZ.one(order)
     for i in range((t - z - 2) // 2 + 1):
-        out = out * theta_f(2 * i + z + 1, 2 * t - 2 * i - z - 1, order)
+        a, b = 2 * i + z + 1, 2 * t - 2 * i - z - 1
+        # Past q^0 the least terms are q^a and q^b: beyond the order, the
+        # factor is 1 + O(q^(order+1)).
+        if min(a, b) <= order:
+            out = out * theta_f(a, b, order)
     return out
 
 

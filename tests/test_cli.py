@@ -242,6 +242,22 @@ def test_standing_grid_records_are_byte_identical(tmp_path, capsys):
     )
 
 
+def test_wide_grid_records_are_byte_identical(tmp_path, capsys):
+    # The standing grid stops at t = 4; this pin holds the records of the
+    # theorems at t = 5..8, where the class pairings have several pairs.
+    p = tmp_path / "wide.jsonl"
+    argv = [
+        "scan", "--theorems", "all", "--t", "5,6,7,8", "--n", "1,2",
+        "--max-size", "8", "--seeds", "0", "--out", str(p),
+    ]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(p.read_bytes().splitlines()) == 2632
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "eb9431a814dc159d9a336afe4832a6b1a11db234ad879aac420a9b49abe80fd7"
+    )
+
+
 def output_digest(argvs, capsys):
     h = hashlib.sha256()
     for argv in argvs:

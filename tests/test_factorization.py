@@ -3,7 +3,7 @@ behind them, verified in exact arithmetic."""
 
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,7 @@ from twistchar.characters import (
 )
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
+    Prediction,
     TheoremId,
     check_block_det_lemma,
     length_bound,
@@ -60,6 +61,33 @@ def test_length_bounds():
     assert length_bound(TheoremId.SCHUR_FAC, 3, 2) == 6
     assert length_bound(TheoremId.SCHUR_ONE, 3, 2) == 7
     assert length_bound(TheoremId.SYMPLECTIC, 2, 2) == 4
+
+
+def test_theorem_table():
+    gl, sp, oe, oo = GroupType.GL, GroupType.SP, GroupType.OE, GroupType.OO
+    table = {th.value: (th.group, th.z, th.ones) for th in ALL}
+    assert table == {
+        "schurfac": (gl, None, 0),
+        "schur1": (gl, None, 1),
+        "sympfact": (sp, 1, 0),
+        "eorthfact": (oe, -1, 0),
+        "oorthfact": (oo, 0, 0),
+    }
+    assert all(TheoremId(th.value) is th for th in ALL)
+
+
+@pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
+def test_vanishing_is_a_zero_sign(th):
+    assert "vanishing" not in {f.name for f in fields(Prediction)}
+    verdicts = set()
+    for t in (2, 3, 4):
+        for la in partitions_up_to(6, max_length=length_bound(th, t, 1)):
+            pred = predict(th, la, t, 1)
+            verdicts.add(pred.vanishing)
+            assert pred.vanishing == (pred.sign == 0) == (not pred.factors)
+            # Only a vanishing appended-one case leaves sigma out.
+            assert (pred.sigma is None) == (pred.vanishing and th.ones == 1)
+    assert verdicts == {True, False}
 
 
 def test_sign_exponent_values():

@@ -1,6 +1,7 @@
 """Beta sets, cores, quotients, signs, and core classification."""
 
 from dataclasses import astuple, fields
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from helpers import block_sign_oracle, ceil_div, partitions_strategy
 from twistchar import factorization
 from twistchar.cli import main
-from twistchar.factorization import TheoremId, predict
+from twistchar.factorization import TheoremId, length_bound, predict
 from twistchar.partitions import (
     Abacus,
     CoreClass,
@@ -262,6 +263,7 @@ def test_classify_core_rejects_long_partitions():
 
 
 def test_partner_values():
+    assert partners(5, None) == (0, 1, 2, 3, 4)
     assert partners(5, 1) == (3, 2, 1, 0, 4)
     assert partners(5, -1) == (0, 4, 3, 2, 1)
     assert partners(5, 0) == (4, 3, 2, 1, 0)
@@ -278,6 +280,67 @@ def test_core_class_z_asymmetry_matches_frobenius(t):
             cls = CoreClass(abacus(la, t, max(1, len(la))).offsets)
             for z in range(-6, 9):
                 assert cls.z_asymmetric(z) == is_z_asymmetric(la, z), (la, z)
+
+
+def _bead_removal_oracle(core, t, z, ones):
+    """Whether some `ones` beads of the core's beta set at padding tn + ones
+    can be removed to leave the residue counts z-paired: n + c_i beads in
+    class i with c_i + c_(t-1-z-i) = 0, or c_i = 0 for a class paired with
+    itself (every class when z is None).  n leaves every class beads."""
+    n = len(core) + 2
+    beta = beta_set(core, t * n + ones)
+    mate = [i if z is None or not 0 <= t - 1 - z - i < t else t - 1 - z - i for i in range(t)]
+    for removed in combinations(beta, ones):
+        c = [-n] * t
+        for x in set(beta) - set(removed):
+            c[x % t] += 1
+        if all(c[i] + c[mate[i]] == 0 for i in range(t)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_z_pairing_rule_matches_bead_removal(t):
+    cores = {t_core_strips(la, t) for la in partitions_up_to(13)}
+    live = set()
+    for core in cores:
+        cls = CoreClass(abacus(core, t, max(1, len(core))).offsets)
+        for z in [None, *range(-t - 1, t + 2)]:
+            for ones in (0, 1):
+                want = _bead_removal_oracle(core, t, z, ones)
+                assert cls.z_asymmetric(z, ones) == want, (core, z, ones)
+                live.add((ones, want))
+        assert cls.empty == (core == ())
+        row = cls.single_row
+        assert (row is not None) == (len(core) <= 1)
+        assert row is None or core == ((row,) if row else ())
+    assert live == {(0, True), (0, False), (1, True), (1, False)}
+
+
+@pytest.mark.parametrize("th", list(TheoremId), ids=[th.value for th in TheoremId])
+def test_predict_reads_each_verdict_through_one_rule(th, monkeypatch):
+    calls = []
+    real = CoreClass.z_asymmetric
+
+    def counted(self, z, ones=0):
+        calls.append((z, ones))
+        return real(self, z, ones)
+
+    def refused(self):
+        raise AssertionError("a prediction reads single_row or empty")
+
+    monkeypatch.setattr(CoreClass, "z_asymmetric", counted)
+    monkeypatch.setattr(CoreClass, "single_row", property(refused))
+    monkeypatch.setattr(CoreClass, "empty", property(refused))
+    verdicts = set()
+    for t in range(2, 6):
+        for n in (1, 2):
+            for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
+                calls.clear()
+                factorization._predict.cache_clear()
+                verdicts.add(predict(th, la, t, n).vanishing)
+                assert calls == [(th.z, th.ones)], (la, t, n)
+    assert verdicts == {True, False}
 
 
 @given(P, st.integers(2, 4), st.integers(1, 3))

@@ -1,8 +1,10 @@
 """Generating functions, theta products, and the core lattice bijection."""
 
+import json
+
 import pytest
 
-from twistchar import partitions, series
+from twistchar import cli, partitions, series
 from helpers import qpoch_minus, qpoch_plus, times_one_minus_power
 from twistchar.partitions import (
     conjugate,
@@ -118,6 +120,23 @@ def test_core_product_forms():
         gf_z_cores(-1, 3, 10)
     with pytest.raises(ValueError):
         gf_z_cores(2, 3, 10)
+
+
+def test_core_product_skips_the_factors_past_the_order(tmp_path, monkeypatch, capsys):
+    # At t = 20000 all but 5 of the 10000 theta factors are 1 + O(q^11).
+    real, products = SeriesZ.__mul__, []
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(SeriesZ, "__mul__", counted)
+    out = tmp_path / "series.jsonl"
+    assert cli.main(["series", "--z", "0", "--t", "20000", "--N", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(products) <= 5
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 11 and all(row["product"] == row["enum"] for row in rows)
 
 
 @pytest.mark.parametrize(
