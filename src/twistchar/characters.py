@@ -19,6 +19,11 @@ twist (X, wX, ..., w^(t-1) X) of rational points without leaving Q: it
 expands them in complete homogeneous symmetric functions h_m (Jacobi-Trudi
 for GL, the Koike-Terada determinants for SP/OE/OO) and uses the twist
 rule  prod_i prod_k 1/(1 - w^k x_i z) = prod_i 1/(1 - x_i^t z^t).
+That determinant is taken over Z: with d the lcm of the denominators of
+the points (and of their inverses for SP/OE/OO), h_m = H_m / d^m for
+integers H_m.  Row i scaled by d^(la_i - i) and column j by d^j turn the
+entry h_(la_i-i+j) into H_(la_i-i+j); the second Koike-Terada term picks
+up d^(2j) for SP and d^(2j+2) for OE/OO; the scales multiply to d^|la|.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 
 from .cyclotomic import CycloElem, field, omega_pow
 from .linalg import det
@@ -73,7 +79,7 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple):
     if n == 0:
         raise ValueError("at least one evaluation point is required")
     if not all(isinstance(x, (Fraction, CycloElem)) for x in pts):
-        # int points would turn the divisions in det into float division
+        # x ** -b is a float for an int x
         raise TypeError(f"points must be Fractions or CycloElems, got {pts}")
     if len(la) > n:
         return pts[0] - pts[0]
@@ -94,25 +100,29 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple):
 
 @lru_cache(maxsize=4096)
 def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
-    """h_0..h_top of the twist of xs (and of their inverses when inverted),
-    with `ones` points 1 appended after the twist.
+    """Integer numerators H_0..H_top and their common denominator d, with
+    h_m = H_m / d^m, of h_0..h_top of the twist of xs (and of their inverses
+    when inverted), with `ones` points 1 appended after the twist.
 
+    d is the lcm of the points' denominators, so H_tk is h_k of the integer
+    t-th powers (d y)^t.  A point 1 is d/d: it turns h into its prefix
+    sums, H'_m = d H'_(m-1) + H_m.
     Every partition of a scan shares its (t, n, seed) points, so the table
     is kept per point tuple and length; a table is immutable once built.
     It is keyed on what it depends on, not on the group, so SP and OE
     share one table.
     """
     ys = xs + tuple(1 / x for x in xs) if inverted else xs
-    base = [Fraction(1)] + [Fraction(0)] * (top // t)
+    d = lcm(*(y.denominator for y in ys))
+    base = [1] + [0] * (top // t)
     for y in ys:
-        yt = y ** t
+        yt = (y.numerator * (d // y.denominator)) ** t
         for k in range(1, len(base)):
             base[k] += yt * base[k - 1]
-    h = [base[m // t] if m % t == 0 else Fraction(0) for m in range(top + 1)]
-    # Each point 1 multiplies the generating function by 1/(1 - z).
+    h = [base[m // t] if m % t == 0 else 0 for m in range(top + 1)]
     for _ in range(ones):
-        h = list(accumulate(h))
-    return tuple(h)
+        h = list(accumulate(h, lambda acc, hm: d * acc + hm))
+    return tuple(h), d
 
 
 def twisted_character(
@@ -130,6 +140,9 @@ def twisted_character(
     powers when t divides m and 0 otherwise; a point 1 turns h into its
     prefix sums.  There is no Weyl denominator, so the points may coincide;
     SP, OE and OO only need them nonzero.
+    The matrix handed to det is the integer one of the module docstring:
+    the SP term h_(la_i-i-j) becomes d^(2j) H_(la_i-i-j) and the O term
+    h_(la_i-i-j-2) becomes d^(2j+2) H_(la_i-i-j-2).
     """
     if not all(isinstance(x, Fraction) for x in xs):
         raise TypeError(f"points must be Fractions, got {xs}")
@@ -137,22 +150,27 @@ def twisted_character(
         return Fraction(1)
     gl = g is GroupType.GL
     # Each appended one is doubled with the inverses; OO carries one of its own.
-    h = _twisted_h(xs, not gl, (1 if gl else 2) * ones + (g is GroupType.OO), t, la[0] + len(la))
+    ones_in_table = (1 if gl else 2) * ones + (g is GroupType.OO)
+    h, d = _twisted_h(xs, not gl, ones_in_table, t, la[0] + len(la))
 
-    def hm(m: int) -> Fraction:
-        return h[m] if m >= 0 else Fraction(0)
+    def hm(m: int) -> int:
+        return h[m] if m >= 0 else 0
 
     cols = range(len(la))
+    d2 = [d ** (2 * j) for j in range(len(la) + 1)]
     if g is GroupType.GL:
         rows = [[hm(p - i + j) for j in cols] for i, p in enumerate(la)]
     elif g is GroupType.SP:
         rows = [
-            [hm(p - i)] + [hm(p - i + j) + hm(p - i - j) for j in cols[1:]]
+            [hm(p - i)] + [hm(p - i + j) + d2[j] * hm(p - i - j) for j in cols[1:]]
             for i, p in enumerate(la)
         ]
     else:
-        rows = [[hm(p - i + j) - hm(p - i - j - 2) for j in cols] for i, p in enumerate(la)]
-    return det(rows)
+        rows = [
+            [hm(p - i + j) - d2[j + 1] * hm(p - i - j - 2) for j in cols]
+            for i, p in enumerate(la)
+        ]
+    return Fraction(det(rows), d ** sum(la))
 
 
 def twisted_points(pts: tuple, t: int) -> tuple:

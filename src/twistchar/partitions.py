@@ -208,14 +208,17 @@ def abacus(la: Partition, t: int, m: int) -> Abacus:
 
 
 def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
-    """The t-core with the given runner offsets (t = len(offsets)), built at
-    padding t*n with n = -min(offsets), the least n that gives every runner
-    n + offset >= 0 beads, each runner holding its lowest positions."""
+    """The t-core with the given runner offsets (t = len(offsets)).  At any
+    padding tn, runner i holds its n + offsets[i] lowest positions, so its
+    first empty position is tn + c_i with c_i = t * offsets[i] + i.  Every
+    position below the first gap tn + min(c) holds a bead, so only the
+    beads above it are built, shifted down by the gap: c_i - min(c) - t,
+    c_i - min(c) - 2t, ... while positive.  That is l(core) beads."""
     t = len(offsets)
-    n = -min(offsets)
-    return from_beta_set(
-        sorted((t * j + i for i, o in enumerate(offsets) for j in range(n + o)), reverse=True)
-    )
+    gaps = [t * o + i for i, o in enumerate(offsets)]
+    first = min(gaps)
+    beads = (y for c in gaps for y in range(c - first - t, 0, -t))
+    return from_beta_set(sorted(beads, reverse=True))
 
 
 def t_core(la: Partition, t: int) -> Partition:

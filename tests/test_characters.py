@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import embed, partitions_strategy, schur_ssyt
+from twistchar import characters
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
@@ -16,6 +17,7 @@ from twistchar.characters import (
 )
 from twistchar.cyclotomic import field
 from twistchar.factorization import sample_points
+from twistchar.linalg import det
 from twistchar.partitions import partitions_up_to
 
 P = partitions_strategy(max_part=4, max_len=4)
@@ -127,6 +129,76 @@ def test_schur_column_translation(la):
     assert weyl_character(GroupType.GL, lifted, pts) == prod * weyl_character(
         GroupType.GL, la, pts
     )
+
+
+def _twisted_bialternant(g, la, xs, t, ones):
+    """weyl_character at the twisted xs in Q(w_t) with `ones` points 1
+    appended.  Where points 1 make the bialternant 0/0 (SP and OO with any,
+    GL and OE with two), they move to u_i = 1 + i s: times prod u_i^low,
+    low = la_1 for the Laurent groups and 0 for GL, the value is a
+    polynomial in s of degree at most ones (la_1 + low), read at s = 0 by
+    Lagrange interpolation through one more nonzero s than that degree."""
+    tw = twisted_points(embed(xs, t), t)
+    try:
+        val = weyl_character(g, la, tw + embed([1] * ones, t))
+    except DegeneratePointError:
+        pass
+    else:
+        assert not any(val.coeffs[1:])
+        return val.coeffs[0]
+    top = la[0] if la else 0
+    low = 0 if g is GroupType.GL else top
+    samples = []
+    # Alternating signs keep the u_i small; no u_i is 0, 1 or -1.
+    for s in (1, -3, 2, -4, 3, -5, 4, -6, 5, -7, 6, -8, 7)[: ones * (top + low) + 1]:
+        us = [Fraction(1 + i * s) for i in range(1, ones + 1)]
+        val = weyl_character(g, la, tw + embed(us, t))
+        assert not any(val.coeffs[1:])
+        v = val.coeffs[0]
+        for u in us:
+            v *= u ** low
+        samples.append((s, v))
+    total = Fraction(0)
+    for s, v in samples:
+        for r, _ in samples:
+            if r != s:
+                v *= Fraction(-r, s - r)
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+def test_integer_table_matches_the_bialternant_with_points_one(t):
+    # At t = 2 the points' denominators 2 and 3 make d = 6 for GL, and
+    # their inverses d = 210 for SP and O.  Beyond, one point keeps the
+    # Q(w) bialternant small: d = 2 for GL and 14 for SP and O.  (1, 1)
+    # reads d^2 H_0 in SP and (3, 1) d^4 H_0 in O.  The 0/0 cases need
+    # interpolation, and run at t <= 3 only.
+    xs = (Fraction(7, 2), Fraction(5, 3))[: 2 if t == 2 else 1]
+    for g in GroupType:
+        for ones in range(3):
+            if ones > (0 if g in (GroupType.SP, GroupType.OO) else 1) and t > 3:
+                continue
+            for la in [(), (1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
+                want = _twisted_bialternant(g, la, xs, t, ones)
+                assert twisted_character(g, la, xs, t, ones=ones) == want, (g, la, ones)
+
+
+def test_twisted_character_hands_det_only_ints(monkeypatch):
+    seen = []
+
+    def checked(rows):
+        seen.extend(type(x) for row in rows for x in row)
+        return det(rows)
+
+    monkeypatch.setattr(characters, "det", checked)
+    characters._twisted_h.cache_clear()
+    xs = (Fraction(7, 2), Fraction(5, 3))
+    for g in GroupType:
+        for ones in range(3):
+            for la in partitions_up_to(5):
+                assert type(twisted_character(g, la, xs, 3, ones=ones)) is Fraction
+    assert set(seen) == {int}
 
 
 def test_twisted_points_layout():

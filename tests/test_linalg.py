@@ -52,6 +52,35 @@ def test_vandermonde_product(xs):
     assert det(rows) == want
 
 
+# Small entries make zero pivots and row swaps likely; large ones make a
+# float anywhere in the elimination lose digits.
+ints = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_int_matrices_give_exact_ints(rows):
+    got = det(rows)
+    assert type(got) is int
+    assert got == det_perm(rows)
+
+
+def test_int_determinants_are_exact():
+    assert det([[2, 1], [1, 2]]) == 3
+    assert type(det([[2, 1], [1, 2]])) is int
+    assert det([[10**20 + 1, 1], [10**20, 1]]) == 1
+    # A zero leading pivot, and a zero pivot that appears after one step.
+    for rows in ([[0, 2, 1], [3, 1, 0], [1, 0, 4]], [[1, 1, 0], [1, 1, 1], [0, 1, 1]]):
+        got = det(rows)
+        assert type(got) is int and got == det_perm(rows) != 0
+    singular = det([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert type(singular) is int and singular == 0
+    assert det([[0, 0], [0, 5]]) == 0
+
+
 def test_singular_matrices_give_exact_zero():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert det(rows) == 0

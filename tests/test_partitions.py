@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import block_sign_oracle, ceil_div, partitions_strategy
-from twistchar import factorization
+from twistchar import factorization, partitions
 from twistchar.cli import main
 from twistchar.factorization import TheoremId, length_bound, predict
 from twistchar.partitions import (
@@ -355,6 +355,36 @@ def test_abacus_offsets_are_the_core_at_any_padding(la, t, extra):
     assert abacus(la, t, max(1, len(la)) + extra).offsets == base
     assert sum(base) == 0
     assert core_from_offsets(base) == t_core_strips(la, t)
+
+
+def _padded_core(offsets):
+    # Every runner filled from position 0 at padding t * (-min offsets):
+    # at least t beads for any core other than the empty one.
+    t, n = len(offsets), -min(offsets)
+    beads = (t * j + i for i, o in enumerate(offsets) for j in range(n + o))
+    return from_beta_set(sorted(beads, reverse=True))
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_core_from_offsets_matches_the_padded_construction(t):
+    for la in partitions_up_to(13):
+        offsets = abacus(la, t, max(1, len(la))).offsets
+        assert core_from_offsets(offsets) == _padded_core(offsets) == t_core_strips(la, t), la
+
+
+def test_core_from_offsets_builds_only_the_rows_of_the_core(monkeypatch):
+    lengths = []
+
+    def measured(b):
+        b = tuple(b)
+        lengths.append(len(b))
+        return from_beta_set(b)
+
+    monkeypatch.setattr(partitions, "from_beta_set", measured)
+    cores = enum_z_cores(0, 20000, 10)
+    assert len(lengths) == len(cores) == 13
+    assert sorted(lengths) == sorted(len(la) for la in cores)
+    assert max(lengths) <= 10
 
 
 def test_empty_partition_sign_closed_form():
