@@ -53,11 +53,13 @@ class DegeneratePointError(ValueError):
 def _entry_matrix(g: GroupType, pts, betas):
     if g is GroupType.GL:
         return [[x ** b for b in betas] for x in pts]
+    # Each point is inverted once per row, not once per entry.
+    pairs = [(x, x ** -1) for x in pts]
     if g is GroupType.SP:
-        return [[x ** (b + 1) - x ** -(b + 1) for b in betas] for x in pts]
+        return [[x ** (b + 1) - y ** (b + 1) for b in betas] for x, y in pairs]
     if g is GroupType.OO:
-        return [[x ** (b + 1) - x ** -b for b in betas] for x in pts]
-    return [[x ** b + x ** -b for b in betas] for x in pts]
+        return [[x ** (b + 1) - y ** b for b in betas] for x, y in pairs]
+    return [[x ** b + y ** b for b in betas] for x, y in pairs]
 
 
 @lru_cache(maxsize=4096)

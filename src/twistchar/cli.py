@@ -1,8 +1,9 @@
 """Command-line front end: classify, verify, scan, series.
 
-Exit codes: 0 success, 1 usage or validation error, 2 mathematical
-mismatch, 3 point-sampling exhaustion.  Machine output is line-delimited
-JSON and is byte-identical across runs with the same flags and seeds.
+Exit codes: 0 success, 1 usage or validation error or a case too large
+to evaluate (OverflowError or MemoryError), 2 mathematical mismatch, 3
+point-sampling exhaustion.  Machine output is line-delimited JSON and is
+byte-identical across runs with the same flags and seeds.
 """
 
 from __future__ import annotations
@@ -318,6 +319,10 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"twistchar: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, MemoryError) as exc:
+        # A part too large to index or hold a table of that length.
+        print(f"twistchar: too large to evaluate: {exc!r}", file=sys.stderr)
         return 1
 
 

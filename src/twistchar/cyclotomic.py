@@ -2,8 +2,8 @@
 
 Elements are dense vectors of Fractions of length phi(t), representing
 polynomials in w reduced modulo the t-th cyclotomic polynomial.  No
-floating point anywhere; inversion runs extended Euclid against Phi_t
-over the rationals.
+floating point anywhere; an element is inverted through its Galois
+conjugates, the other conjugates' product over the norm.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+from math import gcd
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -30,17 +25,24 @@ def _poly_mul(p: list, q: list) -> list:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(t: int) -> tuple[int, ...]:
-    """Coefficients of Phi_t, ascending, computed by dividing x^t - 1
-    by the cyclotomic polynomials of the proper divisors of t."""
+    """Coefficients of Phi_t, ascending, computed by dividing x^t - 1 over Z
+    by the monic cyclotomic polynomials of the proper divisors of t."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    num = [Fraction(-1)] + [Fraction(0)] * (t - 1) + [Fraction(1)]
+    num = [-1] + [0] * (t - 1) + [1]
     for d in range(1, t):
         if t % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_poly(d))
-            if rem:
+            den = cyclotomic_poly(d)
+            k = len(den) - 1
+            # Phi_d is monic, so synthetic division stays in Z; it leaves the
+            # remainder in num[:k] and the quotient in num[k:].
+            for s in reversed(range(len(num) - k)):
+                for i, x in enumerate(den[:k]):
+                    num[s + i] -= num[s + k] * x
+            if any(num[:k]):
                 raise ArithmeticError(f"Phi_{d} does not divide x^{t} - 1 exactly")
-    return tuple(int(c) for c in num)
+            num = num[k:]
+    return tuple(num)
 
 
 @dataclass(frozen=True)
@@ -98,42 +100,6 @@ def omega_pow(fld: CycloField, k: int) -> "CycloElem":
     return fld.elem([0] * k + [1])
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while num and len(num) >= len(den):
-        c = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        quot[shift] = c
-        for i, x in enumerate(den):
-            num[shift + i] -= c * x
-        num = _poly_trim(num)
-    return quot, num
-
-
-def _poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, x in enumerate(p):
-        out[i] += x
-    for i, x in enumerate(q):
-        out[i] -= x
-    return _poly_trim(out)
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid over Q[x]; returns (s, g) with s*a = g mod b."""
-    old_r, r = _poly_trim(list(a)), _poly_trim(list(b))
-    old_s, s = [Fraction(1)], []
-    while r:
-        q, rem = _poly_divmod(old_r, r)
-        old_r, r = r, rem
-        old_s, s = s, _poly_sub(old_s, _poly_mul(q, s))
-    return old_s, old_r
-
-
 class CycloElem:
     """Immutable element of a CycloField; equality is coefficient-wise."""
 
@@ -182,16 +148,28 @@ class CycloElem:
 
     __rmul__ = __mul__
 
+    def _conjugate(self, k: int) -> "CycloElem":
+        """sigma_k, which sends w to w^k; a field automorphism for k prime to t."""
+        t = self.field.t
+        vec = [Fraction(0)] * t
+        for i, c in enumerate(self.coeffs):
+            vec[i * k % t] += c
+        return CycloElem(self.field, tuple(self.field._reduce(vec)))
+
     def inv(self) -> "CycloElem":
+        """The product of the other conjugates sigma_k(self), 1 < k < t prime
+        to t, divided by the norm, that product times self.  The sigma_k
+        permute the roots of Phi_t, so they fix the norm: it is rational."""
         if not self:
             raise ZeroDivisionError("division by zero in Q(w)")
-        phi = [Fraction(c) for c in self.field.phi]
-        s, g = _poly_xgcd(list(self.coeffs), phi)
-        # Phi_t is irreducible over Q, so the gcd is a nonzero constant.
-        lead = g[-1]
-        vec = [c / lead for c in s]
-        vec += [Fraction(0)] * (self.field.degree - len(vec))
-        return CycloElem(self.field, tuple(self.field._reduce(vec)))
+        others = self.field.one
+        for k in range(2, self.field.t):
+            if gcd(k, self.field.t) == 1:
+                others = others * self._conjugate(k)
+        norm, *rest = (self * others).coeffs
+        if any(rest):
+            raise ArithmeticError(f"the norm of {self} is not rational")
+        return CycloElem(self.field, tuple(c / norm for c in others.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)

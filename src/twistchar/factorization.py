@@ -178,10 +178,13 @@ _POINT_SETS = {
 
 
 @lru_cache(maxsize=4096)
-def _factor_value(group: GroupType, mu: Partition, at: str, ys: tuple) -> Fraction:
-    # Every case of a scan at one (t, n, seed) shares Y, and many share a
-    # factor (mu = () most of all), so each value is computed once.  A
-    # DegeneratePointError is raised again on every call, never cached.
+def _factor_value(group: GroupType, mu: Partition, at: str, pts: tuple, t: int) -> Fraction:
+    # Every case of a scan at one (t, n, seed) shares its points, and many
+    # share a factor (mu = () most of all), so each value is computed once.
+    # The key holds X, not Y: Y is a function of (X, t), and hashing Y would
+    # cost time that grows with t on every lookup.  A DegeneratePointError
+    # is raised again on every call, never cached.
+    ys = tuple(x ** t for x in pts)
     return weyl_character(group, mu, _POINT_SETS[at](ys))
 
 
@@ -191,10 +194,9 @@ def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     _check_points(pts, pred.n)
     if pred.vanishing:
         return Fraction(0)
-    ys = tuple(x ** pred.t for x in pts)
     val = Fraction(pred.sign)
     for group, mu, at in pred.factors:
-        val *= _factor_value(group, mu, at, ys)
+        val *= _factor_value(group, mu, at, pts, pred.t)
     return val
 
 

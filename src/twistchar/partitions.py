@@ -77,11 +77,12 @@ class FrobeniusCoords:
 
 
 def frobenius(la: Partition) -> FrobeniusCoords:
-    """Arm and leg lengths along the diagonal, alpha_i = la_i - i, beta_j = la'_j - j."""
-    conj = conjugate(la)
+    """Arm and leg lengths along the diagonal, alpha_i = la_i - i, beta_j = la'_j - j.
+    Only the first rank(la) columns are read, la'_j as #{i : la_i >= j}, so
+    the cost does not grow with la_1."""
     r = rank(la)
     alpha = tuple(la[i] - (i + 1) for i in range(r))
-    beta = tuple(conj[j] - (j + 1) for j in range(r))
+    beta = tuple(sum(p > j for p in la) - (j + 1) for j in range(r))
     return FrobeniusCoords(alpha, beta)
 
 
@@ -183,17 +184,24 @@ class Abacus:
         """The sign of the permutation that sorts beta into class blocks:
         class `first`, when given, ahead of the others, which follow in the
         order 0..t-1, each block keeping the order of beta."""
-        # An entry swaps with every earlier entry of a later block; block k
-        # is class k - 1, and block 0 is class `first` (slot first + 1 stays
-        # empty).
+        # Each entry goes to its slot in the block order; a permutation of m
+        # slots with c cycles has sign (-1)^(m - c).  O(m + t), whatever t is.
         t = len(self.runners)
-        tally = [0] * (t + 1)
-        inversions = 0
+        start, at = [0] * t, 0
+        for c in sorted(range(t), key=lambda i: i != first):
+            start[c], at = at, at + len(self.runners[c])
+        slot = []
         for x in self.beta:
-            k = 0 if x % t == first else x % t + 1
-            inversions += sum(tally[k + 1 :])
-            tally[k] += 1
-        return -1 if inversions % 2 else 1
+            slot.append(start[x % t])
+            start[x % t] += 1
+        parity, seen = len(slot), [False] * len(slot)
+        for p in range(len(slot)):
+            if not seen[p]:
+                parity -= 1
+                while not seen[p]:
+                    seen[p] = True
+                    p = slot[p]
+        return -1 if parity % 2 else 1
 
 
 def abacus(la: Partition, t: int, m: int) -> Abacus:

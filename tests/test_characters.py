@@ -15,7 +15,7 @@ from twistchar.characters import (
     twisted_points,
     weyl_character,
 )
-from twistchar.cyclotomic import field
+from twistchar.cyclotomic import CycloElem, field
 from twistchar.factorization import sample_points
 from twistchar.linalg import det
 from twistchar.partitions import partitions_up_to
@@ -199,6 +199,26 @@ def test_twisted_character_hands_det_only_ints(monkeypatch):
             for la in partitions_up_to(5):
                 assert type(twisted_character(g, la, xs, 3, ones=ones)) is Fraction
     assert set(seen) == {int}
+
+
+def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):
+    # Each row takes its point's inverse once and raises it to every
+    # exponent; det's pivot inverses are of other elements.
+    pts = twisted_points(embed(POINTS[2], 3), 3)
+    la = (3, 2, 1)
+    characters._denominator.cache_clear()
+    want = weyl_character(GroupType.SP, la, pts)
+    inverted = []
+    real = CycloElem.inv
+
+    def spy(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycloElem, "inv", spy)
+    assert weyl_character(GroupType.SP, la, pts) == want
+    assert [inverted.count(x) for x in pts] == [1] * len(pts)
+    assert want == twisted_character(GroupType.SP, la, POINTS[2], 3)
 
 
 def test_twisted_points_layout():

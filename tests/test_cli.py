@@ -95,6 +95,37 @@ def test_classify_reads_one_short_abacus_whatever_n(monkeypatch, capsys):
     assert f"residue counts ({n + 1}, {n - 1}, {n})  (padding {3 * n})" in out
 
 
+def test_classify_a_huge_first_part_answers_at_once(capsys):
+    code, out, err = run(
+        ["classify", "99999999999999999999,3,1", "--t", "3", "--n", "1", "--json"], capsys
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        '{"partition":[99999999999999999999,3,1],"t":3,"n":1,"core":[2,1,1],'
+        '"quotient":[[],[],[33333333333333333333]],'
+        '"frobenius":{"arms":[99999999999999999998,1],"legs":[2,0]},'
+        '"residue_counts":[0,2,1],"empty":false,"single_row":null,"symplectic":true,'
+        '"orthogonal":false,"self_conjugate":false,"rank":1}\n'
+    )
+
+
+def test_sizes_too_large_to_evaluate_exit_one(monkeypatch, capsys):
+    # The h table of a 20-digit part cannot be indexed: refused before any
+    # allocation.
+    code, out, err = run(["verify", "schurfac", "99999999999999999999", "--t", "2", "--n", "1"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("twistchar: too large to evaluate: OverflowError")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify", exhausted)
+    code, out, err = run(["verify", "schurfac", "2", "--t", "2", "--n", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "twistchar: too large to evaluate: MemoryError()\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

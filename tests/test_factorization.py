@@ -228,7 +228,7 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
     # 1077 non-empty twisted characters over 168 (points, inverted, ones,
-    # t, length) keys; 1205 factors over 156 (group, mu, point set, Y) keys.
+    # t, length) keys; 1205 factors over 156 (group, mu, point set, X, t) keys.
     assert (table.hits, table.misses) == (909, 168)
     assert (factor.hits, factor.misses) == (1049, 156)
     assert _standing_grid() == cold
@@ -241,8 +241,8 @@ def test_cache_keys_keep_groups_apart():
     for cache in _CACHES:
         cache.cache_clear()
     # sp_(2) = h_2 and oe_(2) = h_2 - 1 at the same points.
-    sp = factorization._factor_value(GroupType.SP, (2,), "Y", ys)
-    oe = factorization._factor_value(GroupType.OE, (2,), "Y", ys)
+    sp = factorization._factor_value(GroupType.SP, (2,), "Y", xs, 3)
+    oe = factorization._factor_value(GroupType.OE, (2,), "Y", xs, 3)
     assert factorization._factor_value.cache_info().misses == 2
     assert sp == weyl_character(GroupType.SP, (2,), ys)
     assert oe == weyl_character(GroupType.OE, (2,), ys)

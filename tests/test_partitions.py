@@ -103,6 +103,29 @@ def test_frobenius_roundtrip(la):
     assert swapped.alpha == fc.beta and swapped.beta == fc.alpha
 
 
+def test_frobenius_reads_no_conjugate(monkeypatch):
+    # The legs are column lengths, but only the first rank(la) of them are
+    # read, so frobenius must not build the conjugate (la_1 entries).
+    las = list(partitions_up_to(14))
+    zs = range(-3, 4)
+    want = {}
+    for la in las:
+        conj = conjugate(la)
+        r = rank(la)
+        legs = tuple(conj[j] - (j + 1) for j in range(r))
+        want[la] = (FrobeniusCoords(tuple(la[i] - (i + 1) for i in range(r)), legs),
+                    [is_z_asymmetric(la, z) for z in zs])
+
+    def never(la):
+        raise AssertionError("frobenius built the conjugate")
+
+    monkeypatch.setattr(partitions, "conjugate", never)
+    for la in las:
+        assert (frobenius(la), [is_z_asymmetric(la, z) for z in zs]) == want[la], la
+    huge = frobenius((10**20 - 1, 3, 1))
+    assert huge == FrobeniusCoords((10**20 - 2, 1), (2, 0))
+
+
 def test_from_frobenius_inverts_frobenius():
     for la in partitions_up_to(12):
         assert from_frobenius(*astuple(frobenius(la))) == la
@@ -412,6 +435,19 @@ def test_signs_match_quadratic_oracle(la, t, extra):
     for c in range(t):
         order = [c] + [i for i in range(t) if i != c]
         assert ab.block_sign(c) == block_sign_oracle(la, t, m, order), c
+
+
+@pytest.mark.parametrize("t", [100, 173, 300])
+def test_block_sign_at_large_t_matches_quadratic_oracle(t):
+    # Beads land on a few of many runners, and first ranges over all t
+    # classes, empty runners included.
+    wide = [(2 * t + 3, t, 7, 1, 1), (3 * t, 2 * t + 1, t + 1, t - 1)]
+    for la, m in [((5, 3, 3, 1), 6), (wide[0], 5), (wide[0], 9), (wide[1], 4), (wide[1], 7)]:
+        ab = abacus(la, t, m)
+        assert ab.block_sign() == block_sign_oracle(la, t, m, range(t))
+        for c in range(t):
+            order = [c] + [i for i in range(t) if i != c]
+            assert ab.block_sign(c) == block_sign_oracle(la, t, m, order), (la, c)
 
 
 def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
