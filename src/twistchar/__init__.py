@@ -11,15 +11,15 @@ from .characters import (
     DegeneratePointError,
     GroupType,
     twisted_character,
-    twisted_points,
     weyl_character,
 )
+# No runtime path computes in Q(w) any more, but the benchmark harness
+# builds field(t) and traces CycloElem through twistchar.cyclotomic.
 from .cyclotomic import CycloElem, CycloField, cyclotomic_poly, field, omega_pow
 from .factorization import (
     SamplingError,
     TheoremId,
     VerificationReport,
-    check_block_det_lemma,
     lhs_value,
     predict,
     rhs_value,
@@ -48,7 +48,6 @@ from .partitions import (
     rank,
     size,
     t_core,
-    t_core_strips,
     z_asymmetric_up_to,
 )
 from .series import (
@@ -82,7 +81,6 @@ __all__ = [
     "VerificationReport",
     "abacus",
     "beta_set",
-    "check_block_det_lemma",
     "classify_core",
     "conjugate",
     "core_from_offsets",
@@ -112,10 +110,8 @@ __all__ = [
     "sample_points",
     "size",
     "t_core",
-    "t_core_strips",
     "theta_f",
     "twisted_character",
-    "twisted_points",
     "verify",
     "weyl_character",
     "z_asymmetric_up_to",

@@ -7,9 +7,8 @@ scalar type (Fraction, or CycloElem for points in Q(w)).  The four families:
   GL  s_la      det(x_i^(b_j))             / det(x_i^(n-j))
   SP  sp_la     det(x_i^(b_j+1) - xbar_i^(b_j+1)) / same at la = empty
   OO  oo_la     det(x_i^(b_j+1) - xbar_i^(b_j))   / same at la = empty
-  OE  oe_la     det(x_i^(b_j) + xbar_i^(b_j)) scaled by the last-column-of-2s
-                convention (both determinants carry a factor 2 when the
-                relevant last column is constant 2; see weyl_character)
+  OE  oe_la     det(x_i^(b_j) + xbar_i^(b_j)) / same at la = empty, with
+                the entry at b_j = 0 read as 1, half of x^0 + xbar^0
 
 with b = beta_set(la, n) and xbar the inverse point.  The OO form uses
 integer exponents only, so no square roots are ever needed.
@@ -34,7 +33,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 
-from .cyclotomic import CycloElem, field, omega_pow
+from .cyclotomic import CycloElem
 from .linalg import det
 from .partitions import Partition, beta_set
 
@@ -59,7 +58,10 @@ def _entry_matrix(g: GroupType, pts, betas):
         return [[x ** (b + 1) - y ** (b + 1) for b in betas] for x, y in pairs]
     if g is GroupType.OO:
         return [[x ** (b + 1) - y ** b for b in betas] for x, y in pairs]
-    return [[x ** b + y ** b for b in betas] for x, y in pairs]
+    # Half of x^0 + xbar^0 = 2: the zero exponent, always in the
+    # denominator and in the numerator exactly when l(la) < n, is read as
+    # the scalar type's one, so the ratio needs no correction.
+    return [[x ** b + y ** b if b else x ** 0 for b in betas] for x, y in pairs]
 
 
 @lru_cache(maxsize=4096)
@@ -89,15 +91,7 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple):
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
     betas = beta_set(la, n)
-    num = det(_entry_matrix(g, pts, betas))
-    if g is GroupType.OE:
-        # Both determinants acquire a column of constant 2 when the smallest
-        # exponent is 0: always in the denominator, and in the numerator
-        # exactly when la_n = 0.  Normalizing by (1 + delta) keeps oe of the
-        # empty partition equal to 1 and oe_(1) equal to y + ybar.
-        delta = 1 if len(la) < n else 0
-        return 2 * num / ((1 + delta) * den)
-    return num / den
+    return det(_entry_matrix(g, pts, betas)) / den
 
 
 @lru_cache(maxsize=4096)
@@ -173,12 +167,4 @@ def twisted_character(
             for i, p in enumerate(la)
         ]
     return Fraction(det(rows), d ** sum(la))
-
-
-def twisted_points(pts: tuple, t: int) -> tuple:
-    """The block-ordered tn-tuple (X, wX, ..., w^(t-1) X)."""
-    fld = pts[0].field if pts else field(t)
-    if fld.t != t:
-        raise ValueError(f"points live in Q(w_{fld.t}), expected Q(w_{t})")
-    return tuple(omega_pow(fld, k) * x for k in range(t) for x in pts)
 

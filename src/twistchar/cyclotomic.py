@@ -178,14 +178,20 @@ class CycloElem:
         return self * o.inv()
 
     def __pow__(self, k: int) -> "CycloElem":
+        # Square up to the lowest set bit, start there, and square no more
+        # after the highest one: x ** 1 costs no multiplication.
+        if not k:
+            return self.field.one
         base = self.inv() if k < 0 else self
         k = abs(k)
-        acc = self.field.one
-        while k:
-            if k & 1:
-                acc = acc * base
+        while not k & 1:
             base = base * base
             k >>= 1
+        acc = base
+        while k := k >> 1:
+            base = base * base
+            if k & 1:
+                acc = acc * base
         return acc
 
     def __eq__(self, other):

@@ -249,28 +249,6 @@ def is_t_core(la: Partition, t: int) -> bool:
     return is_core_beads(sum(1 << x for x in beta_set(la, len(la))), t)
 
 
-def t_core_strips(la: Partition, t: int) -> Partition:
-    """Independent oracle for t_core: remove border strips one at a time.
-
-    A removable strip of length t corresponds to a beta entry x with
-    x - t >= 0 and x - t not already present; removal replaces x by x - t.
-    The result is removal-order independent, so any scan order works.
-    """
-    if t < 2:
-        raise ValueError(f"modulus must be at least 2, got {t}")
-    entries = set(beta_set(la, max(1, len(la))))
-    removed = True
-    while removed:
-        removed = False
-        for x in sorted(entries, reverse=True):
-            if x - t >= 0 and x - t not in entries:
-                entries.remove(x)
-                entries.add(x - t)
-                removed = True
-                break
-    return from_beta_set(sorted(entries, reverse=True))
-
-
 def partners(t: int, z: int | None) -> tuple[int, ...]:
     """Class i's partner t-1-z-i, or i itself when that falls outside
     0..t-1, and every class itself when z is None (GL: no pairing).  For

@@ -12,6 +12,7 @@ from fractions import Fraction
 from helpers import (
     check_asymmetric_core_counts,
     check_asymmetry_beta_forms,
+    check_block_det_lemma,
     check_classification_flags,
     check_complement_conjugate,
     check_complement_conjugate_converse,
@@ -22,12 +23,12 @@ from helpers import (
     check_quotient_criterion,
     check_rank_formulas,
     check_small_modulus_trivial,
+    t_core_strips,
 )
 from twistchar.characters import GroupType, weyl_character
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
     TheoremId,
-    check_block_det_lemma,
     lhs_value,
     sample_points,
     verify,
@@ -35,7 +36,6 @@ from twistchar.factorization import (
 from twistchar.linalg import det
 from twistchar.partitions import (
     beta_set,
-    classify_core,
     is_z_asymmetric,
     partitions_of,
     partitions_up_to,
@@ -62,7 +62,7 @@ def test_criterion_01_gl_factorization_sweep():
     for t in (2, 3):
         for n in (1, 2):
             for la in partitions_up_to(10, max_length=t * n):
-                vanish = not classify_core(la, t, n).empty
+                vanish = t_core_strips(la, t) != ()
                 firsts = []
                 for seed in (0, 1, 2):
                     rep = verify(TheoremId.SCHUR_FAC, la, t, n, seed=seed, trials=2)
@@ -112,8 +112,8 @@ def test_criterion_02_augmented_gl_sweep_and_closed_forms():
         for la in partitions_up_to(10, max_length=t * n + 1):
             rep = verify(TheoremId.SCHUR_ONE, la, t, n, seed=1, trials=2)
             assert rep.match, (la, t)
-            single = classify_core(la, t, n).single_row
-            assert rep.predicted_vanishing == (single is None)
+            # Survives exactly when the core is one row (c), c = 0 if empty.
+            assert rep.predicted_vanishing == (len(t_core_strips(la, t)) > 1)
             cases += 1
     closed = 0
     for x in (Fraction(5, 2), Fraction(7, 3), Fraction(9, 4)):
@@ -140,8 +140,8 @@ def test_criterion_03_symplectic_sweep_and_product_example():
             for la in partitions_up_to(10, max_length=t * n):
                 rep = verify(TheoremId.SYMPLECTIC, la, t, n, seed=0)
                 assert rep.match, (la, t, n)
-                cls = classify_core(la, t, n)
-                assert rep.predicted_vanishing == (not cls.symplectic)
+                core = t_core_strips(la, t)
+                assert rep.predicted_vanishing == (not is_z_asymmetric(core, 1))
                 cases += 1
     la = (3, 2, 1, 1, 1)
     for seed in range(3):
@@ -169,9 +169,9 @@ def test_criterion_04_orthogonal_sweeps_and_two_part_forms():
                 for la in partitions_up_to(10, max_length=t * n):
                     rep = verify(th, la, t, n, seed=0)
                     assert rep.match, (th, la, t, n)
-                    cls = classify_core(la, t, n)
-                    flag = cls.orthogonal if th is TheoremId.EVEN_ORTH else cls.self_conjugate
-                    assert rep.predicted_vanishing == (not flag)
+                    z = -1 if th is TheoremId.EVEN_ORTH else 0
+                    core = t_core_strips(la, t)
+                    assert rep.predicted_vanishing == (not is_z_asymmetric(core, z))
                     cases += 1
     closed = 0
     for x in (Fraction(5, 2), Fraction(7, 3), Fraction(11, 4)):

@@ -6,13 +6,12 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings
 
-from helpers import embed, partitions_strategy, schur_ssyt
+from helpers import embed, partitions_strategy, schur_ssyt, twisted_points
 from twistchar import characters
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
     twisted_character,
-    twisted_points,
     weyl_character,
 )
 from twistchar.cyclotomic import CycloElem, field
@@ -219,6 +218,36 @@ def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):
     assert weyl_character(GroupType.SP, la, pts) == want
     assert [inverted.count(x) for x in pts] == [1] * len(pts)
     assert want == twisted_character(GroupType.SP, la, POINTS[2], 3)
+
+
+def test_a_q_omega_power_does_no_wasted_multiplication(monkeypatch):
+    # Square up to the lowest set bit and no further than the highest:
+    # x ** k costs (bit length - 1) squarings and (set bits - 1) products,
+    # and x ** -1 costs what x.inv() does.
+    x = field(5).elem([Fraction(2), Fraction(-1, 3), 0, Fraction(5)])
+    want = {1: x}
+    for k in range(2, 10):
+        want[k] = want[k - 1] * x
+    want[-1] = x.inv()
+    muls = []
+    real = CycloElem.__mul__
+
+    def spy(self, other):
+        muls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(CycloElem, "__mul__", spy)
+
+    def cost(fn):
+        muls.clear()
+        value = fn()
+        return value, len(muls)
+
+    _, inv_cost = cost(x.inv)
+    for k in range(1, 10):
+        assert cost(lambda: x ** k) == (want[k], k.bit_length() + bin(k).count("1") - 2), k
+    assert cost(lambda: x ** -1) == (want[-1], inv_cost)
+    assert cost(lambda: x ** 0) == (field(5).one, 0)
 
 
 def test_twisted_points_layout():

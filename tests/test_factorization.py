@@ -9,20 +9,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import embed, partitions_strategy
+from helpers import check_block_det_lemma, embed, partitions_strategy, twisted_points
 from twistchar import characters, cyclotomic, factorization, partitions
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
     twisted_character,
-    twisted_points,
     weyl_character,
 )
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
     Prediction,
     TheoremId,
-    check_block_det_lemma,
     length_bound,
     lhs_value,
     predict,
@@ -228,11 +226,12 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
     # 1077 non-empty twisted characters over 168 (points, inverted, ones,
-    # t, length) keys; 1205 factors over 156 (group, mu, point set, X, t) keys.
+    # t, length) keys; 515 non-empty factors over 116 (group, mu, point set,
+    # X, t) keys.
     assert (table.hits, table.misses) == (909, 168)
-    assert (factor.hits, factor.misses) == (1049, 156)
+    assert (factor.hits, factor.misses) == (399, 116)
     assert _standing_grid() == cold
-    assert [cache.cache_info().misses for cache in _CACHES] == [168, 156]
+    assert [cache.cache_info().misses for cache in _CACHES] == [168, 116]
 
 
 def test_cache_keys_keep_groups_apart():
@@ -332,8 +331,9 @@ def test_a_vanishing_rhs_checks_its_points_and_is_zero():
 
 
 def test_degenerate_points_raise_on_every_call():
-    # Y = (4, 4) makes the GL denominator of the empty-core factors vanish.
-    pred = predict(TheoremId.SCHUR_FAC, (), 2, 2)
+    # Y = (4, 4) makes the GL denominator of the factor (1) vanish.
+    pred = predict(TheoremId.SCHUR_FAC, (2,), 2, 2)
+    assert (GroupType.GL, (1,), "Y") in pred.factors
     pts = (Fraction(2), Fraction(-2))
     factorization._factor_value.cache_clear()
     for _ in range(2):

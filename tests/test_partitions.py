@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import block_sign_oracle, ceil_div, partitions_strategy
+from helpers import block_sign_oracle, ceil_div, partitions_strategy, t_core_strips
 from twistchar import factorization, partitions
 from twistchar.cli import main
 from twistchar.factorization import TheoremId, length_bound, predict
@@ -33,7 +33,6 @@ from twistchar.partitions import (
     rank,
     size,
     t_core,
-    t_core_strips,
     z_asymmetric_arms,
     z_asymmetric_up_to,
 )

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from twistchar import cli, partitions, series
-from helpers import qpoch_minus, qpoch_plus, times_one_minus_power
+from helpers import qpoch_minus, qpoch_plus, t_core_strips, times_one_minus_power
 from twistchar.partitions import (
     conjugate,
     is_t_core,
@@ -14,7 +14,6 @@ from twistchar.partitions import (
     partitions_up_to,
     size,
     t_core,
-    t_core_strips,
     z_asymmetric_up_to,
 )
 from twistchar.series import (
