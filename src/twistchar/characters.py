@@ -12,6 +12,18 @@ scalar type (Fraction, or CycloElem for points in Q(w)).  The four families:
 
 with b = beta_set(la, n) and xbar the inverse point.  The OO form uses
 integer exponents only, so no square roots are ever needed.
+At Fraction points x_i = p_i/q_i each bialternant is taken over Z: row i
+times an integer s_i is an int row, and the bialternant is
+det(int rows) / prod s_i.  With top = b_1, the row's largest exponent:
+
+  GL  p^b q^(top-b)                                  s_i = q^top
+  SP  (p^(2b+2) - q^(2b+2)) (pq)^(top-b)             s_i = (pq)^(top+1)
+  OO  (p^(2b+1) - q^(2b+1)) (pq)^(top-b)             s_i = p^top q^(top+1)
+  OE  (p^(2b) + q^(2b)) (pq)^(top-b), (pq)^top at b = 0
+                                                     s_i = (pq)^top
+
+Negative points and the point 1 need no special case.  Points in Q(w)
+take the entries of the first table as they stand.
 
 `twisted_character` evaluates the same characters at the root-of-unity
 twist (X, wX, ..., w^(t-1) X) of rational points without leaving Q: it
@@ -64,11 +76,49 @@ def _entry_matrix(g: GroupType, pts, betas):
     return [[x ** b + y ** b if b else x ** 0 for b in betas] for x, y in pairs]
 
 
+# (u, v, sign) of the Laurent entry x^(b+u) + sign xbar^(b+v).
+_LAURENT = {GroupType.SP: (1, 1, -1), GroupType.OO: (1, 0, -1), GroupType.OE: (0, 0, 1)}
+
+
+def _int_rows(g: GroupType, pts, betas):
+    """The bialternant matrix at Fraction points p/q with row i times an
+    integer s_i, as ints, and the product of the s_i (module docstring)."""
+    top = betas[0]
+    rows, scale = [], 1
+    if g is GroupType.GL:
+        for x in pts:
+            p, q = x.numerator, x.denominator
+            rows.append([p ** b * q ** (top - b) for b in betas])
+            scale *= q ** top
+        return rows, scale
+    # x^(b+u) + sign xbar^(b+v) is (p^(2b+k) + sign q^(2b+k)) / (p^(b+v) q^(b+u))
+    # with k = u + v, so s_i = p^(top+v) q^(top+u) leaves (pq)^(top-b) over.
+    u, v, sign = _LAURENT[g]
+    k = u + v
+    for x in pts:
+        p, q = x.numerator, x.denominator
+        pq = p * q
+        rows.append([
+            (p ** (2 * b + k) + sign * q ** (2 * b + k)) * pq ** (top - b)
+            if b or k else pq ** top  # OE at b = 0: half of x^0 + xbar^0
+            for b in betas
+        ])
+        scale *= p ** (top + v) * q ** (top + u)
+    return rows, scale
+
+
+def _bialternant(g: GroupType, pts, betas):
+    """det of the bialternant matrix: over Z at Fraction points, else over
+    the points' own scalar type."""
+    if all(isinstance(x, Fraction) for x in pts):
+        rows, scale = _int_rows(g, pts, betas)
+        return Fraction(det(rows), scale)
+    return det(_entry_matrix(g, pts, betas))
+
+
 @lru_cache(maxsize=4096)
 def _denominator(g: GroupType, pts: tuple):
-    n = len(pts)
-    empty_betas = beta_set((), n)
-    return det(_entry_matrix(g, pts, empty_betas))
+    return _bialternant(g, pts, beta_set((), len(pts)))
 
 
 def weyl_character(g: GroupType, la: Partition, pts: tuple):
@@ -90,8 +140,7 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple):
     den = _denominator(g, pts)
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
-    betas = beta_set(la, n)
-    return det(_entry_matrix(g, pts, betas)) / den
+    return _bialternant(g, pts, beta_set(la, n)) / den
 
 
 @lru_cache(maxsize=4096)

@@ -166,8 +166,13 @@ class Abacus:
     @property
     def quotient(self) -> tuple[Partition, ...]:
         """The t-quotient: runner i read as a beta set.  Its order depends on
-        m mod t; padding m + 1 instead of m rotates it cyclically by one."""
-        return tuple(from_beta_set(r) for r in self.runners)
+        m mod t; padding m + 1 instead of m rotates it cyclically by one.
+        A runner is strictly decreasing, so its part i (from 1) is
+        x_i - len(r) + i, and its zero parts are the trailing ones."""
+        return tuple(
+            tuple(p for i, x in enumerate(r, 1) if (p := x - len(r) + i)) if r else ()
+            for r in self.runners
+        )
 
     @property
     def offsets(self) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import embed, partitions_strategy, schur_ssyt, twisted_points
 from twistchar import characters
@@ -15,9 +16,9 @@ from twistchar.characters import (
     weyl_character,
 )
 from twistchar.cyclotomic import CycloElem, field
-from twistchar.factorization import sample_points
+from twistchar.factorization import _POINT_SETS, sample_points
 from twistchar.linalg import det
-from twistchar.partitions import partitions_up_to
+from twistchar.partitions import beta_set, partitions_up_to
 
 P = partitions_strategy(max_part=4, max_len=4)
 
@@ -108,6 +109,76 @@ def test_degenerate_points_are_reported():
         weyl_character(GroupType.SP, (1,), embed([1], 2))
     with pytest.raises(DegeneratePointError):
         weyl_character(GroupType.OO, (1,), embed([1], 2))
+
+
+def test_degenerate_negative_points_are_reported():
+    # Two equal points at -Y: equal rows, so the integer denominator is 0.
+    pts = _POINT_SETS["-Y"]((Fraction(9, 4), Fraction(9, 4)))
+    for g in GroupType:
+        for _ in range(2):
+            with pytest.raises(DegeneratePointError):
+                weyl_character(g, (1,), pts)
+
+
+def test_rational_bialternant_hands_det_only_ints(monkeypatch):
+    seen = []
+
+    def checked(rows):
+        seen.extend(type(x) for row in rows for x in row)
+        return det(rows)
+
+    monkeypatch.setattr(characters, "det", checked)
+    characters._denominator.cache_clear()
+    ys = (Fraction(7, 2), Fraction(-5, 3))
+    # Every layout whose Weyl denominator is nonzero: SP and OO vanish at
+    # the point 1, and SP, OO and OE wherever x_i x_j = 1.
+    layouts = {
+        GroupType.GL: ("Y", "Y,1", "Y,1/Y", "-Y"),
+        GroupType.SP: ("Y", "-Y"),
+        GroupType.OO: ("Y", "-Y"),
+        GroupType.OE: ("Y", "Y,1", "-Y"),
+    }
+    for g, ats in layouts.items():
+        for at in ats:
+            pts = _POINT_SETS[at](ys)
+            for la in partitions_up_to(5, max_length=len(pts)):
+                assert type(weyl_character(g, la, pts)) is Fraction
+    assert set(seen) == {int}
+
+
+RATIONAL = st.one_of(
+    st.just(Fraction(1)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+)
+
+
+@given(
+    st.sampled_from(list(GroupType)),
+    st.sampled_from(sorted(_POINT_SETS)),
+    st.lists(RATIONAL, min_size=1, max_size=3),
+    st.sampled_from(list(partitions_up_to(6))),
+)
+@settings(max_examples=300, deadline=None)
+def test_rational_bialternant_matches_the_fraction_entry_matrix(g, at, ys, la):
+    # The Fraction route through _entry_matrix is the oracle of the
+    # integer one: row i of the same matrix times s_i, divided out after.
+    # A row scale that is off by a factor common to la and the empty
+    # partition cancels in the character, so the denominator is compared
+    # on its own too.
+    pts = _POINT_SETS[at](tuple(ys))
+    n = len(pts)
+    if len(la) > n:
+        assert weyl_character(g, la, pts) == 0
+        return
+    den = det(characters._entry_matrix(g, pts, beta_set((), n)))
+    assert characters._denominator(g, pts) == den
+    if not den:
+        with pytest.raises(DegeneratePointError):
+            weyl_character(g, la, pts)
+        return
+    got = weyl_character(g, la, pts)
+    assert type(got) is Fraction
+    assert got == det(characters._entry_matrix(g, pts, beta_set(la, n))) / den
 
 
 @given(P)
