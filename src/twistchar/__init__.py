@@ -37,6 +37,7 @@ from .partitions import (
     classify_core,
     conjugate,
     core_from_offsets,
+    core_size,
     frobenius,
     from_beta_set,
     from_frobenius,
@@ -61,6 +62,7 @@ from .series import (
     phi,
     phi_inverse,
     theta_f,
+    z_core_offsets,
 )
 
 __version__ = "0.1.0"
@@ -84,6 +86,7 @@ __all__ = [
     "classify_core",
     "conjugate",
     "core_from_offsets",
+    "core_size",
     "cyclotomic_poly",
     "det",
     "enum_z_asymmetric",
@@ -115,5 +118,6 @@ __all__ = [
     "verify",
     "weyl_character",
     "z_asymmetric_up_to",
+    "z_core_offsets",
     "__version__",
 ]

@@ -20,11 +20,12 @@ from .partitions import (
     CoreClass,
     abacus,
     as_partition,
+    core_size,
     frobenius,
     partitions_up_to,
     size,
 )
-from .series import SeriesZ, enum_z_asymmetric_cores, enum_z_cores, gf_z_cores
+from .series import SeriesZ, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,7 +240,7 @@ def cmd_series(args) -> int:
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     with _open_out(args.out) as fh:
-        lattice = SeriesZ.from_sizes(map(size, enum_z_cores(z, t, order)), order)
+        lattice = SeriesZ.from_sizes(map(core_size, z_core_offsets(z, t, order)), order)
         enumerated = enum_z_asymmetric_cores(z, t, order)
         product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
 

@@ -4,9 +4,9 @@ A partition is stored as a tuple of weakly decreasing positive integers
 (canonical form, no trailing zeros).  Everything here is derived from the
 beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
 out on t runners (the abacus); the residue counts, the quotient and the
-t-core's runner offsets, which carry its classification, are read off the
-runners, and the sorting sign of a class-block order off the beta set, on
-request.
+t-core's runner offsets, which carry its classification and its size, are
+read off the runners, and the sorting sign of a class-block order off the
+beta set, on request.
 The z-asymmetric families are walked as Frobenius arms, and the walk
 carries each beta set as a bitmask, one bead moved per arm, without
 building the partition.
@@ -116,30 +116,27 @@ def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], 
     with legs a_i + z >= 0, that is arms >= max(0, -z), size
     sum(2 a_i + z + 1), and beta(la, l(la)) as an int with bit x set for
     each entry x.  One depth-first walk, each arm tuple before its
-    extensions.  At m = l(la) = a_1 + z + 1 the beta set is {m + a_i} and
-    {0..m-1} without {a_1 - a_i}, so each arm a after a_1 moves one bead."""
+    extensions, in lexicographic order of the arm tuples.  At
+    m = l(la) = a_1 + z + 1 the beta set is {m + a_i} and {0..m-1}
+    without {a_1 - a_i}, so each arm a after a_1 moves one bead."""
     if max_size < 0:
         return
     low = max(0, -z)
-    stack = [((), 0, 0)]
+    yield (), 0, 0
+    # Each entry carries m = a_1 + z + 1 beside the arms, size and beads.
+    # A first arm a has beta set {1..m-1} and m + a.  Arms are pushed
+    # largest first, so the least pops first.
+    stack = []
+    for a in range((max_size - z - 1) // 2, low - 1, -1):
+        m = a + z + 1
+        stack.append(((a,), 2 * a + z + 1, 1 << (m + a) | (1 << m) - 2, m))
     while stack:
-        arms, used, beads = stack.pop()
+        arms, used, beads, m = stack.pop()
         yield arms, used, beads
-        # Each diagonal hook 2a + z + 1 is at least a + 1 since a + z >= 0,
-        # so the arms below max_size + 1 cover every hook that fits.
-        more = []
-        for a in range(low, arms[-1] if arms else max_size + 1):
-            grown = used + 2 * a + z + 1
-            if grown > max_size:
-                break
-            if arms:
-                m = arms[0] + z + 1
-                grew = beads ^ 1 << (m + a) ^ 1 << (arms[0] - a)
-            else:  # a is a_1: {1..m-1} and m + a_1
-                m = a + z + 1
-                grew = 1 << (m + a) | (1 << m) - 2
-            more.append((arms + (a,), grown, grew))
-        stack.extend(reversed(more))
+        first = arms[0]
+        for a in range(min(arms[-1] - 1, (max_size - used - z - 1) // 2), low - 1, -1):
+            grew = beads ^ 1 << (m + a) ^ 1 << (first - a)
+            stack.append((arms + (a,), used + 2 * a + z + 1, grew, m))
 
 
 def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
@@ -232,6 +229,24 @@ def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
     first = min(gaps)
     beads = (y for c in gaps for y in range(c - first - t, 0, -t))
     return from_beta_set(sorted(beads, reverse=True))
+
+
+def core_size(offsets: tuple[int, ...]) -> int:
+    """|core_from_offsets(offsets)| in O(t), read off the same gaps without
+    building a beta set.  With c' = c_i - min(c), runner i holds the
+    k = c' // t beads c' - t, ..., c' - kt (c' = 0 is the only multiple of
+    t), and a beta set of L beads has size sum(beads) - L(L - 1)/2."""
+    t = len(offsets)
+    gaps = [t * o + i for i, o in enumerate(offsets)]
+    first = min(gaps)
+    total = length = 0
+    for c in gaps:
+        if c >= first + t:  # else k = 0
+            c -= first
+            k = c // t
+            total += k * c - t * k * (k + 1) // 2
+            length += k
+    return total - length * (length - 1) // 2
 
 
 def t_core(la: Partition, t: int) -> Partition:

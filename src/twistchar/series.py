@@ -8,16 +8,20 @@ arm tuples of the family with their sizes and beta sets
 (`partitions.z_asymmetric_arms`, one bead moved per arm) and keeps each
 beta set that passes the same closure test as `partitions.is_t_core`; it
 builds no partition.  The product is a truncated Pochhammer/theta
-product.  The lattice walk (`enum_z_cores`) is a bijection for the t-core
-members of each family, with one coordinate per class pair
-i < j = t-1-z-i (`partitions.partners`).
+product.  The lattice walk (`z_core_offsets`) is a bijection for the
+t-core members of each family, with one coordinate per class pair
+i < j = t-1-z-i (`partitions.partners`); it yields each core's runner
+offsets, from which `partitions.core_size` reads the size off the runner
+gaps, with no core built, and `enum_z_cores` builds the cores themselves.
+The size comes from the bead positions, not from the walk's cost
+t*v^2 - gap*v, which is the theta product's exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .partitions import (
     Partition,
@@ -201,30 +205,39 @@ def _coordinate_budget(t: int, gap: int, bound: int) -> list[tuple[int, int]]:
     return [(v, c) for v in range(-r, r + 1) if (c := t * v * v - gap * v) <= bound]
 
 
-def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
-    """All z-asymmetric t-cores of size at most `bound`, sorted by size, for
-    every integer z and t >= 2: the lattice ball of the coordinate map, one
-    coordinate per class pair.  With no pair, as when |z| >= t-1, the only
-    such core is the empty one."""
+def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The runner offsets (length t, `partitions.core_from_offsets`) of every
+    z-asymmetric t-core of size at most `bound`, for every integer z and
+    t >= 2, in the walk's order: the lattice ball of the coordinate map, one
+    coordinate per class pair.  A pair's coordinate v adds t*v^2 - gap*v
+    cells.  With no pair, as when |z| >= t-1, the only such core is the
+    empty one.  A generator: its `ValueError`s fire at the first item."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     # A pair whose only offset within the bound is 0 holds offset 0 in
-    # every core, so the walk leaves it out.
-    moving = [
-        (pair, budget)
-        for pair in _pairs(z, t)
-        if len(budget := _coordinate_budget(t, pair[1] - pair[0], bound)) > 1
-    ]
-    pairs = [pair for pair, _ in moving]
-    out = []
+    # every core, so the walk leaves it out.  Offsets (1, -1) cost the
+    # least, t - gap, and `_pairs` comes in order of decreasing gap, so
+    # the pairs that can move come first.
+    pairs, budgets = [], []
+    for i, j in _pairs(z, t):
+        if t - (j - i) > bound:
+            break
+        pairs.append((i, j))
+        budgets.append(_coordinate_budget(t, j - i, bound))
     stack = [((), 0)]
     while stack:
         prefix, cost = stack.pop()
         i = len(prefix)
-        if i == len(moving):
-            out.append(core_from_offsets(_offsets(pairs, prefix, t)))
+        if i == len(pairs):
+            yield _offsets(pairs, prefix, t)
             continue
-        for v, c in moving[i][1]:
+        for v, c in budgets[i]:
             if cost + c <= bound:
                 stack.append((prefix + (v,), cost + c))
-    return sorted(out, key=lambda la: (size(la), la))
+
+
+def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
+    """All z-asymmetric t-cores of size at most `bound`, sorted by size: each
+    offset vector of `z_core_offsets` built into its partition."""
+    cores = map(core_from_offsets, z_core_offsets(z, t, bound))
+    return sorted(cores, key=lambda la: (size(la), la))

@@ -1,5 +1,6 @@
 """Beta sets, cores, quotients, signs, and core classification."""
 
+import random
 from dataclasses import astuple, fields
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from twistchar.partitions import (
     classify_core,
     conjugate,
     core_from_offsets,
+    core_size,
     frobenius,
     from_beta_set,
     from_frobenius,
@@ -146,10 +148,13 @@ def test_z_asymmetric_construction_matches_the_filter(z):
 @pytest.mark.parametrize("z", range(-4, 9))
 def test_z_asymmetric_walk_carries_each_size(z):
     # ... and each beta set at the length, bit x set for each entry x.
+    walked = []
     for arms, used, beads in z_asymmetric_arms(z, 20):
         la = from_frobenius(arms, [a + z for a in arms])
         assert used == size(la)
         assert beads == sum(1 << x for x in beta_set(la, len(la))), la
+        walked.append(arms)
+    assert walked == sorted(walked)
     assert list(z_asymmetric_arms(z, -1)) == []
 
 
@@ -392,6 +397,23 @@ def test_core_from_offsets_matches_the_padded_construction(t):
     for la in partitions_up_to(13):
         offsets = abacus(la, t, max(1, len(la))).offsets
         assert core_from_offsets(offsets) == _padded_core(offsets) == t_core_strips(la, t), la
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_core_size_matches_the_built_core_and_the_gks_form(t):
+    # Garvan-Kim-Stanton: the t-core with offsets o (sum 0) has
+    # sum_i (t/2) o_i^2 + i o_i cells.
+    rng = random.Random(t)
+    seen = 0
+    while seen < 300:
+        offsets = [rng.randint(-4, 4) for _ in range(t - 1)]
+        offsets.append(-sum(offsets))
+        if abs(offsets[-1]) > 4:
+            continue
+        seen += 1
+        gks = t * sum(o * o for o in offsets) + 2 * sum(i * o for i, o in enumerate(offsets))
+        assert 2 * core_size(tuple(offsets)) == 2 * size(core_from_offsets(tuple(offsets))) == gks
+    assert core_size((0,) * t) == 0
 
 
 def test_core_from_offsets_builds_only_the_rows_of_the_core(monkeypatch):

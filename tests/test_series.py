@@ -7,7 +7,10 @@ import pytest
 from twistchar import cli, partitions, series
 from helpers import qpoch_minus, qpoch_plus, t_core_strips, times_one_minus_power
 from twistchar.partitions import (
+    abacus,
     conjugate,
+    core_from_offsets,
+    core_size,
     is_t_core,
     is_z_asymmetric,
     partitions_of,
@@ -26,6 +29,7 @@ from twistchar.series import (
     phi,
     phi_inverse,
     theta_f,
+    z_core_offsets,
 )
 
 
@@ -353,3 +357,52 @@ def test_lattice_walk_skips_phi_inverse(monkeypatch):
 
     monkeypatch.setattr(series, "phi_inverse", never)
     assert enum_z_cores(0, 6, 40) == want
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_lattice_offsets_are_those_of_the_enumerated_cores(t):
+    for z in range(-t - 1, t + 2):
+        for bound in (0, 1, 5, 13, 30):
+            offsets = list(z_core_offsets(z, t, bound))
+            cores = enum_z_cores(z, t, bound)
+            assert len(set(offsets)) == len(offsets) == len(cores), (z, bound)
+            assert sorted(map(core_size, offsets)) == [size(la) for la in cores], (z, bound)
+            # Each vector is the abacus reading of the core it builds.
+            for o in offsets:
+                la = core_from_offsets(o)
+                assert abacus(la, t, max(1, len(la))).offsets == o, (z, o)
+    with pytest.raises(ValueError, match="bound"):
+        list(z_core_offsets(0, 3, -1))
+    with pytest.raises(ValueError):
+        list(z_core_offsets(0, 1, 5))
+
+
+def test_lattice_column_builds_no_partition(monkeypatch, capsys):
+    argv = ["series", "--z", "0", "--t", "6", "--N", "40"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the series command built a core")
+
+    monkeypatch.setattr(partitions, "core_from_offsets", never)
+    monkeypatch.setattr(series, "core_from_offsets", never)
+    monkeypatch.setattr(partitions, "from_beta_set", never)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert "ok" in want.err
+
+
+@pytest.mark.parametrize("z", [-1, 0, 1])
+def test_lattice_walk_at_large_t_budgets_only_the_pairs_that_move(monkeypatch, z):
+    real, calls = series._coordinate_budget, []
+
+    def counted(t, gap, bound):
+        calls.append(gap)
+        return real(t, gap, bound)
+
+    monkeypatch.setattr(series, "_coordinate_budget", counted)
+    order = 3
+    offsets = list(z_core_offsets(z, 10**5, order))
+    assert len(calls) <= order + 2
+    assert len(offsets) == len(list(z_asymmetric_up_to(z, order)))
