@@ -18,6 +18,12 @@ rule, `CoreClass.z_asymmetric(z, k)`, gives every verdict, and one loop
 over the pairing the factors: each pair i < j a GL one, the self-paired
 middle class 2i = t-1-z an odd orthogonal one and any other self-paired
 class the left group, at (Y, 1) for the class of the point 1.
+
+The verdict, the total sign and the factors' quotient parts do not depend
+on n.  So a prediction is derived once per (theorem, partition, t), at the
+least n the partition fits, and carried to a larger n with no new abacus:
+epsilon by its formula, sigma by the parity of the padding steps of t, and
+each pair factor with a non-empty part padded again.
 """
 
 from __future__ import annotations
@@ -32,7 +38,15 @@ from math import comb, gcd
 from .characters import GroupType, twisted_character, weyl_character
 # Unused here: perfbench's tracer test checks that it rebinds factorization.det.
 from .linalg import det  # noqa: F401
-from .partitions import CoreClass, Partition, abacus, as_partition, mu_padded, partners
+from .partitions import (
+    CoreClass,
+    Partition,
+    abacus,
+    as_partition,
+    class_pairs,
+    mu_padded,
+    partners,
+)
 
 
 class TheoremId(Enum):
@@ -83,8 +97,7 @@ def _epsilon(th: TheoremId, t: int, n: int, cls: CoreClass, c: int) -> int:
     group, z = th.group, th.z
     if z is None:
         return ((t * (t - 1) // 2) * (n * (n + 1) // 2) - c * n) % 2
-    pairs = enumerate(partners(t, z))
-    e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for i, j in pairs if i < j)
+    e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for _, j in class_pairs(t, z))
     nr = n * cls.rank
     if group is GroupType.SP and t % 2 == 0:
         e += n * (n + 1) // 2 + nr
@@ -129,36 +142,48 @@ class Prediction:
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     """Read the verdict, the signs and the factors off one abacus of la at
-    the theorem's length bound tn + k, k its points 1, the padding both the
-    sorting sign and the quotient's rotation refer to; the factors follow
-    partners(t, z), as the module docstring says."""
+    the least length bound tn0 + k that la fits, k the points 1, and carry
+    them to n: the verdict, the total sign and the factors' quotient parts
+    do not depend on n, and the split of the sign into epsilon and sigma
+    moves by a closed form.  The factors follow partners(t, z), as the
+    module docstring says."""
     _check_case(th, la, t, n)
     return _predict(th, tuple(la), t, n)
 
 
 @lru_cache(maxsize=4096)
-def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
-    # A scan visits each case once per seed, and the prediction never
-    # looks at the points, so it is derived once per (th, la, t, n).
+def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
+    # The case's prediction at the least n0 that la fits, with what its move
+    # to n > n0 reads: the class of the core, the class c of the point 1
+    # (None without one), and (index, front, back) of each pair factor
+    # with a non-empty quotient part.
     # Checked here, on a miss only: a refused case is never cached.
     la = as_partition(la)
-    ab = abacus(la, t, length_bound(th, t, n))
+    n0 = max(1, -((th.ones - len(la)) // t))
+    ab = abacus(la, t, length_bound(th, t, n0))
     cls = CoreClass(ab.offsets)
-    if not cls.z_asymmetric(th.z, th.ones):
+    pairing = partners(t, th.z)
+    if not cls.z_asymmetric(th.z, th.ones, pairing):
         # A vanishing appended-one case records no sorting sign.
-        return Prediction(t, n, None, None if th.ones else ab.block_sign(), 0, ())
+        sigma = None if th.ones else ab.block_sign()
+        return Prediction(t, n0, None, sigma, 0, ()), cls, None, ()
 
     # With a point 1 appended, c is the class it leaves one bead above n,
     # and sigma_c sorts class c first.
     c = cls.excess(th.ones).index(1) if th.ones else None
     sigma = ab.block_sign(c)
-    eps = _epsilon(th, t, n, cls, c or 0)
+    eps = _epsilon(th, t, n0, cls, c or 0)
     odd = eps + (sigma == -1)
     quo = ab.quotient
-    factors = []
-    for i, j in enumerate(partners(t, th.z)):
+    factors, pads = [], []
+    for i, j in enumerate(pairing):
         if i < j:
-            factors.append((GroupType.GL, mu_padded(quo[j], quo[i], n), "Y,1/Y"))
+            front, back, mu = quo[j], quo[i], ()
+            # At large t most pairs have two empty parts, which pad to ().
+            if front or back:
+                pads.append((len(factors), front, back))
+                mu = mu_padded(front, back, n0)
+            factors.append((GroupType.GL, mu, "Y,1/Y"))
         elif i == j and th.z is not None and 2 * i == t - 1 - th.z:
             # The middle class; even O takes it at -Y, with sign (-1)^|mu|.
             minus = th.group is GroupType.OE
@@ -166,7 +191,35 @@ def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
             odd += minus * sum(quo[i])
         elif i == j:
             factors.append((th.group, quo[i], "Y,1" if i == c else "Y"))
-    return Prediction(t, n, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
+    return Prediction(t, n0, eps, sigma, -1 if odd % 2 else 1, tuple(factors)), cls, c, tuple(pads)
+
+
+@lru_cache(maxsize=4096)
+def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
+    # A scan visits each case once per seed, and the prediction never
+    # looks at the points, so it is looked up once per (th, la, t, n); a
+    # miss moves the case's one derivation to n.
+    pred, cls, c, pads = _derive(th, la, t)
+    s = n - pred.n
+    if not s:
+        return pred
+    sigma = pred.sigma
+    if sigma is not None:
+        # From padding m to m + t each class gains one bead below the rest,
+        # which adds T - c + S inversions: T = t(t-1)/2, and S the sum of
+        # block position times count at m, which grows by T per step.
+        T = t * (t - 1) // 2
+        e = cls.excess(th.ones)
+        order = sorted(range(t), key=lambda i: i != c)
+        s0 = sum(k * (pred.n + e[i]) for k, i in enumerate(order))
+        if (s * (T - (c or 0) + s0) + T * s * (s - 1) // 2) % 2:
+            sigma = -sigma
+    if pred.vanishing:
+        return Prediction(t, n, None, sigma, 0, ())
+    factors = list(pred.factors)
+    for k, front, back in pads:
+        factors[k] = (GroupType.GL, mu_padded(front, back, n), "Y,1/Y")
+    return Prediction(t, n, _epsilon(th, t, n, cls, c or 0), sigma, pred.sign, tuple(factors))
 
 
 # A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).

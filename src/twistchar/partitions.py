@@ -280,6 +280,14 @@ def partners(t: int, z: int | None) -> tuple[int, ...]:
     return tuple(j if 0 <= j < t else i for i, j in ((i, t - 1 - z - i) for i in range(t)))
 
 
+def class_pairs(t: int, z: int) -> Iterator[tuple[int, int]]:
+    """The pairs i < j of `partners(t, z)` in order of decreasing gap j - i,
+    straight from the closed form: j = t-1-z-i lies in 0..t-1 and above i
+    exactly for max(0, -z) <= i < ceil((t-1-z)/2).  Lazy, so reading the
+    first few pairs costs nothing in t."""
+    return ((i, t - 1 - z - i) for i in range(max(0, -z), (t - z) // 2))
+
+
 @dataclass(frozen=True)
 class CoreClass:
     """Classification of a t-core, read off its runner offsets.
@@ -307,13 +315,18 @@ class CoreClass:
         o = self.offsets
         return tuple(o[i - ones] + (i < ones) for i in range(len(o)))
 
-    def z_asymmetric(self, z: int | None, ones: int = 0) -> bool:
+    def z_asymmetric(
+        self, z: int | None, ones: int = 0, pairing: tuple[int, ...] | None = None
+    ) -> bool:
         """Whether the character with `ones` points 1 appended survives:
-        s_i + s_partner(i) >= 0 for each class i (`partners(t, z)`), s the
-        excess.  As s sums to ones, this says that some `ones` beads can be
-        removed to leave the counts z-paired; at ones = 0, z-asymmetry."""
+        s_i + s_partner(i) >= 0 for each class i (`partners(t, z)`, or
+        `pairing` when the caller already holds it), s the excess.  As s
+        sums to ones, this says that some `ones` beads can be removed to
+        leave the counts z-paired; at ones = 0, z-asymmetry."""
         s = self.excess(ones)
-        return all(s[i] + s[j] >= 0 for i, j in enumerate(partners(len(s), z)))
+        if pairing is None:
+            pairing = partners(len(s), z)
+        return all(s[i] + s[j] >= 0 for i, j in enumerate(pairing))
 
     @property
     def empty(self) -> bool:

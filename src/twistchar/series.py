@@ -10,7 +10,7 @@ beta set that passes the same closure test as `partitions.is_t_core`; it
 builds no partition.  The product is a truncated Pochhammer/theta
 product.  The lattice walk (`z_core_offsets`) is a bijection for the
 t-core members of each family, with one coordinate per class pair
-i < j = t-1-z-i (`partitions.partners`); it yields each core's runner
+i < j = t-1-z-i (`partitions.class_pairs`); it yields each core's runner
 offsets, from which `partitions.core_size` reads the size off the runner
 gaps, with no core built, and `enum_z_cores` builds the cores themselves.
 The size comes from the bead positions, not from the walk's cost
@@ -20,6 +20,7 @@ t*v^2 - gap*v, which is the theta product's exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -27,10 +28,10 @@ from .partitions import (
     Partition,
     abacus,
     as_partition,
+    class_pairs,
     core_from_offsets,
     is_core_beads,
     is_z_asymmetric,
-    partners,
     size,
     z_asymmetric_arms,
     z_asymmetric_up_to,
@@ -150,28 +151,30 @@ def gf_z_cores(z: int, t: int, order: int) -> SeriesZ:
     if not 0 <= z <= t - 2:
         raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
     out = SeriesZ.one(order)
-    for i in range((t - z - 2) // 2 + 1):
-        a, b = 2 * i + z + 1, 2 * t - 2 * i - z - 1
-        # Past q^0 the least terms are q^a and q^b: beyond the order, the
-        # factor is 1 + O(q^(order+1)).
-        if min(a, b) <= order:
-            out = out * theta_f(a, b, order)
+    # Factor i has a = 2i + z + 1 and b = 2t - 2i - z - 1.  Past q^0 its
+    # least terms are q^a and q^b, so it is 1 + O(q^(order+1)) unless
+    # a <= order, that is i <= low, or b <= order, that is i >= high.
+    top, low = (t - z - 2) // 2, (order - z - 1) // 2
+    high = max(low + 1, -((order + z + 1 - 2 * t) // 2))
+    for i in chain(range(min(low, top) + 1), range(max(high, 0), top + 1)):
+        out = out * theta_f(2 * i + z + 1, 2 * t - 2 * i - z - 1, order)
     return out
 
 
-def _pairs(z: int, t: int) -> list[tuple[int, int]]:
+def _pairs(z: int, t: int) -> Iterator[tuple[int, int]]:
     # The lattice coordinates of the z-asymmetric t-cores: one per class
-    # pair i < j, the offset of class i (class j holds its negative).
+    # pair i < j, the offset of class i (class j holds its negative), in
+    # order of decreasing gap.
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    return [(i, j) for i, j in enumerate(partners(t, z)) if i < j]
+    return class_pairs(t, z)
 
 
 def phi(la: Partition, z: int, t: int) -> LatticeVec:
     """Lattice coordinates of a z-asymmetric t-core: the runner offset
     n_i - n of the lower class i of each pair i < j (`partitions.partners`),
     with n_i the count of beta elements in class i mod t at any padding tn."""
-    pairs = _pairs(z, t)
+    pairs = list(_pairs(z, t))
     la = as_partition(la)
     offsets = abacus(la, t, max(1, len(la))).offsets
     if not is_z_asymmetric(la, z) or core_from_offsets(offsets) != la:
@@ -183,7 +186,7 @@ def phi_inverse(v: LatticeVec, z: int, t: int) -> Partition:
     """Rebuild the unique z-asymmetric t-core with the given coordinates:
     the lower class of each pair gets offset v_k and its partner -v_k, every
     self-paired class 0."""
-    pairs = _pairs(z, t)
+    pairs = list(_pairs(z, t))
     if len(v) != len(pairs):
         raise ValueError(f"expected a vector of length {len(pairs)}, got {len(v)}")
     return core_from_offsets(_offsets(pairs, v, t))

@@ -137,6 +137,24 @@ def t_core_strips(la: Partition, t: int) -> Partition:
     return from_beta_set(sorted(entries, reverse=True))
 
 
+def ribbon_sign(la: Partition, t: int) -> int:
+    """Littlewood's t-sign: (-1) to the sum of the heights of the t-ribbons
+    removed to reach the t-core.  On a beta set, moving bead x to x - t
+    removes a ribbon of height #{y : x - t < y < x}."""
+    entries = set(beta_set(la, max(1, len(la))))
+    height, removed = 0, True
+    while removed:
+        removed = False
+        for x in sorted(entries, reverse=True):
+            if x - t >= 0 and x - t not in entries:
+                height += sum(x - t < y < x for y in entries)
+                entries.remove(x)
+                entries.add(x - t)
+                removed = True
+                break
+    return -1 if height % 2 else 1
+
+
 def inversions_quadratic(seq) -> int:
     return sum(
         1

@@ -289,6 +289,22 @@ def test_wide_grid_records_are_byte_identical(tmp_path, capsys):
     )
 
 
+def test_multi_n_grid_records_are_byte_identical(tmp_path, capsys):
+    # The other pins stop at n = 2, one step past the least n of most
+    # cases; here sigma_sign is carried two and three steps as well.
+    p = tmp_path / "multi_n.jsonl"
+    argv = [
+        "scan", "--theorems", "all", "--t", "2,3,4,5", "--n", "1,2,3,4",
+        "--max-size", "8", "--seeds", "0", "--out", str(p),
+    ]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(p.read_bytes().splitlines()) == 4865
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "633bf6ac214c32d802237da5149cd27920220fe47334025b345d43a9aca60566"
+    )
+
+
 def output_digest(argvs, capsys):
     h = hashlib.sha256()
     for argv in argvs:

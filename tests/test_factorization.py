@@ -9,7 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import check_block_det_lemma, embed, partitions_strategy, twisted_points
+from helpers import (
+    ceil_div,
+    check_block_det_lemma,
+    embed,
+    partitions_strategy,
+    ribbon_sign,
+    t_core_strips,
+    twisted_points,
+)
 from twistchar import characters, cyclotomic, factorization, partitions
 from twistchar.characters import (
     DegeneratePointError,
@@ -30,8 +38,10 @@ from twistchar.factorization import (
 )
 from twistchar.linalg import det
 from twistchar.partitions import (
+    CoreClass,
     abacus,
     beta_set,
+    frobenius,
     mu_padded,
     partitions_up_to,
 )
@@ -207,6 +217,7 @@ def test_seeds_stay_injective():
 # ---- the point-keyed caches of the two routes ----------------------------
 
 _CACHES = (characters._twisted_h, factorization._factor_value)
+_PREDICTION_CACHES = (factorization._predict, factorization._derive)
 
 
 def _standing_grid():
@@ -277,28 +288,32 @@ def _t5_seeds_grid():
 
 
 def test_each_prediction_is_derived_once_for_all_seeds():
-    for cache in _CACHES + (factorization._predict,):
+    for cache in _CACHES + _PREDICTION_CACHES:
         cache.cache_clear()
     cold = _t5_seeds_grid()
-    # 35 cases, each visited once per seed.
+    # 35 cases, each visited once per seed, and each derived once.
     info = factorization._predict.cache_info()
     assert (info.hits, info.misses) == (245, 35)
+    info = factorization._derive.cache_info()
+    assert (info.hits, info.misses) == (0, 35)
     assert _t5_seeds_grid() == cold
     assert factorization._predict.cache_info().misses == 35
+    assert factorization._derive.cache_info().misses == 35
 
 
 def test_predict_and_verify_accept_a_list_partition():
     th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
-    factorization._predict.cache_clear()
+    for cache in _PREDICTION_CACHES:
+        cache.cache_clear()
     pred = predict(th, list(la), t, n)
     assert pred == predict(th, la, t, n) and not hasattr(pred, "__dict__")
-    assert factorization._predict.cache_info().misses == 1
+    assert all(cache.cache_info().misses == 1 for cache in _PREDICTION_CACHES)
     assert verify(th, list(la), t, n).as_dict() == verify(th, la, t, n).as_dict()
     # A case that fails its check is refused on every call, never cached.
     for _ in range(2):
         with pytest.raises(ValueError, match="bound for sympfact is 6"):
             predict(th, [1] * 7, t, n)
-    assert factorization._predict.cache_info().currsize == 1
+    assert all(cache.cache_info().currsize == 1 for cache in _PREDICTION_CACHES)
 
 
 def test_predict_and_verify_refuse_a_non_partition():
@@ -366,15 +381,18 @@ def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
 
         return wrapper
 
-    once = ("abacus", "_epsilon")
-    for name in once + ("rhs_value",):
+    for name in ("abacus", "_epsilon", "rhs_value"):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
-    # A warm prediction cache would derive nothing, and pass for nothing.
-    factorization._predict.cache_clear()
+    # Warm prediction caches would derive nothing, and pass for nothing.
+    for cache in _PREDICTION_CACHES:
+        cache.cache_clear()
+    # (4, 4) fits n0 = 1: one abacus, and epsilon at n0 and at n = 2.
     rep = verify(th, (4, 4), 4, 2, trials=trials)
     assert rep.match and not rep.predicted_vanishing
-    assert all(calls[name] == 1 for name in once), calls
-    assert calls["rhs_value"] == trials
+    assert calls == {"abacus": 1, "_epsilon": 2, "rhs_value": trials}, calls
+    # At n0 the prediction is the derived one: nothing is computed again.
+    assert verify(th, (4, 4), 4, 1, trials=trials).match
+    assert calls == {"abacus": 1, "_epsilon": 2, "rhs_value": 2 * trials}, calls
 
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
@@ -389,13 +407,93 @@ def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
     verdicts = set()
     for t in range(2, 6):
         for n in (1, 2):
-            m = length_bound(th, t, n)
-            for la in partitions_up_to(6, max_length=m):
+            for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
                 paddings.clear()
-                factorization._predict.cache_clear()
+                for cache in _PREDICTION_CACHES:
+                    cache.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
-                assert paddings == [m], (la, t, n)
+                # The one beta set is taken at the least bound la fits.
+                n0 = max(1, ceil_div(len(la) - th.ones, t))
+                assert paddings == [length_bound(th, t, n0)], (la, t, n)
+                predict(th, la, t, n + 1)
+                assert len(paddings) == 1, (la, t, n)
     assert verdicts == {True, False}
+
+
+def _least_n(th, la, t):
+    return max(1, ceil_div(len(la) - th.ones, t))
+
+
+def test_sign_is_the_closed_form_over_the_wide_grid():
+    # The total sign is n-free: Littlewood's t-sign of la, times
+    # (-1)^(sum max(a_i, b_i)) over the core's Frobenius coordinates for the
+    # paired theorems, times (-1)^|mu| for even O's factor at -Y.
+    live = 0
+    for t in range(2, 8):
+        for la in partitions_up_to(12):
+            delta = ribbon_sign(la, t)
+            fc = frobenius(t_core_strips(la, t))
+            paired = delta * (-1) ** sum(map(max, fc.alpha, fc.beta))
+            for th in ALL:
+                for n in range(_least_n(th, la, t), 4):
+                    pred = predict(th, la, t, n)
+                    if pred.vanishing:
+                        continue
+                    want = delta if th.z is None else paired
+                    want *= (-1) ** sum(sum(mu) for _, mu, at in pred.factors if at == "-Y")
+                    assert pred.sign == want, (th, la, t, n)
+                    live += 1
+    assert live == 6534
+
+
+def test_moved_sigma_is_the_block_sign_at_each_padding():
+    for t in range(2, 8):
+        for la in partitions_up_to(9):
+            for th in ALL:
+                n0 = _least_n(th, la, t)
+                for n in range(n0, n0 + 4):
+                    pred = predict(th, la, t, n)
+                    if pred.sigma is None:
+                        assert th.ones and pred.vanishing
+                        continue
+                    ab = abacus(la, t, length_bound(th, t, n))
+                    first = None
+                    if th.ones:
+                        first = CoreClass(ab.offsets).excess(1).index(1)
+                    assert pred.sigma == ab.block_sign(first), (th, la, t, n)
+
+
+def test_a_larger_n_costs_no_second_derivation():
+    for cache in _PREDICTION_CACHES:
+        cache.cache_clear()
+    th, la, t = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3
+    n0 = _least_n(th, la, t)
+    assert [predict(th, la, t, n).n for n in (n0, n0 + 1, n0)] == [n0, n0 + 1, n0]
+    assert factorization._derive.cache_info().misses == 1
+    assert factorization._predict.cache_info().misses == 2
+
+
+def test_a_pair_of_empty_parts_is_padded_by_no_call(monkeypatch):
+    # At t = 100000 oorthfact has 50000 pairs; a pair whose two quotient
+    # parts are empty gets the factor () without a mu_padded call.
+    real, calls = factorization.mu_padded, []
+
+    def counted(front, back, n):
+        calls.append((front, back))
+        return real(front, back, n)
+
+    monkeypatch.setattr(factorization, "mu_padded", counted)
+    for cache in _PREDICTION_CACHES:
+        cache.cache_clear()
+    th, t = TheoremId.ODD_ORTH, 100000
+    pred = predict(th, (2, 1), t, 1)
+    assert not pred.vanishing and calls == []
+    assert [mu for _, mu, at in pred.factors if at == "Y,1/Y"] == [()] * 50000
+    # A hook of length t leaves one part (1) on one pair, at every n.
+    for n in (1, 2):
+        pairs = [mu for _, mu, at in predict(th, (t,), t, n).factors if at == "Y,1/Y"]
+        assert len(pairs) == 50000 and sum(map(bool, pairs)) == 1
+    assert len(calls) == 2 and calls[0] == calls[1]
 
 
 def test_factor_layout_follows_the_class_pairing():

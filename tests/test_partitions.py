@@ -18,6 +18,7 @@ from twistchar.partitions import (
     abacus,
     as_partition,
     beta_set,
+    class_pairs,
     classify_core,
     conjugate,
     core_from_offsets,
@@ -349,9 +350,10 @@ def test_predict_reads_each_verdict_through_one_rule(th, monkeypatch):
     calls = []
     real = CoreClass.z_asymmetric
 
-    def counted(self, z, ones=0):
+    def counted(self, z, ones=0, pairing=None):
         calls.append((z, ones))
-        return real(self, z, ones)
+        assert pairing in (None, partners(len(self.offsets), z))
+        return real(self, z, ones, pairing)
 
     def refused(self):
         raise AssertionError("a prediction reads single_row or empty")
@@ -365,7 +367,11 @@ def test_predict_reads_each_verdict_through_one_rule(th, monkeypatch):
             for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
                 calls.clear()
                 factorization._predict.cache_clear()
+                factorization._derive.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
+                assert calls == [(th.z, th.ones)], (la, t, n)
+                # A larger n moves the one verdict, and reads no rule.
+                predict(th, la, t, n + 1)
                 assert calls == [(th.z, th.ones)], (la, t, n)
     assert verdicts == {True, False}
 
@@ -493,9 +499,22 @@ def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
     assert calls == []
     # The spy sees the calls of a prediction.
     factorization._predict.cache_clear()
+    factorization._derive.cache_clear()
     predict(TheoremId.SCHUR_ONE, (), 3, 1)
     predict(TheoremId.SCHUR_FAC, (), 3, 1)
     assert calls == [0, None]
+    # A larger n moves the derived sign and reads no block sign.
+    predict(TheoremId.SCHUR_ONE, (), 3, 2)
+    predict(TheoremId.SCHUR_FAC, (), 3, 2)
+    assert calls == [0, None]
+
+
+def test_class_pairs_are_the_ordered_pairs_of_partners():
+    for t in range(2, 13):
+        for z in range(-t - 2, t + 3):
+            want = [(i, j) for i, j in enumerate(partners(t, z)) if i < j]
+            assert list(class_pairs(t, z)) == want, (t, z)
+            assert [j - i for i, j in want] == sorted((j - i for i, j in want), reverse=True)
 
 
 def test_mu_padded_values():

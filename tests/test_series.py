@@ -142,6 +142,40 @@ def test_core_product_skips_the_factors_past_the_order(tmp_path, monkeypatch, ca
     assert len(rows) == 11 and all(row["product"] == row["enum"] for row in rows)
 
 
+def test_core_product_is_every_theta_factor():
+    for t in range(2, 10):
+        for z in range(t - 1):
+            for order in range(0, 3 * t, 3):
+                full = SeriesZ.one(order)
+                for i in range((t - z - 2) // 2 + 1):
+                    full = full * theta_f(2 * i + z + 1, 2 * t - 2 * i - z - 1, order)
+                assert gf_z_cores(z, t, order) == full, (z, t, order)
+
+
+def test_series_at_large_t_reads_no_partner_table(monkeypatch, capsys):
+    # At t = 10^5 the walk reads one class pair and the product two theta
+    # factors; neither builds the 10^5 partners nor a factor past the order.
+    real, seen = series.theta_f, []
+
+    def bounded(a, b, order):
+        assert min(a, b) <= order, (a, b, order)
+        seen.append((a, b))
+        return real(a, b, order)
+
+    def refused(t, z):
+        raise AssertionError("partners called")
+
+    monkeypatch.setattr(series, "theta_f", bounded)
+    monkeypatch.setattr(partitions, "partners", refused)
+    assert not hasattr(series, "partners")
+    assert cli.main(["series", "--z", "0", "--t", "100000", "--N", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # The self-conjugate cores (), (1) and (2, 1).
+    rows = [[str(m), *[str(c)] * 3] for m, c in enumerate([1, 1, 0, 1])]
+    assert [line.split() for line in out[1:]] == rows
+    assert seen == [(1, 199999), (3, 199997)]
+
+
 @pytest.mark.parametrize(
     "z,t",
     [(0, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 4), (1, 5), (3, 5)],
