@@ -242,27 +242,29 @@ def cmd_series(args) -> int:
     with _open_out(args.out) as fh:
         lattice = SeriesZ.from_sizes(map(core_size, z_core_offsets(z, t, order)), order)
         enumerated = enum_z_asymmetric_cores(z, t, order)
-        product = gf_z_cores(z, t, order).coeffs if 0 <= z <= t - 2 else None
-
-        rows = []
-        ok = True
-        for m in range(order + 1):
-            cols = [enumerated[m], product[m] if product is not None else None, lattice[m]]
-            agree = all(c == cols[0] for c in cols if c is not None)
-            ok = ok and agree
-            rows.append((m, cols, agree))
+        if 0 <= z <= t - 2:
+            product = gf_z_cores(z, t, order).coeffs
+        else:
+            product = (None,) * (order + 1)
+        rows = [
+            (m, e, p, c, e == c and p in (None, e))
+            for m, (e, p, c) in enumerate(zip(enumerated.coeffs, product, lattice.coeffs))
+        ]
         _emit(
             (
-                {"m": m, "enum": cols[0], "product": cols[1], "lattice": cols[2], "match": agree}
-                for m, cols, agree in rows
+                {"m": m, "enum": e, "product": p, "lattice": c, "match": agree}
+                for m, e, p, c, agree in rows
             ),
             fh,
         )
-    print(f"{'m':>4s} {'enum':>6s} {'product':>8s} {'lattice':>8s}")
-    for m, cols, agree in rows:
-        prod_txt = "-" if cols[1] is None else str(cols[1])
-        mark = "" if agree else "   <- MISMATCH"
-        print(f"{m:4d} {cols[0]:6d} {prod_txt:>8s} {cols[2]:8d}{mark}")
+    ok = all(row[-1] for row in rows)
+    print(
+        f"{'m':>4s} {'enum':>6s} {'product':>8s} {'lattice':>8s}\n"
+        + "\n".join(
+            f"{m:4d} {e:6d} {'-' if p is None else p:>8} {c:8d}{'' if agree else '   <- MISMATCH'}"
+            for m, e, p, c, agree in rows
+        )
+    )
     print(f"series: z={z} t={t} N={order} {'ok' if ok else 'MISMATCH'}", file=sys.stderr)
     return 0 if ok else 2
 

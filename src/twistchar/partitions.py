@@ -9,7 +9,8 @@ read off the runners, and the sorting sign of a class-block order off the
 beta set, on request.
 The z-asymmetric families are walked as Frobenius arms, and the walk
 carries each beta set as a bitmask, one bead moved per arm, without
-building the partition.
+building the partition; asked for t-cores, it cuts every subtree that
+cannot hold one.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ def from_frobenius(alpha: Iterable[int], beta: Iterable[int]) -> Partition:
     return tuple([a + i + 1 for i, a in enumerate(alpha)] + below)
 
 
-def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def z_asymmetric_arms(
+    z: int, max_size: int, t: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every z-asymmetric partition with |la| <= max_size, for any integer z,
     as its arms, its size and its beta set: distinct arms a_1 > ... > a_r
     with legs a_i + z >= 0, that is arms >= max(0, -z), size
@@ -118,7 +121,16 @@ def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], 
     each entry x.  One depth-first walk, each arm tuple before its
     extensions, in lexicographic order of the arm tuples.  At
     m = l(la) = a_1 + z + 1 the beta set is {m + a_i} and {0..m-1}
-    without {a_1 - a_i}, so each arm a after a_1 moves one bead."""
+    without {a_1 - a_i}, so each arm a after a_1 moves one bead.
+
+    With t given, only the t-cores among them, in the same order, and the
+    walk enters only subtrees that can still hold one.  A t-core's beta
+    set has no violation: no bit x clear with x + t set (`is_core_beads`).
+    Every later arm a of a tuple lies in [low, top], top the next arm's
+    bound, and only adds the bead m + a or removes the bead a_1 - a.  So a
+    violation at x can be mended only by a bead added at x or one removed
+    at x + t, and a tuple with a violation outside those two windows has
+    no t-core below it."""
     if max_size < 0:
         return
     low = max(0, -z)
@@ -132,9 +144,18 @@ def z_asymmetric_arms(z: int, max_size: int) -> Iterator[tuple[tuple[int, ...], 
         stack.append(((a,), 2 * a + z + 1, 1 << (m + a) | (1 << m) - 2, m))
     while stack:
         arms, used, beads, m = stack.pop()
-        yield arms, used, beads
         first = arms[0]
-        for a in range(min(arms[-1] - 1, (max_size - used - z - 1) // 2), low - 1, -1):
+        top = min(arms[-1] - 1, (max_size - used - z - 1) // 2)
+        bad = (beads >> t) & ~beads if t else 0
+        if not bad:
+            yield arms, used, beads
+        elif top < low:
+            continue
+        else:
+            w = (1 << (top - low + 1)) - 1
+            if bad & ~(w << (m + low)) & ~((w << (first - top)) >> t):
+                continue
+        for a in range(top, low - 1, -1):
             grew = beads ^ 1 << (m + a) ^ 1 << (first - a)
             stack.append((arms + (a,), used + 2 * a + z + 1, grew, m))
 

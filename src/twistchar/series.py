@@ -5,8 +5,9 @@ fixed offset z; z = 1, -1, 0 give the symplectic, orthogonal, and
 self-conjugate families.  This module counts their t-cores three
 independent ways.  The enumeration (`enum_z_asymmetric_cores`) walks the
 arm tuples of the family with their sizes and beta sets
-(`partitions.z_asymmetric_arms`, one bead moved per arm) and keeps each
-beta set that passes the same closure test as `partitions.is_t_core`; it
+(`partitions.z_asymmetric_arms`, one bead moved per arm), keeps each
+beta set that passes the same closure test as `partitions.is_t_core`, and
+cuts every subtree with a violation that no later arm can mend; it
 builds no partition.  The product is a truncated Pochhammer/theta
 product.  The lattice walk (`z_core_offsets`) is a bijection for the
 t-core members of each family, with one coordinate per class pair
@@ -30,7 +31,6 @@ from .partitions import (
     as_partition,
     class_pairs,
     core_from_offsets,
-    is_core_beads,
     is_z_asymmetric,
     size,
     z_asymmetric_arms,
@@ -99,15 +99,14 @@ def enum_z_asymmetric_cores(z: int, t: int, order: int) -> SeriesZ:
     """Count z-asymmetric t-cores of each size straight from the Frobenius
     arms: each arm tuple of the walk with its size, kept when the beta set
     the walk carries passes the closure test of `partitions.is_t_core`.
-    No partition is built, and no runner offset is read."""
+    The walk skips each subtree whose beta set has a violation that no
+    later arm can mend.  No partition is built, and no runner offset is
+    read."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return SeriesZ.from_sizes(
-        (used for _, used, beads in z_asymmetric_arms(z, order) if is_core_beads(beads, t)),
-        order,
-    )
+    return SeriesZ.from_sizes((used for _, used, _ in z_asymmetric_arms(z, order, t)), order)
 
 
 def gf_z_asymmetric(z: int, order: int) -> SeriesZ:

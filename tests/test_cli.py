@@ -585,6 +585,41 @@ def test_series_out_records(tmp_path, capsys):
     assert recs[5]["enum"] == 1 and recs[2]["enum"] == 0
 
 
+def _bump_at_5(got):
+    return cli.SeriesZ(tuple(c + (m == 5) for m, c in enumerate(got.coeffs)))
+
+
+def _twice_at_5(offsets):
+    for o in offsets:
+        yield from [o] * (1 + (partitions.core_size(o) == 5))
+
+
+@pytest.mark.parametrize(
+    "column, target, wrap",
+    [
+        ("enum", "enum_z_asymmetric_cores", _bump_at_5),
+        ("product", "gf_z_cores", _bump_at_5),
+        ("lattice", "z_core_offsets", _twice_at_5),
+    ],
+)
+def test_series_reports_a_mismatch_on_its_row(monkeypatch, tmp_path, capsys, column, target, wrap):
+    # One column off by one at m = 5 (the lattice column by listing the
+    # size-5 core twice); only that row and its record may disagree.
+    real = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args: wrap(real(*args)))
+    p = tmp_path / "series.jsonl"
+    code, out, err = run(["series", "--z", "0", "--t", "3", "--N", "8", "--out", str(p)], capsys)
+    assert code == 2
+    rows = out.splitlines()
+    assert [row.split()[0] for row in rows if "MISMATCH" in row] == ["5"]
+    assert rows[6].endswith(" <- MISMATCH")
+    assert "series: z=0 t=3 N=8 MISMATCH" in err
+    recs = [json.loads(ln) for ln in p.read_text().splitlines()]
+    assert [r["m"] for r in recs if not r["match"]] == [5]
+    others = {recs[5][c] for c in ("enum", "product", "lattice") if c != column}
+    assert others == {1} and recs[5][column] == 2
+
+
 def test_series_rejects_unreachable_family(capsys):
     # Every z has a lattice column; only t < 2 and N < 0 are rejected.
     for t, sizes in [(3, ["0"]), (4, ["0", "3", "5"])]:

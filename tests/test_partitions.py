@@ -159,6 +159,16 @@ def test_z_asymmetric_walk_carries_each_size(z):
     assert list(z_asymmetric_arms(z, -1)) == []
 
 
+@pytest.mark.parametrize("t", range(2, 10))
+def test_cut_walk_yields_the_t_cores_of_the_whole_walk(t):
+    # The cut drops only subtrees without a t-core, so the cut walk is the
+    # whole walk filtered by the closure test, item for item and in order.
+    for z in range(-t - 1, t + 2):
+        whole = [item for item in z_asymmetric_arms(z, 40) if is_core_beads(item[2], t)]
+        assert list(z_asymmetric_arms(z, 40, t)) == whole, z
+        assert whole[0] == ((), 0, 0)
+
+
 def test_frobenius_beta_set_is_the_beta_set_at_the_length():
     # The reading the walk's bitmask rests on, for every partition: at
     # m = l(la) = beta_1 + 1 the beta set is {m + alpha_i} and {0..m-1}
