@@ -8,10 +8,10 @@ conjugates, the other conjugates' product over the norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -45,8 +45,7 @@ def cyclotomic_poly(t: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@dataclass(frozen=True)
-class CycloField:
+class CycloField(NamedTuple):
     """Q(w) for w a fixed primitive t-th root of unity."""
 
     t: int

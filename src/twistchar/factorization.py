@@ -29,11 +29,11 @@ each pair factor with a non-empty part padded again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from typing import NamedTuple
 
 from .characters import GroupType, twisted_character, weyl_character
 # Unused here: perfbench's tracer test checks that it rebinds factorization.det.
@@ -119,8 +119,7 @@ def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
     return twisted_character(th.group, la, pts, t, ones=th.ones)
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     """What a theorem predicts for (th, la, t, n) before any point is drawn.
 
     The right-hand side is sign times the product of the factors' characters,
@@ -257,8 +256,13 @@ def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     return val
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+@lru_cache(maxsize=None)
+def _zero_pad(t: int) -> tuple[str, ...]:
+    # phi(t) - 1 zeros, counted with t gcd calls once per t, not per record.
+    return ("0",) * (sum(gcd(k, t) == 1 for k in range(t)) - 1)
+
+
+class VerificationReport(NamedTuple):
     theorem: TheoremId
     partition: Partition
     t: int
@@ -275,7 +279,7 @@ class VerificationReport:
     def as_dict(self) -> dict:
         # The record format: each value as its coefficient vector in Q(w_t),
         # phi(t) entries long, zero past the rational part.
-        pad = ["0"] * (sum(gcd(k, self.t) == 1 for k in range(self.t)) - 1)
+        pad = _zero_pad(self.t)
         return {
             "theorem": self.theorem.value,
             "partition": list(self.partition),
@@ -286,8 +290,8 @@ class VerificationReport:
             "predicted_vanishing": self.predicted_vanishing,
             "sign_exponent": self.sign_exponent,
             "sigma_sign": self.sigma_sign,
-            "lhs": [str(self.lhs)] + pad,
-            "rhs": [str(self.rhs)] + pad,
+            "lhs": [str(self.lhs), *pad],
+            "rhs": [str(self.rhs), *pad],
             "match": self.match,
         }
 

@@ -15,8 +15,7 @@ cannot hold one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -71,8 +70,7 @@ def rank(la: Partition) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class FrobeniusCoords:
+class FrobeniusCoords(NamedTuple):
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
 
@@ -167,8 +165,7 @@ def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
         yield from_frobenius(arms, [a + z for a in arms])
 
 
-@dataclass(frozen=True)
-class Abacus:
+class Abacus(NamedTuple):
     """beta(la, m) laid out on t runners, m = len(beta).
 
     runners[i] holds x // t for the entries x = i mod t, in decreasing order.
@@ -309,8 +306,7 @@ def class_pairs(t: int, z: int) -> Iterator[tuple[int, int]]:
     return ((i, t - 1 - z - i) for i in range(max(0, -z), (t - z) // 2))
 
 
-@dataclass(frozen=True)
-class CoreClass:
+class CoreClass(NamedTuple):
     """Classification of a t-core, read off its runner offsets.
 
     offsets[i] is runner i's count minus n at any padding tn; it does not

@@ -20,7 +20,6 @@ t*v^2 - gap*v, which is the theta product's exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator
@@ -40,11 +39,31 @@ from .partitions import (
 LatticeVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class SeriesZ:
-    """Integer power series in q truncated at a fixed order."""
+    """Integer power series in q truncated at a fixed order.  Immutable,
+    and not a tuple: `+` and `len()` are not defined on it."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *args):
+        raise AttributeError("SeriesZ is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"SeriesZ(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return SeriesZ, (self.coeffs,)
 
     @property
     def order(self) -> int:
