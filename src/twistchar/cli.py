@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
     th = TheoremId(args.theorem)
     # The record is computed before --out is opened, so a case that fails
     # validation leaves an existing file as it was.
-    rec = verify(th, la, args.t, args.n, seed=args.seed, trials=args.trials).as_dict()
+    rec = verify(th, la, args.t, args.n, seed=args.seed).as_dict()
     with _open_out(args.out) as fh:
         _emit([rec], fh)
     if args.json:
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     else:
         print(f"theorem        {th.value}")
         print(f"partition      {_partition_str(la)}  t={args.t}  n={args.n}")
-        print(f"seed, trials   {args.seed}, {args.trials}")
+        print(f"seed           {args.seed}")
         print(f"vanishing      {rec['predicted_vanishing']}")
         print(f"sign exponent  {rec['sign_exponent']}  sigma {rec['sigma_sign']}")
         print(f"lhs            {rec['lhs']}")
@@ -157,18 +157,18 @@ def cmd_verify(args) -> int:
 
 
 def _scan_case(item) -> dict:
-    th_value, la, t, n, seed, trials = item
-    return verify(TheoremId(th_value), la, t, n, seed=seed, trials=trials).as_dict()
+    th_value, la, t, n, seed = item
+    return verify(TheoremId(th_value), la, t, n, seed=seed).as_dict()
 
 
-def _scan_items(theorems, ts, ns, max_size, seeds, trials):
+def _scan_items(theorems, ts, ns, max_size, seeds):
     for th in theorems:
         for t in ts:
             for n in ns:
                 las = list(partitions_up_to(max_size, max_length=length_bound(th, t, n)))
                 for seed in seeds:
                     for la in las:
-                        yield (th.value, la, t, n, seed, trials)
+                        yield (th.value, la, t, n, seed)
 
 
 def cmd_scan(args) -> int:
@@ -191,14 +191,14 @@ def cmd_scan(args) -> int:
         raise ValueError("need every t >= 2 and n >= 1")
     # verify checks each seed again, but only after --out is truncated.
     for seed in seeds:
-        check_seed(seed, args.trials)
+        check_seed(seed)
     # A repeated entry would check the same cases at the same points twice.
     lists = {"--theorems": [th.value for th in theorems], "--t": ts, "--n": ns, "--seeds": seeds}
     for flag, entries in lists.items():
         if len(set(entries)) < len(entries):
             raise ValueError(f"repeated entry in {flag}: {','.join(map(str, entries))}")
 
-    items = _scan_items(theorems, ts, ns, args.max_size, seeds, args.trials)
+    items = _scan_items(theorems, ts, ns, args.max_size, seeds)
     cases = matches = vanishes = 0
     # Records arrive in grid order and each is written as it arrives, so a
     # scan that stops early keeps every record before the failing case.
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated list")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--seeds", default="0", help="comma-separated list")
-    p.add_argument("--trials", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", default=None)

@@ -20,7 +20,6 @@ t*v^2 - gap*v, which is the theta product's exponent.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -169,13 +168,15 @@ def gf_z_cores(z: int, t: int, order: int) -> SeriesZ:
     if not 0 <= z <= t - 2:
         raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
     out = SeriesZ.one(order)
-    # Factor i has a = 2i + z + 1 and b = 2t - 2i - z - 1.  Past q^0 its
-    # least terms are q^a and q^b, so it is 1 + O(q^(order+1)) unless
-    # a <= order, that is i <= low, or b <= order, that is i >= high.
-    top, low = (t - z - 2) // 2, (order - z - 1) // 2
-    high = max(low + 1, -((order + z + 1 - 2 * t) // 2))
-    for i in chain(range(min(low, top) + 1), range(max(high, 0), top + 1)):
-        out = out * theta_f(2 * i + z + 1, 2 * t - 2 * i - z - 1, order)
+    # The class pair i < j with gap g = j - i gives the factor with a = t - g
+    # and b = t + g.  Past q^0 its least term is q^a, so it is
+    # 1 + O(q^(order+1)) once a > order; the pairs come in decreasing gap,
+    # so every later factor is too.
+    for i, j in class_pairs(t, z):
+        g = j - i
+        if t - g > order:
+            break
+        out = out * theta_f(t - g, t + g, order)
     return out
 
 

@@ -162,7 +162,7 @@ def test_verify_json_output(capsys):
 def test_verify_is_deterministic(capsys):
     argv = [
         "verify", "oorthfact", "2,2", "--t", "3", "--n", "1", "--json",
-        "--seed", "4", "--trials", "2",
+        "--seed", "4",
     ]
     assert run(argv, capsys) == run(argv, capsys)
 
@@ -424,10 +424,10 @@ def test_scan_rejects_bad_lists(capsys):
 
 def test_scan_mismatch_exit_code(monkeypatch, capsys):
     def fake(item):
-        th, la, t, n, seed, trials = item
+        th, la, t, n, seed = item
         return {
             "theorem": th, "partition": list(la), "t": t, "n": n,
-            "seed": seed, "trials": trials, "predicted_vanishing": False,
+            "seed": seed, "trials": 1, "predicted_vanishing": False,
             "sign_exponent": 0, "sigma_sign": 1, "lhs": ["1"], "rhs": ["2"],
             "match": False,
         }
@@ -482,7 +482,7 @@ def test_verify_draws_many_distinct_points(capsys):
     "argv",
     [
         ["verify", "schurfac", "2", "--t", "2", "--n", "1", "--seed", "-1"],
-        ["verify", "schurfac", "2", "--t", "2", "--n", "1", "--trials", "1000004"],
+        ["verify", "sympfact", "3,2,1,1,1", "--t", "3", "--n", "2", "--seed", "-5", "--json"],
         ["scan", "--t", "2", "--n", "1", "--max-size", "2", "--seeds=-1"],
         ["scan", "--t", "2", "--n", "1", "--max-size", "2", "--seeds=-1", "--jobs", "2"],
     ],
@@ -493,18 +493,44 @@ def test_non_injective_seeds_exit_one_with_a_message(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
 
 
-@pytest.mark.parametrize("bad", [["--seeds", "0,-1"], ["--trials", "1000004"]])
+@pytest.mark.parametrize("bad", [["--seeds", "0,-1"], ["--trials", "2"]])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bad_seeds_and_trials_leave_scan_out_alone(tmp_path, capsys, jobs, bad):
-    # Seed 0 alone would write records; the bad entry must stop the scan first.
+    # Seed 0 alone would write records; the bad entry must stop the scan
+    # first.  --trials is no flag: it is a usage error before any work.
     p = tmp_path / "old.jsonl"
     p.write_bytes(b'{"kept":true}\n')
     argv = ["scan", "--theorems", "schurfac", "--t", "2", "--n", "1", "--max-size", "3",
             "--jobs", jobs, "--out", str(p)] + bad
-    code, out, err = run(argv, capsys)
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+    if bad[0] == "--trials":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+    else:
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
     assert p.read_bytes() == b'{"kept":true}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "schurfac", "2", "--t", "2", "--n", "1", "--trials", "2"],
+        ["scan", "--t", "2", "--n", "1", "--max-size", "2", "--trials", "2"],
+    ],
+    ids=["verify", "scan"],
+)
+def test_trials_is_a_usage_error(argv, capsys):
+    # k point tuples for one case are k seeds, not one flag.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: twistchar")
+    assert error == "twistchar: error: unrecognized arguments: --trials 2"
 
 
 @pytest.mark.parametrize(

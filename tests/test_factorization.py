@@ -129,10 +129,10 @@ def test_vanishing_predictions_follow_core_class():
 
 
 def test_report_serialization_and_argument_checks():
-    rep = verify(TheoremId.SCHUR_FAC, (2,), 2, 1, seed=0, trials=2)
+    rep = verify(TheoremId.SCHUR_FAC, (2,), 2, 1, seed=0)
     d = rep.as_dict()
     assert d["theorem"] == "schurfac" and d["partition"] == [2]
-    assert d["trials"] == 2 and d["match"] is True
+    assert d["trials"] == 1 and d["match"] is True
     assert isinstance(d["lhs"], list) and isinstance(d["rhs"], list)
     assert set(d) == {
         "theorem",
@@ -148,8 +148,6 @@ def test_report_serialization_and_argument_checks():
         "rhs",
         "match",
     }
-    with pytest.raises(ValueError):
-        verify(TheoremId.SCHUR_FAC, (2,), 2, 1, trials=0)
     with pytest.raises(ValueError):
         lhs_value(TheoremId.SCHUR_FAC, (1, 1, 1), 2, 1, sample_points(1, 0))
     with pytest.raises(ValueError):
@@ -175,48 +173,40 @@ def test_a_record_at_large_t_builds_no_field(monkeypatch):
     assert d["lhs"][1:] == ["0"] * 1151
 
 
-def test_mismatch_reports_the_failing_trial(monkeypatch):
+def test_a_records_seed_names_its_points(monkeypatch):
+    # Seed s is checked at sample_points(n, 1000003 s) and nowhere else.
     th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
-    good = verify(th, la, t, n, seed=seed, trials=3)
+    pts = sample_points(n, 1_000_003 * seed)
+    good = verify(th, la, t, n, seed=seed)
     assert good.match
-    trial1 = sample_points(n, factorization._trial_seed(seed, 1))
-    rhs1 = rhs_value(predict(th, la, t, n), trial1)
 
-    def perturbed(pred, pts):
-        val = rhs_value(pred, pts)
-        return val + 1 if pts == trial1 else val
+    def perturbed(pred, at):
+        val = rhs_value(pred, at)
+        return val + 1 if at == pts else val
 
     monkeypatch.setattr(factorization, "rhs_value", perturbed)
-    bad = verify(th, la, t, n, seed=seed, trials=3)
-    assert not bad.match
-    assert bad.lhs == lhs_value(th, la, t, n, trial1) == rhs1
-    assert bad.rhs == rhs1 + 1
-    assert bad.lhs != good.lhs
-    # A matching record still shows trial 0, byte for byte.
-    assert verify(th, la, t, n, seed=seed, trials=1).as_dict() == {
-        **good.as_dict(),
-        "trials": 1,
-    }
+    bad = verify(th, la, t, n, seed=seed)
+    assert not bad.match and bad.seed == seed
+    assert bad.lhs == lhs_value(th, la, t, n, pts) == good.lhs
+    assert bad.rhs == good.rhs + 1
+    # The neighbouring seeds draw other points, which stay unperturbed.
+    for other in (seed + 1, seed + 2):
+        rep = verify(th, la, t, n, seed=other)
+        assert rep.match and rep.lhs != good.lhs
 
 
 def test_seeds_stay_injective():
-    # random.Random seeds with |a|, so seed -1 would replay seed 1's points,
-    # and a trial index past the stride would reach the next seed's stream.
+    # random.Random seeds with |a|, so seed -1 would replay seed 1's points.
     th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
-    assert sample_points(n, factorization._trial_seed(-1, 0)) == sample_points(
-        n, factorization._trial_seed(1, 0)
-    )
+    assert sample_points(n, -1_000_003) == sample_points(n, 1_000_003)
     with pytest.raises(ValueError, match="seed >= 0"):
         verify(th, la, t, n, seed=-1)
-    with pytest.raises(ValueError, match="trials <= 1000003"):
-        verify(th, la, t, n, trials=factorization._TRIAL_STRIDE + 1)
     assert verify(th, la, t, n, seed=0).match
 
 
 # ---- the point-keyed caches of the two routes ----------------------------
 
 _CACHES = (characters._twisted_h, factorization._factor_value)
-_PREDICTION_CACHES = (factorization._predict, factorization._derive)
 
 
 def _standing_grid():
@@ -287,48 +277,44 @@ def _t5_seeds_grid():
 
 
 def test_each_prediction_is_derived_once_for_all_seeds():
-    for cache in _CACHES + _PREDICTION_CACHES:
+    for cache in _CACHES + (factorization._derive,):
         cache.cache_clear()
     cold = _t5_seeds_grid()
     # 35 cases, each visited once per seed, and each derived once.
-    info = factorization._predict.cache_info()
-    assert (info.hits, info.misses) == (245, 35)
     info = factorization._derive.cache_info()
-    assert (info.hits, info.misses) == (0, 35)
+    assert (info.hits, info.misses) == (245, 35)
     assert _t5_seeds_grid() == cold
-    assert factorization._predict.cache_info().misses == 35
     assert factorization._derive.cache_info().misses == 35
 
 
 def test_predict_and_verify_accept_a_list_partition():
     th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
-    for cache in _PREDICTION_CACHES:
-        cache.cache_clear()
+    factorization._derive.cache_clear()
     pred = predict(th, list(la), t, n)
     assert pred == predict(th, la, t, n) and not hasattr(pred, "__dict__")
-    assert all(cache.cache_info().misses == 1 for cache in _PREDICTION_CACHES)
+    assert factorization._derive.cache_info().misses == 1
     assert verify(th, list(la), t, n).as_dict() == verify(th, la, t, n).as_dict()
     # A case that fails its check is refused on every call, never cached.
     for _ in range(2):
         with pytest.raises(ValueError, match="bound for sympfact is 6"):
             predict(th, [1] * 7, t, n)
-    assert all(cache.cache_info().currsize == 1 for cache in _PREDICTION_CACHES)
+    assert factorization._derive.cache_info().currsize == 1
 
 
 def test_predict_and_verify_refuse_a_non_partition():
-    factorization._predict.cache_clear()
+    factorization._derive.cache_clear()
     for la in [(1, 2), (2, -1)]:
         for call in (predict, verify):
             with pytest.raises(ValueError):
                 call(TheoremId.SCHUR_FAC, la, 2, 2)
-    assert factorization._predict.cache_info().currsize == 0
+    assert factorization._derive.cache_info().currsize == 0
     # A trailing zero is still a partition.
     assert predict(TheoremId.SCHUR_FAC, (2, 0), 2, 2) == predict(TheoremId.SCHUR_FAC, (2,), 2, 2)
 
 
 def test_a_draw_that_repeats_a_value_is_redrawn_whole():
-    # Trial 0 of seed 636 first draws (3/2, 3/2) at n = 2.
-    assert sample_points(2, factorization._trial_seed(636, 0)) == (
+    # Seed 636 first draws (3/2, 3/2) at n = 2.
+    assert sample_points(2, 1_000_003 * 636) == (
         Fraction(29, 20),
         Fraction(10, 7),
     )
@@ -359,18 +345,18 @@ def test_degenerate_points_raise_on_every_call():
 def test_a_patched_rhs_leaves_no_value_in_the_cache(monkeypatch):
     th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
     pred = predict(th, la, t, n)
-    trial1 = sample_points(n, factorization._trial_seed(seed, 1))
-    rhs1 = rhs_value(pred, trial1)
+    pts = sample_points(n, 1_000_003 * seed)
+    rhs = rhs_value(pred, pts)
     with monkeypatch.context() as m:
-        m.setattr(factorization, "rhs_value", lambda p, pts: rhs_value(p, pts) + 1)
-        assert not verify(th, la, t, n, seed=seed, trials=3).match
-    assert rhs_value(pred, trial1) == rhs1 == lhs_value(th, la, t, n, trial1)
-    assert verify(th, la, t, n, seed=seed, trials=3).match
+        m.setattr(factorization, "rhs_value", lambda p, at: rhs_value(p, at) + 1)
+        assert not verify(th, la, t, n, seed=seed).match
+    assert rhs_value(pred, pts) == rhs == lhs_value(th, la, t, n, pts)
+    assert verify(th, la, t, n, seed=seed).match
 
 
-@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("seeds", [1, 3])
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
-def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
+def test_verify_derives_each_prediction_once(th, seeds, monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -382,16 +368,18 @@ def test_verify_derives_each_prediction_once(th, trials, monkeypatch):
 
     for name in ("abacus", "_epsilon", "rhs_value"):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
-    # Warm prediction caches would derive nothing, and pass for nothing.
-    for cache in _PREDICTION_CACHES:
-        cache.cache_clear()
-    # (4, 4) fits n0 = 1: one abacus, and epsilon at n0 and at n = 2.
-    rep = verify(th, (4, 4), 4, 2, trials=trials)
-    assert rep.match and not rep.predicted_vanishing
-    assert calls == {"abacus": 1, "_epsilon": 2, "rhs_value": trials}, calls
+    # A warm derivation cache would derive nothing, and pass for nothing.
+    factorization._derive.cache_clear()
+    # (4, 4) fits n0 = 1: one abacus and epsilon at n0 for every seed, and
+    # each seed's move to n = 2 reads epsilon there.
+    for seed in range(seeds):
+        rep = verify(th, (4, 4), 4, 2, seed=seed)
+        assert rep.match and not rep.predicted_vanishing
+    assert calls == {"abacus": 1, "_epsilon": 1 + seeds, "rhs_value": seeds}, calls
     # At n0 the prediction is the derived one: nothing is computed again.
-    assert verify(th, (4, 4), 4, 1, trials=trials).match
-    assert calls == {"abacus": 1, "_epsilon": 2, "rhs_value": 2 * trials}, calls
+    for seed in range(seeds):
+        assert verify(th, (4, 4), 4, 1, seed=seed).match
+    assert calls == {"abacus": 1, "_epsilon": 1 + seeds, "rhs_value": 2 * seeds}, calls
 
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
@@ -408,8 +396,7 @@ def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
         for n in (1, 2):
             for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
                 paddings.clear()
-                for cache in _PREDICTION_CACHES:
-                    cache.cache_clear()
+                factorization._derive.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
                 # The one beta set is taken at the least bound la fits.
                 n0 = max(1, ceil_div(len(la) - th.ones, t))
@@ -463,13 +450,11 @@ def test_moved_sigma_is_the_block_sign_at_each_padding():
 
 
 def test_a_larger_n_costs_no_second_derivation():
-    for cache in _PREDICTION_CACHES:
-        cache.cache_clear()
+    factorization._derive.cache_clear()
     th, la, t = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3
     n0 = _least_n(th, la, t)
     assert [predict(th, la, t, n).n for n in (n0, n0 + 1, n0)] == [n0, n0 + 1, n0]
     assert factorization._derive.cache_info().misses == 1
-    assert factorization._predict.cache_info().misses == 2
 
 
 def test_a_pair_of_empty_parts_is_padded_by_no_call(monkeypatch):
@@ -482,8 +467,7 @@ def test_a_pair_of_empty_parts_is_padded_by_no_call(monkeypatch):
         return real(front, back, n)
 
     monkeypatch.setattr(factorization, "mu_padded", counted)
-    for cache in _PREDICTION_CACHES:
-        cache.cache_clear()
+    factorization._derive.cache_clear()
     th, t = TheoremId.ODD_ORTH, 100000
     pred = predict(th, (2, 1), t, 1)
     assert not pred.vanishing and calls == []

@@ -375,7 +375,6 @@ def test_predict_reads_each_verdict_through_one_rule(th, monkeypatch):
         for n in (1, 2):
             for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
                 calls.clear()
-                factorization._predict.cache_clear()
                 factorization._derive.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
                 assert calls == [(th.z, th.ones)], (la, t, n)
@@ -507,7 +506,6 @@ def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
     capsys.readouterr()
     assert calls == []
     # The spy sees the calls of a prediction.
-    factorization._predict.cache_clear()
     factorization._derive.cache_clear()
     predict(TheoremId.SCHUR_ONE, (), 3, 1)
     predict(TheoremId.SCHUR_FAC, (), 3, 1)

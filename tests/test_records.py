@@ -33,7 +33,7 @@ RECORDS = {
         lambda: verify(TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2),
         (
             "theorem", "partition", "t", "n", "predicted_vanishing", "lhs", "rhs",
-            "sign_exponent", "sigma_sign", "match", "seed", "trials",
+            "sign_exponent", "sigma_sign", "match", "seed",
         ),
     ),
     "CycloField": (lambda: field(5), ("t", "phi")),
