@@ -1,8 +1,7 @@
 """Weyl characters of the classical groups, evaluated exactly.
 
 Two independent routes.  `weyl_character` is a ratio of two determinants
-whose entries are powers of the evaluation points; it works over any exact
-scalar type (Fraction, or CycloElem for points in Q(w)).  The four families:
+whose entries are powers of rational evaluation points.  The four families:
 
   GL  s_la      det(x_i^(b_j))             / det(x_i^(n-j))
   SP  sp_la     det(x_i^(b_j+1) - xbar_i^(b_j+1)) / same at la = empty
@@ -12,7 +11,7 @@ scalar type (Fraction, or CycloElem for points in Q(w)).  The four families:
 
 with b = beta_set(la, n) and xbar the inverse point.  The OO form uses
 integer exponents only, so no square roots are ever needed.
-At Fraction points x_i = p_i/q_i each bialternant is taken over Z: row i
+At the points x_i = p_i/q_i each bialternant is taken over Z: row i
 times an integer s_i is an int row, and the bialternant is
 det(int rows) / prod s_i.  With top = b_1, the row's largest exponent:
 
@@ -22,8 +21,7 @@ det(int rows) / prod s_i.  With top = b_1, the row's largest exponent:
   OE  (p^(2b) + q^(2b)) (pq)^(top-b), (pq)^top at b = 0
                                                      s_i = (pq)^top
 
-Negative points and the point 1 need no special case.  Points in Q(w)
-take the entries of the first table as they stand.
+Negative points and the point 1 need no special case.
 
 `twisted_character` evaluates the same characters at the root-of-unity
 twist (X, wX, ..., w^(t-1) X) of rational points without leaving Q: it
@@ -45,7 +43,6 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 
-from .cyclotomic import CycloElem
 from .linalg import det
 from .partitions import Partition, beta_set
 
@@ -61,28 +58,14 @@ class DegeneratePointError(ValueError):
     """The Weyl denominator vanishes at the requested points."""
 
 
-def _entry_matrix(g: GroupType, pts, betas):
-    if g is GroupType.GL:
-        return [[x ** b for b in betas] for x in pts]
-    # Each point is inverted once per row, not once per entry.
-    pairs = [(x, x ** -1) for x in pts]
-    if g is GroupType.SP:
-        return [[x ** (b + 1) - y ** (b + 1) for b in betas] for x, y in pairs]
-    if g is GroupType.OO:
-        return [[x ** (b + 1) - y ** b for b in betas] for x, y in pairs]
-    # Half of x^0 + xbar^0 = 2: the zero exponent, always in the
-    # denominator and in the numerator exactly when l(la) < n, is read as
-    # the scalar type's one, so the ratio needs no correction.
-    return [[x ** b + y ** b if b else x ** 0 for b in betas] for x, y in pairs]
-
-
 # (u, v, sign) of the Laurent entry x^(b+u) + sign xbar^(b+v).
 _LAURENT = {GroupType.SP: (1, 1, -1), GroupType.OO: (1, 0, -1), GroupType.OE: (0, 0, 1)}
 
 
-def _int_rows(g: GroupType, pts, betas):
-    """The bialternant matrix at Fraction points p/q with row i times an
-    integer s_i, as ints, and the product of the s_i (module docstring)."""
+def _bialternant(g: GroupType, pts, betas) -> Fraction:
+    """det of the bialternant matrix at the points p/q, over Z: row i times
+    an integer s_i is an int row, divided out by the product of the s_i
+    (module docstring)."""
     top = betas[0]
     rows, scale = [], 1
     if g is GroupType.GL:
@@ -90,7 +73,7 @@ def _int_rows(g: GroupType, pts, betas):
             p, q = x.numerator, x.denominator
             rows.append([p ** b * q ** (top - b) for b in betas])
             scale *= q ** top
-        return rows, scale
+        return Fraction(det(rows), scale)
     # x^(b+u) + sign xbar^(b+v) is (p^(2b+k) + sign q^(2b+k)) / (p^(b+v) q^(b+u))
     # with k = u + v, so s_i = p^(top+v) q^(top+u) leaves (pq)^(top-b) over.
     u, v, sign = _LAURENT[g]
@@ -104,39 +87,28 @@ def _int_rows(g: GroupType, pts, betas):
             for b in betas
         ])
         scale *= p ** (top + v) * q ** (top + u)
-    return rows, scale
-
-
-def _bialternant(g: GroupType, pts, betas):
-    """det of the bialternant matrix: over Z at Fraction points, else over
-    the points' own scalar type."""
-    if all(isinstance(x, Fraction) for x in pts):
-        rows, scale = _int_rows(g, pts, betas)
-        return Fraction(det(rows), scale)
-    return det(_entry_matrix(g, pts, betas))
+    return Fraction(det(rows), scale)
 
 
 @lru_cache(maxsize=4096)
-def _denominator(g: GroupType, pts: tuple):
+def _denominator(g: GroupType, pts: tuple) -> Fraction:
     return _bialternant(g, pts, beta_set((), len(pts)))
 
 
-def weyl_character(g: GroupType, la: Partition, pts: tuple):
-    """Evaluate the character of group type g at the given points.
+def weyl_character(g: GroupType, la: Partition, pts: tuple) -> Fraction:
+    """Evaluate the character of group type g at the given Fraction points.
 
-    The points may be Fractions or CycloElems, and the value has the same
-    type.  A partition with more parts than there are points indexes no
+    A partition with more parts than there are points indexes no
     representation; the character is zero by convention, and that zero is
     returned explicitly rather than raising.
     """
     n = len(pts)
     if n == 0:
         raise ValueError("at least one evaluation point is required")
-    if not all(isinstance(x, (Fraction, CycloElem)) for x in pts):
-        # x ** -b is a float for an int x
-        raise TypeError(f"points must be Fractions or CycloElems, got {pts}")
+    if not all(isinstance(x, Fraction) for x in pts):
+        raise TypeError(f"points must be Fractions, got {pts}")
     if len(la) > n:
-        return pts[0] - pts[0]
+        return Fraction(0)
     den = _denominator(g, pts)
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
@@ -176,11 +148,11 @@ def twisted_character(
     """The character of type g at (X, wX, ..., w^(t-1) X), over Q.
 
     xs are the rational points X; `ones` points 1 are appended to the
-    twisted tuple.  The value equals weyl_character at those tn + ones
-    points in Q(w), and is rational because the point multiset is stable
-    under Galois conjugation.  GL uses Jacobi-Trudi det(h[la_i - i + j]);
-    SP, OE and OO use the Koike-Terada determinants in h of the points and
-    their inverses, plus the point 1 for OO.
+    twisted tuple.  The value equals the bialternant ratio at those tn + ones
+    points in Q(w) (the tests' oracle), and is rational because the point
+    multiset is stable under Galois conjugation.  GL uses Jacobi-Trudi
+    det(h[la_i - i + j]); SP, OE and OO use the Koike-Terada determinants
+    in h of the points and their inverses, plus the point 1 for OO.
     By the twist rule, h_m of the twisted points is h_(m/t) of the t-th
     powers when t divides m and 0 otherwise; a point 1 turns h into its
     prefix sums.  There is no Weyl denominator, so the points may coincide;

@@ -34,6 +34,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's unknown flags up to the top-level
+        # parser, whose usage line shows none of them; the parser that met
+        # them reports them instead.
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
 
 def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -71,7 +80,7 @@ def _partition_str(la: tuple[int, ...]) -> str:
 
 def _open_out(path: str | None):
     """The --out file, opened before any work so that a bad path costs none."""
-    return open(path, "w") if path else contextlib.nullcontext()
+    return contextlib.nullcontext() if path is None else open(path, "w")
 
 
 def _emit(records, fh) -> None:

@@ -3,8 +3,10 @@
 One routine, Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 Every intermediate entry is a minor of the input, so an int matrix stays
 in Z with no gcd, and each step's division by the previous pivot is exact.
-It works for int, Fraction and CycloElem entries alike; the only
-requirements are +, -, *, x ** -1 for a nonzero x outside Z, and
+At run time every caller passes ints: both sides of each identity scale
+their rows into Z first.  The tests hand it Fraction and Q(w) entries for
+their oracles, and the benchmark Q(w) entries, so it stays generic: the
+only requirements are +, -, *, x ** -1 for a nonzero x outside Z, and
 truthiness for the zero test.
 """
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from hypothesis import strategies as st
 
+from twistchar.characters import DegeneratePointError, GroupType
 from twistchar.cyclotomic import field, omega_pow
 from twistchar.linalg import det
 from twistchar.partitions import (
@@ -113,6 +115,45 @@ def twisted_points(pts: tuple, t: int) -> tuple:
     if fld.t != t:
         raise ValueError(f"points live in Q(w_{fld.t}), expected Q(w_{t})")
     return tuple(omega_pow(fld, k) * x for k in range(t) for x in pts)
+
+
+def entry_matrix(g: GroupType, pts, betas):
+    """The bialternant matrix of `characters`' first table, with entries in
+    the points' own scalar type (Fraction or Q(w)) and no row scaling."""
+    if g is GroupType.GL:
+        return [[x ** b for b in betas] for x in pts]
+    # Each point is inverted once per row, not once per entry.
+    pairs = [(x, x ** -1) for x in pts]
+    if g is GroupType.SP:
+        return [[x ** (b + 1) - y ** (b + 1) for b in betas] for x, y in pairs]
+    if g is GroupType.OO:
+        return [[x ** (b + 1) - y ** b for b in betas] for x, y in pairs]
+    # Half of x^0 + xbar^0 = 2: the zero exponent, always in the
+    # denominator and in the numerator exactly when l(la) < n, is read as
+    # the scalar type's one, so the ratio needs no correction.
+    return [[x ** b + y ** b if b else x ** 0 for b in betas] for x, y in pairs]
+
+
+@lru_cache(maxsize=4096)
+def bialternant_denominator(g: GroupType, pts: tuple):
+    """The Weyl denominator at the points; every partition of one oracle
+    sweep shares it."""
+    return det(entry_matrix(g, pts, beta_set((), len(pts))))
+
+
+def bialternant(g: GroupType, la: Partition, pts: tuple):
+    """The character of type g at the points as a ratio of two bialternants
+    over the points' own exact scalar type: the oracle of
+    `weyl_character` and, at the twisted points in Q(w), of the left side.
+    Zero past n parts and `DegeneratePointError` where the denominator
+    vanishes, as in `weyl_character`."""
+    n = len(pts)
+    if len(la) > n:
+        return pts[0] - pts[0]
+    den = bialternant_denominator(g, pts)
+    if not den:
+        raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
+    return det(entry_matrix(g, pts, beta_set(la, n))) / den
 
 
 def t_core_strips(la: Partition, t: int) -> Partition:

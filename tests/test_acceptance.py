@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    bialternant,
     check_asymmetric_core_counts,
     check_asymmetry_beta_forms,
     check_block_det_lemma,
@@ -374,7 +375,7 @@ def test_criterion_10_denominator_products():
                     [[y ** (2 * e + 1) + (1 / y) ** (2 * e + 1) for e in bt] for y in ys]
                 )
                 lhs = 2 * num / den
-                rhs = weyl_character(GroupType.OO, la, pts)
+                rhs = bialternant(GroupType.OO, la, pts)
                 sign = -1 if size(la) % 2 else 1
                 assert fld.from_rational(lhs) == fld.from_rational(sign * w) * rhs, (
                     la, ys,

@@ -1,4 +1,8 @@
-"""Classical-group characters as exact bialternant ratios."""
+"""Classical-group characters as exact bialternant ratios.
+
+`weyl_character` takes rational points only.  At points in Q(w) the tests
+use their oracle, `helpers.bialternant`, and check it here against
+tableaux and the rank-one and rank-two closed forms."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -7,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import embed, partitions_strategy, schur_ssyt, twisted_points
+from helpers import (
+    bialternant,
+    bialternant_denominator,
+    embed,
+    entry_matrix,
+    partitions_strategy,
+    schur_ssyt,
+    twisted_points,
+)
 from twistchar import characters
 from twistchar.characters import (
     DegeneratePointError,
@@ -35,7 +47,7 @@ def test_schur_matches_tableau_enumeration():
         for la in partitions_up_to(5):
             if len(la) > n + 1:
                 continue
-            assert weyl_character(GroupType.GL, la, pts) == schur_ssyt(la, pts)
+            assert bialternant(GroupType.GL, la, pts) == schur_ssyt(la, pts)
 
 
 def test_rank_one_families():
@@ -44,11 +56,11 @@ def test_rank_one_families():
     zero, one = x.field.zero, x.field.one
     for k in range(7):
         row = (k,) if k else ()
-        sp = weyl_character(GroupType.SP, row, (x,))
+        sp = bialternant(GroupType.SP, row, (x,))
         assert sp == sum((x ** (k - 2 * j) for j in range(k + 1)), zero)
-        oo = weyl_character(GroupType.OO, row, (x,))
+        oo = bialternant(GroupType.OO, row, (x,))
         assert oo == sum((x ** j for j in range(-k, k + 1)), zero)
-        oe = weyl_character(GroupType.OE, row, (x,))
+        oe = bialternant(GroupType.OE, row, (x,))
         assert oe == (x ** k + xb ** k if k else one)
 
 
@@ -59,30 +71,32 @@ def test_small_rank_two_values():
     e1 = sum(vs, zero)
     e2 = sum((a * b for a, b in combinations(vs, 2)), zero)
     h2 = sum((a * b for a, b in combinations_with_replacement(vs, 2)), zero)
-    assert weyl_character(GroupType.SP, (), (x, y)) == one
-    assert weyl_character(GroupType.SP, (1,), (x, y)) == e1
+    assert bialternant(GroupType.SP, (), (x, y)) == one
+    assert bialternant(GroupType.SP, (1,), (x, y)) == e1
     # Lambda^2 of the defining representation splits off one copy of the
     # symplectic form; Sym^2 is the whole adjoint.
-    assert weyl_character(GroupType.SP, (1, 1), (x, y)) == e2 - one
-    assert weyl_character(GroupType.SP, (2,), (x, y)) == h2
+    assert bialternant(GroupType.SP, (1, 1), (x, y)) == e2 - one
+    assert bialternant(GroupType.SP, (2,), (x, y)) == h2
     vs1 = vs + (one,)
     e1b = sum(vs1, zero)
     e2b = sum((a * b for a, b in combinations(vs1, 2)), zero)
-    assert weyl_character(GroupType.OO, (), (x, y)) == one
-    assert weyl_character(GroupType.OO, (1,), (x, y)) == e1b
+    assert bialternant(GroupType.OO, (), (x, y)) == one
+    assert bialternant(GroupType.OO, (1,), (x, y)) == e1b
     # Lambda^2 of the defining representation is the whole adjoint here.
-    assert weyl_character(GroupType.OO, (1, 1), (x, y)) == e2b
-    assert weyl_character(GroupType.OE, (1,), (x, y)) == e1
+    assert bialternant(GroupType.OO, (1, 1), (x, y)) == e2b
+    assert bialternant(GroupType.OE, (1,), (x, y)) == e1
 
 
 def test_long_partitions_give_zero_and_empty_points_raise():
     pts = embed([Fraction(5, 2), Fraction(4, 3)], 2)
     zero = pts[0].field.zero
-    assert weyl_character(GroupType.GL, (1, 1, 1), pts) == zero
-    assert weyl_character(GroupType.SP, (2, 1, 1), pts) == zero
-    assert weyl_character(GroupType.OO, (1, 1, 1), pts) == zero
-    assert weyl_character(GroupType.OE, (3, 2, 1), pts) == zero
+    assert bialternant(GroupType.GL, (1, 1, 1), pts) == zero
+    assert bialternant(GroupType.SP, (2, 1, 1), pts) == zero
+    assert bialternant(GroupType.OO, (1, 1, 1), pts) == zero
+    assert bialternant(GroupType.OE, (3, 2, 1), pts) == zero
     for g in GroupType:
+        got = weyl_character(g, (3, 2, 1), (Fraction(5, 2), Fraction(4, 3)))
+        assert got == 0 and type(got) is Fraction
         with pytest.raises(ValueError):
             weyl_character(g, (1,), ())
 
@@ -94,9 +108,11 @@ def test_rational_points_stay_in_q():
             for la in partitions_up_to(3, max_length=n):
                 got = weyl_character(g, la, vals)
                 assert type(got) is Fraction
-                assert pts[0].field.from_rational(got) == weyl_character(g, la, pts)
+                assert pts[0].field.from_rational(got) == bialternant(g, la, pts)
     with pytest.raises(TypeError):
         weyl_character(GroupType.GL, (1,), (2, 3))
+    with pytest.raises(TypeError):
+        weyl_character(GroupType.GL, (1,), embed(POINTS[2], 3))
     with pytest.raises(TypeError):
         twisted_character(GroupType.SP, (1,), (2,), 3)
 
@@ -104,11 +120,11 @@ def test_rational_points_stay_in_q():
 def test_degenerate_points_are_reported():
     same = embed([Fraction(3), Fraction(3)], 2)
     with pytest.raises(DegeneratePointError):
-        weyl_character(GroupType.GL, (1,), same)
+        bialternant(GroupType.GL, (1,), same)
     with pytest.raises(DegeneratePointError):
-        weyl_character(GroupType.SP, (1,), embed([1], 2))
+        bialternant(GroupType.SP, (1,), embed([1], 2))
     with pytest.raises(DegeneratePointError):
-        weyl_character(GroupType.OO, (1,), embed([1], 2))
+        bialternant(GroupType.OO, (1,), embed([1], 2))
 
 
 def test_degenerate_negative_points_are_reported():
@@ -160,7 +176,7 @@ RATIONAL = st.one_of(
 )
 @settings(max_examples=300, deadline=None)
 def test_rational_bialternant_matches_the_fraction_entry_matrix(g, at, ys, la):
-    # The Fraction route through _entry_matrix is the oracle of the
+    # The oracle's entry matrix at Fraction points is the oracle of the
     # integer one: row i of the same matrix times s_i, divided out after.
     # A row scale that is off by a factor common to la and the empty
     # partition cancels in the character, so the denominator is compared
@@ -170,7 +186,7 @@ def test_rational_bialternant_matches_the_fraction_entry_matrix(g, at, ys, la):
     if len(la) > n:
         assert weyl_character(g, la, pts) == 0
         return
-    den = det(characters._entry_matrix(g, pts, beta_set((), n)))
+    den = det(entry_matrix(g, pts, beta_set((), n)))
     assert characters._denominator(g, pts) == den
     if not den:
         with pytest.raises(DegeneratePointError):
@@ -178,14 +194,14 @@ def test_rational_bialternant_matches_the_fraction_entry_matrix(g, at, ys, la):
         return
     got = weyl_character(g, la, pts)
     assert type(got) is Fraction
-    assert got == det(characters._entry_matrix(g, pts, beta_set(la, n))) / den
+    assert got == det(entry_matrix(g, pts, beta_set(la, n))) / den
 
 
 @given(P)
 @settings(max_examples=30, deadline=None)
 def test_schur_is_symmetric_in_the_points(la):
     pts = embed([Fraction(5, 2), Fraction(4, 3), Fraction(9, 7)], 2)
-    vals = {weyl_character(GroupType.GL, la, p) for p in permutations(pts)}
+    vals = {bialternant(GroupType.GL, la, p) for p in permutations(pts)}
     assert len(vals) == 1
 
 
@@ -196,13 +212,13 @@ def test_schur_column_translation(la):
     n = len(pts)
     prod = pts[0] * pts[1] * pts[2]
     lifted = tuple(p + 1 for p in la) + (1,) * (n - len(la))
-    assert weyl_character(GroupType.GL, lifted, pts) == prod * weyl_character(
+    assert bialternant(GroupType.GL, lifted, pts) == prod * bialternant(
         GroupType.GL, la, pts
     )
 
 
 def _twisted_bialternant(g, la, xs, t, ones):
-    """weyl_character at the twisted xs in Q(w_t) with `ones` points 1
+    """The bialternant oracle at the twisted xs in Q(w_t) with `ones` points 1
     appended.  Where points 1 make the bialternant 0/0 (SP and OO with any,
     GL and OE with two), they move to u_i = 1 + i s: times prod u_i^low,
     low = la_1 for the Laurent groups and 0 for GL, the value is a
@@ -210,7 +226,7 @@ def _twisted_bialternant(g, la, xs, t, ones):
     Lagrange interpolation through one more nonzero s than that degree."""
     tw = twisted_points(embed(xs, t), t)
     try:
-        val = weyl_character(g, la, tw + embed([1] * ones, t))
+        val = bialternant(g, la, tw + embed([1] * ones, t))
     except DegeneratePointError:
         pass
     else:
@@ -222,7 +238,7 @@ def _twisted_bialternant(g, la, xs, t, ones):
     # Alternating signs keep the u_i small; no u_i is 0, 1 or -1.
     for s in (1, -3, 2, -4, 3, -5, 4, -6, 5, -7, 6, -8, 7)[: ones * (top + low) + 1]:
         us = [Fraction(1 + i * s) for i in range(1, ones + 1)]
-        val = weyl_character(g, la, tw + embed(us, t))
+        val = bialternant(g, la, tw + embed(us, t))
         assert not any(val.coeffs[1:])
         v = val.coeffs[0]
         for u in us:
@@ -276,8 +292,8 @@ def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):
     # exponent; det's pivot inverses are of other elements.
     pts = twisted_points(embed(POINTS[2], 3), 3)
     la = (3, 2, 1)
-    characters._denominator.cache_clear()
-    want = weyl_character(GroupType.SP, la, pts)
+    bialternant_denominator.cache_clear()
+    want = bialternant(GroupType.SP, la, pts)
     inverted = []
     real = CycloElem.inv
 
@@ -286,7 +302,7 @@ def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(CycloElem, "inv", spy)
-    assert weyl_character(GroupType.SP, la, pts) == want
+    assert bialternant(GroupType.SP, la, pts) == want
     assert [inverted.count(x) for x in pts] == [1] * len(pts)
     assert want == twisted_character(GroupType.SP, la, POINTS[2], 3)
 
@@ -377,5 +393,5 @@ def test_symplectic_value_at_cubed_points():
             * (a * a * b * b - a * b + 1)
             / (a ** 3 * b ** 3)
         )
-        got = weyl_character(GroupType.SP, (1,), (x1 ** 3, x2 ** 3))
+        got = bialternant(GroupType.SP, (1,), (x1 ** 3, x2 ** 3))
         assert got == x1.field.from_rational(want)

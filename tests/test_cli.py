@@ -354,25 +354,31 @@ def test_series_census_output_is_byte_identical(capsys):
     )
 
 
+_OUT_ARGV = {
+    "scan": ["scan", "--t", "2", "--n", "1", "--max-size", "1"],
+    "verify": ["verify", "schurfac", "2", "--t", "2", "--n", "1"],
+    "series": ["series", "--z", "1", "--t", "3", "--N", "8"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["scan", "--t", "2", "--n", "1", "--max-size", "1"],
-        ["verify", "schurfac", "2", "--t", "2", "--n", "1"],
-        ["series", "--z", "1", "--t", "3", "--N", "8"],
-    ],
-    ids=["scan", "verify", "series"],
+    "argv,empty",
+    [(argv, False) for argv in _OUT_ARGV.values()]
+    + [(argv, True) for argv in _OUT_ARGV.values()],
+    ids=list(_OUT_ARGV) + [f"{name}-empty" for name in _OUT_ARGV],
 )
-def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv):
+def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv, empty):
+    # A path in a missing directory, or an empty path: neither names a file
+    # that can be opened, and the empty one must not read as "no --out".
     def never(item):
         raise AssertionError("a case ran before --out was opened")
 
     monkeypatch.setattr(cli, "_scan_case", never)
-    target = tmp_path / "missing" / "x"
-    code, out, err = run(argv + ["--out", str(target)], capsys)
+    target = "" if empty else str(tmp_path / "missing" / "x")
+    code, out, err = run(argv + ["--out", target], capsys)
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("twistchar: ")
-    assert str(target) in err and "Traceback" not in err
+    assert repr(target) in err and "Traceback" not in err
 
 
 def test_failed_verify_leaves_out_file_alone(tmp_path, capsys):
@@ -522,15 +528,18 @@ def test_bad_seeds_and_trials_leave_scan_out_alone(tmp_path, capsys, jobs, bad):
     ],
     ids=["verify", "scan"],
 )
-def test_trials_is_a_usage_error(argv, capsys):
-    # k point tuples for one case are k seeds, not one flag.
+def test_trials_is_a_usage_error(argv, capsys, monkeypatch):
+    # k point tuples for one case are k seeds, not one flag.  The error is
+    # the subcommand's, with its own usage; a wide terminal keeps that
+    # usage on one line.
+    monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     out, err = capsys.readouterr()
     assert exc.value.code == 1 and out == ""
     usage, error = err.splitlines()
-    assert usage.startswith("usage: twistchar")
-    assert error == "twistchar: error: unrecognized arguments: --trials 2"
+    assert usage.startswith(f"usage: twistchar {argv[0]} [-h]") and "--seed" in usage
+    assert error == f"twistchar {argv[0]}: error: unrecognized arguments: --trials 2"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    bialternant,
     ceil_div,
     check_block_det_lemma,
     embed,
@@ -258,8 +259,8 @@ def test_cache_keys_keep_groups_apart():
     assert characters._twisted_h.cache_info().misses == 3
     assert sp != oe
     twisted = twisted_points(embed(xs, 3), 3)
-    assert embed((sp,), 3)[0] == weyl_character(GroupType.SP, (3, 1), twisted)
-    assert embed((oe,), 3)[0] == weyl_character(GroupType.OE, (3, 1), twisted)
+    assert embed((sp,), 3)[0] == bialternant(GroupType.SP, (3, 1), twisted)
+    assert embed((oe,), 3)[0] == bialternant(GroupType.OE, (3, 1), twisted)
 
 
 def _t5_seeds_grid():
@@ -514,7 +515,7 @@ def twisted_oracle(th, la, t, pts):
     tw = twisted_points(embed(pts, t), t)
     if th is TheoremId.SCHUR_ONE:
         tw += (field(t).one,)
-    return weyl_character(GROUP[th], la, tw)
+    return bialternant(GROUP[th], la, tw)
 
 
 @pytest.mark.parametrize(

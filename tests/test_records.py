@@ -62,6 +62,24 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out.stdout.split() == []
 
 
+def test_cli_import_loads_cyclotomic_but_the_package_exports_none_of_it():
+    # No runtime path computes in Q(w), but the benchmark harness reads
+    # twistchar.cyclotomic from sys.modules once the CLI is imported.
+    code = (
+        "import sys; import twistchar.cli; from twistchar import characters; "
+        "print('twistchar.cyclotomic' in sys.modules); "
+        "print(' '.join(n for n in ('CycloElem', 'CycloField', 'cyclotomic_poly', 'field', "
+        "'omega_pow') if hasattr(twistchar, n) or n in twistchar.__all__)); "
+        "print(' '.join(n for n in ('_entry_matrix', 'CycloElem', 'cyclotomic') "
+        "if hasattr(characters, n)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n") == ["True", "", "", ""]
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_are_immutable(name):
     rec, fields = _record(name)
