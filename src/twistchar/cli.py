@@ -89,6 +89,17 @@ def _emit(records, fh) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
+# classify's name for the cores each theorem row leaves alive: JSON key
+# and text label.  The appended-one row's value is the class c.
+_CLASS_NAMES = {
+    TheoremId.SCHUR_FAC: ("empty", "Empty"),
+    TheoremId.SCHUR_ONE: ("single_row", "SingleRow"),
+    TheoremId.SYMPLECTIC: ("symplectic", "Symplectic"),
+    TheoremId.EVEN_ORTH: ("orthogonal", "Orthogonal"),
+    TheoremId.ODD_ORTH: ("self_conjugate", "SelfConjugate"),
+}
+
+
 def cmd_classify(args) -> int:
     la = parse_partition(args.partition)
     t, n = args.t, args.n
@@ -103,6 +114,15 @@ def cmd_classify(args) -> int:
     quo = ab.quotient
     fro = frobenius(la)
     counts = tuple(n + o for o in cls.offsets)
+    # One verdict per theorem row, read through the rule: whether the core
+    # leaves the row's character alive, and for the appended-one row the
+    # class c of the point 1 instead, None when it vanishes.
+    verdicts = []
+    for th in TheoremId:
+        live = cls.z_asymmetric(th.z, th.ones)
+        if th.ones:
+            live = cls.excess(th.ones).index(1) if live else None
+        verdicts.append((_CLASS_NAMES[th], live))
     if args.json:
         rec = {
             "partition": list(la),
@@ -112,25 +132,16 @@ def cmd_classify(args) -> int:
             "quotient": [list(q) for q in quo],
             "frobenius": {"arms": list(fro.alpha), "legs": list(fro.beta)},
             "residue_counts": list(counts),
-            "empty": cls.empty,
-            "single_row": cls.single_row,
-            "symplectic": cls.symplectic,
-            "orthogonal": cls.orthogonal,
-            "self_conjugate": cls.self_conjugate,
+            **{key: live for (key, _), live in verdicts},
             "rank": cls.rank,
         }
         print(json.dumps(rec, separators=(",", ":")))
         return 0
+    # c is an int, and c = 0 or 1 compares equal to False or True.
     flags = [
-        name
-        for name, on in [
-            ("Empty", cls.empty),
-            (f"SingleRow({cls.single_row})", cls.single_row is not None),
-            ("Symplectic", cls.symplectic),
-            ("Orthogonal", cls.orthogonal),
-            ("SelfConjugate", cls.self_conjugate),
-        ]
-        if on
+        label if live is True else f"{label}({live})"
+        for (_, label), live in verdicts
+        if live is not None and live is not False
     ]
     print(f"partition      {_partition_str(la)}  size {size(la)}")
     print(f"t, n           {t}, {n}")

@@ -150,8 +150,7 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
     n0 = max(1, -((th.ones - len(la)) // t))
     ab = abacus(la, t, length_bound(th, t, n0))
     cls = CoreClass(ab.offsets)
-    pairing = partners(t, th.z)
-    if not cls.z_asymmetric(th.z, th.ones, pairing):
+    if not cls.z_asymmetric(th.z, th.ones):
         # A vanishing appended-one case records no sorting sign.
         sigma = None if th.ones else ab.block_sign()
         return Prediction(t, n0, None, sigma, 0, ()), cls, None, ()
@@ -164,7 +163,7 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
     odd = eps + (sigma == -1)
     quo = ab.quotient
     factors, pads = [], []
-    for i, j in enumerate(pairing):
+    for i, j in enumerate(partners(t, th.z)):
         if i < j:
             front, back, mu = quo[j], quo[i], ()
             # At large t most pairs have two empty parts, which pad to ().

@@ -310,9 +310,9 @@ class CoreClass(NamedTuple):
     """Classification of a t-core, read off its runner offsets.
 
     offsets[i] is runner i's count minus n at any padding tn; it does not
-    depend on n and sums to 0 (`Abacus.offsets`).  Every flag is read by
-    `z_asymmetric`; the empty core, for instance, is simultaneously empty,
-    symplectic, orthogonal and self-conjugate.
+    depend on n and sums to 0 (`Abacus.offsets`).  Every verdict is read
+    by `z_asymmetric` at a theorem's (z, ones); the empty core, for
+    instance, is z-asymmetric for every z.
     """
 
     offsets: tuple[int, ...]
@@ -332,41 +332,13 @@ class CoreClass(NamedTuple):
         o = self.offsets
         return tuple(o[i - ones] + (i < ones) for i in range(len(o)))
 
-    def z_asymmetric(
-        self, z: int | None, ones: int = 0, pairing: tuple[int, ...] | None = None
-    ) -> bool:
+    def z_asymmetric(self, z: int | None, ones: int = 0) -> bool:
         """Whether the character with `ones` points 1 appended survives:
-        s_i + s_partner(i) >= 0 for each class i (`partners(t, z)`, or
-        `pairing` when the caller already holds it), s the excess.  As s
-        sums to ones, this says that some `ones` beads can be removed to
-        leave the counts z-paired; at ones = 0, z-asymmetry."""
+        s_i + s_partner(i) >= 0 for each class i (`partners(t, z)`), s the
+        excess.  As s sums to ones, this says that some `ones` beads can be
+        removed to leave the counts z-paired; at ones = 0, z-asymmetry."""
         s = self.excess(ones)
-        if pairing is None:
-            pairing = partners(len(s), z)
-        return all(s[i] + s[j] >= 0 for i, j in enumerate(pairing))
-
-    @property
-    def empty(self) -> bool:
-        return self.z_asymmetric(None)
-
-    @property
-    def single_row(self) -> int | None:
-        """c when the core is the one row (c), c = 0 for the empty core, and
-        None when the core has two or more rows: with one point 1 appended
-        and no pairing, the excess is 1 at class c and 0 elsewhere."""
-        return self.excess(1).index(1) if self.z_asymmetric(None, 1) else None
-
-    @property
-    def symplectic(self) -> bool:
-        return self.z_asymmetric(1)
-
-    @property
-    def orthogonal(self) -> bool:
-        return self.z_asymmetric(-1)
-
-    @property
-    def self_conjugate(self) -> bool:
-        return self.z_asymmetric(0)
+        return all(s[i] + s[j] >= 0 for i, j in enumerate(partners(len(s), z)))
 
 
 def classify_core(la: Partition, t: int, n: int) -> CoreClass:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from twistchar.characters import DegeneratePointError, GroupType
 from twistchar.cyclotomic import field, omega_pow
+from twistchar.factorization import TheoremId
 from twistchar.linalg import det
 from twistchar.partitions import (
     Partition,
@@ -405,25 +406,31 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
 
 
 def check_classification_flags(max_size: int, ts=(2, 3, 4, 5)) -> list:
-    """classify_core flags agree with the hook-coordinate definitions
-    applied directly to the core, at the minimal padding n and at n + 1.
-    The core comes from strip removal, not from residue counts, so it is
-    an independent check of classify_core's own core."""
+    """classify_core's verdict for each theorem row, z_asymmetric(z, ones),
+    agrees with the hook-coordinate definition of the row's class applied
+    directly to the core, at the minimal padding n and at n + 1, and so
+    does the class c of the point 1 when a single-row core keeps the
+    appended-one row alive.  The core comes from strip removal, not from
+    residue counts, so it is an independent check of classify_core's own
+    core."""
     bad = []
     for la in partitions_up_to(max_size):
         for t in ts:
             core = t_core_strips(la, t)
+            defined = {
+                TheoremId.SCHUR_FAC: core == (),
+                TheoremId.SCHUR_ONE: len(core) <= 1,
+                TheoremId.SYMPLECTIC: is_z_asymmetric(core, 1),
+                TheoremId.EVEN_ORTH: is_z_asymmetric(core, -1),
+                TheoremId.ODD_ORTH: core == conjugate(core),
+            }
             n_min = ceil_div(max(1, len(la)), t)
             for n in (n_min, n_min + 1):
                 cls = classify_core(la, t, n)
                 ok = (
                     cls.core == core
-                    and cls.empty == (core == ())
-                    and cls.symplectic == is_z_asymmetric(core, 1)
-                    and cls.orthogonal == is_z_asymmetric(core, -1)
-                    and cls.self_conjugate == (core == conjugate(core))
-                    and cls.single_row
-                    == (sum(core) if len(core) <= 1 else None)
+                    and all(cls.z_asymmetric(th.z, th.ones) == defined[th] for th in TheoremId)
+                    and (len(core) > 1 or cls.excess(1).index(1) == sum(core))
                     and cls.rank == rank(core)
                 )
                 if not ok:

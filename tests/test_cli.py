@@ -63,6 +63,37 @@ def test_classify_empty_partition(capsys):
     assert rec["partition"] == [] and rec["empty"] is True
 
 
+@pytest.mark.parametrize(
+    "la, c, labels",
+    [
+        ("", 0, "Empty, SingleRow(0), Symplectic, Orthogonal, SelfConjugate"),
+        ("1", 1, "SingleRow(1), SelfConjugate"),
+    ],
+    ids=["empty-core", "core-1"],
+)
+def test_classify_reads_each_verdict_through_one_rule(la, c, labels, monkeypatch, capsys):
+    # c = 0 and c = 1 compare equal to False and True, yet print as the
+    # class of the point 1, not as a verdict that hides or a bare label.
+    calls = []
+    real = partitions.CoreClass.z_asymmetric
+
+    def counted(self, z, ones=0):
+        calls.append((z, ones))
+        return real(self, z, ones)
+
+    monkeypatch.setattr(partitions.CoreClass, "z_asymmetric", counted)
+    rows = [(th.z, th.ones) for th in TheoremId]
+    code, out, _ = run(["classify", la, "--t", "2", "--n", "1"], capsys)
+    assert code == 0 and calls == rows
+    assert f"class          {labels}\n" in out
+    calls.clear()
+    code, out, _ = run(["classify", la, "--t", "2", "--n", "1", "--json"], capsys)
+    assert code == 0 and calls == rows
+    assert f'"single_row":{c},' in out
+    rec = json.loads(out)
+    assert type(rec["single_row"]) is int and rec["empty"] is (la == "")
+
+
 def test_classify_rejects_bad_arguments(capsys):
     assert run(["classify", "2,1", "--t", "1", "--n", "2"], capsys)[0] == 1
     assert run(["classify", "1,1,1", "--t", "3", "--n", "1"], capsys)[0] == 0

@@ -274,24 +274,28 @@ def test_residue_counts_shift_with_padding(la, t, extra):
 def test_classify_core_values():
     cls = classify_core((4, 2, 2, 1), 2, 2)
     assert cls == CoreClass((-1, 1))
-    assert cls.core == (2, 1) and cls.self_conjugate and cls.rank == 1
-    assert not (cls.empty or cls.symplectic or cls.orthogonal)
-    assert cls.single_row is None
+    assert cls.core == (2, 1) and cls.z_asymmetric(0) and cls.rank == 1
+    assert not (cls.z_asymmetric(None) or cls.z_asymmetric(1) or cls.z_asymmetric(-1))
+    assert not cls.z_asymmetric(None, 1)
     cls = classify_core((3, 2, 1, 1, 1), 3, 2)
     assert cls == CoreClass((1, -1, 0))
-    assert cls.core == (1, 1) and cls.symplectic and cls.rank == 1
-    assert not (cls.empty or cls.orthogonal or cls.self_conjugate)
-    assert cls.single_row is None
+    assert cls.core == (1, 1) and cls.z_asymmetric(1) and cls.rank == 1
+    assert not (cls.z_asymmetric(None) or cls.z_asymmetric(-1) or cls.z_asymmetric(0))
+    assert not cls.z_asymmetric(None, 1)
 
 
 def test_classify_core_single_row():
-    assert classify_core((2, 2), 2, 1).single_row == 0
-    assert classify_core((2, 2), 2, 1).empty
-    assert classify_core((1,), 2, 1).single_row == 1
-    assert classify_core((3, 2, 1), 2, 2).single_row is None
+    # With a point 1 appended and no pairing, a core of at most one row (c)
+    # survives, and the point 1 leaves its one bead above n in class c.
+    cls = classify_core((2, 2), 2, 1)
+    assert cls.z_asymmetric(None, 1) and cls.excess(1).index(1) == 0
+    assert cls.z_asymmetric(None)
+    cls = classify_core((1,), 2, 1)
+    assert cls.z_asymmetric(None, 1) and cls.excess(1).index(1) == 1
+    assert not classify_core((3, 2, 1), 2, 2).z_asymmetric(None, 1)
     every = classify_core((), 3, 1)
-    assert every.empty and every.symplectic and every.orthogonal
-    assert every.self_conjugate and every.single_row == 0 and every.rank == 0
+    assert all(every.z_asymmetric(z) for z in (None, 1, -1, 0))
+    assert every.z_asymmetric(None, 1) and every.excess(1).index(1) == 0 and every.rank == 0
 
 
 def test_classify_core_rejects_long_partitions():
@@ -347,10 +351,11 @@ def test_z_pairing_rule_matches_bead_removal(t):
                 want = _bead_removal_oracle(core, t, z, ones)
                 assert cls.z_asymmetric(z, ones) == want, (core, z, ones)
                 live.add((ones, want))
-        assert cls.empty == (core == ())
-        row = cls.single_row
-        assert (row is not None) == (len(core) <= 1)
-        assert row is None or core == ((row,) if row else ())
+        assert cls.z_asymmetric(None) == (core == ())
+        assert cls.z_asymmetric(None, 1) == (len(core) <= 1)
+        if len(core) <= 1:
+            row = cls.excess(1).index(1)
+            assert core == ((row,) if row else ())
     assert live == {(0, True), (0, False), (1, True), (1, False)}
 
 
@@ -359,17 +364,11 @@ def test_predict_reads_each_verdict_through_one_rule(th, monkeypatch):
     calls = []
     real = CoreClass.z_asymmetric
 
-    def counted(self, z, ones=0, pairing=None):
+    def counted(self, z, ones=0):
         calls.append((z, ones))
-        assert pairing in (None, partners(len(self.offsets), z))
-        return real(self, z, ones, pairing)
-
-    def refused(self):
-        raise AssertionError("a prediction reads single_row or empty")
+        return real(self, z, ones)
 
     monkeypatch.setattr(CoreClass, "z_asymmetric", counted)
-    monkeypatch.setattr(CoreClass, "single_row", property(refused))
-    monkeypatch.setattr(CoreClass, "empty", property(refused))
     verdicts = set()
     for t in range(2, 6):
         for n in (1, 2):
