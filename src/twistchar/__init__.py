@@ -54,8 +54,6 @@ from .partitions import (
     z_asymmetric_up_to,
 )
 from .series import (
-    LatticeVec,
-    SeriesZ,
     enum_z_asymmetric,
     enum_z_asymmetric_cores,
     enum_z_cores,
@@ -75,10 +73,8 @@ __all__ = [
     "DegeneratePointError",
     "FrobeniusCoords",
     "GroupType",
-    "LatticeVec",
     "Partition",
     "SamplingError",
-    "SeriesZ",
     "TheoremId",
     "VerificationReport",
     "abacus",

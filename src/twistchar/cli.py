@@ -25,7 +25,7 @@ from .partitions import (
     partitions_up_to,
     size,
 )
-from .series import SeriesZ, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
+from .series import count_sizes, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,15 +260,15 @@ def cmd_series(args) -> int:
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     with _open_out(args.out) as fh:
-        lattice = SeriesZ.from_sizes(map(core_size, z_core_offsets(z, t, order)), order)
+        lattice = count_sizes(map(core_size, z_core_offsets(z, t, order)), order)
         enumerated = enum_z_asymmetric_cores(z, t, order)
         if 0 <= z <= t - 2:
-            product = gf_z_cores(z, t, order).coeffs
+            product = gf_z_cores(z, t, order)
         else:
             product = (None,) * (order + 1)
         rows = [
             (m, e, p, c, e == c and p in (None, e))
-            for m, (e, p, c) in enumerate(zip(enumerated.coeffs, product, lattice.coeffs))
+            for m, (e, p, c) in enumerate(zip(enumerated, product, lattice))
         ]
         _emit(
             (

@@ -16,6 +16,10 @@ offsets, from which `partitions.core_size` reads the size off the runner
 gaps, with no core built, and `enum_z_cores` builds the cores themselves.
 The size comes from the bead positions, not from the walk's cost
 t*v^2 - gap*v, which is the theta product's exponent.
+
+A series truncated at order N is the tuple of its N+1 integer
+coefficients, q^m at index m: `count_sizes` builds one from sizes and
+`series_product` multiplies two.
 """
 
 from __future__ import annotations
@@ -35,85 +39,37 @@ from .partitions import (
     z_asymmetric_up_to,
 )
 
-LatticeVec = tuple[int, ...]
+def count_sizes(sizes: Iterable[int], order: int) -> tuple[int, ...]:
+    """Histogram of the sizes: q^m counts the sizes equal to m, 0 <= m <= order."""
+    row = [0] * (order + 1)
+    for m in sizes:
+        if 0 <= m <= order:
+            row[m] += 1
+    return tuple(row)
 
 
-class SeriesZ:
-    """Integer power series in q truncated at a fixed order.  Immutable,
-    and not a tuple: `+` and `len()` are not defined on it."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SeriesZ is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"SeriesZ(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return SeriesZ, (self.coeffs,)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, m: int) -> int:
-        return self.coeffs[m]
-
-    @classmethod
-    def one(cls, order: int) -> "SeriesZ":
-        return cls((1,) + (0,) * order)
-
-    @classmethod
-    def from_sizes(cls, sizes: Iterable[int], order: int) -> "SeriesZ":
-        """Histogram of the sizes: q^m counts the sizes equal to m <= order."""
-        row = [0] * (order + 1)
-        for m in sizes:
-            if 0 <= m <= order:
-                row[m] += 1
-        return cls(tuple(row))
-
-    def __mul__(self, other: "SeriesZ") -> "SeriesZ":
-        order = min(self.order, other.order)
-        row = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: order + 1 - i]):
-                if b:
-                    row[i + j] += a * b
-        return SeriesZ(tuple(row))
-
-    def times_one_plus_power(self, e: int) -> "SeriesZ":
-        """Multiply by (1 + q^e), truncated at the current order."""
-        if e <= 0:
-            raise ValueError(f"exponent must be positive, got {e}")
-        row = list(self.coeffs)
-        for m in range(self.order, e - 1, -1):
-            row[m] += row[m - e]
-        return SeriesZ(tuple(row))
+def series_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two coefficient tuples, truncated at the lower order."""
+    order = min(len(a), len(b)) - 1
+    row = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: order + 1 - i]):
+            if y:
+                row[i + j] += x * y
+    return tuple(row)
 
 
-def enum_z_asymmetric(z: int, order: int) -> SeriesZ:
+def enum_z_asymmetric(z: int, order: int) -> tuple[int, ...]:
     """Count z-asymmetric partitions of each size, built one by one from
     their Frobenius coordinates."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return SeriesZ.from_sizes(map(size, z_asymmetric_up_to(z, order)), order)
+    return count_sizes(map(size, z_asymmetric_up_to(z, order)), order)
 
 
-def enum_z_asymmetric_cores(z: int, t: int, order: int) -> SeriesZ:
+def enum_z_asymmetric_cores(z: int, t: int, order: int) -> tuple[int, ...]:
     """Count z-asymmetric t-cores of each size straight from the Frobenius
     arms: each arm tuple of the walk with its size, kept when the beta set
     the walk carries passes the closure test of `partitions.is_t_core`.
@@ -124,10 +80,10 @@ def enum_z_asymmetric_cores(z: int, t: int, order: int) -> SeriesZ:
         raise ValueError(f"need t >= 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return SeriesZ.from_sizes((used for _, used, _ in z_asymmetric_arms(z, order, t)), order)
+    return count_sizes((used for _, used, _ in z_asymmetric_arms(z, order, t)), order)
 
 
-def gf_z_asymmetric(z: int, order: int) -> SeriesZ:
+def gf_z_asymmetric(z: int, order: int) -> tuple[int, ...]:
     """Product form: prod (1 + q^p) over p = |z|+1, |z|+3, ...
 
     Each diagonal hook of a z-asymmetric partition has 2a + z + 1 cells for
@@ -136,15 +92,15 @@ def gf_z_asymmetric(z: int, order: int) -> SeriesZ:
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    out = SeriesZ.one(order)
-    e = abs(z) + 1
-    while e <= order:
-        out = out.times_one_plus_power(e)
-        e += 2
-    return out
+    row = [1] + [0] * order
+    for e in range(abs(z) + 1, order + 1, 2):
+        # Times (1 + q^e): downward, so each term reads its old value.
+        for m in range(order, e - 1, -1):
+            row[m] += row[m - e]
+    return tuple(row)
 
 
-def theta_f(a_exp: int, b_exp: int, order: int) -> SeriesZ:
+def theta_f(a_exp: int, b_exp: int, order: int) -> tuple[int, ...]:
     """Two-variable theta sum with a = q^a_exp, b = q^b_exp.
 
     Terms are q^(a_exp*n(n+1)/2 + b_exp*n(n-1)/2) over all integers n;
@@ -160,14 +116,16 @@ def theta_f(a_exp: int, b_exp: int, order: int) -> SeriesZ:
         m = a_exp * (n * (n + 1) // 2) + b_exp * (n * (n - 1) // 2)
         if 0 <= m <= order:
             row[m] += 1
-    return SeriesZ(tuple(row))
+    return tuple(row)
 
 
-def gf_z_cores(z: int, t: int, order: int) -> SeriesZ:
+def gf_z_cores(z: int, t: int, order: int) -> tuple[int, ...]:
     """Theta-product generating function for z-asymmetric t-cores."""
     if not 0 <= z <= t - 2:
         raise ValueError(f"need 0 <= z <= t-2, got z={z}, t={t}")
-    out = SeriesZ.one(order)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    out = (1,) + (0,) * order
     # The class pair i < j with gap g = j - i gives the factor with a = t - g
     # and b = t + g.  Past q^0 its least term is q^a, so it is
     # 1 + O(q^(order+1)) once a > order; the pairs come in decreasing gap,
@@ -176,7 +134,7 @@ def gf_z_cores(z: int, t: int, order: int) -> SeriesZ:
         g = j - i
         if t - g > order:
             break
-        out = out * theta_f(t - g, t + g, order)
+        out = series_product(out, theta_f(t - g, t + g, order))
     return out
 
 
@@ -189,7 +147,7 @@ def _pairs(z: int, t: int) -> Iterator[tuple[int, int]]:
     return class_pairs(t, z)
 
 
-def phi(la: Partition, z: int, t: int) -> LatticeVec:
+def phi(la: Partition, z: int, t: int) -> tuple[int, ...]:
     """Lattice coordinates of a z-asymmetric t-core: the runner offset
     n_i - n of the lower class i of each pair i < j (`partitions.partners`),
     with n_i the count of beta elements in class i mod t at any padding tn."""
@@ -201,7 +159,7 @@ def phi(la: Partition, z: int, t: int) -> LatticeVec:
     return tuple(offsets[i] for i, _ in pairs)
 
 
-def phi_inverse(v: LatticeVec, z: int, t: int) -> Partition:
+def phi_inverse(v: tuple[int, ...], z: int, t: int) -> Partition:
     """Rebuild the unique z-asymmetric t-core with the given coordinates:
     the lower class of each pair gets offset v_k and its partner -v_k, every
     self-paired class 0."""
@@ -211,7 +169,7 @@ def phi_inverse(v: LatticeVec, z: int, t: int) -> Partition:
     return core_from_offsets(_offsets(pairs, v, t))
 
 
-def _offsets(pairs: list[tuple[int, int]], v: LatticeVec, t: int) -> tuple[int, ...]:
+def _offsets(pairs: list[tuple[int, int]], v: tuple[int, ...], t: int) -> tuple[int, ...]:
     # Class i of each pair gets v_k and its partner j gets -v_k.
     off = [0] * t
     for (i, j), x in zip(pairs, v):

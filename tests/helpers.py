@@ -35,7 +35,6 @@ from twistchar.partitions import (
     rank,
     t_core,
 )
-from twistchar.series import SeriesZ
 
 
 def partitions_strategy(max_part: int = 9, max_len: int = 7):
@@ -216,34 +215,16 @@ def block_sign_oracle(la, t: int, m: int, class_order) -> int:
     return -1 if inversions_quadratic(one_line) % 2 else 1
 
 
-def times_one_minus_power(s: SeriesZ, e: int) -> SeriesZ:
-    """Multiply by (1 - q^e), truncated at the current order."""
-    if e <= 0:
-        raise ValueError(f"exponent must be positive, got {e}")
-    row = list(s.coeffs)
-    for m in range(s.order, e - 1, -1):
-        row[m] -= row[m - e]
-    return SeriesZ(tuple(row))
-
-
-def qpoch_plus(first: int, step: int, order: int) -> SeriesZ:
-    """prod_{k>=0} (1 + q^(first + k*step)), truncated."""
-    out = SeriesZ.one(order)
-    e = first
-    while e <= order:
-        out = out.times_one_plus_power(e)
-        e += step
-    return out
-
-
-def qpoch_minus(first: int, step: int, order: int) -> SeriesZ:
-    """prod_{k>=0} (1 - q^(first + k*step)), truncated."""
-    out = SeriesZ.one(order)
-    e = first
-    while e <= order:
-        out = times_one_minus_power(out, e)
-        e += step
-    return out
+def qpoch(first: int, step: int, order: int, sign: int) -> tuple[int, ...]:
+    """prod_{k>=0} (1 + sign * q^(first + k*step)) for sign = 1 or -1,
+    as its coefficients up to q^order."""
+    if first <= 0 or step <= 0:
+        raise ValueError(f"exponents must be positive, got {first} and {step}")
+    row = [1] + [0] * order
+    for e in range(first, order + 1, step):
+        for m in range(order, e - 1, -1):
+            row[m] += sign * row[m - e]
+    return tuple(row)
 
 
 # ------------------------------------------------ beta-set lemma engines

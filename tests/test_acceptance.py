@@ -231,7 +231,7 @@ def test_criterion_06_series_and_lattice_bijection():
                 for la in partitions_of(m):
                     if is_z_asymmetric(la, z) and t_core(la, t) == la:
                         brute[m] += 1
-            assert tuple(brute) == gf_z_cores(z, t, 30).coeffs, (z, t)
+            assert tuple(brute) == gf_z_cores(z, t, 30), (z, t)
     pairs = [(z, t) for t in (3, 4, 5, 6) for z in range(0, t - 1)]
     for z, t in pairs:
         for la in enum_z_cores(z, t, 30):
@@ -246,8 +246,8 @@ def test_criterion_06_series_and_lattice_bijection():
             assert phi(la, z, t) == v
             assert is_z_asymmetric(la, z) and t_core(la, t) == la
             assert size(la) == sum(t * x * x - s * x for x, s in zip(v, slopes))
-    assert [m for m, c in enumerate(gf_z_cores(1, 3, 20).coeffs) if c] == [0, 2, 4, 10, 14]
-    assert [m for m, c in enumerate(gf_z_cores(0, 3, 20).coeffs) if c] == [0, 1, 5, 8, 16]
+    assert [m for m, c in enumerate(gf_z_cores(1, 3, 20)) if c] == [0, 2, 4, 10, 14]
+    assert [m for m, c in enumerate(gf_z_cores(0, 3, 20)) if c] == [0, 1, 5, 8, 16]
     print("criterion 6: PASS  products, brute-force counts, and bijection to order 30")
 
 

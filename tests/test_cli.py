@@ -372,9 +372,10 @@ def test_classify_and_series_output_is_byte_identical(capsys):
         assert out.splitlines()[1].split() == ["0", "1", "-", "1"]
 
 
-def test_series_census_output_is_byte_identical(capsys):
+def test_series_census_output_is_byte_identical(tmp_path, capsys):
     # The whole census CI runs, at a smaller N: every -t-1 <= z <= t+1 for
-    # 2 <= t <= 8, each table with its exit code and stderr line.
+    # 2 <= t <= 8, each table with its exit code and stderr line, and each
+    # table's --out records, whose "product" is null for z outside 0..t-2.
     census = [
         ["series", "--z", str(z), "--t", str(t), "--N", "30"]
         for t in range(2, 9)
@@ -382,6 +383,13 @@ def test_series_census_output_is_byte_identical(capsys):
     ]
     assert output_digest(census, capsys) == (
         "1f357e253d3e6ac09a7246ea294004ce22e85677950ce726693fff5ff4896296"
+    )
+    p, records = tmp_path / "series.jsonl", hashlib.sha256()
+    for argv in census:
+        assert run(argv + ["--out", str(p)], capsys)[0] == 0
+        records.update(p.read_bytes())
+    assert records.hexdigest() == (
+        "8e0472c60039788716dc43f12c5a5ba512d2d27d5df981f5a13c6406c223dabd"
     )
 
 
@@ -652,7 +660,7 @@ def test_series_out_records(tmp_path, capsys):
 
 
 def _bump_at_5(got):
-    return cli.SeriesZ(tuple(c + (m == 5) for m, c in enumerate(got.coeffs)))
+    return tuple(c + (m == 5) for m, c in enumerate(got))
 
 
 def _twice_at_5(offsets):

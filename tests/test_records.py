@@ -1,7 +1,7 @@
 """The record types: immutable value objects, cheap to import.
 
-The paper's objects are NamedTuples (SeriesZ, an arithmetic type, is a
-slotted class), so importing the CLI builds no dataclass machinery.
+The paper's objects are NamedTuples, so importing the CLI builds no
+dataclass machinery.
 """
 
 import os
@@ -15,7 +15,6 @@ import pytest
 from twistchar.cyclotomic import field
 from twistchar.factorization import TheoremId, predict, verify
 from twistchar.partitions import abacus, classify_core, frobenius
-from twistchar.series import SeriesZ, gf_z_asymmetric
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,7 +36,6 @@ RECORDS = {
         ),
     ),
     "CycloField": (lambda: field(5), ("t", "phi")),
-    "SeriesZ": (lambda: gf_z_asymmetric(1, 12), ("coeffs",)),
 }
 
 
@@ -99,15 +97,3 @@ def test_equal_fields_give_equal_records_and_hashes(name):
     other = type(rec)(**{**fields, first: None})
     assert other != rec
 
-
-def test_series_is_not_a_tuple():
-    s = SeriesZ((1, 2, 3))
-    assert not isinstance(s, tuple)
-    assert s != (1, 2, 3) and s != SeriesZ((1, 2))
-    with pytest.raises(TypeError):
-        s + s
-    with pytest.raises(TypeError):
-        len(s)
-    with pytest.raises(TypeError):
-        3 * s
-    assert repr(s) == "SeriesZ(coeffs=(1, 2, 3))"
