@@ -22,8 +22,10 @@ class the left group, at (Y, 1) for the class of the point 1.
 The verdict, the total sign and the factors' quotient parts do not depend
 on n.  So a prediction is derived once per (theorem, partition, t), at the
 least n the partition fits, and carried to a larger n with no new abacus:
-epsilon by its formula, sigma by the parity of the padding steps of t, and
-each pair factor with a non-empty part padded again.
+epsilon by its formula, sigma by the parity of one padding step of t, kept
+at the derivation, and each pair factor with a non-empty part padded
+again.  The four rows without a point 1 read one abacus per (partition, t)
+between them: its core class, quotient and block sign do not depend on z.
 """
 
 from __future__ import annotations
@@ -68,13 +70,23 @@ def length_bound(th: TheoremId, t: int, n: int) -> int:
     return t * n + th.ones
 
 
-def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> None:
+def _canonical(la: Partition) -> Partition:
+    # la as a tuple, its trailing zeros dropped, so that the bound reads its
+    # canonical length.  Other input is checked on a derivation miss only.
+    la = tuple(la)
+    return as_partition(la) if la and not la[-1] else la
+
+
+def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> Partition:
+    """la in canonical form, once the case's t, n and length are checked."""
     if t < 2 or n < 1:
         raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
+    la = _canonical(la)
     if len(la) > length_bound(th, t, n):
         raise ValueError(
             f"partition has {len(la)} parts, bound for {th.value} is {length_bound(th, t, n)}"
         )
+    return la
 
 
 def _check_points(pts: tuple, n: int) -> None:
@@ -114,7 +126,7 @@ def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
 
     pts are the rational points X; the value is rational.
     """
-    _check_case(th, la, t, n)
+    la = _check_case(th, la, t, n)
     _check_points(pts, n)
     return twisted_character(th.group, la, pts, t, ones=th.ones)
 
@@ -140,28 +152,59 @@ class Prediction(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
+def _reading(la: Partition, t: int) -> tuple:
+    # One abacus of la at the least padding tn0 it fits, shared by the four
+    # rows without a point 1, which differ only in z: n0, the class of the
+    # core, the quotient and the block sign.  The abacus itself is not
+    # kept, as its beta set and runners grow with t.
+    la = as_partition(la)
+    n0 = max(1, -(-len(la) // t))
+    ab = abacus(la, t, t * n0)
+    return n0, CoreClass(ab.offsets), ab.quotient, ab.block_sign()
+
+
+@lru_cache(maxsize=4096)
 def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
     # The case's prediction at the least n0 that la fits, with what its move
     # to n > n0 reads: the class of the core, the class c of the point 1
-    # (None without one), and (index, front, back) of each pair factor
-    # with a non-empty quotient part.
+    # (0 without one), (index, front, back) of each pair factor with a
+    # non-empty quotient part, and the parity of one padding step of sigma.
+    # A vanishing schur1 case reads neither c nor a sigma: both are None.
     # Checked here, on a miss only: a refused case is never cached.
-    la = as_partition(la)
-    n0 = max(1, -((th.ones - len(la)) // t))
-    ab = abacus(la, t, length_bound(th, t, n0))
-    cls = CoreClass(ab.offsets)
-    if not cls.z_asymmetric(th.z, th.ones):
-        # A vanishing appended-one case records no sorting sign.
-        sigma = None if th.ones else ab.block_sign()
-        return Prediction(t, n0, None, sigma, 0, ()), cls, None, ()
+    if th.ones:
+        # The point 1's row sorts class c first, at padding tn0 + k, so it
+        # reads an abacus of its own.
+        la = as_partition(la)
+        n0 = max(1, -((th.ones - len(la)) // t))
+        ab = abacus(la, t, length_bound(th, t, n0))
+        cls = CoreClass(ab.offsets)
+        live = cls.z_asymmetric(th.z, th.ones)
+        if not live:
+            # A vanishing appended-one case records no sorting sign.
+            return Prediction(t, n0, None, None, 0, ()), cls, None, (), None
+        # c is the class the point 1 leaves one bead above n, and sigma_c
+        # sorts class c first.
+        c = cls.excess(th.ones).index(1)
+        sigma, quo = ab.block_sign(c), ab.quotient
+        # Class c leads with n0 + 1 beads and every other class holds n0,
+        # so no excess sits past block position 0.
+        tilt = -c
+    else:
+        n0, cls, quo, sigma = _reading(la, t)
+        c, live = 0, cls.z_asymmetric(th.z)
+        # Class i, at block position i, holds n0 + offsets[i] beads.
+        tilt = sum(cls.offsets[1::2])
+    # From padding m to m + t each class gains one bead below the rest,
+    # which adds T - c + S inversions to sigma: T = t(t-1)/2, and S the sum
+    # of block position times count at m, which grows by T per step.  At
+    # n0, S is n0 T plus the sum of position times excess, and tilt is that
+    # sum minus c, mod 2: one step has the parity of T (n0 + 1) + tilt.
+    step = ((t * (t - 1) // 2) * (n0 + 1) + tilt) % 2
+    if not live:
+        return Prediction(t, n0, None, sigma, 0, ()), cls, c, (), step
 
-    # With a point 1 appended, c is the class it leaves one bead above n,
-    # and sigma_c sorts class c first.
-    c = cls.excess(th.ones).index(1) if th.ones else None
-    sigma = ab.block_sign(c)
-    eps = _epsilon(th, t, n0, cls, c or 0)
+    eps = _epsilon(th, t, n0, cls, c)
     odd = eps + (sigma == -1)
-    quo = ab.quotient
     factors, pads = [], []
     for i, j in enumerate(partners(t, th.z)):
         if i < j:
@@ -177,8 +220,9 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
             factors.append((GroupType.OO, quo[i], "-Y" if minus else "Y"))
             odd += minus * sum(quo[i])
         elif i == j:
-            factors.append((th.group, quo[i], "Y,1" if i == c else "Y"))
-    return Prediction(t, n0, eps, sigma, -1 if odd % 2 else 1, tuple(factors)), cls, c, tuple(pads)
+            factors.append((th.group, quo[i], "Y,1" if th.ones and i == c else "Y"))
+    pred = Prediction(t, n0, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
+    return pred, cls, c, tuple(pads), step
 
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
@@ -188,28 +232,21 @@ def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     do not depend on n, and the split of the sign into epsilon and sigma
     moves by a closed form.  The factors follow partners(t, z), as the
     module docstring says."""
-    _check_case(th, la, t, n)
-    pred, cls, c, pads = _derive(th, tuple(la), t)
+    la = _check_case(th, la, t, n)
+    pred, cls, c, pads, step = _derive(th, la, t)
     s = n - pred.n
     if not s:
         return pred
     sigma = pred.sigma
-    if sigma is not None:
-        # From padding m to m + t each class gains one bead below the rest,
-        # which adds T - c + S inversions: T = t(t-1)/2, and S the sum of
-        # block position times count at m, which grows by T per step.
-        T = t * (t - 1) // 2
-        e = cls.excess(th.ones)
-        order = sorted(range(t), key=lambda i: i != c)
-        s0 = sum(k * (pred.n + e[i]) for k, i in enumerate(order))
-        if (s * (T - (c or 0) + s0) + T * s * (s - 1) // 2) % 2:
-            sigma = -sigma
+    # s steps add s (T - c + S0) + T s(s-1)/2 inversions, S growing by T.
+    if sigma is not None and (s * step + (t * (t - 1) // 2) * (s * (s - 1) // 2)) % 2:
+        sigma = -sigma
     if pred.vanishing:
         return Prediction(t, n, None, sigma, 0, ())
     factors = list(pred.factors)
     for k, front, back in pads:
         factors[k] = (GroupType.GL, mu_padded(front, back, n), "Y,1/Y")
-    return Prediction(t, n, _epsilon(th, t, n, cls, c or 0), sigma, pred.sign, tuple(factors))
+    return Prediction(t, n, _epsilon(th, t, n, cls, c), sigma, pred.sign, tuple(factors))
 
 
 # A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).
@@ -339,6 +376,7 @@ def verify(th: TheoremId, la: Partition, t: int, n: int, seed: int = 0) -> Verif
     sample_points(n, _SEED_STRIDE * seed).  k point tuples for one case
     are k seeds."""
     check_seed(seed)
+    la = _canonical(la)
     pred = predict(th, la, t, n)
     pts = sample_points(n, _SEED_STRIDE * seed)
     lhs, rhs = lhs_value(th, la, t, n, pts), rhs_value(pred, pts)

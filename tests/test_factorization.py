@@ -38,6 +38,7 @@ from twistchar.factorization import (
 )
 from twistchar.linalg import det
 from twistchar.partitions import (
+    Abacus,
     CoreClass,
     abacus,
     beta_set,
@@ -235,6 +236,37 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
     assert [cache.cache_info().misses for cache in _CACHES] == [168, 116]
 
 
+def _holds(obj, kind):
+    return isinstance(obj, kind) or (
+        isinstance(obj, tuple) and any(_holds(x, kind) for x in obj)
+    )
+
+
+def test_rows_without_a_point_one_share_one_reading_per_case(monkeypatch):
+    calls = []
+    real = factorization.abacus
+    monkeypatch.setattr(factorization, "abacus", lambda la, t, m: calls.append(m) or real(la, t, m))
+    factorization._derive.cache_clear()
+    factorization._reading.cache_clear()
+    _standing_grid()
+    # 1107 cases, 640 derivations; the 508 of the four rows without a point
+    # 1 read 127 (la, t), and schur1's 132 read an abacus each.
+    assert factorization._derive.cache_info().misses == 640
+    info = factorization._reading.cache_info()
+    assert (info.hits, info.misses) == (381, 127)
+    assert len(calls) == 259
+    # A reading keeps no abacus: its beta set and runners grow with t.
+    keys = {
+        (la, t)
+        for t in (2, 3, 4)
+        for la in partitions_up_to(7, max_length=length_bound(TheoremId.SCHUR_FAC, t, 2))
+    }
+    assert len(keys) == 127
+    for la, t in keys:
+        assert not _holds(factorization._reading(la, t), Abacus), (la, t)
+    assert factorization._reading.cache_info().misses == 127
+
+
 def test_cache_keys_keep_groups_apart():
     xs = sample_points(2, 0)
     ys = tuple(x ** 3 for x in xs)
@@ -313,6 +345,29 @@ def test_predict_and_verify_refuse_a_non_partition():
     assert predict(TheoremId.SCHUR_FAC, (2, 0), 2, 2) == predict(TheoremId.SCHUR_FAC, (2,), 2, 2)
 
 
+def test_a_trailing_zero_is_judged_by_the_canonical_length(monkeypatch):
+    # (1, 0, 0) is the partition (1,): one part, within schurfac's bound 2.
+    th, t, n = TheoremId.SCHUR_FAC, 2, 1
+    pts = sample_points(n, 0)
+    assert predict(th, (1, 0, 0), t, n) == predict(th, (1,), t, n)
+    assert lhs_value(th, [1, 0, 0], t, n, pts) == lhs_value(th, (1,), t, n, pts)
+    # One case has one record form: the canonical partition.
+    assert verify(th, (1, 0), t, n).as_dict() == verify(th, (1,), t, n).as_dict()
+    assert verify(th, [1, 0, 0], t, n).as_dict()["partition"] == [1]
+    with pytest.raises(ValueError, match="3 parts, bound for schurfac is 2"):
+        predict(th, (1, 1, 1, 0), t, n)
+    # Canonical input is normalised by no call, once its case is derived.
+    calls = []
+    real = factorization.as_partition
+    monkeypatch.setattr(factorization, "as_partition", lambda la: calls.append(la) or real(la))
+    verify(th, (1,), t, n)
+    predict(th, [1], t, n)
+    lhs_value(th, (1,), t, n, pts)
+    assert calls == []
+    verify(th, (1, 0), t, n)
+    assert calls and set(calls) == {(1, 0)}
+
+
 def test_a_draw_that_repeats_a_value_is_redrawn_whole():
     # Seed 636 first draws (3/2, 3/2) at n = 2.
     assert sample_points(2, 1_000_003 * 636) == (
@@ -369,8 +424,10 @@ def test_verify_derives_each_prediction_once(th, seeds, monkeypatch):
 
     for name in ("abacus", "_epsilon", "rhs_value"):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
-    # A warm derivation cache would derive nothing, and pass for nothing.
+    # A warm derivation or reading cache would derive nothing, and pass for
+    # nothing.
     factorization._derive.cache_clear()
+    factorization._reading.cache_clear()
     # (4, 4) fits n0 = 1: one abacus and epsilon at n0 for every seed, and
     # each seed's move to n = 2 reads epsilon there.
     for seed in range(seeds):
@@ -398,12 +455,19 @@ def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
             for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
                 paddings.clear()
                 factorization._derive.cache_clear()
+                factorization._reading.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
                 # The one beta set is taken at the least bound la fits.
                 n0 = max(1, ceil_div(len(la) - th.ones, t))
                 assert paddings == [length_bound(th, t, n0)], (la, t, n)
                 predict(th, la, t, n + 1)
                 assert len(paddings) == 1, (la, t, n)
+                # Every other row without a point 1 shares that reading.
+                if not th.ones:
+                    for other in ALL:
+                        if not other.ones:
+                            predict(other, la, t, n)
+                    assert len(paddings) == 1, (la, t, n)
     assert verdicts == {True, False}
 
 

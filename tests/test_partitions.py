@@ -506,6 +506,7 @@ def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
     assert calls == []
     # The spy sees the calls of a prediction.
     factorization._derive.cache_clear()
+    factorization._reading.cache_clear()
     predict(TheoremId.SCHUR_ONE, (), 3, 1)
     predict(TheoremId.SCHUR_FAC, (), 3, 1)
     assert calls == [0, None]
