@@ -121,21 +121,29 @@ def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
     h_m = H_m / d^m, of h_0..h_top of the twist of xs (and of their inverses
     when inverted), with `ones` points 1 appended after the twist.
 
-    d is the lcm of the points' denominators, so H_tk is h_k of the integer
-    t-th powers (d y)^t.  A point 1 is d/d: it turns h into its prefix
-    sums, H'_m = d H'_(m-1) + H_m.
+    Each point is read as an integer pair (p, q) and its inverse as (q, p),
+    so no Fraction is built.  d is the lcm of the |q|, and q divides d
+    whatever its sign, so H_tk is h_k of the integer t-th powers
+    (p d/q)^t.  When top < t the twist leaves only H_0 = 1, and no power
+    is taken.  A point 1 is d/d: it turns h into its prefix sums,
+    H'_m = d H'_(m-1) + H_m.
     Every partition of a scan shares its (t, n, seed) points, so the table
     is kept per point tuple and length; a table is immutable once built.
     It is keyed on what it depends on, not on the group, so SP and OE
     share one table.
     """
-    ys = xs + tuple(1 / x for x in xs) if inverted else xs
-    d = lcm(*(y.denominator for y in ys))
+    pairs = [(x.numerator, x.denominator) for x in xs]
+    if inverted:
+        if not all(p for p, _ in pairs):
+            raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
+        pairs += [(q, p) for p, q in pairs]
+    d = lcm(*(q for _, q in pairs))
     base = [1] + [0] * (top // t)
-    for y in ys:
-        yt = (y.numerator * (d // y.denominator)) ** t
-        for k in range(1, len(base)):
-            base[k] += yt * base[k - 1]
+    if top >= t:
+        for p, q in pairs:
+            yt = (p * (d // q)) ** t
+            for k in range(1, len(base)):
+                base[k] += yt * base[k - 1]
     h = [base[m // t] if m % t == 0 else 0 for m in range(top + 1)]
     for _ in range(ones):
         h = list(accumulate(h, lambda acc, hm: d * acc + hm))
@@ -168,7 +176,12 @@ def twisted_character(
     gl = g is GroupType.GL
     # Each appended one is doubled with the inverses; OO carries one of its own.
     ones_in_table = (1 if gl else 2) * ones + (g is GroupType.OO)
-    h, d = _twisted_h(xs, not gl, ones_in_table, t, la[0] + len(la))
+    # The table runs on to the end of top's block of t when that at most
+    # doubles it: the tops of one block share a table, and no table grows
+    # to the length of a large t.
+    top = la[0] + len(la)
+    top = min(t * (top // t + 1) - 1, 2 * top + 1)
+    h, d = _twisted_h(xs, not gl, ones_in_table, t, top)
 
     def hm(m: int) -> int:
         return h[m] if m >= 0 else 0

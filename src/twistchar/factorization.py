@@ -89,9 +89,13 @@ def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> Partition:
     return la
 
 
-def _check_points(pts: tuple, n: int) -> None:
+def _check_count(pts: tuple, n: int) -> None:
     if len(pts) != n:
         raise ValueError(f"expected {n} points, got {len(pts)}")
+
+
+def _check_points(pts: tuple, n: int) -> None:
+    _check_count(pts, n)
     if not all(isinstance(x, Fraction) for x in pts):
         raise TypeError(f"points must be Fractions, got {pts}")
 
@@ -124,10 +128,11 @@ def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
     """The twisted character: the theorem's group evaluated at
     (X, wX, ...), with its points 1 appended.
 
-    pts are the rational points X; the value is rational.
+    pts are the rational points X; the value is rational.  Only their
+    count is checked here: `twisted_character` checks their type.
     """
     la = _check_case(th, la, t, n)
-    _check_points(pts, n)
+    _check_count(pts, n)
     return twisted_character(th.group, la, pts, t, ones=th.ones)
 
 

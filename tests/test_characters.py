@@ -5,7 +5,7 @@ use their oracle, `helpers.bialternant`, and check it here against
 tableaux and the rank-one and rank-two closed forms."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import accumulate, combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +285,49 @@ def test_twisted_character_hands_det_only_ints(monkeypatch):
             for la in partitions_up_to(5):
                 assert type(twisted_character(g, la, xs, 3, ones=ones)) is Fraction
     assert set(seen) == {int}
+
+
+def _twisted_h_over_q(ys, ones, t, top):
+    """h_0..h_top of the twist of the Fraction points ys with `ones` points
+    1 appended: h_m is h_(m/t) of the y^t when t divides m, else 0."""
+    base = [Fraction(1)] + [Fraction(0)] * (top // t)
+    for y in ys:
+        for k in range(1, len(base)):
+            base[k] += y ** t * base[k - 1]
+    h = [base[m // t] if m % t == 0 else 0 for m in range(top + 1)]
+    for _ in range(ones):
+        h = list(accumulate(h))
+    return h
+
+
+@pytest.mark.parametrize("t", [2, 3, 5, 7, 10**6])
+def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
+    real = characters._twisted_h
+    keys = []
+    monkeypatch.setattr(characters, "_twisted_h", lambda *key: keys.append(key) or real(*key))
+    xs = (Fraction(7, 2), Fraction(-5, 3))
+    # GL's tables hold 0-3 points 1 and no inverses; SP's hold 0 or 2
+    # points 1 with the inverses, OO's 1 or 3.
+    reads = [(GroupType.GL, ones) for ones in range(4)]
+    reads += [(g, ones) for g in (GroupType.SP, GroupType.OO) for ones in range(2)]
+    for top in range(2, 13):
+        for g, ones in reads:
+            keys.clear()
+            twisted_character(g, (top - 1,), xs, t, ones=ones)
+            (key,) = keys
+            length = key[-1]
+            h, d = real(*key)
+            assert top <= length < 2 * (top + 1) and len(h) == length + 1
+            assert (h[: top + 1], d) == real.__wrapped__(*key[:-1], top)
+            ys = xs + tuple(1 / x for x in xs) if key[1] else xs
+            assert [Fraction(hm, d ** m) for m, hm in enumerate(h)] == _twisted_h_over_q(ys, key[2], t, length)
+            if t > 2 * top + 1:
+                assert length == 2 * top + 1, (g, ones, top)
+    with pytest.raises(ZeroDivisionError, match="cannot invert a zero point"):
+        twisted_character(GroupType.SP, (2,), (Fraction(0), Fraction(3)), t)
+    assert twisted_character(GroupType.GL, (2,), (Fraction(0), Fraction(3)), t) == (9 if t == 2 else 0)
+    with pytest.raises(TypeError, match="points must be Fractions"):
+        twisted_character(GroupType.GL, (2,), (2, Fraction(3)), t)
 
 
 def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):

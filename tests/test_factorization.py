@@ -227,13 +227,13 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
         cache.cache_clear()
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
-    # 1077 non-empty twisted characters over 168 (points, inverted, ones,
-    # t, length) keys; 515 non-empty factors over 116 (group, mu, point set,
-    # X, t) keys.
-    assert (table.hits, table.misses) == (909, 168)
+    # 1077 non-empty twisted characters over 80 (points, inverted, ones,
+    # t, length) keys, a length running to the end of its block of t; 515
+    # non-empty factors over 116 (group, mu, point set, X, t) keys.
+    assert (table.hits, table.misses) == (997, 80)
     assert (factor.hits, factor.misses) == (399, 116)
     assert _standing_grid() == cold
-    assert [cache.cache_info().misses for cache in _CACHES] == [168, 116]
+    assert [cache.cache_info().misses for cache in _CACHES] == [80, 116]
 
 
 def _holds(obj, kind):
@@ -313,9 +313,11 @@ def test_each_prediction_is_derived_once_for_all_seeds():
     for cache in _CACHES + (factorization._derive,):
         cache.cache_clear()
     cold = _t5_seeds_grid()
-    # 35 cases, each visited once per seed, and each derived once.
+    # 35 cases, each visited once per seed, and each derived once; the
+    # 240 twisted characters read 32 tables, 4 per seed.
     info = factorization._derive.cache_info()
     assert (info.hits, info.misses) == (245, 35)
+    assert characters._twisted_h.cache_info()[:2] == (208, 32)
     assert _t5_seeds_grid() == cold
     assert factorization._derive.cache_info().misses == 35
 
@@ -608,6 +610,18 @@ def test_twisted_values_are_rational_and_agree(th, la, t, n, seed):
     want = twisted_oracle(th, la, t, pts)
     assert not any(want.coeffs[1:])
     assert lhs_value(th, la, t, n, pts) == want.coeffs[0]
+
+
+def test_lhs_value_checks_the_point_count_and_leaves_the_type_to_the_character():
+    th = TheoremId.SCHUR_FAC
+    with pytest.raises(ValueError, match="expected 2 points, got 1"):
+        lhs_value(th, (1,), 3, 2, sample_points(1, 0))
+    with pytest.raises(ValueError, match="expected 2 points, got 3"):
+        lhs_value(th, (1,), 3, 2, (2, 3, 5))
+    # The empty partition's value is 1 without a table, yet its points are checked.
+    for la in [(1,), ()]:
+        with pytest.raises(TypeError, match=r"points must be Fractions, got \(2, 3\)"):
+            lhs_value(th, la, 3, 2, (2, 3))
 
 
 def test_non_rational_points_are_rejected():

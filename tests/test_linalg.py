@@ -18,7 +18,7 @@ def square(n):
     )
 
 
-@given(st.integers(1, 4).flatmap(square))
+@given(st.integers(1, 5).flatmap(square))
 def test_det_matches_permutation_expansion(rows):
     want = det_perm(rows)
     assert det(rows) == want
@@ -28,7 +28,7 @@ pair = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @given(
-    st.integers(1, 3).flatmap(
+    st.integers(1, 4).flatmap(
         lambda n: st.lists(
             st.lists(pair, min_size=n, max_size=n), min_size=n, max_size=n
         )
@@ -58,7 +58,7 @@ ints = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
 
 
 @given(
-    st.integers(1, 5).flatmap(
+    st.integers(1, 6).flatmap(
         lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 )
@@ -79,6 +79,40 @@ def test_int_determinants_are_exact():
     singular = det([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert type(singular) is int and singular == 0
     assert det([[0, 0], [0, 5]]) == 0
+
+
+# Elimination stops at the trailing 2x2 block.  In these its first column
+# is zero after one step and after two: (0, nonzero), where Bareiss would
+# swap, and (0, 0), a zero column.
+FINISHES = [
+    [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+    [[1, 2, 3], [2, 4, 5], [3, 6, 7]],
+    [[1, 0, 0, 2], [0, 1, 0, 3], [1, 1, 0, 6], [0, 0, 1, 7]],
+    [[1, 0, 1, 2], [0, 1, 1, 3], [1, 1, 2, 5], [2, 0, 2, 7]],
+]
+
+
+def test_the_two_by_two_finish_in_every_scalar_type():
+    fld = field(5)
+    w = fld.omega
+    for rows in FINISHES:
+        want = det_perm(rows)
+        assert want == (-1 if rows in FINISHES[::2] else 0)
+        assert det(rows) == want
+        assert det([[Fraction(x, 3) for x in row] for row in rows]) == Fraction(want, 3 ** len(rows))
+        # Row i times the unit w^i keeps every zero minor zero.
+        m = [[fld.from_rational(x) * w ** i for x in row] for i, row in enumerate(rows)]
+        assert det(m) == det_perm(m)
+
+
+def test_rows_may_be_tuples_and_are_left_unchanged():
+    # A zero leading pivot makes the first step swap rows.
+    six = [[int(i + j == 5) + (i == j == 5) for j in range(6)] for i in range(6)]
+    for rows in FINISHES + [[[5]], [[0, 2], [3, 1]], [[0, 1, 2], [0, 3, 4], [5, 6, 8]], six]:
+        before = [list(row) for row in rows]
+        want = det_perm(rows)
+        assert det(tuple(map(tuple, rows))) == det(rows) == want
+        assert rows == before
 
 
 def test_singular_matrices_give_exact_zero():
