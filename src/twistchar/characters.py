@@ -31,8 +31,9 @@ rule  prod_i prod_k 1/(1 - w^k x_i z) = prod_i 1/(1 - x_i^t z^t).
 That determinant is taken over Z: with d the lcm of the denominators of
 the points (and of their inverses for SP/OE/OO), h_m = H_m / d^m for
 integers H_m.  Row i scaled by d^(la_i - i) and column j by d^j turn the
-entry h_(la_i-i+j) into H_(la_i-i+j); the second Koike-Terada term picks
-up d^(2j) for SP and d^(2j+2) for OE/OO; the scales multiply to d^|la|.
+entry h_(la_i-i+j) into H_(la_i-i+j); the second Koike-Terada term
+h_(la_i-i-j-s) picks up d^(2j+s): d^(2j) for SP, d^(2j+1) for OO and
+d^(2j+2) for OE; the scales multiply to d^|la|.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class DegeneratePointError(ValueError):
 
 # (u, v, sign) of the Laurent entry x^(b+u) + sign xbar^(b+v).
 _LAURENT = {GroupType.SP: (1, 1, -1), GroupType.OO: (1, 0, -1), GroupType.OE: (0, 0, 1)}
+
+# (s, sign) of the Koike-Terada entry h_(la_i-i+j) + sign h_(la_i-i-j-s).
+_KOIKE_TERADA = {GroupType.SP: (0, 1), GroupType.OO: (1, 1), GroupType.OE: (2, -1)}
 
 
 def _bialternant(g: GroupType, pts, betas) -> Fraction:
@@ -129,7 +133,7 @@ def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
     H'_m = d H'_(m-1) + H_m.
     Every partition of a scan shares its (t, n, seed) points, so the table
     is kept per point tuple and length; a table is immutable once built.
-    It is keyed on what it depends on, not on the group, so SP and OE
+    It is keyed on what it depends on, not on the group, so SP, OE and OO
     share one table.
     """
     pairs = [(x.numerator, x.denominator) for x in xs]
@@ -160,22 +164,25 @@ def twisted_character(
     points in Q(w) (the tests' oracle), and is rational because the point
     multiset is stable under Galois conjugation.  GL uses Jacobi-Trudi
     det(h[la_i - i + j]); SP, OE and OO use the Koike-Terada determinants
-    in h of the points and their inverses, plus the point 1 for OO.
+    det(h[la_i - i + j] + sign h[la_i - i - j - s]) in h of the points and
+    their inverses, with (s, sign) from `_KOIKE_TERADA` and SP's column 0
+    h[la_i - i] alone.
     By the twist rule, h_m of the twisted points is h_(m/t) of the t-th
     powers when t divides m and 0 otherwise; a point 1 turns h into its
     prefix sums.  There is no Weyl denominator, so the points may coincide;
     SP, OE and OO only need them nonzero.
     The matrix handed to det is the integer one of the module docstring:
-    the SP term h_(la_i-i-j) becomes d^(2j) H_(la_i-i-j) and the O term
-    h_(la_i-i-j-2) becomes d^(2j+2) H_(la_i-i-j-2).
+    the second term h_(la_i-i-j-s) becomes d^(2j+s) H_(la_i-i-j-s).
     """
     if not all(isinstance(x, Fraction) for x in xs):
         raise TypeError(f"points must be Fractions, got {xs}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     if not la:
         return Fraction(1)
     gl = g is GroupType.GL
-    # Each appended one is doubled with the inverses; OO carries one of its own.
-    ones_in_table = (1 if gl else 2) * ones + (g is GroupType.OO)
+    # Each appended one is doubled with the inverses.
+    ones_in_table = (1 if gl else 2) * ones
     # The table runs on to the end of top's block of t when that at most
     # doubles it: the tops of one block share a table, and no table grows
     # to the length of a large t.
@@ -187,17 +194,14 @@ def twisted_character(
         return h[m] if m >= 0 else 0
 
     cols = range(len(la))
-    d2 = [d ** (2 * j) for j in range(len(la) + 1)]
-    if g is GroupType.GL:
+    if gl:
         rows = [[hm(p - i + j) for j in cols] for i, p in enumerate(la)]
-    elif g is GroupType.SP:
-        rows = [
-            [hm(p - i)] + [hm(p - i + j) + d2[j] * hm(p - i - j) for j in cols[1:]]
-            for i, p in enumerate(la)
-        ]
     else:
+        s, sign = _KOIKE_TERADA[g]
+        # SP's column 0 is h_(la_i-i) alone: its second term is dropped.
+        scale = [sign * d ** (2 * j + s) if j or s else 0 for j in cols]
         rows = [
-            [hm(p - i + j) - d2[j + 1] * hm(p - i - j - 2) for j in cols]
+            [hm(p - i + j) + scale[j] * hm(p - i - j - s) for j in cols]
             for i, p in enumerate(la)
         ]
     return Fraction(det(rows), d ** sum(la))

@@ -15,16 +15,8 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .factorization import SamplingError, TheoremId, check_seed, length_bound, verify
-from .partitions import (
-    CoreClass,
-    abacus,
-    as_partition,
-    core_size,
-    frobenius,
-    partitions_up_to,
-    size,
-)
+from .factorization import SamplingError, TheoremId, _reading, check_seed, length_bound, verify
+from .partitions import as_partition, core_size, frobenius, partitions_up_to, size
 from .series import count_sizes, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
 
 
@@ -108,10 +100,8 @@ def cmd_classify(args) -> int:
     if len(la) > t * n:
         raise ValueError(f"partition has {len(la)} parts, limit is tn = {t * n}")
     # The quotient is the same at every padding that is a multiple of t, and
-    # the counts at tn are n plus the offsets: the least one that fits serves.
-    ab = abacus(la, t, t * -(-len(la) // t))
-    cls = CoreClass(ab.offsets)
-    quo = ab.quotient
+    # the counts at tn are n plus the offsets: the shared reading serves.
+    _, cls, quo, _ = _reading(la, t)
     fro = frobenius(la)
     counts = tuple(n + o for o in cls.offsets)
     # One verdict per theorem row, read through the rule: whether the core

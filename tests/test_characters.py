@@ -258,8 +258,8 @@ def test_integer_table_matches_the_bialternant_with_points_one(t):
     # At t = 2 the points' denominators 2 and 3 make d = 6 for GL, and
     # their inverses d = 210 for SP and O.  Beyond, one point keeps the
     # Q(w) bialternant small: d = 2 for GL and 14 for SP and O.  (1, 1)
-    # reads d^2 H_0 in SP and (3, 1) d^4 H_0 in O.  The 0/0 cases need
-    # interpolation, and run at t <= 3 only.
+    # reads d^2 H_0 in SP, (2, 1) d^3 H_0 in OO and (3, 1) d^4 H_0 in OE.
+    # The 0/0 cases need interpolation, and run at t <= 3 only.
     xs = (Fraction(7, 2), Fraction(5, 3))[: 2 if t == 2 else 1]
     for g in GroupType:
         for ones in range(3):
@@ -268,6 +268,29 @@ def test_integer_table_matches_the_bialternant_with_points_one(t):
             for la in [(), (1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
                 want = _twisted_bialternant(g, la, xs, t, ones)
                 assert twisted_character(g, la, xs, t, ones=ones) == want, (g, la, ones)
+
+
+def test_untwisted_rows_match_weyl_character_over_q():
+    # At t = 1 the twist is the identity, so each row rule, OO's included,
+    # meets the bialternant at rational points, with no Q(w).  SP's and OO's
+    # denominators vanish at the point 1, so they are read without one.
+    xs = (Fraction(7, 2), Fraction(-5, 3), Fraction(9, 7))
+    las = list(partitions_up_to(6, max_length=3))
+    assert len(las) == 23
+    reads = [(g, 0) for g in GroupType] + [(GroupType.GL, 1), (GroupType.OE, 1)]
+    for g, ones in reads:
+        for la in las:
+            want = weyl_character(g, la, xs + (Fraction(1),) * ones)
+            assert twisted_character(g, la, xs, 1, ones=ones) == want, (g, la, ones)
+
+
+def test_twisted_character_refuses_t_below_1():
+    xs = (Fraction(7, 2), Fraction(5, 3))
+    for g in GroupType:
+        for t in (0, -1, -3):
+            for la in [(), (2, 1)]:
+                with pytest.raises(ValueError, match=f"t={t}"):
+                    twisted_character(g, la, xs, t)
 
 
 def test_twisted_character_hands_det_only_ints(monkeypatch):
@@ -306,8 +329,8 @@ def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
     keys = []
     monkeypatch.setattr(characters, "_twisted_h", lambda *key: keys.append(key) or real(*key))
     xs = (Fraction(7, 2), Fraction(-5, 3))
-    # GL's tables hold 0-3 points 1 and no inverses; SP's hold 0 or 2
-    # points 1 with the inverses, OO's 1 or 3.
+    # GL's tables hold 0-3 points 1 and no inverses; SP's and OO's hold 0
+    # or 2 points 1 with the inverses.
     reads = [(GroupType.GL, ones) for ones in range(4)]
     reads += [(g, ones) for g in (GroupType.SP, GroupType.OO) for ones in range(2)]
     for top in range(2, 13):

@@ -227,13 +227,13 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
         cache.cache_clear()
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
-    # 1077 non-empty twisted characters over 80 (points, inverted, ones,
+    # 1077 non-empty twisted characters over 60 (points, inverted, ones,
     # t, length) keys, a length running to the end of its block of t; 515
     # non-empty factors over 116 (group, mu, point set, X, t) keys.
-    assert (table.hits, table.misses) == (997, 80)
+    assert (table.hits, table.misses) == (1017, 60)
     assert (factor.hits, factor.misses) == (399, 116)
     assert _standing_grid() == cold
-    assert [cache.cache_info().misses for cache in _CACHES] == [80, 116]
+    assert [cache.cache_info().misses for cache in _CACHES] == [60, 116]
 
 
 def _holds(obj, kind):
@@ -279,20 +279,21 @@ def test_cache_keys_keep_groups_apart():
     assert sp == weyl_character(GroupType.SP, (2,), ys)
     assert oe == weyl_character(GroupType.OE, (2,), ys)
     assert sp == oe + 1
-    # The GL and OO tables of one point tuple differ (OO carries a point 1).
+    # GL reads the points alone; OO reads them with their inverses.
     gl = twisted_character(GroupType.GL, (2, 1), xs, 3)
     oo = twisted_character(GroupType.OO, (2, 1), xs, 3)
     assert characters._twisted_h.cache_info().misses == 2
     assert gl != oo
-    # SP and OE read one table (the points and their inverses, no point 1),
-    # through different determinants.
+    # SP and OE read OO's table (the points and their inverses, no point
+    # 1, running to 5 at t = 3), through different determinants.
     sp = twisted_character(GroupType.SP, (3, 1), xs, 3)
     oe = twisted_character(GroupType.OE, (3, 1), xs, 3)
-    assert characters._twisted_h.cache_info().misses == 3
-    assert sp != oe
+    assert characters._twisted_h.cache_info().misses == 2
+    assert len({sp, oe, oo}) == 3
     twisted = twisted_points(embed(xs, 3), 3)
     assert embed((sp,), 3)[0] == bialternant(GroupType.SP, (3, 1), twisted)
     assert embed((oe,), 3)[0] == bialternant(GroupType.OE, (3, 1), twisted)
+    assert embed((oo,), 3)[0] == bialternant(GroupType.OO, (2, 1), twisted)
 
 
 def _t5_seeds_grid():
@@ -314,10 +315,10 @@ def test_each_prediction_is_derived_once_for_all_seeds():
         cache.cache_clear()
     cold = _t5_seeds_grid()
     # 35 cases, each visited once per seed, and each derived once; the
-    # 240 twisted characters read 32 tables, 4 per seed.
+    # 240 twisted characters read 24 tables, 3 per seed.
     info = factorization._derive.cache_info()
     assert (info.hits, info.misses) == (245, 35)
-    assert characters._twisted_h.cache_info()[:2] == (208, 32)
+    assert characters._twisted_h.cache_info()[:2] == (216, 24)
     assert _t5_seeds_grid() == cold
     assert factorization._derive.cache_info().misses == 35
 
