@@ -24,8 +24,9 @@ on n.  So a prediction is derived once per (theorem, partition, t), at the
 least n the partition fits, and carried to a larger n with no new abacus:
 epsilon by its formula, sigma by the parity of one padding step of t, kept
 at the derivation, and each pair factor with a non-empty part padded
-again.  The four rows without a point 1 read one abacus per (partition, t)
-between them: its core class, quotient and block sign do not depend on z.
+again.  The five rows read one abacus per (partition, t) between them:
+its core class, quotient and block sign do not depend on z, and schur1's
+point 1 rotates the quotient and moves the block sign by a closed form.
 """
 
 from __future__ import annotations
@@ -158,10 +159,9 @@ class Prediction(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _reading(la: Partition, t: int) -> tuple:
-    # One abacus of la at the least padding tn0 it fits, shared by the four
-    # rows without a point 1, which differ only in z: n0, the class of the
-    # core, the quotient and the block sign.  The abacus itself is not
-    # kept, as its beta set and runners grow with t.
+    # One abacus of la at the least padding tn0 it fits, shared by the five
+    # rows: n0, the class of the core, the quotient and the block sign.  The
+    # abacus itself is not kept, as its beta set and runners grow with t.
     la = as_partition(la)
     n0 = max(1, -(-len(la) // t))
     ab = abacus(la, t, t * n0)
@@ -170,35 +170,33 @@ def _reading(la: Partition, t: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
-    # The case's prediction at the least n0 that la fits, with what its move
-    # to n > n0 reads: the class of the core, the class c of the point 1
-    # (0 without one), (index, front, back) of each pair factor with a
+    # The case's prediction at the n0 of its reading, with what its move to
+    # n != n0 reads: the class of the core, the class c of the point 1 (0
+    # without one), (index, front, back) of each pair factor with a
     # non-empty quotient part, and the parity of one padding step of sigma.
     # A vanishing schur1 case reads neither c nor a sigma: both are None.
-    # Checked here, on a miss only: a refused case is never cached.
-    if th.ones:
-        # The point 1's row sorts class c first, at padding tn0 + k, so it
-        # reads an abacus of its own.
-        la = as_partition(la)
-        n0 = max(1, -((th.ones - len(la)) // t))
-        ab = abacus(la, t, length_bound(th, t, n0))
-        cls = CoreClass(ab.offsets)
-        live = cls.z_asymmetric(th.z, th.ones)
-        if not live:
-            # A vanishing appended-one case records no sorting sign.
-            return Prediction(t, n0, None, None, 0, ()), cls, None, (), None
-        # c is the class the point 1 leaves one bead above n, and sigma_c
-        # sorts class c first.
+    # la is checked by the reading, on a miss only: a refused case is never
+    # cached.
+    n0, cls, quo, sigma = _reading(la, t)
+    live = cls.z_asymmetric(th.z, th.ones)
+    if not th.ones:
+        # Class i, at block position i, holds n0 + offsets[i] beads.
+        c, tilt = 0, sum(cls.offsets[1::2])
+    elif not live:
+        # A vanishing appended-one case records no sorting sign.
+        return Prediction(t, n0, None, None, 0, ()), cls, None, (), None
+    else:
+        # The point 1 pads to tn0 + 1: class i moves to i + 1 and bead 0
+        # joins class 0, so the quotient rotates by one.  c is the class the
+        # point 1 leaves one bead above n0, and sigma_c sorts it first: from
+        # the order 0..t-1 at tn0, classes t-1 and then c-1 move to the
+        # front and bead 0 comes last.  A live core has no offsets at c = 0,
+        # else +1 at c-1 and -1 at t-1, so sigma flips when c != 0 and tn0 is odd.
         c = cls.excess(th.ones).index(1)
-        sigma, quo = ab.block_sign(c), ab.quotient
+        quo, sigma = quo[-1:] + quo[:-1], -sigma if c and t * n0 % 2 else sigma
         # Class c leads with n0 + 1 beads and every other class holds n0,
         # so no excess sits past block position 0.
         tilt = -c
-    else:
-        n0, cls, quo, sigma = _reading(la, t)
-        c, live = 0, cls.z_asymmetric(th.z)
-        # Class i, at block position i, holds n0 + offsets[i] beads.
-        tilt = sum(cls.offsets[1::2])
     # From padding m to m + t each class gains one bead below the rest,
     # which adds T - c + S inversions to sigma: T = t(t-1)/2, and S the sum
     # of block position times count at m, which grows by T per step.  At
@@ -232,18 +230,20 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     """Read the verdict, the signs and the factors off one abacus of la at
-    the least length bound tn0 + k that la fits, k the points 1, and carry
-    them to n: the verdict, the total sign and the factors' quotient parts
-    do not depend on n, and the split of the sign into epsilon and sigma
-    moves by a closed form.  The factors follow partners(t, z), as the
-    module docstring says."""
+    the least padding tn0 that la fits, n0 = max(1, ceil(l/t)) for every
+    theorem, and carry them to n: the verdict, the total sign and the
+    factors' quotient parts do not depend on n, and the split of the sign
+    into epsilon and sigma moves by a closed form.  schur1 admits l = tn + 1,
+    so its move may be one step back, to n = n0 - 1.  The factors follow
+    partners(t, z), as the module docstring says."""
     la = _check_case(th, la, t, n)
     pred, cls, c, pads, step = _derive(th, la, t)
     s = n - pred.n
     if not s:
         return pred
     sigma = pred.sigma
-    # s steps add s (T - c + S0) + T s(s-1)/2 inversions, S growing by T.
+    # s steps add s (T - c + S0) + T s(s-1)/2 inversions, S growing by T;
+    # the count holds for s = -1 too.
     if sigma is not None and (s * step + (t * (t - 1) // 2) * (s * (s - 1) // 2)) % 2:
         sigma = -sigma
     if pred.vanishing:

@@ -5,7 +5,7 @@ A partition is stored as a tuple of weakly decreasing positive integers
 beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
 out on t runners (the abacus); the residue counts, the quotient and the
 t-core's runner offsets, which carry its classification and its size, are
-read off the runners, and the sorting sign of a class-block order off the
+read off the runners, and the sorting sign of the class-block order off the
 beta set, on request.
 The z-asymmetric families are walked as Frobenius arms, and the walk
 carries each beta set as a bitmask, one bead moved per arm, without
@@ -200,15 +200,14 @@ class Abacus(NamedTuple):
         share = (m + k) // t
         return tuple(c[(i - k) % t] + (i < k) - share for i in range(t))
 
-    def block_sign(self, first: int | None = None) -> int:
-        """The sign of the permutation that sorts beta into class blocks:
-        class `first`, when given, ahead of the others, which follow in the
-        order 0..t-1, each block keeping the order of beta."""
+    def block_sign(self) -> int:
+        """The sign of the permutation that sorts beta into class blocks in
+        the order 0..t-1, each block keeping the order of beta."""
         # Each entry goes to its slot in the block order; a permutation of m
         # slots with c cycles has sign (-1)^(m - c).  O(m + t), whatever t is.
         t = len(self.runners)
         start, at = [0] * t, 0
-        for c in sorted(range(t), key=lambda i: i != first):
+        for c in range(t):
             start[c], at = at, at + len(self.runners[c])
         slot = []
         for x in self.beta:

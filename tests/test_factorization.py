@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bialternant,
+    block_sign_oracle,
     ceil_div,
     check_block_det_lemma,
     embed,
@@ -242,29 +243,30 @@ def _holds(obj, kind):
     )
 
 
-def test_rows_without_a_point_one_share_one_reading_per_case(monkeypatch):
+def test_every_row_shares_one_reading_per_case(monkeypatch):
     calls = []
     real = factorization.abacus
     monkeypatch.setattr(factorization, "abacus", lambda la, t, m: calls.append(m) or real(la, t, m))
     factorization._derive.cache_clear()
     factorization._reading.cache_clear()
     _standing_grid()
-    # 1107 cases, 640 derivations; the 508 of the four rows without a point
-    # 1 read 127 (la, t), and schur1's 132 read an abacus each.
+    # 1107 cases, 640 derivations; the five rows read 132 (la, t) between
+    # them, each with one abacus: schur1's bound tn + 1 adds the 5 keys of
+    # length 2t + 1.
     assert factorization._derive.cache_info().misses == 640
     info = factorization._reading.cache_info()
-    assert (info.hits, info.misses) == (381, 127)
-    assert len(calls) == 259
+    assert (info.hits, info.misses) == (508, 132)
+    assert len(calls) == 132
     # A reading keeps no abacus: its beta set and runners grow with t.
     keys = {
         (la, t)
         for t in (2, 3, 4)
-        for la in partitions_up_to(7, max_length=length_bound(TheoremId.SCHUR_FAC, t, 2))
+        for la in partitions_up_to(7, max_length=length_bound(TheoremId.SCHUR_ONE, t, 2))
     }
-    assert len(keys) == 127
+    assert len(keys) == 132
     for la, t in keys:
         assert not _holds(factorization._reading(la, t), Abacus), (la, t)
-    assert factorization._reading.cache_info().misses == 127
+    assert factorization._reading.cache_info().misses == 132
 
 
 def test_cache_keys_keep_groups_apart():
@@ -460,17 +462,16 @@ def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
                 factorization._derive.cache_clear()
                 factorization._reading.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
-                # The one beta set is taken at the least bound la fits.
-                n0 = max(1, ceil_div(len(la) - th.ones, t))
-                assert paddings == [length_bound(th, t, n0)], (la, t, n)
+                # The one beta set is taken at the least padding tn0 la
+                # fits, whatever the row's points 1.
+                assert paddings == [t * max(1, ceil_div(len(la), t))], (la, t, n)
                 predict(th, la, t, n + 1)
                 assert len(paddings) == 1, (la, t, n)
-                # Every other row without a point 1 shares that reading.
-                if not th.ones:
-                    for other in ALL:
-                        if not other.ones:
-                            predict(other, la, t, n)
-                    assert len(paddings) == 1, (la, t, n)
+                # Every other row shares that reading, at an n whose bound
+                # they all admit.
+                for other in ALL:
+                    predict(other, la, t, n + 1)
+                assert len(paddings) == 1, (la, t, n)
     assert verdicts == {True, False}
 
 
@@ -501,6 +502,10 @@ def test_sign_is_the_closed_form_over_the_wide_grid():
 
 
 def test_moved_sigma_is_the_block_sign_at_each_padding():
+    # schur1's sigma sorts the class c of the point 1 first.  Its least n
+    # for l = tn + 1 lies one step below the n0 it derives at, so those live
+    # cases are carried back.
+    back = 0
     for t in range(2, 8):
         for la in partitions_up_to(9):
             for th in ALL:
@@ -510,11 +515,14 @@ def test_moved_sigma_is_the_block_sign_at_each_padding():
                     if pred.sigma is None:
                         assert th.ones and pred.vanishing
                         continue
-                    ab = abacus(la, t, length_bound(th, t, n))
-                    first = None
+                    m = length_bound(th, t, n)
+                    order = list(range(t))
                     if th.ones:
-                        first = CoreClass(ab.offsets).excess(1).index(1)
-                    assert pred.sigma == ab.block_sign(first), (th, la, t, n)
+                        c = CoreClass(abacus(la, t, m).offsets).excess(1).index(1)
+                        order = [c] + [i for i in range(t) if i != c]
+                        back += len(la) == m
+                    assert pred.sigma == block_sign_oracle(la, t, m, order), (th, la, t, n)
+    assert back == 69
 
 
 def test_a_larger_n_costs_no_second_derivation():
