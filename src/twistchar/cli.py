@@ -19,6 +19,10 @@ from .factorization import SamplingError, TheoremId, _reading, check_seed, lengt
 from .partitions import as_partition, core_size, frobenius, partitions_up_to, size
 from .series import count_sizes, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
 
+# Records may pass CPython's 4300-digit int -> str limit; lifted on import, in scan workers too.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; reserve 2 for math mismatches.

@@ -19,14 +19,14 @@ over the pairing the factors: each pair i < j a GL one, the self-paired
 middle class 2i = t-1-z an odd orthogonal one and any other self-paired
 class the left group, at (Y, 1) for the class of the point 1.
 
-The verdict, the total sign and the factors' quotient parts do not depend
-on n.  So a prediction is derived once per (theorem, partition, t), at the
-least n the partition fits, and carried to a larger n with no new abacus:
-epsilon by its formula, sigma by the parity of one padding step of t, kept
-at the derivation, and each pair factor with a non-empty part padded
-again.  The five rows read one abacus per (partition, t) between them:
-its core class, quotient and block sign do not depend on z, and schur1's
-point 1 rotates the quotient and moves the block sign by a closed form.
+The verdict, the total sign and the factors do not depend on n: a pair is
+kept as its parts (alpha, beta), Koike's s_[alpha; beta], and padded only
+when evaluated.  So a prediction is derived once per (theorem, partition,
+t), at the least n the partition fits, and carried to any n with no new
+abacus: epsilon by its formula, sigma by the parity of one padding step.
+The five rows read one abacus per (partition, t) between them: its core
+class, quotient and block sign do not depend on z, and schur1's point 1
+rotates the quotient and moves the block sign by a closed form.
 """
 
 from __future__ import annotations
@@ -141,16 +141,17 @@ class Prediction(NamedTuple):
     """What a theorem predicts for (th, la, t, n) before any point is drawn.
 
     The right-hand side is sign times the product of the factors' characters,
-    a factor being (group, partition, key of _POINT_SETS).  sign is 0 on
-    vanishing, else (-1)^epsilon * sigma, times (-1)^|mu| for a factor at -Y.
-    sigma is None when the appended-one theorem's core has several rows."""
+    a factor being (group, partition, key of _POINT_SETS), a pair's partition
+    (alpha, beta); a factor 1 is not listed.  sign is 0 on vanishing, else
+    (-1)^epsilon * sigma, times (-1)^|mu| for a factor at -Y.  sigma is None
+    when the appended-one theorem's core has several rows."""
 
     t: int
     n: int
     epsilon: int | None
     sigma: int | None
     sign: int
-    factors: tuple[tuple[GroupType, Partition, str], ...]
+    factors: tuple[tuple[GroupType, Partition | tuple[Partition, Partition], str], ...]
 
     @property
     def vanishing(self) -> bool:
@@ -172,8 +173,7 @@ def _reading(la: Partition, t: int) -> tuple:
 def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
     # The case's prediction at the n0 of its reading, with what its move to
     # n != n0 reads: the class of the core, the class c of the point 1 (0
-    # without one), (index, front, back) of each pair factor with a
-    # non-empty quotient part, and the parity of one padding step of sigma.
+    # without one) and the parity of one padding step of sigma.
     # A vanishing schur1 case reads neither c nor a sigma: both are None.
     # la is checked by the reading, on a miss only: a refused case is never
     # cached.
@@ -184,7 +184,7 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
         c, tilt = 0, sum(cls.offsets[1::2])
     elif not live:
         # A vanishing appended-one case records no sorting sign.
-        return Prediction(t, n0, None, None, 0, ()), cls, None, (), None
+        return Prediction(t, n0, None, None, 0, ()), cls, None, None
     else:
         # The point 1 pads to tn0 + 1: class i moves to i + 1 and bead 0
         # joins class 0, so the quotient rotates by one.  c is the class the
@@ -204,40 +204,36 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
     # sum minus c, mod 2: one step has the parity of T (n0 + 1) + tilt.
     step = ((t * (t - 1) // 2) * (n0 + 1) + tilt) % 2
     if not live:
-        return Prediction(t, n0, None, sigma, 0, ()), cls, c, (), step
+        return Prediction(t, n0, None, sigma, 0, ()), cls, c, step
 
     eps = _epsilon(th, t, n0, cls, c)
     odd = eps + (sigma == -1)
-    factors, pads = [], []
+    # Only the factors that are not 1; a pair as its n-free (alpha, beta).
+    factors = []
     for i, j in enumerate(partners(t, th.z)):
-        if i < j:
-            front, back, mu = quo[j], quo[i], ()
-            # At large t most pairs have two empty parts, which pad to ().
-            if front or back:
-                pads.append((len(factors), front, back))
-                mu = mu_padded(front, back, n0)
-            factors.append((GroupType.GL, mu, "Y,1/Y"))
-        elif i == j and th.z is not None and 2 * i == t - 1 - th.z:
+        if i < j and (quo[i] or quo[j]):
+            factors.append((GroupType.GL, (quo[j], quo[i]), "Y,1/Y"))
+        elif i == j and quo[i] and th.z is not None and 2 * i == t - 1 - th.z:
             # The middle class; even O takes it at -Y, with sign (-1)^|mu|.
             minus = th.group is GroupType.OE
             factors.append((GroupType.OO, quo[i], "-Y" if minus else "Y"))
             odd += minus * sum(quo[i])
-        elif i == j:
+        elif i == j and quo[i]:
             factors.append((th.group, quo[i], "Y,1" if th.ones and i == c else "Y"))
     pred = Prediction(t, n0, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
-    return pred, cls, c, tuple(pads), step
+    return pred, cls, c, step
 
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     """Read the verdict, the signs and the factors off one abacus of la at
     the least padding tn0 that la fits, n0 = max(1, ceil(l/t)) for every
     theorem, and carry them to n: the verdict, the total sign and the
-    factors' quotient parts do not depend on n, and the split of the sign
-    into epsilon and sigma moves by a closed form.  schur1 admits l = tn + 1,
-    so its move may be one step back, to n = n0 - 1.  The factors follow
+    factors do not depend on n, and the split of the sign into epsilon and
+    sigma moves by a closed form.  schur1 admits l = tn + 1, so its move
+    may be one step back, to n = n0 - 1.  The factors follow
     partners(t, z), as the module docstring says."""
     la = _check_case(th, la, t, n)
-    pred, cls, c, pads, step = _derive(th, la, t)
+    pred, cls, c, step = _derive(th, la, t)
     s = n - pred.n
     if not s:
         return pred
@@ -246,12 +242,8 @@ def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     # the count holds for s = -1 too.
     if sigma is not None and (s * step + (t * (t - 1) // 2) * (s * (s - 1) // 2)) % 2:
         sigma = -sigma
-    if pred.vanishing:
-        return Prediction(t, n, None, sigma, 0, ())
-    factors = list(pred.factors)
-    for k, front, back in pads:
-        factors[k] = (GroupType.GL, mu_padded(front, back, n), "Y,1/Y")
-    return Prediction(t, n, _epsilon(th, t, n, cls, c), sigma, pred.sign, tuple(factors))
+    eps = None if pred.vanishing else _epsilon(th, t, n, cls, c)
+    return pred._replace(n=n, epsilon=eps, sigma=sigma)
 
 
 # A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).
@@ -277,15 +269,18 @@ def _factor_value(group: GroupType, mu: Partition, at: str, pts: tuple, t: int) 
 def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     """The factorized side at the rational points X: pred.sign times each
     factor's bialternant ratio at its point set; exactly zero on vanishing.
-    A factor of the empty partition is 1 for every group at every point
-    set, so it is never evaluated."""
+    A pair (alpha, beta) is padded here, to its GL_2n partition, on which
+    the value cache is keyed; a factor that pads to () is 1, not evaluated."""
     _check_points(pts, pred.n)
     if pred.vanishing:
         return Fraction(0)
     val = Fraction(pred.sign)
     for group, mu, at in pred.factors:
-        if mu:
-            val *= _factor_value(group, mu, at, pts, pred.t)
+        if at == "Y,1/Y":
+            mu = mu_padded(*mu, pred.n)
+            if not mu:
+                continue
+        val *= _factor_value(group, mu, at, pts, pred.t)
     return val
 
 

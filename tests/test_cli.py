@@ -190,6 +190,16 @@ def test_verify_json_output(capsys):
     assert rec["sigma_sign"] == -1 and rec["sign_exponent"] == 1
 
 
+def test_verify_writes_a_value_past_the_int_str_digit_limit(capsys):
+    # s_(3000) at t = 3000 has a value of more than 4300 digits, CPython's
+    # default limit for int -> str.
+    code, out, _ = run(["verify", "schurfac", "3000", "--t", "3000", "--n", "1", "--json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["match"] is True and rec["lhs"] == rec["rhs"]
+    assert len(rec["lhs"][0]) > 4300
+
+
 def test_verify_is_deterministic(capsys):
     argv = [
         "verify", "oorthfact", "2,2", "--t", "3", "--n", "1", "--json",

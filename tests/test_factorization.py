@@ -86,6 +86,15 @@ def test_theorem_table():
     assert all(TheoremId(th.value) is th for th in ALL)
 
 
+def _is_listed_form(factor):
+    # A pair factor is (GL, (alpha, beta), "Y,1/Y") with a part that is not
+    # empty; any other factor's partition is not empty.
+    group, mu, at = factor
+    if at == "Y,1/Y":
+        return group is GroupType.GL and len(mu) == 2 and any(mu)
+    return bool(mu)
+
+
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
 def test_vanishing_is_a_zero_sign(th):
     assert "vanishing" not in Prediction._fields
@@ -94,7 +103,10 @@ def test_vanishing_is_a_zero_sign(th):
         for la in partitions_up_to(6, max_length=length_bound(th, t, 1)):
             pred = predict(th, la, t, 1)
             verdicts.add(pred.vanishing)
-            assert pred.vanishing == (pred.sign == 0) == (not pred.factors)
+            assert pred.vanishing == (pred.sign == 0)
+            # A vanishing case lists no factor, and a live one no factor 1.
+            assert not (pred.vanishing and pred.factors)
+            assert all(map(_is_listed_form, pred.factors)), pred
             # Only a vanishing appended-one case leaves sigma out.
             assert (pred.sigma is None) == (pred.vanishing and th.ones == 1)
     assert verdicts == {True, False}
@@ -535,24 +547,41 @@ def test_a_larger_n_costs_no_second_derivation():
 
 def test_a_pair_of_empty_parts_is_padded_by_no_call(monkeypatch):
     # At t = 100000 oorthfact has 50000 pairs; a pair whose two quotient
-    # parts are empty gets the factor () without a mu_padded call.
-    real, calls = factorization.mu_padded, []
-
-    def counted(front, back, n):
-        calls.append((front, back))
-        return real(front, back, n)
-
-    monkeypatch.setattr(factorization, "mu_padded", counted)
+    # parts are empty is 1 and is not listed, and a prediction pads no pair
+    # at any n: only rhs_value pads.
+    calls = []
+    monkeypatch.setattr(factorization, "mu_padded", lambda *args: calls.append(args))
     factorization._derive.cache_clear()
     th, t = TheoremId.ODD_ORTH, 100000
-    pred = predict(th, (2, 1), t, 1)
-    assert not pred.vanishing and calls == []
-    assert [mu for _, mu, at in pred.factors if at == "Y,1/Y"] == [()] * 50000
-    # A hook of length t leaves one part (1) on one pair, at every n.
     for n in (1, 2):
-        pairs = [mu for _, mu, at in predict(th, (t,), t, n).factors if at == "Y,1/Y"]
-        assert len(pairs) == 50000 and sum(map(bool, pairs)) == 1
-    assert len(calls) == 2 and calls[0] == calls[1]
+        pred = predict(th, (2, 1), t, n)
+        assert not pred.vanishing and pred.factors == ()
+    # A hook of length t leaves one part (1) on one pair, the same at every n.
+    pairs = [
+        [f for f in predict(th, (t,), t, n).factors if f[2] == "Y,1/Y"] for n in (1, 2)
+    ]
+    assert len(pairs[0]) == 1 and pairs[0] == pairs[1]
+    assert calls == []
+
+
+def test_the_factors_and_the_sign_are_n_free_on_the_standing_grid(monkeypatch):
+    for th in ALL:
+        for t in (2, 3, 4):
+            for la in partitions_up_to(7, max_length=length_bound(th, t, 2)):
+                n0 = _least_n(th, la, t)
+                preds = [predict(th, la, t, n) for n in range(n0, n0 + 3)]
+                assert len({(p.factors, p.sign) for p in preds}) == 1, (th, la, t)
+    # rhs_value skips a pair that pads to (), so no factor value is ever
+    # asked for the empty partition.
+    real, mus = factorization._factor_value, []
+
+    def spy(group, mu, *rest):
+        mus.append(mu)
+        return real(group, mu, *rest)
+
+    monkeypatch.setattr(factorization, "_factor_value", spy)
+    _standing_grid()
+    assert mus and all(mus)
 
 
 def test_factor_layout_follows_the_class_pairing():
@@ -566,8 +595,10 @@ def test_factor_layout_follows_the_class_pairing():
             TheoremId.EVEN_ORTH: {(gl, "Y,1/Y"): (t - 1) // 2, (oe, "Y"): 1, (oo, "-Y"): even},
             TheoremId.ODD_ORTH: {(gl, "Y,1/Y"): t // 2, (oo, "Y"): not even},
         }
+        # (t^t) has an empty core and the quotient part (1) on every class,
+        # so no factor is 1 and every one is listed.
         for th, layout in want.items():
-            pred = predict(th, (), t, 1)
+            pred = predict(th, (t,) * t, t, 1)
             got = Counter((group, at) for group, _, at in pred.factors)
             assert got == +Counter(layout), (th, t)
 

@@ -487,7 +487,7 @@ def test_block_sign_at_large_t_matches_quadratic_oracle(t):
             assert sigma == block_sign_oracle(la, t, m, order), (la, n)
 
 
-def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
+def test_only_the_shared_reading_reads_the_block_sign(monkeypatch, capsys):
     calls = []
     real = Abacus.block_sign
 
@@ -496,6 +496,9 @@ def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
         return real(self)
 
     monkeypatch.setattr(Abacus, "block_sign", counted)
+    # Cold caches, so that the count does not depend on the tests run before.
+    factorization._derive.cache_clear()
+    factorization._reading.cache_clear()
     for t in range(2, 5):
         for la in partitions_up_to(6):
             t_core(la, t)
@@ -503,14 +506,16 @@ def test_only_a_prediction_reads_the_block_sign(monkeypatch, capsys):
     for z, t in [(1, 3), (-1, 3), (0, 4)]:
         for la in enum_z_cores(z, t, 20):
             phi(la, z, t)
+    assert calls == []
+    # classify takes the shared reading, with its block sign at padding
+    # tn0 = 6, once for both calls.
     assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2", "--json"]) == 0
     assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert calls == [6]
     # The spy sees the calls of a prediction: the two rows share one block
     # sign, read at padding tn0 = 3.
-    factorization._derive.cache_clear()
-    factorization._reading.cache_clear()
+    calls.clear()
     predict(TheoremId.SCHUR_ONE, (), 3, 1)
     predict(TheoremId.SCHUR_FAC, (), 3, 1)
     assert calls == [3]
