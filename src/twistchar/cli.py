@@ -12,8 +12,8 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .factorization import SamplingError, TheoremId, _reading, check_seed, length_bound, verify
 from .partitions import as_partition, core_size, frobenius, partitions_up_to, size
@@ -216,9 +216,16 @@ def cmd_scan(args) -> int:
     cases = matches = vanishes = 0
     # Records arrive in grid order and each is written as it arrives, so a
     # scan that stops early keeps every record before the failing case.
-    serial = args.jobs == 1
+    # Workers past the cores only wait, and a fork pool starts all of them
+    # at once; with one core the scan runs serially.
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    serial = jobs == 1
+    if not serial:
+        # Imported here, as the only use: concurrent.futures loads
+        # multiprocessing and subprocess, about 40% of the CLI's import.
+        from concurrent.futures import ProcessPoolExecutor
     with _open_out(args.out) as fh, (
-        contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=args.jobs)
+        contextlib.nullcontext() if serial else ProcessPoolExecutor(max_workers=jobs)
     ) as pool:
         records = map(_scan_case, items) if serial else pool.map(_scan_case, items, chunksize=16)
         for rec in records:
@@ -273,9 +280,10 @@ def cmd_series(args) -> int:
         )
     ok = all(row[-1] for row in rows)
     print(
-        f"{'m':>4s} {'enum':>6s} {'product':>8s} {'lattice':>8s}\n"
+        "   m   enum  product  lattice\n"
         + "\n".join(
-            f"{m:4d} {e:6d} {'-' if p is None else p:>8} {c:8d}{'' if agree else '   <- MISMATCH'}"
+            "%4d %6d %8s %8d%s"
+            % (m, e, "-" if p is None else p, c, "" if agree else "   <- MISMATCH")
             for m, e, p, c, agree in rows
         )
     )

@@ -133,17 +133,18 @@ def z_asymmetric_arms(
         return
     low = max(0, -z)
     yield (), 0, 0
-    # Each entry carries m = a_1 + z + 1 beside the arms, size and beads.
-    # A first arm a has beta set {1..m-1} and m + a.  Arms are pushed
-    # largest first, so the least pops first.
+    # Each entry carries the first arm a_1 and m = a_1 + z + 1 beside the
+    # arms, size and beads.  A first arm a has beta set {1..m-1} and m + a.
+    # Arms are pushed largest first, so the least pops first.
     stack = []
     for a in range((max_size - z - 1) // 2, low - 1, -1):
         m = a + z + 1
-        stack.append(((a,), 2 * a + z + 1, 1 << (m + a) | (1 << m) - 2, m))
+        stack.append(((a,), 2 * a + z + 1, 1 << (m + a) | (1 << m) - 2, m, a))
     while stack:
-        arms, used, beads, m = stack.pop()
-        first = arms[0]
-        top = min(arms[-1] - 1, (max_size - used - z - 1) // 2)
+        arms, used, beads, m, first = stack.pop()
+        top = (max_size - used - z - 1) // 2
+        if arms[-1] <= top:
+            top = arms[-1] - 1
         bad = (beads >> t) & ~beads if t else 0
         if not bad:
             yield arms, used, beads
@@ -155,7 +156,7 @@ def z_asymmetric_arms(
                 continue
         for a in range(top, low - 1, -1):
             grew = beads ^ 1 << (m + a) ^ 1 << (first - a)
-            stack.append((arms + (a,), used + 2 * a + z + 1, grew, m))
+            stack.append((arms + (a,), used + 2 * a + z + 1, grew, m, first))
 
 
 def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:

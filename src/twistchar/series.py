@@ -80,7 +80,10 @@ def enum_z_asymmetric_cores(z: int, t: int, order: int) -> tuple[int, ...]:
         raise ValueError(f"need t >= 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return count_sizes((used for _, used, _ in z_asymmetric_arms(z, order, t)), order)
+    row = [0] * (order + 1)
+    for _, used, _ in z_asymmetric_arms(z, order, t):
+        row[used] += 1
+    return tuple(row)
 
 
 def gf_z_asymmetric(z: int, order: int) -> tuple[int, ...]:
@@ -204,16 +207,25 @@ def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
             break
         pairs.append((i, j))
         budgets.append(_coordinate_budget(t, j - i, bound))
-    stack = [((), 0)]
-    while stack:
-        prefix, cost = stack.pop()
-        i = len(prefix)
-        if i == len(pairs):
-            yield _offsets(pairs, prefix, t)
-            continue
-        for v, c in budgets[i]:
-            if cost + c <= bound:
-                stack.append((prefix + (v,), cost + c))
+    off = [0] * t
+    if not pairs:
+        yield tuple(off)
+        return
+    last = len(pairs) - 1
+
+    # Depth first, each pair's offsets largest first.  Every leaf sets the
+    # offsets of every walked pair, so one list holds the path.
+    def walk(k: int, room: int) -> Iterator[tuple[int, ...]]:
+        i, j = pairs[k]
+        for v, c in reversed(budgets[k]):
+            if c <= room:
+                off[i], off[j] = v, -v
+                if k == last:
+                    yield tuple(off)
+                else:
+                    yield from walk(k + 1, room - c)
+
+    yield from walk(0, bound)
 
 
 def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:

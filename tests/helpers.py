@@ -26,6 +26,7 @@ from twistchar.partitions import (
     Partition,
     abacus,
     beta_set,
+    class_pairs,
     classify_core,
     conjugate,
     frobenius,
@@ -225,6 +226,29 @@ def qpoch(first: int, step: int, order: int, sign: int) -> tuple[int, ...]:
         for m in range(order, e - 1, -1):
             row[m] += sign * row[m - e]
     return tuple(row)
+
+
+def z_core_offsets_stack(z: int, t: int, bound: int) -> list[tuple[int, ...]]:
+    """Runner offsets of the z-asymmetric t-cores of size <= bound, by a
+    stack walk over every class pair i < j (offsets (v, -v), cost
+    t*v^2 - (j-i)*v) that pops each pair's largest offset first: the order
+    `series.z_core_offsets` keeps."""
+    pairs = list(class_pairs(t, z))
+    out, stack = [], [((), 0)]
+    while stack:
+        prefix, cost = stack.pop()
+        if len(prefix) == len(pairs):
+            off = [0] * t
+            for (i, j), v in zip(pairs, prefix):
+                off[i], off[j] = v, -v
+            out.append(tuple(off))
+            continue
+        i, j = pairs[len(prefix)]
+        for v in range(-bound - 1, bound + 2):
+            c = t * v * v - (j - i) * v
+            if cost + c <= bound:
+                stack.append((prefix + (v,), cost + c))
+    return out
 
 
 # ------------------------------------------------ beta-set lemma engines

@@ -620,6 +620,44 @@ def test_bad_jobs_exit_one_with_a_message(capsys, jobs):
     assert "--jobs" in last and repr(jobs) in last
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "cores, jobs, workers",
+    [(4, "100000", 4), (4, "3", 3), (2, "2", 2), (1, "8", None), (None, "8", None)],
+)
+def test_scan_workers_never_exceed_the_cores(monkeypatch, tmp_path, capsys, cores, jobs, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    argv = ["scan", "--t", "2,3", "--n", "1", "--max-size", "3", "--seeds", "0,1", "--out"]
+    serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+    assert cli.main(argv + [str(serial)]) == 0
+    assert cli.main(argv + [str(pooled), "--jobs", jobs]) == 0
+    capsys.readouterr()
+    # One worker runs serially and never builds a pool.
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
 def test_one_parser_serves_every_call(capsys):
     assert cli.build_parser() is cli.build_parser()
     assert run(["series", "--z", "1", "--t", "3", "--N", "8"], capsys)[0] == 0

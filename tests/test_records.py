@@ -46,18 +46,29 @@ def _record(name):
     return rec, {f: getattr(rec, f) for f in names}
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # Every command would pay for them at start-up: dataclasses imports
-    # inspect, ast and dis, about 10 ms in all.
+def _loaded_by_cli_import(names):
+    """Those of the module names that a fresh `import twistchar.cli` loads."""
     code = (
         "import sys; import twistchar.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every command would pay for them at start-up: dataclasses imports
+    # inspect, ast and dis, about 10 ms in all.
+    assert _loaded_by_cli_import(("dataclasses", "inspect")) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only scan --jobs N > 1 uses a process pool, and concurrent.futures
+    # with multiprocessing is about 40% of the CLI's import time.
+    assert _loaded_by_cli_import(("concurrent.futures", "multiprocessing")) == []
 
 
 def test_cli_import_loads_cyclotomic_but_the_package_exports_none_of_it():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from twistchar import cli, partitions, series
-from helpers import qpoch, t_core_strips
+from helpers import qpoch, t_core_strips, z_core_offsets_stack
 from twistchar.partitions import (
     abacus,
     conjugate,
@@ -282,20 +282,33 @@ def test_lattice_walk_at_t_above_the_bound_lists_the_whole_family(z):
 
 
 def test_lattice_walk_leaves_out_the_pairs_that_cannot_move(monkeypatch):
-    real, seen = series._offsets, []
+    real, gaps = series._coordinate_budget, []
 
-    def spy(pairs, v, t):
-        seen.append(list(pairs))
-        return real(pairs, v, t)
+    def spy(t, gap, bound):
+        gaps.append(gap)
+        return real(t, gap, bound)
 
-    monkeypatch.setattr(series, "_offsets", spy)
+    monkeypatch.setattr(series, "_coordinate_budget", spy)
     for z, t, bound in [(0, 20, 10), (1, 20, 10), (-1, 9, 4), (0, 5, 30)]:
-        seen.clear()
-        cores = enum_z_cores(z, t, bound)
-        assert len(seen) == len(cores)
-        # Offsets (1, -1) on the pair i < j add t - (j - i) cells.
-        movable = [(i, j) for i, j in series._pairs(z, t) if t - (j - i) <= bound]
-        assert all(pairs == movable for pairs in seen), (z, t)
+        gaps.clear()
+        vectors = list(z_core_offsets(z, t, bound))
+        # Offsets (1, -1) on the pair i < j add t - (j - i) cells; only the
+        # pairs that can move are walked, and the others stay at 0.
+        pairs = list(series._pairs(z, t))
+        movable = [(i, j) for i, j in pairs if t - (j - i) <= bound]
+        assert gaps == [j - i for i, j in movable], (z, t)
+        still = [c for pair in pairs if pair not in movable for c in pair]
+        assert all(v[c] == 0 for v in vectors for c in still), (z, t)
+        # One vector per core.
+        assert len({core_from_offsets(v) for v in vectors}) == len(vectors)
+
+
+def test_lattice_walk_keeps_the_stack_walk_order():
+    for t in range(2, 10):
+        for z in range(-t - 1, t + 2):
+            for bound in (0, 5, 26, 60):
+                want = z_core_offsets_stack(z, t, bound)
+                assert list(z_core_offsets(z, t, bound)) == want, (z, t, bound)
 
 
 @pytest.mark.parametrize("t", range(2, 7))
