@@ -30,11 +30,10 @@ from .factorization import (
 )
 from .linalg import det
 from .partitions import (
-    Abacus,
     CoreClass,
     FrobeniusCoords,
     Partition,
-    abacus,
+    Reading,
     beta_set,
     classify_core,
     conjugate,
@@ -49,6 +48,7 @@ from .partitions import (
     partitions_of,
     partitions_up_to,
     rank,
+    reading,
     size,
     t_core,
     z_asymmetric_up_to,
@@ -68,16 +68,15 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abacus",
     "CoreClass",
     "DegeneratePointError",
     "FrobeniusCoords",
     "GroupType",
     "Partition",
+    "Reading",
     "SamplingError",
     "TheoremId",
     "VerificationReport",
-    "abacus",
     "beta_set",
     "classify_core",
     "conjugate",
@@ -102,6 +101,7 @@ __all__ = [
     "phi_inverse",
     "predict",
     "rank",
+    "reading",
     "rhs_value",
     "sample_points",
     "size",

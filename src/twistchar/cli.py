@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from .factorization import SamplingError, TheoremId, _reading, check_seed, length_bound, verify
-from .partitions import as_partition, core_size, frobenius, partitions_up_to, size
+from .factorization import SamplingError, TheoremId, check_seed, length_bound, verify
+from .partitions import as_partition, core_size, frobenius, partitions_up_to, reading, size
 from .series import count_sizes, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
 
 # Records may pass CPython's 4300-digit int -> str limit; lifted on import, in scan workers too.
@@ -105,7 +105,7 @@ def cmd_classify(args) -> int:
         raise ValueError(f"partition has {len(la)} parts, limit is tn = {t * n}")
     # The quotient is the same at every padding that is a multiple of t, and
     # the counts at tn are n plus the offsets: the shared reading serves.
-    _, cls, quo, _ = _reading(la, t)
+    _, cls, quo, _ = reading(la, t)
     fro = frobenius(la)
     counts = tuple(n + o for o in cls.offsets)
     # One verdict per theorem row, read through the rule: whether the core

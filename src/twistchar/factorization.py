@@ -23,10 +23,11 @@ The verdict, the total sign and the factors do not depend on n: a pair is
 kept as its parts (alpha, beta), Koike's s_[alpha; beta], and padded only
 when evaluated.  So a prediction is derived once per (theorem, partition,
 t), at the least n the partition fits, and carried to any n with no new
-abacus: epsilon by its formula, sigma by the parity of one padding step.
-The five rows read one abacus per (partition, t) between them: its core
-class, quotient and block sign do not depend on z, and schur1's point 1
-rotates the quotient and moves the block sign by a closed form.
+abacus: sigma by the parity of one padding step, and epsilon flips with
+it, as their product does not.  The five rows share one
+`partitions.reading` per (partition, t): its core class, quotient and
+block sign do not depend on z, and schur1's point 1 rotates the quotient
+and moves the block sign by a closed form.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from .linalg import det  # noqa: F401
 from .partitions import (
     CoreClass,
     Partition,
-    abacus,
     as_partition,
     class_pairs,
     mu_padded,
     partners,
+    reading,
 )
 
 
@@ -109,7 +110,8 @@ def _epsilon(th: TheoremId, t: int, n: int, cls: CoreClass, c: int) -> int:
     (0 when there is none).  The residue counts are those at padding tn,
     where class j holds n_j = n + cls.offsets[j] entries, and r is the rank
     of the core.  For Sp and O one sum runs over the upper class j of each
-    pair.
+    pair.  `predict` takes it at n0 only; at every n it is the tests' oracle
+    for the epsilon that predict carries.
     """
     group, z = th.group, th.z
     if z is None:
@@ -159,32 +161,20 @@ class Prediction(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _reading(la: Partition, t: int) -> tuple:
-    # One abacus of la at the least padding tn0 it fits, shared by the five
-    # rows: n0, the class of the core, the quotient and the block sign.  The
-    # abacus itself is not kept, as its beta set and runners grow with t.
-    la = as_partition(la)
-    n0 = max(1, -(-len(la) // t))
-    ab = abacus(la, t, t * n0)
-    return n0, CoreClass(ab.offsets), ab.quotient, ab.block_sign()
-
-
-@lru_cache(maxsize=4096)
 def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
-    # The case's prediction at the n0 of its reading, with what its move to
-    # n != n0 reads: the class of the core, the class c of the point 1 (0
-    # without one) and the parity of one padding step of sigma.
-    # A vanishing schur1 case reads neither c nor a sigma: both are None.
+    # The case's prediction at the n0 of its reading, with the parity of one
+    # padding step of sigma, all that its move to n != n0 reads.  A
+    # vanishing schur1 case has no sigma and no step: both are None.
     # la is checked by the reading, on a miss only: a refused case is never
     # cached.
-    n0, cls, quo, sigma = _reading(la, t)
+    n0, cls, quo, sigma = reading(la, t)
     live = cls.z_asymmetric(th.z, th.ones)
     if not th.ones:
         # Class i, at block position i, holds n0 + offsets[i] beads.
         c, tilt = 0, sum(cls.offsets[1::2])
     elif not live:
         # A vanishing appended-one case records no sorting sign.
-        return Prediction(t, n0, None, None, 0, ()), cls, None, None
+        return Prediction(t, n0, None, None, 0, ()), None
     else:
         # The point 1 pads to tn0 + 1: class i moves to i + 1 and bead 0
         # joins class 0, so the quotient rotates by one.  c is the class the
@@ -204,7 +194,7 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
     # sum minus c, mod 2: one step has the parity of T (n0 + 1) + tilt.
     step = ((t * (t - 1) // 2) * (n0 + 1) + tilt) % 2
     if not live:
-        return Prediction(t, n0, None, sigma, 0, ()), cls, c, step
+        return Prediction(t, n0, None, sigma, 0, ()), step
 
     eps = _epsilon(th, t, n0, cls, c)
     odd = eps + (sigma == -1)
@@ -221,29 +211,30 @@ def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
         elif i == j and quo[i]:
             factors.append((th.group, quo[i], "Y,1" if th.ones and i == c else "Y"))
     pred = Prediction(t, n0, eps, sigma, -1 if odd % 2 else 1, tuple(factors))
-    return pred, cls, c, step
+    return pred, step
 
 
 def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
-    """Read the verdict, the signs and the factors off one abacus of la at
+    """Read the verdict, the signs and the factors off the reading of la at
     the least padding tn0 that la fits, n0 = max(1, ceil(l/t)) for every
     theorem, and carry them to n: the verdict, the total sign and the
-    factors do not depend on n, and the split of the sign into epsilon and
-    sigma moves by a closed form.  schur1 admits l = tn + 1, so its move
-    may be one step back, to n = n0 - 1.  The factors follow
-    partners(t, z), as the module docstring says."""
+    factors do not depend on n, and sigma moves by a closed form, epsilon
+    flipping with it.  schur1 admits l = tn + 1, so its move may be one
+    step back, to n = n0 - 1.  The factors follow partners(t, z), as the
+    module docstring says."""
     la = _check_case(th, la, t, n)
-    pred, cls, c, step = _derive(th, la, t)
+    pred, step = _derive(th, la, t)
     s = n - pred.n
     if not s:
         return pred
-    sigma = pred.sigma
+    if pred.sigma is None:
+        return pred._replace(n=n)
     # s steps add s (T - c + S0) + T s(s-1)/2 inversions, S growing by T;
-    # the count holds for s = -1 too.
-    if sigma is not None and (s * step + (t * (t - 1) // 2) * (s * (s - 1) // 2)) % 2:
-        sigma = -sigma
-    eps = None if pred.vanishing else _epsilon(th, t, n, cls, c)
-    return pred._replace(n=n, epsilon=eps, sigma=sigma)
+    # the count holds for s = -1 too.  The total sign (-1)^epsilon sigma
+    # does not depend on n, so epsilon flips with sigma.
+    flip = (s * step + (t * (t - 1) // 2) * (s * (s - 1) // 2)) % 2
+    eps = None if pred.vanishing else (pred.epsilon + flip) % 2
+    return pred._replace(n=n, epsilon=eps, sigma=-pred.sigma if flip else pred.sigma)
 
 
 # A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).

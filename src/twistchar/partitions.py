@@ -2,11 +2,13 @@
 
 A partition is stored as a tuple of weakly decreasing positive integers
 (canonical form, no trailing zeros).  Everything here is derived from the
-beta-set encoding beta_i = lambda_i + m - i.  One pass lays beta(la, m)
-out on t runners (the abacus); the residue counts, the quotient and the
-t-core's runner offsets, which carry its classification and its size, are
-read off the runners, and the sorting sign of the class-block order off the
-beta set, on request.
+beta-set encoding beta_i = lambda_i + m - i.  The abacus is read at one
+padding only, the least multiple tn0 of t that la fits: `reading` lays
+beta(la, tn0) out on t runners in one pass, once per (la, t), and reads
+off the t-core's runner offsets, which carry its classification and its
+size, the quotient and the sorting sign of the class-block order.
+`t_core`, `classify_core`, `series.phi`, the CLI's classify and every
+theorem row share that cached reading.
 The z-asymmetric families are walked as Frobenius arms, and the walk
 carries each beta set as a bitmask, one bead moved per arm, without
 building the partition; asked for t-cores, it cuts every subtree that
@@ -15,6 +17,7 @@ cannot hold one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -166,75 +169,6 @@ def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
         yield from_frobenius(arms, [a + z for a in arms])
 
 
-class Abacus(NamedTuple):
-    """beta(la, m) laid out on t runners, m = len(beta).
-
-    runners[i] holds x // t for the entries x = i mod t, in decreasing order.
-    """
-
-    beta: tuple[int, ...]
-    runners: tuple[tuple[int, ...], ...]
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.runners)
-
-    @property
-    def quotient(self) -> tuple[Partition, ...]:
-        """The t-quotient: runner i read as a beta set.  Its order depends on
-        m mod t; padding m + 1 instead of m rotates it cyclically by one.
-        A runner is strictly decreasing, so its part i (from 1) is
-        x_i - len(r) + i, and its zero parts are the trailing ones."""
-        return tuple(
-            tuple(p for i, x in enumerate(r, 1) if (p := x - len(r) + i)) if r else ()
-            for r in self.runners
-        )
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """The runner offsets of the t-core: each class's count minus its share
-        m'/t once the padding is raised to the multiple m' = m + k of t.  The
-        shift moves class j to class j + k and adds 0..k-1, so the vector is
-        the same for every padding and sums to 0."""
-        t, c, m = len(self.runners), self.counts, len(self.beta)
-        k = -m % t
-        share = (m + k) // t
-        return tuple(c[(i - k) % t] + (i < k) - share for i in range(t))
-
-    def block_sign(self) -> int:
-        """The sign of the permutation that sorts beta into class blocks in
-        the order 0..t-1, each block keeping the order of beta."""
-        # Each entry goes to its slot in the block order; a permutation of m
-        # slots with c cycles has sign (-1)^(m - c).  O(m + t), whatever t is.
-        t = len(self.runners)
-        start, at = [0] * t, 0
-        for c in range(t):
-            start[c], at = at, at + len(self.runners[c])
-        slot = []
-        for x in self.beta:
-            slot.append(start[x % t])
-            start[x % t] += 1
-        parity, seen = len(slot), [False] * len(slot)
-        for p in range(len(slot)):
-            if not seen[p]:
-                parity -= 1
-                while not seen[p]:
-                    seen[p] = True
-                    p = slot[p]
-        return -1 if parity % 2 else 1
-
-
-def abacus(la: Partition, t: int, m: int) -> Abacus:
-    """beta(la, m) with its beads placed on t runners."""
-    if t < 2:
-        raise ValueError(f"modulus must be at least 2, got {t}")
-    beta = beta_set(la, m)
-    runners: list[list[int]] = [[] for _ in range(t)]
-    for x in beta:
-        runners[x % t].append(x // t)
-    return Abacus(beta, tuple(map(tuple, runners)))
-
-
 def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
     """The t-core with the given runner offsets (t = len(offsets)).  At any
     padding tn, runner i holds its n + offsets[i] lowest positions, so its
@@ -269,7 +203,7 @@ def core_size(offsets: tuple[int, ...]) -> int:
 
 def t_core(la: Partition, t: int) -> Partition:
     """The t-core: every runner of the abacus pushed down to its lowest beads."""
-    return core_from_offsets(abacus(la, t, max(1, len(la))).offsets)
+    return reading(as_partition(la), t).cls.core
 
 
 def is_core_beads(beads: int, t: int) -> bool:
@@ -310,7 +244,7 @@ class CoreClass(NamedTuple):
     """Classification of a t-core, read off its runner offsets.
 
     offsets[i] is runner i's count minus n at any padding tn; it does not
-    depend on n and sums to 0 (`Abacus.offsets`).  Every verdict is read
+    depend on n and sums to 0 (`reading`).  Every verdict is read
     by `z_asymmetric` at a theorem's (z, ones); the empty core, for
     instance, is z-asymmetric for every z.
     """
@@ -341,12 +275,66 @@ class CoreClass(NamedTuple):
         return all(s[i] + s[j] >= 0 for i, j in enumerate(partners(len(s), z)))
 
 
+class Reading(NamedTuple):
+    """What one abacus of la says, at the least padding tn0 it fits."""
+
+    n0: int
+    cls: CoreClass
+    quotient: tuple[Partition, ...]
+    sign: int
+
+
+@lru_cache(maxsize=4096)
+def reading(la: Partition, t: int) -> Reading:
+    """beta(la, tn0), n0 = max(1, ceil(l/t)), laid on t runners and read
+    once.  Runner i holds x // t for the entries x = i mod t; at a multiple
+    of t it holds n0 + offsets[i] of them, and the offsets and the quotient
+    are the same at every padding tn.  The sign is that of the permutation
+    that sorts beta into class blocks in the order 0..t-1, each block
+    keeping beta's order.  The runners are not kept, as they grow with t.
+    la is checked on a miss only, so callers pass it in canonical form."""
+    if t < 2:
+        raise ValueError(f"modulus must be at least 2, got {t}")
+    la = as_partition(la)
+    n0 = max(1, -(-len(la) // t))
+    beta = beta_set(la, t * n0)
+    runners: list[list[int]] = [[] for _ in range(t)]
+    for x in beta:
+        runners[x % t].append(x // t)
+    # A runner is strictly decreasing, so its part i (from 1) is
+    # x_i - len(r) + i, and its zero parts are the trailing ones.
+    quotient = tuple(
+        tuple(p for i, x in enumerate(r, 1) if (p := x - len(r) + i)) for r in runners
+    )
+    cls = CoreClass(tuple(len(r) - n0 for r in runners))
+    # t lists: freed before the sign's m slots are laid.
+    del runners
+    # Each entry goes to its slot in the block order; a permutation of m
+    # slots with c cycles has sign (-1)^(m - c).  O(m + t), whatever t is.
+    start, at = [0] * t, 0
+    for i, o in enumerate(cls.offsets):
+        start[i], at = at, at + n0 + o
+    slot = []
+    for x in beta:
+        slot.append(start[x % t])
+        start[x % t] += 1
+    parity, seen = len(slot), [False] * len(slot)
+    for p in range(len(slot)):
+        if not seen[p]:
+            parity -= 1
+            while not seen[p]:
+                seen[p] = True
+                p = slot[p]
+    return Reading(n0, cls, quotient, -1 if parity % 2 else 1)
+
+
 def classify_core(la: Partition, t: int, n: int) -> CoreClass:
     """The class of the t-core of la, for l(la) up to t*n + 1 (the appended-one
     theorem's bound); the offsets do not depend on the padding."""
+    la = as_partition(la)
     if len(la) > t * n + 1:
         raise ValueError(f"partition has {len(la)} parts, bound is tn+1={t * n + 1}")
-    return CoreClass(abacus(la, t, max(1, len(la))).offsets)
+    return reading(la, t).cls
 
 
 def mu_padded(front: Partition, back: Partition, n: int) -> Partition:

@@ -29,11 +29,11 @@ from typing import Iterable, Iterator
 
 from .partitions import (
     Partition,
-    abacus,
     as_partition,
     class_pairs,
     core_from_offsets,
     is_z_asymmetric,
+    reading,
     size,
     z_asymmetric_arms,
     z_asymmetric_up_to,
@@ -156,7 +156,7 @@ def phi(la: Partition, z: int, t: int) -> tuple[int, ...]:
     with n_i the count of beta elements in class i mod t at any padding tn."""
     pairs = list(_pairs(z, t))
     la = as_partition(la)
-    offsets = abacus(la, t, max(1, len(la))).offsets
+    offsets = reading(la, t).cls.offsets
     if not is_z_asymmetric(la, z) or core_from_offsets(offsets) != la:
         raise ValueError(f"{la} is not a {z}-asymmetric {t}-core")
     return tuple(offsets[i] for i, _ in pairs)

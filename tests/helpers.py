@@ -24,7 +24,6 @@ from twistchar.factorization import TheoremId
 from twistchar.linalg import det
 from twistchar.partitions import (
     Partition,
-    abacus,
     beta_set,
     class_pairs,
     classify_core,
@@ -34,6 +33,7 @@ from twistchar.partitions import (
     is_z_asymmetric,
     partitions_up_to,
     rank,
+    reading,
     t_core,
 )
 
@@ -206,6 +206,11 @@ def inversions_quadratic(seq) -> int:
     )
 
 
+def residue_counts(la, t: int, m: int) -> tuple[int, ...]:
+    """How many entries of beta(la, m) lie in each class mod t, at any m."""
+    return tuple(sum(x % t == i for x in beta_set(la, m)) for i in range(t))
+
+
 def block_sign_oracle(la, t: int, m: int, class_order) -> int:
     """Sign of the permutation that sorts beta positions into residue
     blocks, with inversions counted the slow quadratic way."""
@@ -297,10 +302,7 @@ def check_core_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             core = t_core(la, t)
             base = max(1, len(la))
             for m in (base, base + 1, base + t):
-                if (
-                    abacus(la, t, m).counts
-                    != abacus(core, t, m).counts
-                ):
+                if residue_counts(la, t, m) != residue_counts(core, t, m):
                     bad.append((la, t, m))
     return bad
 
@@ -317,8 +319,8 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             b = ceil_div(max(1, len(mu)), t)
             for da in (0, 1):
                 for db in (0, 1):
-                    ca = abacus(la, t, t * (a + da)).counts
-                    cb = abacus(mu, t, t * (b + db)).counts
+                    ca = residue_counts(la, t, t * (a + da))
+                    cb = residue_counts(mu, t, t * (b + db))
                     tot = a + da + b + db
                     if any(
                         ca[i] + cb[t - 1 - i] != tot for i in range(t)
@@ -327,10 +329,10 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
         cores = [la for la in las if t_core(la, t) == la]
         for la in cores:
             a = ceil_div(max(1, len(la)), t)
-            ca = abacus(la, t, t * a).counts
+            ca = residue_counts(la, t, t * a)
             for mu in cores:
                 b = ceil_div(max(1, len(mu)), t)
-                cb = abacus(mu, t, t * b).counts
+                cb = residue_counts(mu, t, t * b)
                 holds = all(
                     ca[i] + cb[t - 1 - i] == a + b for i in range(t)
                 )
@@ -399,7 +401,7 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
             if t_core(la, t) != la:
                 continue
             n = ceil_div(max(1, len(la)), t)
-            counts = abacus(la, t, t * n).counts
+            counts = residue_counts(la, t, t * n)
             for z in range(0, t - 1):
                 want = all(
                     counts[i] + counts[t - z - 1 - i] == 2 * n
@@ -450,7 +452,7 @@ def check_rank_formulas(max_size: int, ts=(2, 3, 4, 5)) -> list:
     for la in partitions_up_to(max_size):
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
-            counts = abacus(la, t, t * n).counts
+            counts = residue_counts(la, t, t * n)
             core = t_core(la, t)
             if rank(core) != sum(max(c - n, 0) for c in counts):
                 bad.append(("clipped", la, t))
@@ -491,7 +493,7 @@ def check_quotient_criterion(max_size: int, ts=(2, 3, 4, 5)):
     for la in partitions_up_to(max_size):
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
-            quo = abacus(la, t, t * n).quotient
+            quo = reading(la, t).quotient
             core = t_core(la, t)
             hyp = (
                 is_z_asymmetric(core, -1)
@@ -528,7 +530,7 @@ def check_quotient_beta_relation(max_size: int, ts=(2, 3, 4, 5)) -> list:
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
             b = beta_set(la, t * n)
-            quo = abacus(la, t, t * n).quotient
+            quo = reading(la, t).quotient
             for p in range(t):
                 entries = sorted(
                     (x for x in b if x % t == p), reverse=True
@@ -548,8 +550,7 @@ def check_core_quotient_size(max_size: int, ts=(2, 3, 4, 5)) -> list:
             core = t_core(la, t)
             if core != t_core_strips(la, t):
                 bad.append(("routes", la, t))
-            m = max(1, len(la))
-            quo = abacus(la, t, m).quotient
+            quo = reading(la, t).quotient
             if sum(la) != sum(core) + t * sum(sum(q) for q in quo):
                 bad.append(("size", la, t))
     return bad

@@ -15,6 +15,7 @@ from helpers import (
     check_block_det_lemma,
     embed,
     partitions_strategy,
+    residue_counts,
     ribbon_sign,
     t_core_strips,
     twisted_points,
@@ -39,13 +40,11 @@ from twistchar.factorization import (
 )
 from twistchar.linalg import det
 from twistchar.partitions import (
-    Abacus,
-    CoreClass,
-    abacus,
     beta_set,
     frobenius,
     mu_padded,
     partitions_up_to,
+    reading,
 )
 
 ALL = list(TheoremId)
@@ -249,27 +248,20 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid():
     assert [cache.cache_info().misses for cache in _CACHES] == [60, 116]
 
 
-def _holds(obj, kind):
-    return isinstance(obj, kind) or (
-        isinstance(obj, tuple) and any(_holds(x, kind) for x in obj)
-    )
-
-
 def test_every_row_shares_one_reading_per_case(monkeypatch):
     calls = []
-    real = factorization.abacus
-    monkeypatch.setattr(factorization, "abacus", lambda la, t, m: calls.append(m) or real(la, t, m))
+    real = partitions.beta_set
+    monkeypatch.setattr(partitions, "beta_set", lambda la, m: calls.append(m) or real(la, m))
     factorization._derive.cache_clear()
-    factorization._reading.cache_clear()
+    reading.cache_clear()
     _standing_grid()
     # 1107 cases, 640 derivations; the five rows read 132 (la, t) between
-    # them, each with one abacus: schur1's bound tn + 1 adds the 5 keys of
+    # them, each with one beta set: schur1's bound tn + 1 adds the 5 keys of
     # length 2t + 1.
     assert factorization._derive.cache_info().misses == 640
-    info = factorization._reading.cache_info()
+    info = reading.cache_info()
     assert (info.hits, info.misses) == (508, 132)
     assert len(calls) == 132
-    # A reading keeps no abacus: its beta set and runners grow with t.
     keys = {
         (la, t)
         for t in (2, 3, 4)
@@ -277,8 +269,8 @@ def test_every_row_shares_one_reading_per_case(monkeypatch):
     }
     assert len(keys) == 132
     for la, t in keys:
-        assert not _holds(factorization._reading(la, t), Abacus), (la, t)
-    assert factorization._reading.cache_info().misses == 132
+        assert reading(la, t).n0 == max(1, ceil_div(len(la), t)), (la, t)
+    assert reading.cache_info().misses == 132
 
 
 def test_cache_keys_keep_groups_apart():
@@ -439,22 +431,23 @@ def test_verify_derives_each_prediction_once(th, seeds, monkeypatch):
 
         return wrapper
 
-    for name in ("abacus", "_epsilon", "rhs_value"):
+    for name in ("_epsilon", "rhs_value"):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
+    monkeypatch.setattr(partitions, "beta_set", counted("beta_set", partitions.beta_set))
     # A warm derivation or reading cache would derive nothing, and pass for
     # nothing.
     factorization._derive.cache_clear()
-    factorization._reading.cache_clear()
-    # (4, 4) fits n0 = 1: one abacus and epsilon at n0 for every seed, and
-    # each seed's move to n = 2 reads epsilon there.
+    reading.cache_clear()
+    # (4, 4) fits n0 = 1: one beta set and epsilon at n0 for every seed,
+    # and each seed's move to n = 2 flips epsilon with sigma, reading nothing.
     for seed in range(seeds):
         rep = verify(th, (4, 4), 4, 2, seed=seed)
         assert rep.match and not rep.predicted_vanishing
-    assert calls == {"abacus": 1, "_epsilon": 1 + seeds, "rhs_value": seeds}, calls
+    assert calls == {"beta_set": 1, "_epsilon": 1, "rhs_value": seeds}, calls
     # At n0 the prediction is the derived one: nothing is computed again.
     for seed in range(seeds):
         assert verify(th, (4, 4), 4, 1, seed=seed).match
-    assert calls == {"abacus": 1, "_epsilon": 1 + seeds, "rhs_value": 2 * seeds}, calls
+    assert calls == {"beta_set": 1, "_epsilon": 1, "rhs_value": 2 * seeds}, calls
 
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
@@ -472,7 +465,7 @@ def test_predict_reads_one_beta_set_per_case(th, monkeypatch):
             for la in partitions_up_to(6, max_length=length_bound(th, t, n)):
                 paddings.clear()
                 factorization._derive.cache_clear()
-                factorization._reading.cache_clear()
+                reading.cache_clear()
                 verdicts.add(predict(th, la, t, n).vanishing)
                 # The one beta set is taken at the least padding tn0 la
                 # fits, whatever the row's points 1.
@@ -530,11 +523,33 @@ def test_moved_sigma_is_the_block_sign_at_each_padding():
                     m = length_bound(th, t, n)
                     order = list(range(t))
                     if th.ones:
-                        c = CoreClass(abacus(la, t, m).offsets).excess(1).index(1)
+                        # The point 1 leaves class c one entry above n.
+                        c = residue_counts(la, t, m).index(n + 1)
                         order = [c] + [i for i in range(t) if i != c]
                         back += len(la) == m
                     assert pred.sigma == block_sign_oracle(la, t, m, order), (th, la, t, n)
     assert back == 69
+
+
+def test_carried_epsilon_is_the_closed_form_at_each_n():
+    # predict evaluates epsilon at n0 only and flips it with sigma; its
+    # closed form `_epsilon` at the case's own n is the oracle.  The
+    # standing grid (t <= 4, n <= 2, |la| <= 7) lies inside the multi-n
+    # grid (t <= 5, n <= 4, |la| <= 8).
+    live = moved = 0
+    for th in ALL:
+        for t in (2, 3, 4, 5):
+            for n in (1, 2, 3, 4):
+                for la in partitions_up_to(8, max_length=length_bound(th, t, n)):
+                    pred = predict(th, la, t, n)
+                    if pred.vanishing:
+                        continue
+                    cls = reading(la, t).cls
+                    c = cls.excess(1).index(1) if th.ones else 0
+                    assert pred.epsilon == factorization._epsilon(th, t, n, cls, c), (th, la, t, n)
+                    live += 1
+                    moved += n != reading(la, t).n0
+    assert (live, moved) == (2166, 1560)
 
 
 def test_a_larger_n_costs_no_second_derivation():
@@ -733,7 +748,7 @@ def full_class_cases(max_size=6, grid=((2, 1), (2, 2), (3, 1))):
         cb0 = class_betas((), t, n)
         for la in partitions_up_to(max_size, max_length=t * n):
             cb = class_betas(la, t, n)
-            quo = abacus(la, t, t * n).quotient
+            quo = reading(la, t).quotient
             for p in range(t):
                 if len(cb[p]) == n:
                     yield pts, t, cb[p], cb0[p], quo[p], p
@@ -800,7 +815,7 @@ def test_paired_class_block_determinant():
         cb0 = class_betas((), t, n)
         for la in partitions_up_to(6, max_length=t * n):
             cb = class_betas(la, t, n)
-            quo = abacus(la, t, t * n).quotient
+            quo = reading(la, t).quotient
             nps = [len(c) for c in cb]
             for p in range(t):
                 for q in range(t):

@@ -6,15 +6,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import block_sign_oracle, ceil_div, partitions_strategy, t_core_strips
+from helpers import (
+    block_sign_oracle,
+    ceil_div,
+    partitions_strategy,
+    residue_counts,
+    t_core_strips,
+)
 from twistchar import factorization, partitions
 from twistchar.cli import main
 from twistchar.factorization import TheoremId, length_bound, predict
 from twistchar.partitions import (
-    Abacus,
     CoreClass,
     FrobeniusCoords,
-    abacus,
+    Reading,
     as_partition,
     beta_set,
     class_pairs,
@@ -33,6 +38,7 @@ from twistchar.partitions import (
     partitions_up_to,
     partners,
     rank,
+    reading,
     size,
     t_core,
     z_asymmetric_arms,
@@ -210,6 +216,8 @@ def test_core_values():
     assert t_core((4, 2, 2, 1), 2) == (2, 1)
     assert t_core((3, 2, 1, 1, 1), 3) == (1, 1)
     assert t_core((), 4) == ()
+    # Any weakly decreasing sequence, read in canonical form.
+    assert t_core([4, 2, 2, 1], 2) == t_core((4, 2, 2, 1, 0), 2) == (2, 1)
     with pytest.raises(ValueError):
         t_core((2, 1), 1)
 
@@ -232,43 +240,50 @@ def test_core_routes_agree(la, t):
     assert t_core(core, t) == core
 
 
+def _class_quotient(la, t, m):
+    # Each class of beta(la, m), divided by t, read as a beta set.
+    b = beta_set(la, m)
+    return tuple(from_beta_set([x // t for x in b if x % t == i]) for i in range(t))
+
+
 def test_quotient_values():
-    assert abacus((4, 2, 2, 1), 2, 4).quotient == ((2,), (1,))
-    assert abacus((3, 2, 1, 1, 1), 3, 6).quotient == ((), (1,), (1,))
+    assert reading((4, 2, 2, 1), 2).quotient == ((2,), (1,))
+    assert reading((3, 2, 1, 1, 1), 3).quotient == ((), (1,), (1,))
     with pytest.raises(ValueError):
-        abacus((1, 1), 2, 1)
+        reading((1, 1), 1)
 
 
-@given(P, st.integers(2, 5), st.integers(0, 2))
-def test_core_and_quotient_carry_the_size(la, t, extra):
-    m = max(1, len(la)) + extra
-    quo = abacus(la, t, m).quotient
+@given(P, st.integers(2, 5))
+def test_core_and_quotient_carry_the_size(la, t):
+    quo = reading(la, t).quotient
     assert len(quo) == t
     assert size(la) == size(t_core(la, t)) + t * sum(size(q) for q in quo)
 
 
 @given(P, st.integers(2, 5), st.integers(0, 3))
 def test_quotient_rotates_under_padding_shift(la, t, extra):
-    m = max(1, len(la)) + extra
-    old = abacus(la, t, m).quotient
-    new = abacus(la, t, m + 1).quotient
-    assert new == tuple(old[(i - 1) % t] for i in range(t))
+    # The reading's quotient is the one at every multiple of t; one more
+    # bead, as schur1's point 1 adds, rotates it by one.
+    quo = reading(la, t).quotient
+    m = t * (reading(la, t).n0 + extra)
+    assert _class_quotient(la, t, m) == quo
+    assert _class_quotient(la, t, m + 1) == quo[-1:] + quo[:-1]
 
 
 def test_residue_count_values():
-    ab = abacus((3, 2, 1, 1, 1), 3, 6)
-    assert ab.counts == (3, 1, 2)
-    assert ab.runners == ((2, 1, 0), (1,), (2, 0))
+    assert residue_counts((3, 2, 1, 1, 1), 3, 6) == (3, 1, 2)
+    assert reading((3, 2, 1, 1, 1), 3)[:2] == (2, CoreClass((1, -1, 0)))
     with pytest.raises(ValueError):
-        abacus((1,), 1, 2)
+        reading((1,), 1)
 
 
 @given(P, st.integers(2, 5), st.integers(0, 2))
 def test_residue_counts_shift_with_padding(la, t, extra):
-    m = max(1, len(la)) + extra
-    before = abacus(la, t, m).counts
-    after = abacus(la, t, m + t).counts
-    assert after == tuple(x + 1 for x in before)
+    # At padding tn, class i holds n + offsets[i] entries, for every n that
+    # la fits.
+    n0, cls = reading(la, t)[:2]
+    n = n0 + extra
+    assert residue_counts(la, t, t * n) == tuple(n + o for o in cls.offsets)
 
 
 def test_classify_core_values():
@@ -301,6 +316,9 @@ def test_classify_core_single_row():
 def test_classify_core_rejects_long_partitions():
     with pytest.raises(ValueError):
         classify_core((1,) * 5, 3, 1)
+    # The bound reads the canonical length, as `predict` does.
+    assert classify_core((1, 1, 1, 0), 2, 1) == classify_core((1, 1, 1), 2, 1)
+    assert predict(TheoremId.SCHUR_ONE, (1, 1, 1, 0), 2, 1).n == 1
 
 
 def test_partner_values():
@@ -318,7 +336,7 @@ def test_partner_values():
 def test_core_class_z_asymmetry_matches_frobenius(t):
     for la in partitions_up_to(16):
         if is_t_core(la, t):
-            cls = CoreClass(abacus(la, t, max(1, len(la))).offsets)
+            cls = reading(la, t).cls
             for z in range(-6, 9):
                 assert cls.z_asymmetric(z) == is_z_asymmetric(la, z), (la, z)
 
@@ -345,7 +363,7 @@ def test_z_pairing_rule_matches_bead_removal(t):
     cores = {t_core_strips(la, t) for la in partitions_up_to(13)}
     live = set()
     for core in cores:
-        cls = CoreClass(abacus(core, t, max(1, len(core))).offsets)
+        cls = reading(core, t).cls
         for z in [None, *range(-t - 1, t + 2)]:
             for ones in (0, 1):
                 want = _bead_removal_oracle(core, t, z, ones)
@@ -391,8 +409,14 @@ def test_classify_core_ignores_padding_choice(la, t, n):
 
 @given(P, st.integers(2, 7), st.integers(0, 8))
 def test_abacus_offsets_are_the_core_at_any_padding(la, t, extra):
-    base = abacus(la, t, max(1, len(la))).offsets
-    assert abacus(la, t, max(1, len(la)) + extra).offsets == base
+    # Raising the padding m to a multiple tn of t gives class i the count
+    # n + offsets[i], whatever m is.
+    base = reading(la, t).cls.offsets
+    m = max(1, len(la)) + extra
+    n = ceil_div(m, t)
+    counts = residue_counts(la, t, m)
+    k = t * n - m
+    assert tuple(counts[(i - k) % t] + (i < k) - n for i in range(t)) == base
     assert sum(base) == 0
     assert core_from_offsets(base) == t_core_strips(la, t)
 
@@ -408,7 +432,7 @@ def _padded_core(offsets):
 @pytest.mark.parametrize("t", range(2, 9))
 def test_core_from_offsets_matches_the_padded_construction(t):
     for la in partitions_up_to(13):
-        offsets = abacus(la, t, max(1, len(la))).offsets
+        offsets = reading(la, t).cls.offsets
         assert core_from_offsets(offsets) == _padded_core(offsets) == t_core_strips(la, t), la
 
 
@@ -448,81 +472,75 @@ def test_empty_partition_sign_closed_form():
     for t in range(2, 6):
         for n in range(1, 4):
             exp = (t * (t - 1) // 2) * (n * (n + 1) // 2)
-            assert abacus((), t, t * n).block_sign() == (-1 if exp % 2 else 1)
+            if n == 1:
+                assert reading((), t).sign == (-1 if exp % 2 else 1)
+            # Carried from n0 = 1 to n.
+            assert predict(TheoremId.SCHUR_FAC, (), t, n).sigma == (-1 if exp % 2 else 1)
 
 
 def test_sign_values():
-    # The abacus is the beta set on runners; signs are computed on request.
-    assert Abacus._fields == ("beta", "runners")
-    assert abacus((3, 2, 1, 1, 1), 3, 6).block_sign() == -1
+    # A reading keeps what the rows read, not its runners: they grow with t.
+    assert Reading._fields == ("n0", "cls", "quotient", "sign")
+    assert reading((3, 2, 1, 1, 1), 3).sign == -1
     with pytest.raises(ValueError):
-        abacus((1,) * 7, 3, 6)
+        reading((1, 2), 3)
 
 
-@given(P, st.integers(2, 7), st.integers(0, 8))
-def test_signs_match_quadratic_oracle(la, t, extra):
-    m = len(la) + extra
-    ab = abacus(la, t, m)
-    assert ab.beta == beta_set(la, m)
-    assert ab.block_sign() == block_sign_oracle(la, t, m, range(t))
+@given(P, st.integers(2, 7))
+def test_signs_match_quadratic_oracle(la, t):
+    n0 = reading(la, t).n0
+    assert n0 == max(1, ceil_div(len(la), t))
+    assert reading(la, t).sign == block_sign_oracle(la, t, t * n0, range(t))
 
 
 @pytest.mark.parametrize("t", [100, 173, 300])
 def test_block_sign_at_large_t_matches_quadratic_oracle(t):
     # Beads land on a few of many runners, empty runners included.
     wide = [(2 * t + 3, t, 7, 1, 1), (3 * t, 2 * t + 1, t + 1, t - 1)]
-    for la, m in [((5, 3, 3, 1), 6), (wide[0], 5), (wide[0], 9), (wide[1], 4), (wide[1], 7)]:
-        assert abacus(la, t, m).block_sign() == block_sign_oracle(la, t, m, range(t))
+    for la in [(5, 3, 3, 1), *wide, (1,) * (t + 1)]:
+        m = t * reading(la, t).n0
+        assert reading(la, t).sign == block_sign_oracle(la, t, m, range(t)), la
     # schur1's sigma sorts the class c of its point 1 first, at padding
     # tn + 1.  Those partitions vanish there; these live ones have the
     # cores (3), (t - 2) and (), and (3, 1^t) is carried back from n0 = 2.
+    # The point 1 leaves class c one entry above n.
     live = [(2 * t + 3, t - 1, t - 2, 2, 1), (2 * t - 1, t - 1), (2 * t, t), (3,) + (1,) * t]
     for la in live:
         n0 = max(1, ceil_div(len(la) - 1, t))
         for n in range(n0, n0 + 3):
             m = t * n + 1
-            c = CoreClass(abacus(la, t, m).offsets).excess(1).index(1)
+            c = residue_counts(la, t, m).index(n + 1)
             order = [c] + [i for i in range(t) if i != c]
             sigma = predict(TheoremId.SCHUR_ONE, la, t, n).sigma
             assert sigma == block_sign_oracle(la, t, m, order), (la, n)
 
 
-def test_only_the_shared_reading_reads_the_block_sign(monkeypatch, capsys):
-    calls = []
-    real = Abacus.block_sign
-
-    def counted(self):
-        calls.append(len(self.beta))
-        return real(self)
-
-    monkeypatch.setattr(Abacus, "block_sign", counted)
-    # Cold caches, so that the count does not depend on the tests run before.
+def test_every_caller_shares_one_reading_per_case(capsys):
+    # t_core, classify_core, phi, classify and every theorem row read the
+    # same cached reading: one miss per (la, t), whatever the caller and
+    # whatever the form of la.
     factorization._derive.cache_clear()
-    factorization._reading.cache_clear()
+    reading.cache_clear()
+    keys = set()
     for t in range(2, 5):
         for la in partitions_up_to(6):
+            n = ceil_div(len(la), t) or 1
             t_core(la, t)
-            classify_core(la, t, ceil_div(len(la), t) or 1)
+            t_core(list(la) + [0], t)
+            classify_core(la, t, n)
+            for th in TheoremId:
+                predict(th, la, t, n)
+            keys.add((la, t))
     for z, t in [(1, 3), (-1, 3), (0, 4)]:
         for la in enum_z_cores(z, t, 20):
             phi(la, z, t)
-    assert calls == []
-    # classify takes the shared reading, with its block sign at padding
-    # tn0 = 6, once for both calls.
+            keys.add((la, t))
     assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2", "--json"]) == 0
     assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2"]) == 0
     capsys.readouterr()
-    assert calls == [6]
-    # The spy sees the calls of a prediction: the two rows share one block
-    # sign, read at padding tn0 = 3.
-    calls.clear()
-    predict(TheoremId.SCHUR_ONE, (), 3, 1)
-    predict(TheoremId.SCHUR_FAC, (), 3, 1)
-    assert calls == [3]
-    # A larger n moves the derived sign and reads no block sign.
-    predict(TheoremId.SCHUR_ONE, (), 3, 2)
-    predict(TheoremId.SCHUR_FAC, (), 3, 2)
-    assert calls == [3]
+    keys.add(((3, 2, 1, 1, 1), 3))
+    info = reading.cache_info()
+    assert (info.misses, len(keys)) == (105, 105), info
 
 
 def test_class_pairs_are_the_ordered_pairs_of_partners():

@@ -14,7 +14,7 @@ import pytest
 
 from twistchar.cyclotomic import field
 from twistchar.factorization import TheoremId, predict, verify
-from twistchar.partitions import abacus, classify_core, frobenius
+from twistchar.partitions import classify_core, frobenius, reading
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # contract does not lean on the type's own introspection API.
 RECORDS = {
     "FrobeniusCoords": (lambda: frobenius((4, 2, 2, 1)), ("alpha", "beta")),
-    "Abacus": (lambda: abacus((3, 2, 1, 1, 1), 3, 6), ("beta", "runners")),
+    "Reading": (lambda: reading((3, 2, 1, 1, 1), 3), ("n0", "cls", "quotient", "sign")),
     "CoreClass": (lambda: classify_core((3, 2, 1, 1, 1), 3, 2), ("offsets",)),
     "Prediction": (
         lambda: predict(TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2),

@@ -7,7 +7,6 @@ import pytest
 from twistchar import cli, partitions, series
 from helpers import qpoch, t_core_strips, z_core_offsets_stack
 from twistchar.partitions import (
-    abacus,
     conjugate,
     core_from_offsets,
     core_size,
@@ -15,6 +14,7 @@ from twistchar.partitions import (
     is_z_asymmetric,
     partitions_of,
     partitions_up_to,
+    reading,
     size,
     t_core,
     z_asymmetric_up_to,
@@ -420,7 +420,7 @@ def test_lattice_offsets_are_those_of_the_enumerated_cores(t):
             # Each vector is the abacus reading of the core it builds.
             for o in offsets:
                 la = core_from_offsets(o)
-                assert abacus(la, t, max(1, len(la))).offsets == o, (z, o)
+                assert reading(la, t).cls.offsets == o, (z, o)
     with pytest.raises(ValueError, match="bound"):
         list(z_core_offsets(0, 3, -1))
     with pytest.raises(ValueError):
