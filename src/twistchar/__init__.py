@@ -35,32 +35,21 @@ from .partitions import (
     Partition,
     Reading,
     beta_set,
-    classify_core,
-    conjugate,
     core_from_offsets,
     core_size,
     frobenius,
     from_beta_set,
-    from_frobenius,
-    is_t_core,
-    is_z_asymmetric,
     mu_padded,
     partitions_of,
     partitions_up_to,
     rank,
     reading,
     size,
-    t_core,
-    z_asymmetric_up_to,
 )
 from .series import (
-    enum_z_asymmetric,
     enum_z_asymmetric_cores,
-    enum_z_cores,
     gf_z_asymmetric,
     gf_z_cores,
-    phi,
-    phi_inverse,
     theta_f,
     z_core_offsets,
 )
@@ -78,39 +67,28 @@ __all__ = [
     "TheoremId",
     "VerificationReport",
     "beta_set",
-    "classify_core",
-    "conjugate",
     "core_from_offsets",
     "core_size",
     "det",
-    "enum_z_asymmetric",
     "enum_z_asymmetric_cores",
-    "enum_z_cores",
     "frobenius",
     "from_beta_set",
-    "from_frobenius",
     "gf_z_asymmetric",
     "gf_z_cores",
-    "is_t_core",
-    "is_z_asymmetric",
     "lhs_value",
     "mu_padded",
     "partitions_of",
     "partitions_up_to",
-    "phi",
-    "phi_inverse",
     "predict",
     "rank",
     "reading",
     "rhs_value",
     "sample_points",
     "size",
-    "t_core",
     "theta_f",
     "twisted_character",
     "verify",
     "weyl_character",
-    "z_asymmetric_up_to",
     "z_core_offsets",
     "__version__",
 ]

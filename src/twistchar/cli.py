@@ -1,9 +1,9 @@
 """Command-line front end: classify, verify, scan, series.
 
 Exit codes: 0 success, 1 usage or validation error or a case too large
-to evaluate (OverflowError or MemoryError), 2 mathematical mismatch, 3
-point-sampling exhaustion.  Machine output is line-delimited JSON and is
-byte-identical across runs with the same flags and seeds.
+to evaluate (OverflowError, MemoryError or RecursionError), 2 mathematical
+mismatch, 3 point-sampling exhaustion.  Machine output is line-delimited
+JSON and is byte-identical across runs with the same flags and seeds.
 """
 
 from __future__ import annotations
@@ -343,8 +343,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"twistchar: {exc}", file=sys.stderr)
         return 1
-    except (OverflowError, MemoryError) as exc:
-        # A part too large to index or hold a table of that length.
+    except (OverflowError, MemoryError, RecursionError) as exc:
+        # A part too large to index or hold a table of that length, or a
+        # lattice walk with more movable class pairs than the stack holds.
         print(f"twistchar: too large to evaluate: {exc!r}", file=sys.stderr)
         return 1
 

@@ -7,8 +7,7 @@ padding only, the least multiple tn0 of t that la fits: `reading` lays
 beta(la, tn0) out on t runners in one pass, once per (la, t), and reads
 off the t-core's runner offsets, which carry its classification and its
 size, the quotient and the sorting sign of the class-block order.
-`t_core`, `classify_core`, `series.phi`, the CLI's classify and every
-theorem row share that cached reading.
+The CLI's classify and every theorem row share that cached reading.
 The z-asymmetric families are walked as Frobenius arms, and the walk
 carries each beta set as a bitmask, one bead moved per arm, without
 building the partition; asked for t-cores, it cuts every subtree that
@@ -58,12 +57,6 @@ def from_beta_set(b: Iterable[int]) -> Partition:
     return as_partition(x - m + i + 1 for i, x in enumerate(entries))
 
 
-def conjugate(la: Partition) -> Partition:
-    if not la:
-        return ()
-    return tuple(sum(1 for p in la if p >= j) for j in range(1, la[0] + 1))
-
-
 def rank(la: Partition) -> int:
     """Length of the Durfee diagonal, the largest k with la_k >= k."""
     r = 0
@@ -88,30 +81,6 @@ def frobenius(la: Partition) -> FrobeniusCoords:
     return FrobeniusCoords(alpha, beta)
 
 
-def is_z_asymmetric(la: Partition, z: int) -> bool:
-    """True when the Frobenius coordinates satisfy beta_i = alpha_i + z.
-
-    z = 1 gives symplectic partitions, z = -1 orthogonal (the legs
-    alpha_i - 1 are then automatically nonnegative), z = 0 self-conjugate.
-    """
-    fc = frobenius(la)
-    return all(b == a + z for a, b in zip(fc.alpha, fc.beta))
-
-
-def from_frobenius(alpha: Iterable[int], beta: Iterable[int]) -> Partition:
-    """Inverse of frobenius: row i is alpha_i + i long and column i is
-    beta_i + i long (1-based); a row below the diagonal counts the columns
-    that reach it."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    r = len(alpha)
-    for seq in (alpha, beta):
-        if len(seq) != r or min(seq, default=0) < 0 or any(a <= b for a, b in zip(seq, seq[1:])):
-            raise ValueError(f"invalid Frobenius coordinates: {alpha} | {beta}")
-    cols = [b + i + 1 for i, b in enumerate(beta)]
-    below = [sum(1 for c in cols if c >= j) for j in range(r + 1, max(cols, default=0) + 1)]
-    return tuple([a + i + 1 for i, a in enumerate(alpha)] + below)
-
-
 def z_asymmetric_arms(
     z: int, max_size: int, t: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -126,7 +95,7 @@ def z_asymmetric_arms(
 
     With t given, only the t-cores among them, in the same order, and the
     walk enters only subtrees that can still hold one.  A t-core's beta
-    set has no violation: no bit x clear with x + t set (`is_core_beads`).
+    set has no violation: no bit x clear with x + t set.
     Every later arm a of a tuple lies in [low, top], top the next arm's
     bound, and only adds the bead m + a or removes the bead a_1 - a.  So a
     violation at x can be mended only by a bead added at x or one removed
@@ -162,13 +131,6 @@ def z_asymmetric_arms(
             stack.append((arms + (a,), used + 2 * a + z + 1, grew, m, first))
 
 
-def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
-    """Every z-asymmetric partition with |la| <= max_size, built from the
-    arms of `z_asymmetric_arms` and legs a_i + z, in the walk's order."""
-    for arms, _, _ in z_asymmetric_arms(z, max_size):
-        yield from_frobenius(arms, [a + z for a in arms])
-
-
 def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
     """The t-core with the given runner offsets (t = len(offsets)).  At any
     padding tn, runner i holds its n + offsets[i] lowest positions, so its
@@ -199,26 +161,6 @@ def core_size(offsets: tuple[int, ...]) -> int:
             total += k * c - t * k * (k + 1) // 2
             length += k
     return total - length * (length - 1) // 2
-
-
-def t_core(la: Partition, t: int) -> Partition:
-    """The t-core: every runner of the abacus pushed down to its lowest beads."""
-    return reading(as_partition(la), t).cls.core
-
-
-def is_core_beads(beads: int, t: int) -> bool:
-    """Whether a beta set, bit x of `beads` set for each entry x, is that of
-    a t-core: every entry x >= t has x - t among the entries.  The test
-    holds at every padding."""
-    return not (beads >> t) & ~beads
-
-
-def is_t_core(la: Partition, t: int) -> bool:
-    """Whether la is its own t-core, i.e. no hook length is divisible by t:
-    `is_core_beads` on beta(la, l(la))."""
-    if t < 2:
-        raise ValueError(f"modulus must be at least 2, got {t}")
-    return is_core_beads(sum(1 << x for x in beta_set(la, len(la))), t)
 
 
 def partners(t: int, z: int | None) -> tuple[int, ...]:
@@ -326,15 +268,6 @@ def reading(la: Partition, t: int) -> Reading:
                 seen[p] = True
                 p = slot[p]
     return Reading(n0, cls, quotient, -1 if parity % 2 else 1)
-
-
-def classify_core(la: Partition, t: int, n: int) -> CoreClass:
-    """The class of the t-core of la, for l(la) up to t*n + 1 (the appended-one
-    theorem's bound); the offsets do not depend on the padding."""
-    la = as_partition(la)
-    if len(la) > t * n + 1:
-        raise ValueError(f"partition has {len(la)} parts, bound is tn+1={t * n + 1}")
-    return reading(la, t).cls
 
 
 def mu_padded(front: Partition, back: Partition, n: int) -> Partition:

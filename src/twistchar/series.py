@@ -2,18 +2,20 @@
 
 A partition is z-asymmetric when its Frobenius legs exceed its arms by a
 fixed offset z; z = 1, -1, 0 give the symplectic, orthogonal, and
-self-conjugate families.  This module counts their t-cores three
-independent ways.  The enumeration (`enum_z_asymmetric_cores`) walks the
-arm tuples of the family with their sizes and beta sets
-(`partitions.z_asymmetric_arms`, one bead moved per arm), keeps each
-beta set that passes the same closure test as `partitions.is_t_core`, and
-cuts every subtree with a violation that no later arm can mend; it
-builds no partition.  The product is a truncated Pochhammer/theta
-product.  The lattice walk (`z_core_offsets`) is a bijection for the
-t-core members of each family, with one coordinate per class pair
-i < j = t-1-z-i (`partitions.class_pairs`); it yields each core's runner
-offsets, from which `partitions.core_size` reads the size off the runner
-gaps, with no core built, and `enum_z_cores` builds the cores themselves.
+self-conjugate families.  This module counts their t-cores three ways.
+The enumeration (`enum_z_asymmetric_cores`) walks the arm tuples of the
+family with their sizes and beta sets (`partitions.z_asymmetric_arms`,
+one bead moved per arm), keeps each beta set closed under x -> x - t (no
+hook divisible by t), and cuts every subtree with a violation that no
+later arm can mend; it builds no partition.  The product (`gf_z_cores`)
+is a truncated Pochhammer/theta product.  The lattice walk
+(`z_core_offsets`) is a bijection for the t-core members of each family,
+with one coordinate per class pair i < j = t-1-z-i
+(`partitions.class_pairs`); it yields each core's runner offsets, from
+which `partitions.core_size` reads the size off the runner gaps and
+`partitions.core_from_offsets` builds the core.  The product and the
+lattice walk take their pairs from the same `class_pairs`; the
+enumeration shares neither, so it is the check on the pair list.
 The size comes from the bead positions, not from the walk's cost
 t*v^2 - gap*v, which is the theta product's exponent.
 
@@ -27,17 +29,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable, Iterator
 
-from .partitions import (
-    Partition,
-    as_partition,
-    class_pairs,
-    core_from_offsets,
-    is_z_asymmetric,
-    reading,
-    size,
-    z_asymmetric_arms,
-    z_asymmetric_up_to,
-)
+from .partitions import class_pairs, z_asymmetric_arms
+
 
 def count_sizes(sizes: Iterable[int], order: int) -> tuple[int, ...]:
     """Histogram of the sizes: q^m counts the sizes equal to m, 0 <= m <= order."""
@@ -61,18 +54,10 @@ def series_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def enum_z_asymmetric(z: int, order: int) -> tuple[int, ...]:
-    """Count z-asymmetric partitions of each size, built one by one from
-    their Frobenius coordinates."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    return count_sizes(map(size, z_asymmetric_up_to(z, order)), order)
-
-
 def enum_z_asymmetric_cores(z: int, t: int, order: int) -> tuple[int, ...]:
     """Count z-asymmetric t-cores of each size straight from the Frobenius
     arms: each arm tuple of the walk with its size, kept when the beta set
-    the walk carries passes the closure test of `partitions.is_t_core`.
+    the walk carries is closed under x -> x - t.
     The walk skips each subtree whose beta set has a violation that no
     later arm can mend.  No partition is built, and no runner offset is
     read."""
@@ -141,45 +126,6 @@ def gf_z_cores(z: int, t: int, order: int) -> tuple[int, ...]:
     return out
 
 
-def _pairs(z: int, t: int) -> Iterator[tuple[int, int]]:
-    # The lattice coordinates of the z-asymmetric t-cores: one per class
-    # pair i < j, the offset of class i (class j holds its negative), in
-    # order of decreasing gap.
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    return class_pairs(t, z)
-
-
-def phi(la: Partition, z: int, t: int) -> tuple[int, ...]:
-    """Lattice coordinates of a z-asymmetric t-core: the runner offset
-    n_i - n of the lower class i of each pair i < j (`partitions.partners`),
-    with n_i the count of beta elements in class i mod t at any padding tn."""
-    pairs = list(_pairs(z, t))
-    la = as_partition(la)
-    offsets = reading(la, t).cls.offsets
-    if not is_z_asymmetric(la, z) or core_from_offsets(offsets) != la:
-        raise ValueError(f"{la} is not a {z}-asymmetric {t}-core")
-    return tuple(offsets[i] for i, _ in pairs)
-
-
-def phi_inverse(v: tuple[int, ...], z: int, t: int) -> Partition:
-    """Rebuild the unique z-asymmetric t-core with the given coordinates:
-    the lower class of each pair gets offset v_k and its partner -v_k, every
-    self-paired class 0."""
-    pairs = list(_pairs(z, t))
-    if len(v) != len(pairs):
-        raise ValueError(f"expected a vector of length {len(pairs)}, got {len(v)}")
-    return core_from_offsets(_offsets(pairs, v, t))
-
-
-def _offsets(pairs: list[tuple[int, int]], v: tuple[int, ...], t: int) -> tuple[int, ...]:
-    # Class i of each pair gets v_k and its partner j gets -v_k.
-    off = [0] * t
-    for (i, j), x in zip(pairs, v):
-        off[i], off[j] = x, -x
-    return tuple(off)
-
-
 def _coordinate_budget(t: int, gap: int, bound: int) -> list[tuple[int, int]]:
     # A pair i < j = i + gap at offsets (v, -v) adds t*v^2 - gap*v cells,
     # at least t*|v|*(|v| - 1) since gap < t, so every offset within the
@@ -197,12 +143,15 @@ def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
     empty one.  A generator: its `ValueError`s fire at the first item."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
+    if t < 2:
+        raise ValueError(f"need t >= 2, got {t}")
     # A pair whose only offset within the bound is 0 holds offset 0 in
     # every core, so the walk leaves it out.  Offsets (1, -1) cost the
-    # least, t - gap, and `_pairs` comes in order of decreasing gap, so
-    # the pairs that can move come first.
+    # least, t - gap, and `class_pairs` comes in order of decreasing gap,
+    # so the pairs that can move come first.  The offset of class i is the
+    # pair's coordinate, and class j holds its negative.
     pairs, budgets = [], []
-    for i, j in _pairs(z, t):
+    for i, j in class_pairs(t, z):
         if t - (j - i) > bound:
             break
         pairs.append((i, j))
@@ -226,10 +175,3 @@ def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
                     yield from walk(k + 1, room - c)
 
     yield from walk(0, bound)
-
-
-def enum_z_cores(z: int, t: int, bound: int) -> list[Partition]:
-    """All z-asymmetric t-cores of size at most `bound`, sorted by size: each
-    offset vector of `z_core_offsets` built into its partition."""
-    cores = map(core_from_offsets, z_core_offsets(z, t, bound))
-    return sorted(cores, key=lambda la: (size(la), la))

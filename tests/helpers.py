@@ -2,7 +2,14 @@
 
 The oracles are deliberately naive (permutation expansion, tableau
 enumeration, quadratic inversion counts, border-strip removal) so they
-cannot share a bug with the implementations under test.  The ``check_*``
+cannot share a bug with the implementations under test.  The partition
+oracles that no command needs live here too: ``conjugate``, the
+Frobenius-coordinate test ``is_z_asymmetric``, ``from_frobenius`` (the
+inverse of ``partitions.frobenius``), the built family
+``z_asymmetric_up_to`` with its size count ``enum_z_asymmetric``, and the
+beta-set closure tests ``is_core_beads`` and ``is_t_core``.
+``pair_offsets`` and ``lattice_cores`` read the lattice walk of
+``series.z_core_offsets`` as coordinates and as built cores.  The ``check_*``
 functions scan all partitions below a size bound and return a list of
 counterexamples; unit tests call them at small bounds and the acceptance
 sweep calls them at the published bounds.  ``check_block_det_lemma`` is
@@ -15,6 +22,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
@@ -26,16 +34,16 @@ from twistchar.partitions import (
     Partition,
     beta_set,
     class_pairs,
-    classify_core,
-    conjugate,
+    core_from_offsets,
     frobenius,
     from_beta_set,
-    is_z_asymmetric,
     partitions_up_to,
     rank,
     reading,
-    t_core,
+    size,
+    z_asymmetric_arms,
 )
+from twistchar.series import count_sizes, z_core_offsets
 
 
 def partitions_strategy(max_part: int = 9, max_len: int = 7):
@@ -157,8 +165,85 @@ def bialternant(g: GroupType, la: Partition, pts: tuple):
     return det(entry_matrix(g, pts, beta_set(la, n))) / den
 
 
+def conjugate(la: Partition) -> Partition:
+    if not la:
+        return ()
+    return tuple(sum(1 for p in la if p >= j) for j in range(1, la[0] + 1))
+
+
+def is_z_asymmetric(la: Partition, z: int) -> bool:
+    """True when the Frobenius coordinates satisfy beta_i = alpha_i + z.
+
+    z = 1 gives symplectic partitions, z = -1 orthogonal (the legs
+    alpha_i - 1 are then automatically nonnegative), z = 0 self-conjugate.
+    """
+    fc = frobenius(la)
+    return all(b == a + z for a, b in zip(fc.alpha, fc.beta))
+
+
+def from_frobenius(alpha: Iterable[int], beta: Iterable[int]) -> Partition:
+    """Inverse of frobenius: row i is alpha_i + i long and column i is
+    beta_i + i long (1-based); a row below the diagonal counts the columns
+    that reach it."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    r = len(alpha)
+    for seq in (alpha, beta):
+        if len(seq) != r or min(seq, default=0) < 0 or any(a <= b for a, b in zip(seq, seq[1:])):
+            raise ValueError(f"invalid Frobenius coordinates: {alpha} | {beta}")
+    cols = [b + i + 1 for i, b in enumerate(beta)]
+    below = [sum(1 for c in cols if c >= j) for j in range(r + 1, max(cols, default=0) + 1)]
+    return tuple([a + i + 1 for i, a in enumerate(alpha)] + below)
+
+
+def z_asymmetric_up_to(z: int, max_size: int) -> Iterator[Partition]:
+    """Every z-asymmetric partition with |la| <= max_size, built from the
+    arms of `z_asymmetric_arms` and legs a_i + z, in the walk's order."""
+    for arms, _, _ in z_asymmetric_arms(z, max_size):
+        yield from_frobenius(arms, [a + z for a in arms])
+
+
+def enum_z_asymmetric(z: int, order: int) -> tuple[int, ...]:
+    """Count z-asymmetric partitions of each size, built one by one from
+    their Frobenius coordinates."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return count_sizes(map(size, z_asymmetric_up_to(z, order)), order)
+
+
+def is_core_beads(beads: int, t: int) -> bool:
+    """Whether a beta set, bit x of `beads` set for each entry x, is that of
+    a t-core: every entry x >= t has x - t among the entries.  The test
+    holds at every padding."""
+    return not (beads >> t) & ~beads
+
+
+def is_t_core(la: Partition, t: int) -> bool:
+    """Whether la is its own t-core, i.e. no hook length is divisible by t:
+    `is_core_beads` on beta(la, l(la))."""
+    if t < 2:
+        raise ValueError(f"modulus must be at least 2, got {t}")
+    return is_core_beads(sum(1 << x for x in beta_set(la, len(la))), t)
+
+
+def pair_offsets(v, z: int, t: int) -> tuple[int, ...]:
+    """The runner offsets at lattice coordinates v: v_k on the lower class
+    of the k-th pair of `class_pairs(t, z)`, -v_k on its partner, and 0 on
+    every class paired with itself."""
+    off = [0] * t
+    for (i, j), x in zip(class_pairs(t, z), v, strict=True):
+        off[i], off[j] = x, -x
+    return tuple(off)
+
+
+def lattice_cores(z: int, t: int, bound: int) -> list[Partition]:
+    """The cores whose offsets `series.z_core_offsets` walks, each built by
+    `core_from_offsets`, sorted by size."""
+    cores = map(core_from_offsets, z_core_offsets(z, t, bound))
+    return sorted(cores, key=lambda la: (size(la), la))
+
+
 def t_core_strips(la: Partition, t: int) -> Partition:
-    """Independent oracle for t_core: remove border strips one at a time.
+    """Independent oracle for the t-core: remove border strips one at a time.
 
     A removable strip of length t corresponds to a beta entry x with
     x - t >= 0 and x - t not already present; removal replaces x by x - t.
@@ -299,7 +384,7 @@ def check_core_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
     bad = []
     for la in partitions_up_to(max_size):
         for t in ts:
-            core = t_core(la, t)
+            core = reading(la, t).cls.core
             base = max(1, len(la))
             for m in (base, base + 1, base + t):
                 if residue_counts(la, t, m) != residue_counts(core, t, m):
@@ -326,7 +411,7 @@ def check_conjugate_residue_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
                         ca[i] + cb[t - 1 - i] != tot for i in range(t)
                     ):
                         bad.append(("forward", la, t, a + da, b + db))
-        cores = [la for la in las if t_core(la, t) == la]
+        cores = [la for la in las if reading(la, t).cls.core == la]
         for la in cores:
             a = ceil_div(max(1, len(la)), t)
             ca = residue_counts(la, t, t * a)
@@ -387,7 +472,7 @@ def check_small_modulus_trivial(max_size: int) -> list:
     for z in (1, 2, 3):
         for t in range(2, z + 2):
             for la in partitions_up_to(max_size):
-                if la and is_z_asymmetric(la, z) and t_core(la, t) == la:
+                if la and is_z_asymmetric(la, z) and reading(la, t).cls.core == la:
                     bad.append((la, z, t))
     return bad
 
@@ -398,7 +483,7 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
     bad = []
     for t in ts:
         for la in partitions_up_to(max_size):
-            if t_core(la, t) != la:
+            if reading(la, t).cls.core != la:
                 continue
             n = ceil_div(max(1, len(la)), t)
             counts = residue_counts(la, t, t * n)
@@ -413,13 +498,12 @@ def check_asymmetric_core_counts(max_size: int, ts=(2, 3, 4, 5)) -> list:
 
 
 def check_classification_flags(max_size: int, ts=(2, 3, 4, 5)) -> list:
-    """classify_core's verdict for each theorem row, z_asymmetric(z, ones),
+    """The reading's verdict for each theorem row, z_asymmetric(z, ones),
     agrees with the hook-coordinate definition of the row's class applied
-    directly to the core, at the minimal padding n and at n + 1, and so
-    does the class c of the point 1 when a single-row core keeps the
-    appended-one row alive.  The core comes from strip removal, not from
-    residue counts, so it is an independent check of classify_core's own
-    core."""
+    directly to the core, and so does the class c of the point 1 when a
+    single-row core keeps the appended-one row alive.  The core comes from
+    strip removal, not from residue counts, so it is an independent check
+    of the reading's own core."""
     bad = []
     for la in partitions_up_to(max_size):
         for t in ts:
@@ -431,17 +515,15 @@ def check_classification_flags(max_size: int, ts=(2, 3, 4, 5)) -> list:
                 TheoremId.EVEN_ORTH: is_z_asymmetric(core, -1),
                 TheoremId.ODD_ORTH: core == conjugate(core),
             }
-            n_min = ceil_div(max(1, len(la)), t)
-            for n in (n_min, n_min + 1):
-                cls = classify_core(la, t, n)
-                ok = (
-                    cls.core == core
-                    and all(cls.z_asymmetric(th.z, th.ones) == defined[th] for th in TheoremId)
-                    and (len(core) > 1 or cls.excess(1).index(1) == sum(core))
-                    and cls.rank == rank(core)
-                )
-                if not ok:
-                    bad.append((la, t, n))
+            cls = reading(la, t).cls
+            ok = (
+                cls.core == core
+                and all(cls.z_asymmetric(th.z, th.ones) == defined[th] for th in TheoremId)
+                and (len(core) > 1 or cls.excess(1).index(1) == sum(core))
+                and cls.rank == rank(core)
+            )
+            if not ok:
+                bad.append((la, t))
     return bad
 
 
@@ -453,7 +535,7 @@ def check_rank_formulas(max_size: int, ts=(2, 3, 4, 5)) -> list:
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
             counts = residue_counts(la, t, t * n)
-            core = t_core(la, t)
+            core = reading(la, t).cls.core
             if rank(core) != sum(max(c - n, 0) for c in counts):
                 bad.append(("clipped", la, t))
             if core != la:
@@ -494,7 +576,7 @@ def check_quotient_criterion(max_size: int, ts=(2, 3, 4, 5)):
         for t in ts:
             n = ceil_div(max(1, len(la)), t)
             quo = reading(la, t).quotient
-            core = t_core(la, t)
+            core = reading(la, t).cls.core
             hyp = (
                 is_z_asymmetric(core, -1)
                 and is_z_asymmetric(quo[0], -1)
@@ -547,7 +629,7 @@ def check_core_quotient_size(max_size: int, ts=(2, 3, 4, 5)) -> list:
     bad = []
     for la in partitions_up_to(max_size):
         for t in ts:
-            core = t_core(la, t)
+            core = reading(la, t).cls.core
             if core != t_core_strips(la, t):
                 bad.append(("routes", la, t))
             quo = reading(la, t).quotient

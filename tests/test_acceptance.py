@@ -24,6 +24,10 @@ from helpers import (
     check_quotient_criterion,
     check_rank_formulas,
     check_small_modulus_trivial,
+    enum_z_asymmetric,
+    is_z_asymmetric,
+    lattice_cores,
+    pair_offsets,
     t_core_strips,
 )
 from twistchar.characters import GroupType, weyl_character
@@ -37,20 +41,13 @@ from twistchar.factorization import (
 from twistchar.linalg import det
 from twistchar.partitions import (
     beta_set,
-    is_z_asymmetric,
+    core_from_offsets,
     partitions_of,
     partitions_up_to,
+    reading,
     size,
-    t_core,
 )
-from twistchar.series import (
-    enum_z_asymmetric,
-    enum_z_cores,
-    gf_z_asymmetric,
-    gf_z_cores,
-    phi,
-    phi_inverse,
-)
+from twistchar.series import gf_z_asymmetric, gf_z_cores
 
 
 def row(k):
@@ -216,8 +213,8 @@ def test_criterion_04_orthogonal_sweeps_and_two_part_forms():
 
 def test_criterion_05_core_routes_and_sizes():
     assert check_core_quotient_size(14, ts=(2, 3, 4, 5)) == []
-    assert t_core((4, 2, 2, 1), 2) == (2, 1)
-    assert t_core((3, 2, 1, 1, 1), 3) == (1, 1)
+    assert reading((4, 2, 2, 1), 2).cls.core == (2, 1)
+    assert reading((3, 2, 1, 1, 1), 3).cls.core == (1, 1)
     print("criterion 5: PASS  both core routes and the size identity to |la| = 14")
 
 
@@ -229,22 +226,23 @@ def test_criterion_06_series_and_lattice_bijection():
             brute = [0] * 31
             for m in range(31):
                 for la in partitions_of(m):
-                    if is_z_asymmetric(la, z) and t_core(la, t) == la:
+                    if is_z_asymmetric(la, z) and reading(la, t).cls.core == la:
                         brute[m] += 1
             assert tuple(brute) == gf_z_cores(z, t, 30), (z, t)
     pairs = [(z, t) for t in (3, 4, 5, 6) for z in range(0, t - 1)]
     for z, t in pairs:
-        for la in enum_z_cores(z, t, 30):
-            assert phi_inverse(phi(la, z, t), z, t) == la
+        for la in lattice_cores(z, t, 30):
+            assert core_from_offsets(reading(la, t).cls.offsets) == la
         d = (t - z) // 2
         vecs = [()]
         for _ in range(d):
             vecs = [v + (c,) for v in vecs for c in (-2, -1, 0, 1, 2)]
         slopes = [t - z - 1 - 2 * i for i in range(d)]
         for v in vecs:
-            la = phi_inverse(v, z, t)
-            assert phi(la, z, t) == v
-            assert is_z_asymmetric(la, z) and t_core(la, t) == la
+            offsets = pair_offsets(v, z, t)
+            la = core_from_offsets(offsets)
+            assert reading(la, t).cls.offsets == offsets
+            assert is_z_asymmetric(la, z) and reading(la, t).cls.core == la
             assert size(la) == sum(t * x * x - s * x for x, s in zip(v, slopes))
     assert [m for m, c in enumerate(gf_z_cores(1, 3, 20)) if c] == [0, 2, 4, 10, 14]
     assert [m for m, c in enumerate(gf_z_cores(0, 3, 20)) if c] == [0, 1, 5, 8, 16]
@@ -253,16 +251,16 @@ def test_criterion_06_series_and_lattice_bijection():
 
 def test_criterion_07_families_of_matching_cores():
     for t in (3, 4, 5):
-        sym = enum_z_cores(1, t, 200)
-        orth = enum_z_cores(-1, t, 200)
+        sym = lattice_cores(1, t, 200)
+        orth = lattice_cores(-1, t, 200)
         assert len(set(sym)) == len(sym) >= 10, t
         assert len(set(orth)) == len(orth) >= 10, t
         for la in sym:
-            assert is_z_asymmetric(la, 1) and t_core(la, t) == la
+            assert is_z_asymmetric(la, 1) and reading(la, t).cls.core == la
         for la in orth:
-            assert is_z_asymmetric(la, -1) and t_core(la, t) == la
-    assert enum_z_cores(1, 2, 200) == [()]
-    assert enum_z_cores(-1, 2, 200) == [()]
+            assert is_z_asymmetric(la, -1) and reading(la, t).cls.core == la
+    assert lattice_cores(1, 2, 200) == [()]
+    assert lattice_cores(-1, 2, 200) == [()]
     print("criterion 7: PASS  10+ symplectic and 10+ orthogonal cores for t in 3..5")
 
 

@@ -17,9 +17,9 @@ from helpers import (
     check_quotient_criterion,
     check_rank_formulas,
     check_small_modulus_trivial,
+    is_z_asymmetric,
     pred_beta_pairing,
 )
-from twistchar.partitions import is_z_asymmetric
 
 
 def test_conjugate_beta_sets_tile_an_interval():

@@ -157,6 +157,14 @@ def test_sizes_too_large_to_evaluate_exit_one(monkeypatch, capsys):
     assert err == "twistchar: too large to evaluate: MemoryError()\n"
 
 
+def test_lattice_walk_deeper_than_the_stack_exits_one(capsys):
+    # The walk recurses once per movable class pair, about N/2 of them here.
+    code, out, err = run(["series", "--z", "0", "--t", "2100", "--N", "2100"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("twistchar: too large to evaluate: RecursionError")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

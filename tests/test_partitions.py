@@ -9,9 +9,16 @@ from hypothesis import given, strategies as st
 from helpers import (
     block_sign_oracle,
     ceil_div,
+    conjugate,
+    from_frobenius,
+    is_core_beads,
+    is_t_core,
+    is_z_asymmetric,
+    lattice_cores,
     partitions_strategy,
     residue_counts,
     t_core_strips,
+    z_asymmetric_up_to,
 )
 from twistchar import factorization, partitions
 from twistchar.cli import main
@@ -23,16 +30,10 @@ from twistchar.partitions import (
     as_partition,
     beta_set,
     class_pairs,
-    classify_core,
-    conjugate,
     core_from_offsets,
     core_size,
     frobenius,
     from_beta_set,
-    from_frobenius,
-    is_core_beads,
-    is_t_core,
-    is_z_asymmetric,
     mu_padded,
     partitions_of,
     partitions_up_to,
@@ -40,11 +41,8 @@ from twistchar.partitions import (
     rank,
     reading,
     size,
-    t_core,
     z_asymmetric_arms,
-    z_asymmetric_up_to,
 )
-from twistchar.series import enum_z_cores, phi
 
 P = partitions_strategy()
 
@@ -110,9 +108,10 @@ def test_frobenius_roundtrip(la):
     assert swapped.alpha == fc.beta and swapped.beta == fc.alpha
 
 
-def test_frobenius_reads_no_conjugate(monkeypatch):
+def test_frobenius_reads_no_conjugate():
     # The legs are column lengths, but only the first rank(la) of them are
-    # read, so frobenius must not build the conjugate (la_1 entries).
+    # read, so frobenius must not build the conjugate (la_1 entries); the
+    # runtime has no conjugate to build it with.
     las = list(partitions_up_to(14))
     zs = range(-3, 4)
     want = {}
@@ -123,10 +122,7 @@ def test_frobenius_reads_no_conjugate(monkeypatch):
         want[la] = (FrobeniusCoords(tuple(la[i] - (i + 1) for i in range(r)), legs),
                     [is_z_asymmetric(la, z) for z in zs])
 
-    def never(la):
-        raise AssertionError("frobenius built the conjugate")
-
-    monkeypatch.setattr(partitions, "conjugate", never)
+    assert not hasattr(partitions, "conjugate")
     for la in las:
         assert (frobenius(la), [is_z_asymmetric(la, z) for z in zs]) == want[la], la
     huge = frobenius((10**20 - 1, 3, 1))
@@ -213,19 +209,19 @@ def test_conjugation_negates_z(la, z):
 
 
 def test_core_values():
-    assert t_core((4, 2, 2, 1), 2) == (2, 1)
-    assert t_core((3, 2, 1, 1, 1), 3) == (1, 1)
-    assert t_core((), 4) == ()
-    # Any weakly decreasing sequence, read in canonical form.
-    assert t_core([4, 2, 2, 1], 2) == t_core((4, 2, 2, 1, 0), 2) == (2, 1)
+    assert reading((4, 2, 2, 1), 2).cls.core == (2, 1)
+    assert reading((3, 2, 1, 1, 1), 3).cls.core == (1, 1)
+    assert reading((), 4).cls.core == ()
+    # A trailing zero is read in canonical form.
+    assert reading((4, 2, 2, 1, 0), 2).cls.core == (2, 1)
     with pytest.raises(ValueError):
-        t_core((2, 1), 1)
+        reading((2, 1), 1)
 
 
 @pytest.mark.parametrize("t", range(2, 7))
 def test_core_tests_agree(t):
     for la in partitions_up_to(14):
-        core = t_core(la, t)
+        core = reading(la, t).cls.core
         assert is_t_core(la, t) == (core == la) == (t_core_strips(la, t) == la), la
     with pytest.raises(ValueError):
         is_t_core((2, 1), 1)
@@ -235,9 +231,9 @@ def test_core_tests_agree(t):
 
 @given(P, st.integers(2, 5))
 def test_core_routes_agree(la, t):
-    core = t_core(la, t)
+    core = reading(la, t).cls.core
     assert core == t_core_strips(la, t)
-    assert t_core(core, t) == core
+    assert reading(core, t).cls.core == core
 
 
 def _class_quotient(la, t, m):
@@ -257,7 +253,7 @@ def test_quotient_values():
 def test_core_and_quotient_carry_the_size(la, t):
     quo = reading(la, t).quotient
     assert len(quo) == t
-    assert size(la) == size(t_core(la, t)) + t * sum(size(q) for q in quo)
+    assert size(la) == size(reading(la, t).cls.core) + t * sum(size(q) for q in quo)
 
 
 @given(P, st.integers(2, 5), st.integers(0, 3))
@@ -287,12 +283,12 @@ def test_residue_counts_shift_with_padding(la, t, extra):
 
 
 def test_classify_core_values():
-    cls = classify_core((4, 2, 2, 1), 2, 2)
+    cls = reading((4, 2, 2, 1), 2).cls
     assert cls == CoreClass((-1, 1))
     assert cls.core == (2, 1) and cls.z_asymmetric(0) and cls.rank == 1
     assert not (cls.z_asymmetric(None) or cls.z_asymmetric(1) or cls.z_asymmetric(-1))
     assert not cls.z_asymmetric(None, 1)
-    cls = classify_core((3, 2, 1, 1, 1), 3, 2)
+    cls = reading((3, 2, 1, 1, 1), 3).cls
     assert cls == CoreClass((1, -1, 0))
     assert cls.core == (1, 1) and cls.z_asymmetric(1) and cls.rank == 1
     assert not (cls.z_asymmetric(None) or cls.z_asymmetric(-1) or cls.z_asymmetric(0))
@@ -302,22 +298,23 @@ def test_classify_core_values():
 def test_classify_core_single_row():
     # With a point 1 appended and no pairing, a core of at most one row (c)
     # survives, and the point 1 leaves its one bead above n in class c.
-    cls = classify_core((2, 2), 2, 1)
+    cls = reading((2, 2), 2).cls
     assert cls.z_asymmetric(None, 1) and cls.excess(1).index(1) == 0
     assert cls.z_asymmetric(None)
-    cls = classify_core((1,), 2, 1)
+    cls = reading((1,), 2).cls
     assert cls.z_asymmetric(None, 1) and cls.excess(1).index(1) == 1
-    assert not classify_core((3, 2, 1), 2, 2).z_asymmetric(None, 1)
-    every = classify_core((), 3, 1)
+    assert not reading((3, 2, 1), 2).cls.z_asymmetric(None, 1)
+    every = reading((), 3).cls
     assert all(every.z_asymmetric(z) for z in (None, 1, -1, 0))
     assert every.z_asymmetric(None, 1) and every.excess(1).index(1) == 0 and every.rank == 0
 
 
 def test_classify_core_rejects_long_partitions():
+    # The appended-one theorem's bound tn + 1 is predict's.
     with pytest.raises(ValueError):
-        classify_core((1,) * 5, 3, 1)
-    # The bound reads the canonical length, as `predict` does.
-    assert classify_core((1, 1, 1, 0), 2, 1) == classify_core((1, 1, 1), 2, 1)
+        predict(TheoremId.SCHUR_ONE, (1,) * 5, 3, 1)
+    # The bound reads the canonical length, and so does the reading.
+    assert reading((1, 1, 1, 0), 2).cls == reading((1, 1, 1), 2).cls
     assert predict(TheoremId.SCHUR_ONE, (1, 1, 1, 0), 2, 1).n == 1
 
 
@@ -403,8 +400,11 @@ def test_predict_reads_each_verdict_through_one_rule(th, monkeypatch):
 
 @given(P, st.integers(2, 4), st.integers(1, 3))
 def test_classify_core_ignores_padding_choice(la, t, n):
+    # The class read at padding tn is the one read at t(n + 1).
     n = max(n, ceil_div(len(la), t))
-    assert classify_core(la, t, n) == classify_core(la, t, n + 1)
+    offsets = reading(la, t).cls.offsets
+    for m in (n, n + 1):
+        assert tuple(c - m for c in residue_counts(la, t, t * m)) == offsets
 
 
 @given(P, st.integers(2, 7), st.integers(0, 8))
@@ -462,7 +462,7 @@ def test_core_from_offsets_builds_only_the_rows_of_the_core(monkeypatch):
         return from_beta_set(b)
 
     monkeypatch.setattr(partitions, "from_beta_set", measured)
-    cores = enum_z_cores(0, 20000, 10)
+    cores = lattice_cores(0, 20000, 10)
     assert len(lengths) == len(cores) == 13
     assert sorted(lengths) == sorted(len(la) for la in cores)
     assert max(lengths) <= 10
@@ -516,24 +516,23 @@ def test_block_sign_at_large_t_matches_quadratic_oracle(t):
 
 
 def test_every_caller_shares_one_reading_per_case(capsys):
-    # t_core, classify_core, phi, classify and every theorem row read the
-    # same cached reading: one miss per (la, t), whatever the caller and
-    # whatever the form of la.
+    # classify and every theorem row read the same cached reading: one miss
+    # per (la, t), whatever the caller and whatever the form of la.
     factorization._derive.cache_clear()
     reading.cache_clear()
     keys = set()
     for t in range(2, 5):
         for la in partitions_up_to(6):
             n = ceil_div(len(la), t) or 1
-            t_core(la, t)
-            t_core(list(la) + [0], t)
-            classify_core(la, t, n)
             for th in TheoremId:
                 predict(th, la, t, n)
+            predict(TheoremId.SCHUR_ONE, list(la) + [0], t, n)
             keys.add((la, t))
     for z, t in [(1, 3), (-1, 3), (0, 4)]:
-        for la in enum_z_cores(z, t, 20):
-            phi(la, z, t)
+        for la in lattice_cores(z, t, 20):
+            n = ceil_div(len(la), t) or 1
+            argv = ["classify", ",".join(map(str, la)), "--t", str(t), "--n", str(n), "--json"]
+            assert main(argv) == 0
             keys.add((la, t))
     assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2", "--json"]) == 0
     assert main(["classify", "3,2,1,1,1", "--t", "3", "--n", "2"]) == 0

@@ -14,7 +14,7 @@ import pytest
 
 from twistchar.cyclotomic import field
 from twistchar.factorization import TheoremId, predict, verify
-from twistchar.partitions import classify_core, frobenius, reading
+from twistchar.partitions import frobenius, reading
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RECORDS = {
     "FrobeniusCoords": (lambda: frobenius((4, 2, 2, 1)), ("alpha", "beta")),
     "Reading": (lambda: reading((3, 2, 1, 1, 1), 3), ("n0", "cls", "quotient", "sign")),
-    "CoreClass": (lambda: classify_core((3, 2, 1, 1, 1), 3, 2), ("offsets",)),
+    "CoreClass": (lambda: reading((3, 2, 1, 1, 1), 3).cls, ("offsets",)),
     "Prediction": (
         lambda: predict(TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2),
         ("t", "n", "epsilon", "sigma", "sign", "factors"),

@@ -5,29 +5,32 @@ import json
 import pytest
 
 from twistchar import cli, partitions, series
-from helpers import qpoch, t_core_strips, z_core_offsets_stack
-from twistchar.partitions import (
+from helpers import (
     conjugate,
-    core_from_offsets,
-    core_size,
+    enum_z_asymmetric,
     is_t_core,
     is_z_asymmetric,
+    lattice_cores,
+    pair_offsets,
+    qpoch,
+    t_core_strips,
+    z_asymmetric_up_to,
+    z_core_offsets_stack,
+)
+from twistchar.partitions import (
+    class_pairs,
+    core_from_offsets,
+    core_size,
     partitions_of,
     partitions_up_to,
     reading,
     size,
-    t_core,
-    z_asymmetric_up_to,
 )
 from twistchar.series import (
     count_sizes,
-    enum_z_asymmetric,
     enum_z_asymmetric_cores,
-    enum_z_cores,
     gf_z_asymmetric,
     gf_z_cores,
-    phi,
-    phi_inverse,
     series_product,
     theta_f,
     z_core_offsets,
@@ -189,10 +192,10 @@ def test_core_counts_three_ways(z, t):
     brute = [0] * (order + 1)
     for m in range(order + 1):
         for la in partitions_of(m):
-            if is_z_asymmetric(la, z) and t_core(la, t) == la:
+            if is_z_asymmetric(la, z) and reading(la, t).cls.core == la:
                 brute[m] += 1
     assert tuple(brute) == gf_z_cores(z, t, order)
-    assert count_sizes(map(size, enum_z_cores(z, t, order)), order) == tuple(brute)
+    assert count_sizes(map(size, lattice_cores(z, t, order)), order) == tuple(brute)
 
 
 @pytest.mark.parametrize("t", [3, 4])
@@ -201,28 +204,26 @@ def test_orthogonal_core_counts_brute_force(t):
     brute: dict[int, int] = {}
     for m in range(order + 1):
         for la in partitions_of(m):
-            if is_z_asymmetric(la, -1) and t_core(la, t) == la:
+            if is_z_asymmetric(la, -1) and reading(la, t).cls.core == la:
                 brute[m] = brute.get(m, 0) + 1
     counts: dict[int, int] = {}
-    for la in enum_z_cores(-1, t, order):
+    for la in lattice_cores(-1, t, order):
         counts[size(la)] = counts.get(size(la), 0) + 1
     assert counts == brute
 
 
 def test_lattice_coordinate_values():
-    assert phi((1, 1), 1, 3) == (1,)
-    assert phi((1,), 0, 3) == (1,)
-    assert phi((), 1, 3) == (0,)
-    assert phi_inverse((-1,), 1, 3) == (2, 1, 1)
-    assert phi_inverse((0, 0), 0, 4) == ()
-    with pytest.raises(ValueError):
-        phi((2,), 1, 3)
-    with pytest.raises(ValueError):
-        phi((3, 3, 3), 1, 3)
-    with pytest.raises(ValueError):
-        phi((1, 1), -1, 3)
-    with pytest.raises(ValueError):
-        phi_inverse((1, 2), 1, 3)
+    # A core's coordinates are the offsets of the lower class of each pair.
+    assert reading((1, 1), 3).cls.offsets == pair_offsets((1,), 1, 3) == (1, -1, 0)
+    assert reading((1,), 3).cls.offsets == pair_offsets((1,), 0, 3) == (1, 0, -1)
+    assert reading((), 3).cls.offsets == pair_offsets((0,), 1, 3)
+    assert core_from_offsets(pair_offsets((-1,), 1, 3)) == (2, 1, 1)
+    assert core_from_offsets(pair_offsets((0, 0), 0, 4)) == ()
+    # No coordinates for a 3-core that is not 1-asymmetric, for a partition
+    # that is not a 3-core, nor for a 3-core that is not (-1)-asymmetric.
+    assert not reading((2,), 3).cls.z_asymmetric(1)
+    assert reading((3, 3, 3), 3).cls.core != (3, 3, 3)
+    assert not reading((1, 1), 3).cls.z_asymmetric(-1)
 
 
 @pytest.mark.parametrize(
@@ -236,41 +237,42 @@ def test_lattice_bijection_roundtrip(z, t):
         vecs = [v + (c,) for v in vecs for c in range(-2, 3)]
     slopes = [t - z - 1 - 2 * i for i in range(d)]
     for v in vecs:
-        la = phi_inverse(v, z, t)
-        assert phi(la, z, t) == v
-        assert is_z_asymmetric(la, z) and t_core(la, t) == la
+        offsets = pair_offsets(v, z, t)
+        la = core_from_offsets(offsets)
+        assert reading(la, t).cls.offsets == offsets
+        assert is_z_asymmetric(la, z) and reading(la, t).cls.core == la
         assert size(la) == sum(t * x * x - s * x for x, s in zip(v, slopes))
-    cores = enum_z_cores(z, t, 30)
+    cores = lattice_cores(z, t, 30)
     assert len(set(cores)) == len(cores)
     for la in cores:
-        assert phi_inverse(phi(la, z, t), z, t) == la
+        assert core_from_offsets(reading(la, t).cls.offsets) == la
 
 
 def test_core_enumeration_values():
-    assert enum_z_cores(1, 3, 14) == [
+    assert lattice_cores(1, 3, 14) == [
         (),
         (1, 1),
         (2, 1, 1),
         (4, 2, 2, 1, 1),
         (5, 3, 2, 2, 1, 1),
     ]
-    assert enum_z_cores(-1, 3, 14) == [
+    assert lattice_cores(-1, 3, 14) == [
         (),
         (2,),
         (3, 1),
         (5, 3, 1, 1),
         (6, 4, 2, 1, 1),
     ]
-    assert enum_z_cores(1, 2, 40) == [()]
-    assert enum_z_cores(-1, 2, 40) == [()]
-    assert [size(la) for la in enum_z_cores(0, 2, 15)] == [0, 1, 3, 6, 10, 15]
-    assert enum_z_cores(3, 4, 10) == [()]
+    assert lattice_cores(1, 2, 40) == [()]
+    assert lattice_cores(-1, 2, 40) == [()]
+    assert [size(la) for la in lattice_cores(0, 2, 15)] == [0, 1, 3, 6, 10, 15]
+    assert lattice_cores(3, 4, 10) == [()]
     with pytest.raises(ValueError):
-        enum_z_cores(1, 1, 10)
+        list(z_core_offsets(1, 1, 10))
     for z in (5, 0, -1):
         with pytest.raises(ValueError, match="bound"):
-            enum_z_cores(z, 3, -1)
-    assert enum_z_cores(0, 3, 0) == [()]
+            list(z_core_offsets(z, 3, -1))
+    assert lattice_cores(0, 3, 0) == [()]
 
 
 @pytest.mark.parametrize("z", [-3, -1, 0, 1, 2, 7])
@@ -278,7 +280,7 @@ def test_lattice_walk_at_t_above_the_bound_lists_the_whole_family(z):
     # A partition of size below t has no hook of length t, so every
     # z-asymmetric partition of size <= N < t is a t-core.
     want = sorted(z_asymmetric_up_to(z, 14), key=lambda la: (size(la), la))
-    assert enum_z_cores(z, 2000, 14) == want
+    assert lattice_cores(z, 2000, 14) == want
 
 
 def test_lattice_walk_leaves_out_the_pairs_that_cannot_move(monkeypatch):
@@ -294,7 +296,7 @@ def test_lattice_walk_leaves_out_the_pairs_that_cannot_move(monkeypatch):
         vectors = list(z_core_offsets(z, t, bound))
         # Offsets (1, -1) on the pair i < j add t - (j - i) cells; only the
         # pairs that can move are walked, and the others stay at 0.
-        pairs = list(series._pairs(z, t))
+        pairs = list(class_pairs(t, z))
         movable = [(i, j) for i, j in pairs if t - (j - i) <= bound]
         assert gaps == [j - i for i, j in movable], (z, t)
         still = [c for pair in pairs if pair not in movable for c in pair]
@@ -314,7 +316,7 @@ def test_lattice_walk_keeps_the_stack_walk_order():
 @pytest.mark.parametrize("t", range(2, 7))
 def test_lattice_walk_matches_the_frobenius_construction(t):
     for z in range(-t - 1, t + 2):
-        walk = enum_z_cores(z, t, 20)
+        walk = lattice_cores(z, t, 20)
         built = [la for la in z_asymmetric_up_to(z, 20) if is_t_core(la, t)]
         assert sorted(walk) == sorted(built), z
         assert [size(la) for la in walk] == sorted(map(size, built)), z
@@ -324,31 +326,31 @@ def test_lattice_walk_matches_the_frobenius_construction(t):
 def test_lattice_roundtrip_outside_the_product_range(t):
     # z = -1 has (t-1)//2 class pairs, z >= t-1 none (dimension 0).
     for z, d in [(-1, (t - 1) // 2), (t - 1, 0), (t, 0), (t + 3, 0)]:
-        assert phi((), z, t) == (0,) * d
+        assert len(list(class_pairs(t, z))) == d
+        assert reading((), t).cls.offsets == pair_offsets((0,) * d, z, t)
         vecs = [()]
         for _ in range(d):
             vecs = [v + (c,) for v in vecs for c in range(-2, 3)]
         for v in vecs:
-            la = phi_inverse(v, z, t)
-            assert phi(la, z, t) == v
+            offsets = pair_offsets(v, z, t)
+            la = core_from_offsets(offsets)
+            assert reading(la, t).cls.offsets == offsets
             assert is_z_asymmetric(la, z) and is_t_core(la, t)
-        with pytest.raises(ValueError):
-            phi_inverse((0,) * (d + 1), z, t)
 
 
 def test_conjugation_swaps_the_sign_of_z():
     # Both sides are lattice walks, over different class pairs.
     for t in (3, 4, 5, 6):
         for z in (1, 2, 3) if t >= 4 else (1,):
-            plus = enum_z_cores(z, t, 18)
-            minus = enum_z_cores(-z, t, 18)
+            plus = lattice_cores(z, t, 18)
+            minus = lattice_cores(-z, t, 18)
             assert sorted(conjugate(la) for la in plus) == sorted(minus), (z, t)
 
 
 def test_every_family_keeps_growing():
     for t in (3, 4, 5):
         for z in (-1, 0, 1):
-            a, b, c = (len(enum_z_cores(z, t, bound)) for bound in (50, 100, 200))
+            a, b, c = (len(lattice_cores(z, t, bound)) for bound in (50, 100, 200))
             assert a < b < c
 
 
@@ -387,9 +389,9 @@ def test_enum_column_builds_no_partition(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the enum column built a partition")
 
-    monkeypatch.setattr(partitions, "from_frobenius", never)
+    assert not hasattr(partitions, "from_frobenius")
+    assert not hasattr(series, "core_from_offsets")
     monkeypatch.setattr(partitions, "core_from_offsets", never)
-    monkeypatch.setattr(series, "core_from_offsets", never)
     monkeypatch.setattr(partitions, "beta_set", never)
     assert enum_z_asymmetric_cores(1, 5, 30) == want
     assert sum(want) > 1
@@ -399,22 +401,12 @@ def test_enum_column_builds_no_partition(monkeypatch):
         enum_z_asymmetric_cores(1, 3, -1)
 
 
-def test_lattice_walk_skips_phi_inverse(monkeypatch):
-    want = enum_z_cores(0, 6, 40)
-
-    def never(*args, **kwargs):
-        raise AssertionError("enum_z_cores called phi_inverse")
-
-    monkeypatch.setattr(series, "phi_inverse", never)
-    assert enum_z_cores(0, 6, 40) == want
-
-
 @pytest.mark.parametrize("t", range(2, 9))
 def test_lattice_offsets_are_those_of_the_enumerated_cores(t):
     for z in range(-t - 1, t + 2):
         for bound in (0, 1, 5, 13, 30):
             offsets = list(z_core_offsets(z, t, bound))
-            cores = enum_z_cores(z, t, bound)
+            cores = lattice_cores(z, t, bound)
             assert len(set(offsets)) == len(offsets) == len(cores), (z, bound)
             assert sorted(map(core_size, offsets)) == [size(la) for la in cores], (z, bound)
             # Each vector is the abacus reading of the core it builds.
@@ -436,7 +428,6 @@ def test_lattice_column_builds_no_partition(monkeypatch, capsys):
         raise AssertionError("the series command built a core")
 
     monkeypatch.setattr(partitions, "core_from_offsets", never)
-    monkeypatch.setattr(series, "core_from_offsets", never)
     monkeypatch.setattr(partitions, "from_beta_set", never)
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
