@@ -34,6 +34,12 @@ integers H_m.  Row i scaled by d^(la_i - i) and column j by d^j turn the
 entry h_(la_i-i+j) into H_(la_i-i+j); the second Koike-Terada term
 h_(la_i-i-j-s) picks up d^(2j+s): d^(2j) for SP, d^(2j+1) for OO and
 d^(2j+2) for OE; the scales multiply to d^|la|.
+With no point 1, h_m is 0 unless t | m, so the matrix is block-diagonal
+up to permutation, its blocks keyed by residue class (`_unbalanced`).
+A block with more rows than columns makes the determinant 0
+(Frobenius-Koenig), which is decided in O(l(la)) before any table or
+det.  A point 1 makes h nonzero in every class, so schur1's rows keep
+the full det.
 """
 
 from __future__ import annotations
@@ -138,8 +144,6 @@ def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
     """
     pairs = [(x.numerator, x.denominator) for x in xs]
     if inverted:
-        if not all(p for p, _ in pairs):
-            raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
         pairs += [(q, p) for p, q in pairs]
     d = lcm(*(q for _, q in pairs))
     base = [1] + [0] * (top // t)
@@ -152,6 +156,31 @@ def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
     for _ in range(ones):
         h = list(accumulate(h, lambda acc, hm: d * acc + hm))
     return tuple(h), d
+
+
+@lru_cache(maxsize=4096)
+def _unbalanced(la: Partition, t: int, s: int | None) -> bool:
+    """Whether the twisted h matrix of la, with no point 1, has singular
+    support, read off the residue classes of its rows and columns.
+
+    Row i holds h_(la_i-i+j), nonzero only when t divides la_i - i + j,
+    that is when column j has class r_i = (i - la_i) mod t; s is None for
+    GL, whose key is that class.  The Koike-Terada second term
+    h_(la_i-i-j-s) adds the class -r_i - s, so for SP, OE and OO the key
+    is the orbit {r, -r - s} (as its least member).  Rows keyed k meet
+    only columns keyed k, so when the row and column keys differ as
+    multisets some block has more rows than columns, and the determinant
+    is 0 (Frobenius-Koenig).  Every seed of a scan asks again for each of
+    its cases, so the verdict is kept per (la, t, s).
+    """
+    cols = range(len(la))
+    if s is None:
+        rows = [(i - p) % t for i, p in enumerate(la)]
+        keys = [j % t for j in cols]
+    else:
+        rows = [min((i - p) % t, (p - i - s) % t) for i, p in enumerate(la)]
+        keys = [min(j % t, (-j - s) % t) for j in cols]
+    return sorted(rows) != sorted(keys)
 
 
 def twisted_character(
@@ -173,6 +202,10 @@ def twisted_character(
     SP, OE and OO only need them nonzero.
     The matrix handed to det is the integer one of the module docstring:
     the second term h_(la_i-i-j-s) becomes d^(2j+s) H_(la_i-i-j-s).
+    With no point 1, a matrix whose residue-class blocks are not square
+    is 0 by Frobenius-Koenig (`_unbalanced`), read before any table is
+    built; a point 1 fills every class, so those rows always take the
+    det.  A balanced matrix takes one full det, not one per block.
     """
     if not all(isinstance(x, Fraction) for x in xs):
         raise TypeError(f"points must be Fractions, got {xs}")
@@ -181,6 +214,10 @@ def twisted_character(
     if not la:
         return Fraction(1)
     gl = g is GroupType.GL
+    if not gl and not all(x.numerator for x in xs):
+        raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
+    if not ones and _unbalanced(tuple(la), t, None if gl else _KOIKE_TERADA[g][0]):
+        return Fraction(0)
     # Each appended one is doubled with the inverses.
     ones_in_table = (1 if gl else 2) * ones
     # The table runs on to the end of top's block of t when that at most

@@ -9,7 +9,9 @@ inverse of ``partitions.frobenius``), the built family
 ``z_asymmetric_up_to`` with its size count ``enum_z_asymmetric``, and the
 beta-set closure tests ``is_core_beads`` and ``is_t_core``.
 ``pair_offsets`` and ``lattice_cores`` read the lattice walk of
-``series.z_core_offsets`` as coordinates and as built cores.  The ``check_*``
+``series.z_core_offsets`` as coordinates and as built cores.
+``twisted_full_det`` is the twisted character's determinant with no
+singular-support rule.  The ``check_*``
 functions scan all partitions below a size bound and return a list of
 counterexamples; unit tests call them at small bounds and the acceptance
 sweep calls them at the published bounds.  ``check_block_det_lemma`` is
@@ -26,6 +28,7 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
+from twistchar import characters
 from twistchar.characters import DegeneratePointError, GroupType
 from twistchar.cyclotomic import field, omega_pow
 from twistchar.factorization import TheoremId
@@ -163,6 +166,30 @@ def bialternant(g: GroupType, la: Partition, pts: tuple):
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
     return det(entry_matrix(g, pts, beta_set(la, n))) / den
+
+
+def twisted_full_det(g: GroupType, la: Partition, xs: tuple, t: int) -> Fraction:
+    """`twisted_character` with no point 1 and no support rule: the whole
+    integer Jacobi-Trudi / Koike-Terada matrix over `_twisted_h`'s table,
+    handed to `det` every time.  The oracle of the singular-support rule."""
+    if not la:
+        return Fraction(1)
+    gl = g is GroupType.GL
+    h, d = characters._twisted_h.__wrapped__(xs, not gl, 0, t, la[0] + len(la))
+
+    def hm(m: int) -> int:
+        return h[m] if m >= 0 else 0
+
+    cols = range(len(la))
+    if gl:
+        rows = [[hm(p - i + j) for j in cols] for i, p in enumerate(la)]
+    else:
+        s, sign = characters._KOIKE_TERADA[g]
+        rows = [
+            [hm(p - i + j) + (sign * d ** (2 * j + s) * hm(p - i - j - s) if j or s else 0) for j in cols]
+            for i, p in enumerate(la)
+        ]
+    return Fraction(det(rows), d ** sum(la))
 
 
 def conjugate(la: Partition) -> Partition:

@@ -18,6 +18,7 @@ from helpers import (
     entry_matrix,
     partitions_strategy,
     schur_ssyt,
+    twisted_full_det,
     twisted_points,
 )
 from twistchar import characters
@@ -28,7 +29,7 @@ from twistchar.characters import (
     weyl_character,
 )
 from twistchar.cyclotomic import CycloElem, field
-from twistchar.factorization import _POINT_SETS, sample_points
+from twistchar.factorization import _POINT_SETS, TheoremId, predict, sample_points
 from twistchar.linalg import det
 from twistchar.partitions import beta_set, partitions_up_to
 
@@ -336,7 +337,11 @@ def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
     for top in range(2, 13):
         for g, ones in reads:
             keys.clear()
-            twisted_character(g, (top - 1,), xs, t, ones=ones)
+            value = twisted_character(g, (top - 1,), xs, t, ones=ones)
+            if not keys:
+                # A singular-support call is 0 before any table is read.
+                assert not ones and not value, (g, top)
+                continue
             (key,) = keys
             length = key[-1]
             h, d = real(*key)
@@ -351,6 +356,65 @@ def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
     assert twisted_character(GroupType.GL, (2,), (Fraction(0), Fraction(3)), t) == (9 if t == 2 else 0)
     with pytest.raises(TypeError, match="points must be Fractions"):
         twisted_character(GroupType.GL, (2,), (2, Fraction(3)), t)
+
+
+def _support_sweep():
+    # (g, la, X, t) for t = 2..7, |la| <= 10, n = 1..3 with l(la) <= tn.
+    for t in range(2, 8):
+        for n in (1, 2, 3):
+            xs = sample_points(n, 0)
+            for la in partitions_up_to(10, max_length=t * n):
+                for g in GroupType:
+                    yield g, la, xs, t
+
+
+_ROWS = {th.group: th for th in TheoremId if not th.ones}
+
+
+def _pairing(g):
+    return None if g is GroupType.GL else characters._KOIKE_TERADA[g][0]
+
+
+def test_singular_support_is_zero_by_the_full_determinant():
+    cases = zeros = 0
+    for g, la, xs, t in _support_sweep():
+        full = twisted_full_det(g, la, xs, t)
+        assert twisted_character(g, la, xs, t) == full, (g, la, t, len(xs))
+        singular = bool(la) and characters._unbalanced(la, t, _pairing(g))
+        # At these points no balanced support cancels to 0 either, and the
+        # rule agrees with the abacus verdict of the row without a point 1.
+        assert singular == (full == 0), (g, la, t, len(xs))
+        assert singular == predict(_ROWS[g], la, t, len(xs)).vanishing, (g, la, t, len(xs))
+        cases, zeros = cases + 1, zeros + singular
+    assert (cases, zeros) == (8632, 5977)
+
+
+@pytest.mark.parametrize(
+    "mutant, group",
+    [
+        pytest.param(lambda s: 0 if s == 1 else s, GroupType.OO, id="oo-reads-sp-s"),
+        pytest.param(lambda s: None if s == 0 else s, GroupType.SP, id="sp-reads-gl-key"),
+    ],
+)
+def test_a_wrong_support_rule_fails_the_sweep(monkeypatch, mutant, group):
+    real = characters._unbalanced
+    monkeypatch.setattr(characters, "_unbalanced", lambda la, t, s: real(la, t, mutant(s)))
+    wrong = {
+        g
+        for g, la, xs, t in _support_sweep()
+        if twisted_character(g, la, xs, t) != twisted_full_det(g, la, xs, t)
+    }
+    assert wrong == {group}
+
+
+def test_a_zero_point_raises_before_the_support_rule():
+    xs = (Fraction(0), Fraction(3))
+    for g in (GroupType.SP, GroupType.OE, GroupType.OO):
+        la = next(la for la in partitions_up_to(6) if la and characters._unbalanced(la, 3, _pairing(g)))
+        with pytest.raises(ZeroDivisionError, match="cannot invert a zero point"):
+            twisted_character(g, la, xs, 3)
+    # GL inverts no point: its singular support is 0 at once.
+    assert twisted_character(GroupType.GL, (2,), xs, 3) == 0
 
 
 def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):

@@ -140,10 +140,22 @@ def test_classify_a_huge_first_part_answers_at_once(capsys):
     )
 
 
+def test_a_huge_part_with_singular_support_verifies_at_once(capsys):
+    # An odd part at t = 2 sits in the wrong residue class: the twisted
+    # character is 0 before any h table is built.
+    code, out, err = run(
+        ["verify", "schurfac", "99999999999999999999", "--t", "2", "--n", "1", "--json"], capsys
+    )
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["predicted_vanishing"] and rec["match"]
+    assert rec["lhs"] == rec["rhs"] == ["0"]
+
+
 def test_sizes_too_large_to_evaluate_exit_one(monkeypatch, capsys):
-    # The h table of a 20-digit part cannot be indexed: refused before any
-    # allocation.
-    code, out, err = run(["verify", "schurfac", "99999999999999999999", "--t", "2", "--n", "1"], capsys)
+    # The h table of a live 20-digit part cannot be indexed: refused before
+    # any allocation.
+    code, out, err = run(["verify", "schurfac", "99999999999999999998", "--t", "2", "--n", "1"], capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("twistchar: too large to evaluate: OverflowError")

@@ -234,18 +234,30 @@ def _standing_grid():
     ]
 
 
-def test_caches_are_transparent_and_reused_on_the_standing_grid():
-    for cache in _CACHES:
+def _count_dets(monkeypatch) -> list:
+    # Every det of both routes goes through characters.det.
+    calls = []
+    monkeypatch.setattr(characters, "det", lambda rows: calls.append(len(rows)) or det(rows))
+    return calls
+
+
+def test_caches_are_transparent_and_reused_on_the_standing_grid(monkeypatch):
+    for cache in _CACHES + (characters._denominator,):
         cache.cache_clear()
+    dets = _count_dets(monkeypatch)
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
-    # 1077 non-empty twisted characters over 60 (points, inverted, ones,
-    # t, length) keys, a length running to the end of its block of t; 515
+    # 1077 non-empty twisted characters, of which 499 have singular support
+    # and read no table; the other 578 read 52 (points, inverted, ones, t,
+    # length) keys, a length running to the end of its block of t.  515
     # non-empty factors over 116 (group, mu, point set, X, t) keys.
-    assert (table.hits, table.misses) == (1017, 60)
+    assert (table.hits, table.misses) == (526, 52)
     assert (factor.hits, factor.misses) == (399, 116)
+    # One det per twisted character that reads a table, 578, and one per
+    # bialternant computed, 156.
+    assert len(dets) == 734
     assert _standing_grid() == cold
-    assert [cache.cache_info().misses for cache in _CACHES] == [60, 116]
+    assert [cache.cache_info().misses for cache in _CACHES] == [52, 116]
 
 
 def test_every_row_shares_one_reading_per_case(monkeypatch):
@@ -316,15 +328,18 @@ def _t5_seeds_grid():
     return lines
 
 
-def test_each_prediction_is_derived_once_for_all_seeds():
-    for cache in _CACHES + (factorization._derive,):
+def test_each_prediction_is_derived_once_for_all_seeds(monkeypatch):
+    for cache in _CACHES + (factorization._derive, characters._denominator):
         cache.cache_clear()
+    dets = _count_dets(monkeypatch)
     cold = _t5_seeds_grid()
-    # 35 cases, each visited once per seed, and each derived once; the
-    # 240 twisted characters read 24 tables, 3 per seed.
+    # 35 cases, each visited once per seed, and each derived once; of the
+    # 240 twisted characters the 80 without singular support read 16
+    # tables, 2 per seed, and take the grid's only 80 dets.
     info = factorization._derive.cache_info()
     assert (info.hits, info.misses) == (245, 35)
-    assert characters._twisted_h.cache_info()[:2] == (216, 24)
+    assert characters._twisted_h.cache_info()[:2] == (64, 16)
+    assert len(dets) == 80
     assert _t5_seeds_grid() == cold
     assert factorization._derive.cache_info().misses == 35
 
