@@ -60,6 +60,11 @@ class GroupType(Enum):
     OO = "oo"
     OE = "oe"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==; Enum's own __hash__ runs in Python on every cache
+    # lookup keyed on a group.
+    __hash__ = object.__hash__
+
 
 class DegeneratePointError(ValueError):
     """The Weyl denominator vanishes at the requested points."""
@@ -68,8 +73,12 @@ class DegeneratePointError(ValueError):
 # (u, v, sign) of the Laurent entry x^(b+u) + sign xbar^(b+v).
 _LAURENT = {GroupType.SP: (1, 1, -1), GroupType.OO: (1, 0, -1), GroupType.OE: (0, 0, 1)}
 
-# (s, sign) of the Koike-Terada entry h_(la_i-i+j) + sign h_(la_i-i-j-s).
+# (s, sign) of the Koike-Terada entry h_(la_i-i+j) + sign h_(la_i-i-j-s);
+# GL, read by Jacobi-Trudi, has none.
 _KOIKE_TERADA = {GroupType.SP: (0, 1), GroupType.OO: (1, 1), GroupType.OE: (2, -1)}
+
+# Shared values: a Fraction is immutable, so one object serves every call.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _bialternant(g: GroupType, pts, betas) -> Fraction:
@@ -118,7 +127,7 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple) -> Fraction:
     if not all(isinstance(x, Fraction) for x in pts):
         raise TypeError(f"points must be Fractions, got {pts}")
     if len(la) > n:
-        return Fraction(0)
+        return _ZERO
     den = _denominator(g, pts)
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
@@ -126,15 +135,16 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple) -> Fraction:
 
 
 @lru_cache(maxsize=4096)
-def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
+def _twisted_h(pairs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
     """Integer numerators H_0..H_top and their common denominator d, with
-    h_m = H_m / d^m, of h_0..h_top of the twist of xs (and of their inverses
-    when inverted), with `ones` points 1 appended after the twist.
+    h_m = H_m / d^m, of h_0..h_top of the twist of the points p/q given as
+    their integer pairs (p, q) (and of their inverses (q, p) when
+    inverted), with `ones` points 1 appended after the twist.
 
-    Each point is read as an integer pair (p, q) and its inverse as (q, p),
-    so no Fraction is built.  d is the lcm of the |q|, and q divides d
-    whatever its sign, so H_tk is h_k of the integer t-th powers
-    (p d/q)^t.  When top < t the twist leaves only H_0 = 1, and no power
+    No Fraction is built, and the key holds only ints, so a lookup hashes
+    no Fraction.  d is the lcm of the |q|, and q divides d whatever its
+    sign, so H_tk is h_k of the integer t-th powers (p d/q)^t, taken on a
+    miss only.  When top < t the twist leaves only H_0 = 1, and no power
     is taken.  A point 1 is d/d: it turns h into its prefix sums,
     H'_m = d H'_(m-1) + H_m.
     Every partition of a scan shares its (t, n, seed) points, so the table
@@ -142,9 +152,8 @@ def _twisted_h(xs: tuple, inverted: bool, ones: int, t: int, top: int) -> tuple:
     It is keyed on what it depends on, not on the group, so SP, OE and OO
     share one table.
     """
-    pairs = [(x.numerator, x.denominator) for x in xs]
     if inverted:
-        pairs += [(q, p) for p, q in pairs]
+        pairs += tuple((q, p) for p, q in pairs)
     d = lcm(*(q for _, q in pairs))
     base = [1] + [0] * (top // t)
     if top >= t:
@@ -183,6 +192,12 @@ def _unbalanced(la: Partition, t: int, s: int | None) -> bool:
     return sorted(rows) != sorted(keys)
 
 
+def point_pairs(xs: tuple) -> tuple:
+    """The integer pairs (p, q) of the Fraction points p/q, q > 0: the form
+    in which the point-keyed caches of both routes take them."""
+    return tuple((x.numerator, x.denominator) for x in xs)
+
+
 def twisted_character(
     g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0
 ) -> Fraction:
@@ -200,6 +215,22 @@ def twisted_character(
     powers when t divides m and 0 otherwise; a point 1 turns h into its
     prefix sums.  There is no Weyl denominator, so the points may coincide;
     SP, OE and OO only need them nonzero.
+    This checks the points and t, then evaluates `twisted_at_pairs`.
+    """
+    if not all(isinstance(x, Fraction) for x in xs):
+        raise TypeError(f"points must be Fractions, got {xs}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
+    if la and g in _KOIKE_TERADA and not all(x.numerator for x in xs):
+        raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
+    return twisted_at_pairs(g, tuple(la), point_pairs(xs), t, ones)
+
+
+def twisted_at_pairs(g: GroupType, la: Partition, pairs: tuple, t: int, ones: int = 0) -> Fraction:
+    """`twisted_character` on input it has checked: la a tuple, pairs the
+    integer pairs of the points, none of them 0 for SP, OE and OO, and
+    t >= 1.
+
     The matrix handed to det is the integer one of the module docstring:
     the second term h_(la_i-i-j-s) becomes d^(2j+s) H_(la_i-i-j-s).
     With no point 1, a matrix whose residue-class blocks are not square
@@ -207,34 +238,28 @@ def twisted_character(
     built; a point 1 fills every class, so those rows always take the
     det.  A balanced matrix takes one full det, not one per block.
     """
-    if not all(isinstance(x, Fraction) for x in xs):
-        raise TypeError(f"points must be Fractions, got {xs}")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
     if not la:
-        return Fraction(1)
-    gl = g is GroupType.GL
-    if not gl and not all(x.numerator for x in xs):
-        raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
-    if not ones and _unbalanced(tuple(la), t, None if gl else _KOIKE_TERADA[g][0]):
-        return Fraction(0)
+        return _ONE
+    kt = _KOIKE_TERADA.get(g)
+    if not ones and _unbalanced(la, t, None if kt is None else kt[0]):
+        return _ZERO
     # Each appended one is doubled with the inverses.
-    ones_in_table = (1 if gl else 2) * ones
-    # The table runs on to the end of top's block of t when that at most
-    # doubles it: the tops of one block share a table, and no table grows
-    # to the length of a large t.
-    top = la[0] + len(la)
-    top = min(t * (top // t + 1) - 1, 2 * top + 1)
-    h, d = _twisted_h(xs, not gl, ones_in_table, t, top)
+    ones_in_table = ones if kt is None else 2 * ones
+    # Rows read h up to top = la_1 + l(la) - 1.  The table runs on to the
+    # end of top's block of t, but not past 2 top + 3: the tops of one
+    # block share a table, and no table grows to the length of a large t.
+    top = la[0] + len(la) - 1
+    top = min(t * (top // t + 1) - 1, 2 * top + 3)
+    h, d = _twisted_h(pairs, kt is not None, ones_in_table, t, top)
 
     def hm(m: int) -> int:
         return h[m] if m >= 0 else 0
 
     cols = range(len(la))
-    if gl:
+    if kt is None:
         rows = [[hm(p - i + j) for j in cols] for i, p in enumerate(la)]
     else:
-        s, sign = _KOIKE_TERADA[g]
+        s, sign = kt
         # SP's column 0 is h_(la_i-i) alone: its second term is dropped.
         scale = [sign * d ** (2 * j + s) if j or s else 0 for j in cols]
         rows = [
@@ -242,4 +267,3 @@ def twisted_character(
             for i, p in enumerate(la)
         ]
     return Fraction(det(rows), d ** sum(la))
-

@@ -39,7 +39,15 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import NamedTuple
 
-from .characters import GroupType, twisted_character, weyl_character
+from .characters import (
+    _ONE,
+    _ZERO,
+    GroupType,
+    point_pairs,
+    twisted_at_pairs,
+    twisted_character,
+    weyl_character,
+)
 # Unused here: perfbench's tracer test checks that it rebinds factorization.det.
 from .linalg import det  # noqa: F401
 from .partitions import (
@@ -55,6 +63,9 @@ from .partitions import (
 
 class TheoremId(Enum):
     """The theorem table: name, left group, z (None: no pairing), points 1."""
+
+    # As for GroupType: the identity hash, in C, keys the derivation cache.
+    __hash__ = object.__hash__
 
     SCHUR_FAC = ("schurfac", GroupType.GL, None, 0)
     SCHUR_ONE = ("schur1", GroupType.GL, None, 1)
@@ -222,7 +233,11 @@ def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     flipping with it.  schur1 admits l = tn + 1, so its move may be one
     step back, to n = n0 - 1.  The factors follow partners(t, z), as the
     module docstring says."""
-    la = _check_case(th, la, t, n)
+    return _predict(th, _check_case(th, la, t, n), t, n)
+
+
+def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
+    # predict on a checked case: la canonical and within the bound.
     pred, step = _derive(th, la, t)
     s = n - pred.n
     if not s:
@@ -247,32 +262,45 @@ _POINT_SETS = {
 
 
 @lru_cache(maxsize=4096)
-def _factor_value(group: GroupType, mu: Partition, at: str, pts: tuple, t: int) -> Fraction:
+def _factor_value(group: GroupType, mu: Partition, at: str, pairs: tuple, t: int) -> Fraction:
     # Every case of a scan at one (t, n, seed) shares its points, and many
     # share a factor, so each value is computed once.
-    # The key holds X, not Y: Y is a function of (X, t), and hashing Y would
-    # cost time that grows with t on every lookup.  A DegeneratePointError
-    # is raised again on every call, never cached.
-    ys = tuple(x ** t for x in pts)
+    # The key holds the integer pairs (p, q) of X, not Y: Y is a function
+    # of (X, t), formed here on a miss only, and a key of ints and a group
+    # hashes no Fraction.  A DegeneratePointError is raised again on every
+    # call, never cached.
+    ys = tuple(Fraction(p ** t, q ** t) for p, q in pairs)
     return weyl_character(group, mu, _POINT_SETS[at](ys))
+
+
+@lru_cache(maxsize=4096)
+def _padded(pair: tuple[Partition, Partition], n: int) -> Partition:
+    # A pair (alpha, beta) padded to its GL_2n partition, once per n.
+    return mu_padded(*pair, n)
 
 
 def rhs_value(pred: Prediction, pts: tuple) -> Fraction:
     """The factorized side at the rational points X: pred.sign times each
     factor's bialternant ratio at its point set; exactly zero on vanishing.
     A pair (alpha, beta) is padded here, to its GL_2n partition, on which
-    the value cache is keyed; a factor that pads to () is 1, not evaluated."""
+    the value cache is keyed; a factor that pads to () is 1, not evaluated.
+    This checks the points, then evaluates `_rhs` at their integer pairs."""
     _check_points(pts, pred.n)
-    if pred.vanishing:
-        return Fraction(0)
-    val = Fraction(pred.sign)
+    return _rhs(pred, point_pairs(pts))
+
+
+def _rhs(pred: Prediction, pairs: tuple) -> Fraction:
+    # rhs_value at the integer pairs (p, q) of checked points.
+    if not pred.sign:
+        return _ZERO
+    val = _ONE
     for group, mu, at in pred.factors:
         if at == "Y,1/Y":
-            mu = mu_padded(*mu, pred.n)
+            mu = _padded(mu, pred.n)
             if not mu:
                 continue
-        val *= _factor_value(group, mu, at, pts, pred.t)
-    return val
+        val *= _factor_value(group, mu, at, pairs, pred.t)
+    return val if pred.sign > 0 else -val
 
 
 @lru_cache(maxsize=None)
@@ -329,15 +357,18 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
     That is all the right side needs.  The t-th powers Y of distinct points
     above 1 are distinct and above 1, so 1, Y and 1/Y share no value, no
     product y_i y_j is 1 and -Y holds no 1: no Weyl denominator at Y,
-    (Y, 1), (Y, 1/Y) or -Y vanishes, whatever t is.  A draw that repeats a
-    value is redrawn whole; weyl_character's DegeneratePointError stays the
-    exact guard.
+    (Y, 1), (Y, 1/Y) or -Y vanishes, whatever t is.  Being above 1, no point
+    is 0, which is all the left side's SP, OE and OO need.  A draw that
+    repeats a value is redrawn whole; weyl_character's DegeneratePointError
+    stays the exact guard.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    # Numerators grow with n so that n distinct values stay likely; for
-    # n <= 20 the range is 3..80, so those draws never change.
-    top = max(80, 4 * n)
+    # Numerators run to n^2/5, so the n draws fall among about n^4/50
+    # (numerator, denominator) pairs and a repeat, which redraws them all,
+    # grows rarer as n grows.  For n <= 20 the range is 3..80, so those
+    # draws never change.
+    top = max(80, n * n // 5)
     rng = random.Random(seed)
     for _ in range(_RETRY_BUDGET):
         xs = []
@@ -354,6 +385,13 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
 _SEED_STRIDE = 1_000_003
 
 
+@lru_cache(maxsize=4096)
+def _seed_pairs(n: int, seed: int) -> tuple:
+    # The integer pairs of seed's points, checked once per (n, seed): they
+    # are sample_points', so they are n distinct Fractions above 1.
+    return point_pairs(sample_points(n, _SEED_STRIDE * seed))
+
+
 def check_seed(seed: int) -> None:
     """Refuse a negative seed."""
     # random.Random seeds with |a|, so a negative seed would replay the
@@ -365,12 +403,18 @@ def check_seed(seed: int) -> None:
 def verify(th: TheoremId, la: Partition, t: int, n: int, seed: int = 0) -> VerificationReport:
     """Compare lhs_value and rhs_value at the point tuple of `seed`,
     sample_points(n, _SEED_STRIDE * seed).  k point tuples for one case
-    are k seeds."""
+    are k seeds.
+
+    The seed and the case are checked once, and the points once per
+    (n, seed) where they are drawn; both sides are then evaluated by the
+    cores that lhs_value and rhs_value call after their own checks, at the
+    points' integer pairs."""
     check_seed(seed)
-    la = _canonical(la)
-    pred = predict(th, la, t, n)
-    pts = sample_points(n, _SEED_STRIDE * seed)
-    lhs, rhs = lhs_value(th, la, t, n, pts), rhs_value(pred, pts)
+    la = _check_case(th, la, t, n)
+    pred = _predict(th, la, t, n)
+    pairs = _seed_pairs(n, seed)
+    lhs = twisted_at_pairs(th.group, la, pairs, t, th.ones)
+    rhs = _rhs(pred, pairs)
     return VerificationReport(
         theorem=th,
         partition=la,

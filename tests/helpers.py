@@ -175,7 +175,7 @@ def twisted_full_det(g: GroupType, la: Partition, xs: tuple, t: int) -> Fraction
     if not la:
         return Fraction(1)
     gl = g is GroupType.GL
-    h, d = characters._twisted_h.__wrapped__(xs, not gl, 0, t, la[0] + len(la))
+    h, d = characters._twisted_h.__wrapped__(characters.point_pairs(xs), not gl, 0, t, la[0] + len(la))
 
     def hm(m: int) -> int:
         return h[m] if m >= 0 else 0

@@ -4,8 +4,10 @@
 use their oracle, `helpers.bialternant`, and check it here against
 tableaux and the rank-one and rank-two closed forms."""
 
+import random
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from helpers import (
     twisted_full_det,
     twisted_points,
 )
-from twistchar import characters
+from twistchar import characters, factorization
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
@@ -334,23 +336,26 @@ def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
     # or 2 points 1 with the inverses.
     reads = [(GroupType.GL, ones) for ones in range(4)]
     reads += [(g, ones) for g in (GroupType.SP, GroupType.OO) for ones in range(2)]
-    for top in range(2, 13):
+    # The rows of (top,) read h up to top = la_1 + l(la) - 1, no further.
+    for top in range(1, 12):
         for g, ones in reads:
             keys.clear()
-            value = twisted_character(g, (top - 1,), xs, t, ones=ones)
+            value = twisted_character(g, (top,), xs, t, ones=ones)
             if not keys:
                 # A singular-support call is 0 before any table is read.
                 assert not ones and not value, (g, top)
                 continue
             (key,) = keys
+            assert key[0] == ((7, 2), (-5, 3)), key
             length = key[-1]
             h, d = real(*key)
-            assert top <= length < 2 * (top + 1) and len(h) == length + 1
+            # The end of top's block of t, capped at 2 top + 3.
+            assert length == min(t * (top // t + 1) - 1, 2 * top + 3) and len(h) == length + 1
             assert (h[: top + 1], d) == real.__wrapped__(*key[:-1], top)
             ys = xs + tuple(1 / x for x in xs) if key[1] else xs
             assert [Fraction(hm, d ** m) for m, hm in enumerate(h)] == _twisted_h_over_q(ys, key[2], t, length)
-            if t > 2 * top + 1:
-                assert length == 2 * top + 1, (g, ones, top)
+            if t > 2 * top + 3:
+                assert length == 2 * top + 3, (g, ones, top)
     with pytest.raises(ZeroDivisionError, match="cannot invert a zero point"):
         twisted_character(GroupType.SP, (2,), (Fraction(0), Fraction(3)), t)
     assert twisted_character(GroupType.GL, (2,), (Fraction(0), Fraction(3)), t) == (9 if t == 2 else 0)
@@ -503,13 +508,28 @@ def test_sample_points_are_admissible_and_deterministic():
         sample_points(0, 0)
 
 
-def test_sample_points_reach_large_n():
-    # Numerators run up to max(80, 4n), so a large n still finds n
-    # distinct values on every seed.
-    for n in (60, 80, 120):
-        for seed in range(20):
-            pts = sample_points(n, seed)
-            assert len(set(pts)) == n and all(p > 1 for p in pts), (n, seed)
+def test_sample_points_reach_large_n(monkeypatch):
+    # Numerators run up to max(80, n^2/5), so a large n finds n distinct
+    # values on every seed within a few draws, and from n = 1000 on at the
+    # first.  A draw of n points takes 2n randint calls.
+    calls = []
+
+    class Counted(random.Random):
+        def randint(self, low, high):
+            calls.append(None)
+            return super().randint(low, high)
+
+    monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Counted))
+    sample_points.cache_clear()
+    try:
+        for n, most in [(60, 5), (80, 5), (120, 5), (1000, 1), (3000, 1)]:
+            for seed in range(20):
+                calls.clear()
+                pts = sample_points(n, seed)
+                assert len(set(pts)) == n and all(p > 1 for p in pts), (n, seed)
+                assert len(calls) <= 2 * n * most, (n, seed, len(calls) // (2 * n))
+    finally:
+        sample_points.cache_clear()
 
 
 def test_symplectic_value_at_cubed_points():

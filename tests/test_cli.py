@@ -538,19 +538,26 @@ def test_sampling_exhaustion_exits_three(monkeypatch, capsys):
             return low
 
     monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Constant))
-    factorization.sample_points.cache_clear()
+    # verify reads the points' integer pairs, kept per (n, seed).
+    caches = (factorization.sample_points, factorization._seed_pairs)
+    for cache in caches:
+        cache.cache_clear()
     code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "2"], capsys)
-    factorization.sample_points.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("twistchar: sampling failed")
 
 
 def test_verify_draws_many_distinct_points(capsys):
-    # The numerators reach 4n, so n = 60 finds 60 distinct points.
-    code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "60", "--seed", "0"], capsys)
-    assert code == 0 and err == ""
-    assert "match          True" in out
+    # The numerators reach max(80, n^2/5), so n = 60 finds 60 distinct
+    # points, and seed 2 finds 3000 (with numerators up to 4n it ran out of
+    # draws and exited 3).
+    for n, seed in [("60", "0"), ("3000", "2")]:
+        code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", n, "--seed", seed], capsys)
+        assert code == 0 and err == ""
+        assert "match          True" in out
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from twistchar import characters, cyclotomic, factorization, partitions
 from twistchar.characters import (
     DegeneratePointError,
     GroupType,
+    point_pairs,
     twisted_character,
     weyl_character,
 )
@@ -194,11 +195,15 @@ def test_a_records_seed_names_its_points(monkeypatch):
     good = verify(th, la, t, n, seed=seed)
     assert good.match
 
-    def perturbed(pred, at):
-        val = rhs_value(pred, at)
-        return val + 1 if at == pts else val
+    real = factorization._rhs
 
-    monkeypatch.setattr(factorization, "rhs_value", perturbed)
+    def perturbed(pred, pairs):
+        val = real(pred, pairs)
+        return val + 1 if pairs == point_pairs(pts) else val
+
+    # verify evaluates the right side by rhs_value's core, at the points'
+    # integer pairs.
+    monkeypatch.setattr(factorization, "_rhs", perturbed)
     bad = verify(th, la, t, n, seed=seed)
     assert not bad.match and bad.seed == seed
     assert bad.lhs == lhs_value(th, la, t, n, pts) == good.lhs
@@ -248,16 +253,16 @@ def test_caches_are_transparent_and_reused_on_the_standing_grid(monkeypatch):
     cold = _standing_grid()
     table, factor = (cache.cache_info() for cache in _CACHES)
     # 1077 non-empty twisted characters, of which 499 have singular support
-    # and read no table; the other 578 read 52 (points, inverted, ones, t,
-    # length) keys, a length running to the end of its block of t.  515
-    # non-empty factors over 116 (group, mu, point set, X, t) keys.
-    assert (table.hits, table.misses) == (526, 52)
+    # and read no table; the other 578 read 48 (point pairs, inverted, ones,
+    # t, length) keys, a length running to the end of its block of t.  515
+    # non-empty factors over 116 (group, mu, point set, pairs of X, t) keys.
+    assert (table.hits, table.misses) == (530, 48)
     assert (factor.hits, factor.misses) == (399, 116)
     # One det per twisted character that reads a table, 578, and one per
     # bialternant computed, 156.
     assert len(dets) == 734
     assert _standing_grid() == cold
-    assert [cache.cache_info().misses for cache in _CACHES] == [52, 116]
+    assert [cache.cache_info().misses for cache in _CACHES] == [48, 116]
 
 
 def test_every_row_shares_one_reading_per_case(monkeypatch):
@@ -285,14 +290,34 @@ def test_every_row_shares_one_reading_per_case(monkeypatch):
     assert reading.cache_info().misses == 132
 
 
+def test_a_warm_scan_hashes_no_fraction_and_checks_each_case_once(monkeypatch):
+    # Both point-keyed caches are keyed on the points' integer pairs, and
+    # verify checks the seed and the case once per op and the points once
+    # per (n, seed), where they are drawn.
+    cold = _standing_grid()
+    hashed, checked = [], Counter()
+    real_hash = Fraction.__hash__
+
+    def counted(name):
+        real = getattr(factorization, name)
+        return lambda *args: checked.update([name]) or real(*args)
+
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or real_hash(x))
+    for name in ("check_seed", "_check_case"):
+        monkeypatch.setattr(factorization, name, counted(name))
+    assert _standing_grid() == cold
+    assert hashed == []
+    assert checked == {"check_seed": 1107, "_check_case": 1107}
+
+
 def test_cache_keys_keep_groups_apart():
     xs = sample_points(2, 0)
     ys = tuple(x ** 3 for x in xs)
     for cache in _CACHES:
         cache.cache_clear()
     # sp_(2) = h_2 and oe_(2) = h_2 - 1 at the same points.
-    sp = factorization._factor_value(GroupType.SP, (2,), "Y", xs, 3)
-    oe = factorization._factor_value(GroupType.OE, (2,), "Y", xs, 3)
+    sp = factorization._factor_value(GroupType.SP, (2,), "Y", point_pairs(xs), 3)
+    oe = factorization._factor_value(GroupType.OE, (2,), "Y", point_pairs(xs), 3)
     assert factorization._factor_value.cache_info().misses == 2
     assert sp == weyl_character(GroupType.SP, (2,), ys)
     assert oe == weyl_character(GroupType.OE, (2,), ys)
@@ -427,8 +452,9 @@ def test_a_patched_rhs_leaves_no_value_in_the_cache(monkeypatch):
     pred = predict(th, la, t, n)
     pts = sample_points(n, 1_000_003 * seed)
     rhs = rhs_value(pred, pts)
+    real = factorization._rhs
     with monkeypatch.context() as m:
-        m.setattr(factorization, "rhs_value", lambda p, at: rhs_value(p, at) + 1)
+        m.setattr(factorization, "_rhs", lambda p, pairs: real(p, pairs) + 1)
         assert not verify(th, la, t, n, seed=seed).match
     assert rhs_value(pred, pts) == rhs == lhs_value(th, la, t, n, pts)
     assert verify(th, la, t, n, seed=seed).match
@@ -446,7 +472,7 @@ def test_verify_derives_each_prediction_once(th, seeds, monkeypatch):
 
         return wrapper
 
-    for name in ("_epsilon", "rhs_value"):
+    for name in ("_epsilon", "_rhs"):
         monkeypatch.setattr(factorization, name, counted(name, getattr(factorization, name)))
     monkeypatch.setattr(partitions, "beta_set", counted("beta_set", partitions.beta_set))
     # A warm derivation or reading cache would derive nothing, and pass for
@@ -458,11 +484,11 @@ def test_verify_derives_each_prediction_once(th, seeds, monkeypatch):
     for seed in range(seeds):
         rep = verify(th, (4, 4), 4, 2, seed=seed)
         assert rep.match and not rep.predicted_vanishing
-    assert calls == {"beta_set": 1, "_epsilon": 1, "rhs_value": seeds}, calls
+    assert calls == {"beta_set": 1, "_epsilon": 1, "_rhs": seeds}, calls
     # At n0 the prediction is the derived one: nothing is computed again.
     for seed in range(seeds):
         assert verify(th, (4, 4), 4, 1, seed=seed).match
-    assert calls == {"beta_set": 1, "_epsilon": 1, "rhs_value": 2 * seeds}, calls
+    assert calls == {"beta_set": 1, "_epsilon": 1, "_rhs": 2 * seeds}, calls
 
 
 @pytest.mark.parametrize("th", ALL, ids=[th.value for th in ALL])
@@ -565,6 +591,42 @@ def test_carried_epsilon_is_the_closed_form_at_each_n():
                     live += 1
                     moved += n != reading(la, t).n0
     assert (live, moved) == (2166, 1560)
+
+
+def _split_sweep():
+    # (live cases, cases whose record splits the sign wrongly) over the
+    # multi-n grid: (-1)^(epsilon + sum |mu| at -Y) sigma must be the total
+    # sign at the case's own n.
+    live = wrong = 0
+    for th in ALL:
+        for t in (2, 3, 4, 5):
+            for n in (1, 2, 3, 4):
+                for la in partitions_up_to(8, max_length=length_bound(th, t, n)):
+                    pred = factorization.predict(th, la, t, n)
+                    if pred.vanishing:
+                        continue
+                    minus = sum(sum(mu) for _, mu, at in pred.factors if at == "-Y")
+                    live += 1
+                    wrong += (-1) ** (pred.epsilon + minus) * pred.sigma != pred.sign
+    return live, wrong
+
+
+def test_epsilon_and_sigma_split_the_sign_at_each_n():
+    # The total sign is n-free, and its two record fields are carried from
+    # n0 together; match never reads them, so this is their check.
+    assert _split_sweep() == (2166, 0)
+
+
+def test_an_uncarried_epsilon_fails_the_split(monkeypatch):
+    # Mutant: sigma moves to n, but epsilon stays at its n0 value.
+    real = factorization.predict
+
+    def uncarried(th, la, t, n):
+        pred = real(th, la, t, n)
+        return pred._replace(epsilon=factorization._derive(th, la, t)[0].epsilon)
+
+    monkeypatch.setattr(factorization, "predict", uncarried)
+    assert _split_sweep() == (2166, 740)
 
 
 def test_a_larger_n_costs_no_second_derivation():
