@@ -34,6 +34,9 @@ integers H_m.  Row i scaled by d^(la_i - i) and column j by d^j turn the
 entry h_(la_i-i+j) into H_(la_i-i+j); the second Koike-Terada term
 h_(la_i-i-j-s) picks up d^(2j+s): d^(2j) for SP, d^(2j+1) for OO and
 d^(2j+2) for OE; the scales multiply to d^|la|.
+Each row is read off the table as slices, zeros in front standing for h
+at negative indices: the first terms forward, the second backward, times
+column scales kept per (d, s, l(la)); no Python function runs per entry.
 With no point 1, h_m is 0 unless t | m, so the matrix is block-diagonal
 up to permutation, its blocks keyed by residue class (`_unbalanced`).
 A block with more rows than columns makes the determinant 0
@@ -49,9 +52,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
+from operator import add, mul
 
 from .linalg import det
-from .partitions import Partition, beta_set
+from .partitions import Partition, as_partition, beta_set
 
 
 class GroupType(Enum):
@@ -168,6 +172,14 @@ def _twisted_h(pairs: tuple, inverted: bool, ones: int, t: int, top: int) -> tup
 
 
 @lru_cache(maxsize=4096)
+def _column_keys(l: int, t: int, s: int | None) -> tuple:
+    # `_unbalanced`'s sorted column keys of an l x l matrix.
+    if s is None:
+        return tuple(sorted(j % t for j in range(l)))
+    return tuple(sorted(min(j % t, (-j - s) % t) for j in range(l)))
+
+
+@lru_cache(maxsize=4096)
 def _unbalanced(la: Partition, t: int, s: int | None) -> bool:
     """Whether the twisted h matrix of la, with no point 1, has singular
     support, read off the residue classes of its rows and columns.
@@ -180,16 +192,22 @@ def _unbalanced(la: Partition, t: int, s: int | None) -> bool:
     only columns keyed k, so when the row and column keys differ as
     multisets some block has more rows than columns, and the determinant
     is 0 (Frobenius-Koenig).  Every seed of a scan asks again for each of
-    its cases, so the verdict is kept per (la, t, s).
+    its cases, so the verdict is kept per (la, t, s), and the column keys,
+    which are the same for every la of one length, per (l(la), t, s).
     """
-    cols = range(len(la))
     if s is None:
         rows = [(i - p) % t for i, p in enumerate(la)]
-        keys = [j % t for j in cols]
     else:
         rows = [min((i - p) % t, (p - i - s) % t) for i, p in enumerate(la)]
-        keys = [min(j % t, (-j - s) % t) for j in cols]
-    return sorted(rows) != sorted(keys)
+    rows.sort()
+    return tuple(rows) != _column_keys(len(la), t, s)
+
+
+@lru_cache(maxsize=4096)
+def _scales(d: int, s: int, sign: int, l: int) -> tuple:
+    # The Koike-Terada column scales sign d^(2j+s) of an l x l matrix over
+    # the table of denominator d; SP's column 0 (s = 0) has no second term.
+    return tuple(sign * d ** (2 * j + s) if j or s else 0 for j in range(l))
 
 
 def point_pairs(xs: tuple) -> tuple:
@@ -215,21 +233,27 @@ def twisted_character(
     powers when t divides m and 0 otherwise; a point 1 turns h into its
     prefix sums.  There is no Weyl denominator, so the points may coincide;
     SP, OE and OO only need them nonzero.
-    This checks the points and t, then evaluates `twisted_at_pairs`.
+    This checks the points, t and ones, drops la's trailing zeros (and
+    refuses a sequence that is not a partition), then evaluates
+    `twisted_at_pairs`.
     """
     if not all(isinstance(x, Fraction) for x in xs):
         raise TypeError(f"points must be Fractions, got {xs}")
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
+    if ones < 0:
+        raise ValueError(f"need ones >= 0, got ones={ones}")
+    # The sliced rows are padded for a last part of at least 1.
+    la = as_partition(la)
     if la and g in _KOIKE_TERADA and not all(x.numerator for x in xs):
         raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
-    return twisted_at_pairs(g, tuple(la), point_pairs(xs), t, ones)
+    return twisted_at_pairs(g, la, point_pairs(xs), t, ones)
 
 
 def twisted_at_pairs(g: GroupType, la: Partition, pairs: tuple, t: int, ones: int = 0) -> Fraction:
-    """`twisted_character` on input it has checked: la a tuple, pairs the
-    integer pairs of the points, none of them 0 for SP, OE and OO, and
-    t >= 1.
+    """`twisted_character` on input it has checked: la a partition with no
+    trailing zero, pairs the integer pairs of the points, none of them 0
+    for SP, OE and OO, t >= 1 and ones >= 0.
 
     The matrix handed to det is the integer one of the module docstring:
     the second term h_(la_i-i-j-s) becomes d^(2j+s) H_(la_i-i-j-s).
@@ -237,6 +261,10 @@ def twisted_at_pairs(g: GroupType, la: Partition, pairs: tuple, t: int, ones: in
     is 0 by Frobenius-Koenig (`_unbalanced`), read before any table is
     built; a point 1 fills every class, so those rows always take the
     det.  A balanced matrix takes one full det, not one per block.
+    Each row is a slice of the table, zeros in front standing for h at
+    negative indices: row i's first terms run forward from H_(la_i-i),
+    its second terms backward from H_(la_i-i-s), times the column scales
+    (`_scales`, kept per (d, s, l)), so no Python function runs per entry.
     """
     if not la:
         return _ONE
@@ -248,22 +276,25 @@ def twisted_at_pairs(g: GroupType, la: Partition, pairs: tuple, t: int, ones: in
     # Rows read h up to top = la_1 + l(la) - 1.  The table runs on to the
     # end of top's block of t, but not past 2 top + 3: the tops of one
     # block share a table, and no table grows to the length of a large t.
-    top = la[0] + len(la) - 1
+    l = len(la)
+    top = la[0] + l - 1
     top = min(t * (top // t + 1) - 1, 2 * top + 3)
     h, d = _twisted_h(pairs, kt is not None, ones_in_table, t, top)
-
-    def hm(m: int) -> int:
-        return h[m] if m >= 0 else 0
-
-    cols = range(len(la))
     if kt is None:
-        rows = [[hm(p - i + j) for j in cols] for i, p in enumerate(la)]
+        # Row i reads up from h_(la_i-i), never below h_(2-l): with l - 1
+        # zeros in front, h_m sits at z[l - 1 + m].
+        z = (0,) * (l - 1) + h
+        rows = [z[l - 1 + p - i : 2 * l - 1 + p - i] for i, p in enumerate(la)]
     else:
         s, sign = kt
-        # SP's column 0 is h_(la_i-i) alone: its second term is dropped.
-        scale = [sign * d ** (2 * j + s) if j or s else 0 for j in cols]
-        rows = [
-            [hm(p - i + j) + scale[j] * hm(p - i - j - s) for j in cols]
-            for i, p in enumerate(la)
-        ]
+        scales = _scales(d, s, sign, l)
+        # The second terms read down to h_(3-2l-s), and a backward slice
+        # stops one entry below its last: with o zeros in front, h_m sits
+        # at z[o + m].
+        o = 2 * l - 2 + s
+        z = (0,) * o + h
+        rows = []
+        for i, p in enumerate(la):
+            a = o + p - i
+            rows.append(list(map(add, z[a : a + l], map(mul, scales, z[a - s : a - s - l : -1]))))
     return Fraction(det(rows), d ** sum(la))

@@ -237,19 +237,21 @@ def predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
 
 
 def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
-    # predict on a checked case: la canonical and within the bound.
+    # predict on a checked case: la canonical and within the bound.  The
+    # carried prediction is built positionally: _replace goes through a
+    # keyword dict per call.
     pred, step = _derive(th, la, t)
     s = n - pred.n
     if not s:
         return pred
     if pred.sigma is None:
-        return pred._replace(n=n)
+        return Prediction(pred.t, n, pred.epsilon, None, pred.sign, pred.factors)
     # s steps add s (T - c + S0) + T s(s-1)/2 inversions, S growing by T;
     # the count holds for s = -1 too.  The total sign (-1)^epsilon sigma
     # does not depend on n, so epsilon flips with sigma.
     flip = (s * step + (t * (t - 1) // 2) * (s * (s - 1) // 2)) % 2
     eps = None if pred.vanishing else (pred.epsilon + flip) % 2
-    return pred._replace(n=n, epsilon=eps, sigma=-pred.sigma if flip else pred.sigma)
+    return Prediction(pred.t, n, eps, -pred.sigma if flip else pred.sigma, pred.sign, pred.factors)
 
 
 # A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).
@@ -415,16 +417,7 @@ def verify(th: TheoremId, la: Partition, t: int, n: int, seed: int = 0) -> Verif
     pairs = _seed_pairs(n, seed)
     lhs = twisted_at_pairs(th.group, la, pairs, t, th.ones)
     rhs = _rhs(pred, pairs)
+    # Positional, in field order: the keyword form costs a dict per op.
     return VerificationReport(
-        theorem=th,
-        partition=la,
-        t=t,
-        n=n,
-        predicted_vanishing=pred.vanishing,
-        lhs=lhs,
-        rhs=rhs,
-        sign_exponent=pred.epsilon,
-        sigma_sign=pred.sigma,
-        match=lhs == rhs,
-        seed=seed,
+        th, la, t, n, pred.vanishing, lhs, rhs, pred.epsilon, pred.sigma, lhs == rhs, seed
     )

@@ -15,6 +15,8 @@ truthiness for the zero test.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
 from operator import floordiv, mul
 
 
@@ -22,17 +24,20 @@ def det(rows):
     """Determinant of a square matrix given as a sequence of rows, by
     Bareiss elimination.  An int matrix gives an exact int: its divisions
     are `//`, exact in Z.  Any other scalar type multiplies by the
-    reciprocal of the previous pivot, taken once per step.  The caller's
+    reciprocal of the previous pivot, taken once per step, exactly: an int
+    pivot among them takes its reciprocal as a Fraction.  The caller's
     rows are never modified."""
     m = list(rows)
     n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix has no scalar type to produce 1 from")
+    # Builtins walk the rows and entries in C.  A bool is not an int here,
+    # as type(x) is int says.
+    if set(map(len, m)) != {n}:
+        raise ValueError("matrix is not square")
     if n == 1:
         return m[0][0]
-    integral = all(type(x) is int for r in m for x in r)
+    integral = set(map(type, chain.from_iterable(m))) == {int}
     div = floordiv if integral else mul
     negate = False
     q = None
@@ -55,7 +60,11 @@ def det(rows):
             m = [[pivot * a - row[0] * b for a, b in zip(row[1:], top)] for row in m[1:]]
         else:
             m = [[div(pivot * a - row[0] * b, q) for a, b in zip(row[1:], top)] for row in m[1:]]
-        q = pivot if integral else pivot ** -1
+        if integral:
+            q = pivot
+        else:
+            # An int pivot among other scalars: its ** -1 would be a float.
+            q = Fraction(1, pivot) if isinstance(pivot, int) else pivot ** -1
     (a, b), (c, e) = m
     x = a * e - b * c
     if q is not None:

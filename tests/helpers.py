@@ -10,7 +10,8 @@ inverse of ``partitions.frobenius``), the built family
 beta-set closure tests ``is_core_beads`` and ``is_t_core``.
 ``pair_offsets`` and ``lattice_cores`` read the lattice walk of
 ``series.z_core_offsets`` as coordinates and as built cores.
-``twisted_full_det`` is the twisted character's determinant with no
+``twisted_full_matrix`` builds the twisted character's matrix entry by
+entry, and ``twisted_full_det`` takes its determinant with no
 singular-support rule.  The ``check_*``
 functions scan all partitions below a size bound and return a list of
 counterexamples; unit tests call them at small bounds and the acceptance
@@ -168,14 +169,16 @@ def bialternant(g: GroupType, la: Partition, pts: tuple):
     return det(entry_matrix(g, pts, beta_set(la, n))) / den
 
 
-def twisted_full_det(g: GroupType, la: Partition, xs: tuple, t: int) -> Fraction:
-    """`twisted_character` with no point 1 and no support rule: the whole
-    integer Jacobi-Trudi / Koike-Terada matrix over `_twisted_h`'s table,
-    handed to `det` every time.  The oracle of the singular-support rule."""
-    if not la:
-        return Fraction(1)
+def twisted_full_matrix(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> tuple[list, int]:
+    """The integer Jacobi-Trudi / Koike-Terada matrix of `twisted_character`
+    and its denominator d, built entry by entry over `_twisted_h`'s table
+    with `ones` points 1 (prefix sums), taken at its own length
+    la_1 + l(la), not the trimmed one."""
     gl = g is GroupType.GL
-    h, d = characters._twisted_h.__wrapped__(characters.point_pairs(xs), not gl, 0, t, la[0] + len(la))
+    ones_in_table = ones if gl else 2 * ones
+    h, d = characters._twisted_h.__wrapped__(
+        characters.point_pairs(xs), not gl, ones_in_table, t, la[0] + len(la)
+    )
 
     def hm(m: int) -> int:
         return h[m] if m >= 0 else 0
@@ -189,6 +192,16 @@ def twisted_full_det(g: GroupType, la: Partition, xs: tuple, t: int) -> Fraction
             [hm(p - i + j) + (sign * d ** (2 * j + s) * hm(p - i - j - s) if j or s else 0) for j in cols]
             for i, p in enumerate(la)
         ]
+    return rows, d
+
+
+def twisted_full_det(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> Fraction:
+    """`twisted_character` with no support rule: the whole matrix of
+    `twisted_full_matrix` handed to `det` every time.  The oracle of the
+    singular-support rule and of the sliced rows."""
+    if not la:
+        return Fraction(1)
+    rows, d = twisted_full_matrix(g, la, xs, t, ones)
     return Fraction(det(rows), d ** sum(la))
 
 

@@ -21,6 +21,7 @@ from helpers import (
     partitions_strategy,
     schur_ssyt,
     twisted_full_det,
+    twisted_full_matrix,
     twisted_points,
 )
 from twistchar import characters, factorization
@@ -294,6 +295,64 @@ def test_twisted_character_refuses_t_below_1():
             for la in [(), (2, 1)]:
                 with pytest.raises(ValueError, match=f"t={t}"):
                     twisted_character(g, la, xs, t)
+
+
+def test_twisted_character_refuses_negative_ones():
+    # Unchecked, a negative count of points 1 would skip the support rule
+    # and read the table of no point 1.
+    xs = (Fraction(3, 2), Fraction(5, 3))
+    for g in GroupType:
+        for la in [(), (1,), (2, 1)]:
+            with pytest.raises(ValueError, match="ones=-1"):
+                twisted_character(g, la, xs, 2, ones=-1)
+
+
+def test_trailing_zeros_are_dropped_and_a_non_partition_refused():
+    # The sliced rows assume a last part of at least 1.
+    xs = (Fraction(7, 2), Fraction(5, 3))
+    for g in GroupType:
+        for la in [(2, 1, 0), (1, 0, 0), (3, 1, 0, 0), (0,), (0, 0)]:
+            for t in (1, 2, 3):
+                for ones in (0, 1):
+                    want = twisted_character(g, tuple(p for p in la if p), xs, t, ones=ones)
+                    assert twisted_character(g, la, xs, t, ones=ones) == want, (g, la, t, ones)
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            twisted_character(g, (1, 2), xs, 2)
+        assert twisted_character(g, (0,), (Fraction(0),), 2) == 1
+
+
+# Rows longer than la_1 read the table deepest below 0: (1^12) reads the
+# second term down to h_(-21-s).
+_LONG_ROWS = [(1,) * 12, (2,) + (1,) * 11, (1,) * 11, (3, 3) + (1,) * 9]
+
+
+def test_sliced_rows_match_the_entrywise_matrix(monkeypatch):
+    seen = []
+
+    def spy(rows):
+        seen.append([list(row) for row in rows])
+        return det(rows)
+
+    monkeypatch.setattr(characters, "det", spy)
+    xs = sample_points(2, 0)
+    las = list(partitions_up_to(10))
+    cases = dets = 0
+    for t in range(1, 8):
+        for la in las + _LONG_ROWS if t == 2 else las:
+            for g in GroupType:
+                for ones in range(3):
+                    seen.clear()
+                    got = twisted_character(g, la, xs, t, ones=ones)
+                    assert got == twisted_full_det(g, la, xs, t, ones), (g, la, t, ones)
+                    if seen:
+                        assert seen == [twisted_full_matrix(g, la, xs, t, ones)[0]], (g, la, t, ones)
+                        dets += 1
+                    else:
+                        # Only the support rule and the empty partition
+                        # skip det.
+                        assert not la or (not ones and not got), (g, la, t, ones)
+                    cases += 1
+    assert (cases, dets) == (11724, 9394)
 
 
 def test_twisted_character_hands_det_only_ints(monkeypatch):

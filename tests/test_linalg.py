@@ -128,3 +128,31 @@ def test_error_cases():
         det([[Fraction(1), Fraction(2)]])
     with pytest.raises(ValueError):
         det([])
+
+
+def test_a_ragged_or_empty_matrix_is_refused():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5, 6], [7, 8]], [[]]):
+        with pytest.raises(ValueError, match="not square"):
+            det(rows)
+    with pytest.raises(ValueError, match="empty matrix"):
+        det([])
+
+
+def test_a_mix_of_ints_and_fractions_gives_the_exact_fraction():
+    # The leading int pivot's reciprocal is taken exactly, not as a float.
+    for rows in (
+        [[2, Fraction(1, 2), 0], [1, 1, 1], [0, 3, Fraction(1, 3)]],
+        [[3, 1, 0, 2], [1, Fraction(2, 5), 1, 0], [0, 1, 4, 1], [2, 0, 1, Fraction(-1, 7)]],
+        [[Fraction(1, 2), 1, 0], [1, 2, 3], [0, 1, 1]],
+    ):
+        got = det(rows)
+        assert type(got) is Fraction and got == det_perm(rows)
+
+
+def test_bool_entries_are_not_taken_for_ints():
+    # type(x) is int is False for a bool, so a bool matrix takes the
+    # reciprocal branch, whose exact answer is a Fraction, not an int.
+    eye = [[i == j for j in range(4)] for i in range(4)]
+    got = det(eye)
+    assert got == 1 and type(got) is Fraction
+    assert type(det([[1 if x else 0 for x in row] for row in eye])) is int
