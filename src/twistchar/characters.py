@@ -23,7 +23,7 @@ det(int rows) / prod s_i.  With top = b_1, the row's largest exponent:
 
 Negative points and the point 1 need no special case.
 
-`twisted_character` evaluates the same characters at the root-of-unity
+`twisted_at_pairs` evaluates the same characters at the root-of-unity
 twist (X, wX, ..., w^(t-1) X) of rational points without leaving Q: it
 expands them in complete homogeneous symmetric functions h_m (Jacobi-Trudi
 for GL, the Koike-Terada determinants for SP/OE/OO) and uses the twist
@@ -55,7 +55,7 @@ from math import lcm
 from operator import add, mul
 
 from .linalg import det
-from .partitions import Partition, as_partition, beta_set
+from .partitions import Partition, beta_set
 
 
 class GroupType(Enum):
@@ -216,55 +216,24 @@ def point_pairs(xs: tuple) -> tuple:
     return tuple((x.numerator, x.denominator) for x in xs)
 
 
-def twisted_character(
-    g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0
-) -> Fraction:
-    """The character of type g at (X, wX, ..., w^(t-1) X), over Q.
-
-    xs are the rational points X; `ones` points 1 are appended to the
-    twisted tuple.  The value equals the bialternant ratio at those tn + ones
-    points in Q(w) (the tests' oracle), and is rational because the point
-    multiset is stable under Galois conjugation.  GL uses Jacobi-Trudi
-    det(h[la_i - i + j]); SP, OE and OO use the Koike-Terada determinants
-    det(h[la_i - i + j] + sign h[la_i - i - j - s]) in h of the points and
-    their inverses, with (s, sign) from `_KOIKE_TERADA` and SP's column 0
-    h[la_i - i] alone.
-    By the twist rule, h_m of the twisted points is h_(m/t) of the t-th
-    powers when t divides m and 0 otherwise; a point 1 turns h into its
-    prefix sums.  There is no Weyl denominator, so the points may coincide;
-    SP, OE and OO only need them nonzero.
-    This checks the points, t and ones, drops la's trailing zeros (and
-    refuses a sequence that is not a partition), then evaluates
-    `twisted_at_pairs`.
-    """
-    if not all(isinstance(x, Fraction) for x in xs):
-        raise TypeError(f"points must be Fractions, got {xs}")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
-    if ones < 0:
-        raise ValueError(f"need ones >= 0, got ones={ones}")
-    # The sliced rows are padded for a last part of at least 1.
-    la = as_partition(la)
-    if la and g in _KOIKE_TERADA and not all(x.numerator for x in xs):
-        raise ZeroDivisionError(f"cannot invert a zero point in {xs}")
-    return twisted_at_pairs(g, la, point_pairs(xs), t, ones)
-
-
 def twisted_at_pairs(g: GroupType, la: Partition, pairs: tuple, t: int, ones: int = 0) -> Fraction:
-    """`twisted_character` on input it has checked: la a partition with no
-    trailing zero, pairs the integer pairs of the points, none of them 0
-    for SP, OE and OO, t >= 1 and ones >= 0.
+    """The character of type g at (X, wX, ..., w^(t-1) X), over Q, with
+    `ones` points 1 appended to the twisted tuple; pairs are the integer
+    pairs (p, q) of the rational points X = p/q (`point_pairs`).  It
+    equals the bialternant ratio at those tn + ones points in Q(w), the
+    tests' oracle.  There is no Weyl denominator, so the points may
+    coincide.
 
-    The matrix handed to det is the integer one of the module docstring:
-    the second term h_(la_i-i-j-s) becomes d^(2j+s) H_(la_i-i-j-s).
-    With no point 1, a matrix whose residue-class blocks are not square
-    is 0 by Frobenius-Koenig (`_unbalanced`), read before any table is
-    built; a point 1 fills every class, so those rows always take the
-    det.  A balanced matrix takes one full det, not one per block.
-    Each row is a slice of the table, zeros in front standing for h at
-    negative indices: row i's first terms run forward from H_(la_i-i),
-    its second terms backward from H_(la_i-i-s), times the column scales
-    (`_scales`, kept per (d, s, l)), so no Python function runs per entry.
+    Nothing is checked here (`factorization.lhs_value` checks a theorem
+    row's input): la is a partition with no trailing zero, as the sliced
+    rows are padded for a last part of at least 1; no point is 0 for SP,
+    OE and OO; t >= 1 and ones >= 0.
+
+    The matrix handed to det is the integer one of the module docstring,
+    each row sliced off the table.  With no point 1, a singular support
+    is 0 before any table is built (`_unbalanced`); a point 1 fills every
+    class, so those rows always take the det.  A balanced matrix takes
+    one full det, not one per block.
     """
     if not la:
         return _ONE

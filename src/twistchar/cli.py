@@ -229,7 +229,9 @@ def cmd_scan(args) -> int:
     ) as pool:
         records = map(_scan_case, items) if serial else pool.map(_scan_case, items, chunksize=16)
         for rec in records:
-            line = json.dumps(rec, separators=(",", ":"))
+            # A text scan with no --out writes no JSON, so it builds none.
+            if fh is not None or args.format == "json":
+                line = json.dumps(rec, separators=(",", ":"))
             if fh is not None:
                 fh.write(line + "\n")
             if args.format == "json":

@@ -45,7 +45,6 @@ from .characters import (
     GroupType,
     point_pairs,
     twisted_at_pairs,
-    twisted_character,
     weyl_character,
 )
 # Unused here: perfbench's tracer test checks that it rebinds factorization.det.
@@ -102,13 +101,9 @@ def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> Partition:
     return la
 
 
-def _check_count(pts: tuple, n: int) -> None:
+def _check_points(pts: tuple, n: int) -> None:
     if len(pts) != n:
         raise ValueError(f"expected {n} points, got {len(pts)}")
-
-
-def _check_points(pts: tuple, n: int) -> None:
-    _check_count(pts, n)
     if not all(isinstance(x, Fraction) for x in pts):
         raise TypeError(f"points must be Fractions, got {pts}")
 
@@ -142,12 +137,17 @@ def lhs_value(th: TheoremId, la: Partition, t: int, n: int, pts: tuple) -> Fract
     """The twisted character: the theorem's group evaluated at
     (X, wX, ...), with its points 1 appended.
 
-    pts are the rational points X; the value is rational.  Only their
-    count is checked here: `twisted_character` checks their type.
+    pts are the rational points X; the value is rational.  This checks the
+    case, la as a partition (its trailing zeros dropped), the points' count
+    and type and, for SP, OE and OO, that no point is 0, then evaluates
+    `characters.twisted_at_pairs` at the points' integer pairs.
     """
-    la = _check_case(th, la, t, n)
-    _check_count(pts, n)
-    return twisted_character(th.group, la, pts, t, ones=th.ones)
+    # _check_case checks la as a partition only when it ends in 0.
+    la = as_partition(_check_case(th, la, t, n))
+    _check_points(pts, n)
+    if la and th.group is not GroupType.GL and not all(x.numerator for x in pts):
+        raise ZeroDivisionError(f"cannot invert a zero point in {pts}")
+    return twisted_at_pairs(th.group, la, point_pairs(pts), t, th.ones)
 
 
 class Prediction(NamedTuple):
@@ -352,7 +352,6 @@ class SamplingError(RuntimeError):
 _RETRY_BUDGET = 200
 
 
-@lru_cache(maxsize=4096)
 def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
     """Deterministic tuple of n distinct rationals > 1, the same for every t.
 

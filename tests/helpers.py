@@ -10,8 +10,9 @@ inverse of ``partitions.frobenius``), the built family
 beta-set closure tests ``is_core_beads`` and ``is_t_core``.
 ``pair_offsets`` and ``lattice_cores`` read the lattice walk of
 ``series.z_core_offsets`` as coordinates and as built cores.
-``twisted_full_matrix`` builds the twisted character's matrix entry by
-entry, and ``twisted_full_det`` takes its determinant with no
+``twisted`` is ``characters.twisted_at_pairs`` at Fraction points, with
+no check.  ``twisted_full_matrix`` builds the twisted character's matrix
+entry by entry, and ``twisted_full_det`` takes its determinant with no
 singular-support rule.  The ``check_*``
 functions scan all partitions below a size bound and return a list of
 counterexamples; unit tests call them at small bounds and the acceptance
@@ -169,8 +170,15 @@ def bialternant(g: GroupType, la: Partition, pts: tuple):
     return det(entry_matrix(g, pts, beta_set(la, n))) / den
 
 
+def twisted(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> Fraction:
+    """The twisted character of type g at the Fraction points xs: the
+    runtime's `characters.twisted_at_pairs`, which checks nothing, at their
+    integer pairs."""
+    return characters.twisted_at_pairs(g, la, characters.point_pairs(xs), t, ones)
+
+
 def twisted_full_matrix(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> tuple[list, int]:
-    """The integer Jacobi-Trudi / Koike-Terada matrix of `twisted_character`
+    """The integer Jacobi-Trudi / Koike-Terada matrix of `twisted_at_pairs`
     and its denominator d, built entry by entry over `_twisted_h`'s table
     with `ones` points 1 (prefix sums), taken at its own length
     la_1 + l(la), not the trimmed one."""
@@ -196,7 +204,7 @@ def twisted_full_matrix(g: GroupType, la: Partition, xs: tuple, t: int, ones: in
 
 
 def twisted_full_det(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> Fraction:
-    """`twisted_character` with no support rule: the whole matrix of
+    """`twisted_at_pairs` with no support rule: the whole matrix of
     `twisted_full_matrix` handed to `det` every time.  The oracle of the
     singular-support rule and of the sliced rows."""
     if not la:

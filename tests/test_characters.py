@@ -20,19 +20,15 @@ from helpers import (
     entry_matrix,
     partitions_strategy,
     schur_ssyt,
+    twisted,
     twisted_full_det,
     twisted_full_matrix,
     twisted_points,
 )
 from twistchar import characters, factorization
-from twistchar.characters import (
-    DegeneratePointError,
-    GroupType,
-    twisted_character,
-    weyl_character,
-)
+from twistchar.characters import DegeneratePointError, GroupType, weyl_character
 from twistchar.cyclotomic import CycloElem, field
-from twistchar.factorization import _POINT_SETS, TheoremId, predict, sample_points
+from twistchar.factorization import _POINT_SETS, TheoremId, lhs_value, predict, sample_points
 from twistchar.linalg import det
 from twistchar.partitions import beta_set, partitions_up_to
 
@@ -117,8 +113,6 @@ def test_rational_points_stay_in_q():
         weyl_character(GroupType.GL, (1,), (2, 3))
     with pytest.raises(TypeError):
         weyl_character(GroupType.GL, (1,), embed(POINTS[2], 3))
-    with pytest.raises(TypeError):
-        twisted_character(GroupType.SP, (1,), (2,), 3)
 
 
 def test_degenerate_points_are_reported():
@@ -271,7 +265,7 @@ def test_integer_table_matches_the_bialternant_with_points_one(t):
                 continue
             for la in [(), (1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
                 want = _twisted_bialternant(g, la, xs, t, ones)
-                assert twisted_character(g, la, xs, t, ones=ones) == want, (g, la, ones)
+                assert twisted(g, la, xs, t, ones=ones) == want, (g, la, ones)
 
 
 def test_untwisted_rows_match_weyl_character_over_q():
@@ -285,40 +279,23 @@ def test_untwisted_rows_match_weyl_character_over_q():
     for g, ones in reads:
         for la in las:
             want = weyl_character(g, la, xs + (Fraction(1),) * ones)
-            assert twisted_character(g, la, xs, 1, ones=ones) == want, (g, la, ones)
-
-
-def test_twisted_character_refuses_t_below_1():
-    xs = (Fraction(7, 2), Fraction(5, 3))
-    for g in GroupType:
-        for t in (0, -1, -3):
-            for la in [(), (2, 1)]:
-                with pytest.raises(ValueError, match=f"t={t}"):
-                    twisted_character(g, la, xs, t)
-
-
-def test_twisted_character_refuses_negative_ones():
-    # Unchecked, a negative count of points 1 would skip the support rule
-    # and read the table of no point 1.
-    xs = (Fraction(3, 2), Fraction(5, 3))
-    for g in GroupType:
-        for la in [(), (1,), (2, 1)]:
-            with pytest.raises(ValueError, match="ones=-1"):
-                twisted_character(g, la, xs, 2, ones=-1)
+            assert twisted(g, la, xs, 1, ones=ones) == want, (g, la, ones)
 
 
 def test_trailing_zeros_are_dropped_and_a_non_partition_refused():
-    # The sliced rows assume a last part of at least 1.
+    # The sliced rows assume a last part of at least 1, so lhs_value, the
+    # checked entry to them, drops trailing zeros and refuses the rest.
     xs = (Fraction(7, 2), Fraction(5, 3))
-    for g in GroupType:
+    for th in TheoremId:
         for la in [(2, 1, 0), (1, 0, 0), (3, 1, 0, 0), (0,), (0, 0)]:
-            for t in (1, 2, 3):
-                for ones in (0, 1):
-                    want = twisted_character(g, tuple(p for p in la if p), xs, t, ones=ones)
-                    assert twisted_character(g, la, xs, t, ones=ones) == want, (g, la, t, ones)
+            for t in (2, 3):
+                want = twisted(th.group, tuple(p for p in la if p), xs, t, th.ones)
+                assert lhs_value(th, la, t, 2, xs) == want, (th, la, t)
         with pytest.raises(ValueError, match="not weakly decreasing"):
-            twisted_character(g, (1, 2), xs, 2)
-        assert twisted_character(g, (0,), (Fraction(0),), 2) == 1
+            lhs_value(th, (1, 2), 2, 2, xs)
+        with pytest.raises(ValueError, match="negative part"):
+            lhs_value(th, (1, -1), 2, 2, xs)
+        assert lhs_value(th, (0,), 2, 1, (Fraction(0),)) == 1
 
 
 # Rows longer than la_1 read the table deepest below 0: (1^12) reads the
@@ -342,7 +319,7 @@ def test_sliced_rows_match_the_entrywise_matrix(monkeypatch):
             for g in GroupType:
                 for ones in range(3):
                     seen.clear()
-                    got = twisted_character(g, la, xs, t, ones=ones)
+                    got = twisted(g, la, xs, t, ones=ones)
                     assert got == twisted_full_det(g, la, xs, t, ones), (g, la, t, ones)
                     if seen:
                         assert seen == [twisted_full_matrix(g, la, xs, t, ones)[0]], (g, la, t, ones)
@@ -368,7 +345,7 @@ def test_twisted_character_hands_det_only_ints(monkeypatch):
     for g in GroupType:
         for ones in range(3):
             for la in partitions_up_to(5):
-                assert type(twisted_character(g, la, xs, 3, ones=ones)) is Fraction
+                assert type(twisted(g, la, xs, 3, ones=ones)) is Fraction
     assert set(seen) == {int}
 
 
@@ -399,7 +376,7 @@ def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
     for top in range(1, 12):
         for g, ones in reads:
             keys.clear()
-            value = twisted_character(g, (top,), xs, t, ones=ones)
+            value = twisted(g, (top,), xs, t, ones=ones)
             if not keys:
                 # A singular-support call is 0 before any table is read.
                 assert not ones and not value, (g, top)
@@ -416,10 +393,10 @@ def test_each_table_runs_to_the_end_of_its_block_of_t(monkeypatch, t):
             if t > 2 * top + 3:
                 assert length == 2 * top + 3, (g, ones, top)
     with pytest.raises(ZeroDivisionError, match="cannot invert a zero point"):
-        twisted_character(GroupType.SP, (2,), (Fraction(0), Fraction(3)), t)
-    assert twisted_character(GroupType.GL, (2,), (Fraction(0), Fraction(3)), t) == (9 if t == 2 else 0)
+        lhs_value(TheoremId.SYMPLECTIC, (2,), t, 2, (Fraction(0), Fraction(3)))
+    assert lhs_value(TheoremId.SCHUR_FAC, (2,), t, 2, (Fraction(0), Fraction(3))) == (9 if t == 2 else 0)
     with pytest.raises(TypeError, match="points must be Fractions"):
-        twisted_character(GroupType.GL, (2,), (2, Fraction(3)), t)
+        lhs_value(TheoremId.SCHUR_FAC, (2,), t, 2, (2, Fraction(3)))
 
 
 def _support_sweep():
@@ -443,7 +420,7 @@ def test_singular_support_is_zero_by_the_full_determinant():
     cases = zeros = 0
     for g, la, xs, t in _support_sweep():
         full = twisted_full_det(g, la, xs, t)
-        assert twisted_character(g, la, xs, t) == full, (g, la, t, len(xs))
+        assert twisted(g, la, xs, t) == full, (g, la, t, len(xs))
         singular = bool(la) and characters._unbalanced(la, t, _pairing(g))
         # At these points no balanced support cancels to 0 either, and the
         # rule agrees with the abacus verdict of the row without a point 1.
@@ -466,7 +443,7 @@ def test_a_wrong_support_rule_fails_the_sweep(monkeypatch, mutant, group):
     wrong = {
         g
         for g, la, xs, t in _support_sweep()
-        if twisted_character(g, la, xs, t) != twisted_full_det(g, la, xs, t)
+        if twisted(g, la, xs, t) != twisted_full_det(g, la, xs, t)
     }
     assert wrong == {group}
 
@@ -476,9 +453,9 @@ def test_a_zero_point_raises_before_the_support_rule():
     for g in (GroupType.SP, GroupType.OE, GroupType.OO):
         la = next(la for la in partitions_up_to(6) if la and characters._unbalanced(la, 3, _pairing(g)))
         with pytest.raises(ZeroDivisionError, match="cannot invert a zero point"):
-            twisted_character(g, la, xs, 3)
+            lhs_value(_ROWS[g], la, 3, 2, xs)
     # GL inverts no point: its singular support is 0 at once.
-    assert twisted_character(GroupType.GL, (2,), xs, 3) == 0
+    assert lhs_value(TheoremId.SCHUR_FAC, (2,), 3, 2, xs) == 0
 
 
 def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):
@@ -498,7 +475,7 @@ def test_a_q_omega_bialternant_inverts_each_point_once(monkeypatch):
     monkeypatch.setattr(CycloElem, "inv", spy)
     assert bialternant(GroupType.SP, la, pts) == want
     assert [inverted.count(x) for x in pts] == [1] * len(pts)
-    assert want == twisted_character(GroupType.SP, la, POINTS[2], 3)
+    assert want == twisted(GroupType.SP, la, POINTS[2], 3)
 
 
 def test_a_q_omega_power_does_no_wasted_multiplication(monkeypatch):
@@ -579,16 +556,12 @@ def test_sample_points_reach_large_n(monkeypatch):
             return super().randint(low, high)
 
     monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Counted))
-    sample_points.cache_clear()
-    try:
-        for n, most in [(60, 5), (80, 5), (120, 5), (1000, 1), (3000, 1)]:
-            for seed in range(20):
-                calls.clear()
-                pts = sample_points(n, seed)
-                assert len(set(pts)) == n and all(p > 1 for p in pts), (n, seed)
-                assert len(calls) <= 2 * n * most, (n, seed, len(calls) // (2 * n))
-    finally:
-        sample_points.cache_clear()
+    for n, most in [(60, 5), (80, 5), (120, 5), (1000, 1), (3000, 1)]:
+        for seed in range(20):
+            calls.clear()
+            pts = sample_points(n, seed)
+            assert len(set(pts)) == n and all(p > 1 for p in pts), (n, seed)
+            assert len(calls) <= 2 * n * most, (n, seed, len(calls) // (2 * n))
 
 
 def test_symplectic_value_at_cubed_points():

@@ -539,12 +539,9 @@ def test_sampling_exhaustion_exits_three(monkeypatch, capsys):
 
     monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Constant))
     # verify reads the points' integer pairs, kept per (n, seed).
-    caches = (factorization.sample_points, factorization._seed_pairs)
-    for cache in caches:
-        cache.cache_clear()
+    factorization._seed_pairs.cache_clear()
     code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "2"], capsys)
-    for cache in caches:
-        cache.cache_clear()
+    factorization._seed_pairs.cache_clear()
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("twistchar: sampling failed")

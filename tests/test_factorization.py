@@ -18,6 +18,7 @@ from helpers import (
     residue_counts,
     ribbon_sign,
     t_core_strips,
+    twisted,
     twisted_points,
 )
 from twistchar import characters, cyclotomic, factorization, partitions
@@ -25,7 +26,6 @@ from twistchar.characters import (
     DegeneratePointError,
     GroupType,
     point_pairs,
-    twisted_character,
     weyl_character,
 )
 from twistchar.cyclotomic import field
@@ -323,20 +323,20 @@ def test_cache_keys_keep_groups_apart():
     assert oe == weyl_character(GroupType.OE, (2,), ys)
     assert sp == oe + 1
     # GL reads the points alone; OO reads them with their inverses.
-    gl = twisted_character(GroupType.GL, (2, 1), xs, 3)
-    oo = twisted_character(GroupType.OO, (2, 1), xs, 3)
+    gl = twisted(GroupType.GL, (2, 1), xs, 3)
+    oo = twisted(GroupType.OO, (2, 1), xs, 3)
     assert characters._twisted_h.cache_info().misses == 2
     assert gl != oo
     # SP and OE read OO's table (the points and their inverses, no point
     # 1, running to 5 at t = 3), through different determinants.
-    sp = twisted_character(GroupType.SP, (3, 1), xs, 3)
-    oe = twisted_character(GroupType.OE, (3, 1), xs, 3)
+    sp = twisted(GroupType.SP, (3, 1), xs, 3)
+    oe = twisted(GroupType.OE, (3, 1), xs, 3)
     assert characters._twisted_h.cache_info().misses == 2
     assert len({sp, oe, oo}) == 3
-    twisted = twisted_points(embed(xs, 3), 3)
-    assert embed((sp,), 3)[0] == bialternant(GroupType.SP, (3, 1), twisted)
-    assert embed((oe,), 3)[0] == bialternant(GroupType.OE, (3, 1), twisted)
-    assert embed((oo,), 3)[0] == bialternant(GroupType.OO, (2, 1), twisted)
+    tw = twisted_points(embed(xs, 3), 3)
+    assert embed((sp,), 3)[0] == bialternant(GroupType.SP, (3, 1), tw)
+    assert embed((oe,), 3)[0] == bialternant(GroupType.OE, (3, 1), tw)
+    assert embed((oo,), 3)[0] == bialternant(GroupType.OO, (2, 1), tw)
 
 
 def _t5_seeds_grid():
@@ -405,13 +405,14 @@ def test_a_trailing_zero_is_judged_by_the_canonical_length(monkeypatch):
     assert verify(th, [1, 0, 0], t, n).as_dict()["partition"] == [1]
     with pytest.raises(ValueError, match="3 parts, bound for schurfac is 2"):
         predict(th, (1, 1, 1, 0), t, n)
-    # Canonical input is normalised by no call, once its case is derived.
+    # On the runtime path, verify and predict, canonical input is
+    # normalised by no call once its case is derived.  lhs_value, a checked
+    # entry no command runs, checks every la as a partition.
     calls = []
     real = factorization.as_partition
     monkeypatch.setattr(factorization, "as_partition", lambda la: calls.append(la) or real(la))
     verify(th, (1,), t, n)
     predict(th, [1], t, n)
-    lhs_value(th, (1,), t, n, pts)
     assert calls == []
     verify(th, (1, 0), t, n)
     assert calls and set(calls) == {(1, 0)}
@@ -744,7 +745,7 @@ def test_twisted_values_are_rational_and_agree(th, la, t, n, seed):
     assert lhs_value(th, la, t, n, pts) == want.coeffs[0]
 
 
-def test_lhs_value_checks_the_point_count_and_leaves_the_type_to_the_character():
+def test_lhs_value_checks_the_point_count_and_type():
     th = TheoremId.SCHUR_FAC
     with pytest.raises(ValueError, match="expected 2 points, got 1"):
         lhs_value(th, (1,), 3, 2, sample_points(1, 0))
