@@ -123,11 +123,14 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple) -> Fraction:
 
     A partition with more parts than there are points indexes no
     representation; the character is zero by convention, and that zero is
-    returned explicitly rather than raising.
+    returned explicitly rather than raising.  A negative last part is
+    refused: its beta set would take negative powers.
     """
     n = len(pts)
     if n == 0:
         raise ValueError("at least one evaluation point is required")
+    if la and la[-1] < 0:
+        raise ValueError(f"negative part in {la}")
     if not all(isinstance(x, Fraction) for x in pts):
         raise TypeError(f"points must be Fractions, got {pts}")
     if len(la) > n:

@@ -36,7 +36,9 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, gcd
+from operator import add
 from typing import NamedTuple
 
 from .characters import (
@@ -53,7 +55,6 @@ from .partitions import (
     CoreClass,
     Partition,
     as_partition,
-    class_pairs,
     mu_padded,
     partners,
     reading,
@@ -122,7 +123,9 @@ def _epsilon(th: TheoremId, t: int, n: int, cls: CoreClass, c: int) -> int:
     group, z = th.group, th.z
     if z is None:
         return ((t * (t - 1) // 2) * (n * (n + 1) // 2) - c * n) % 2
-    e = -sum(comb(n + cls.offsets[j] + (z >= 0), 2) for _, j in class_pairs(t, z))
+    # The upper classes j = t-1-z-i of class_pairs(t, z) are one slice.
+    upper = cls.offsets[(t - z + 1) // 2 : t - max(z, 0)]
+    e = -sum(map(comb, map(add, upper, repeat(n + (z >= 0))), repeat(2)))
     nr = n * cls.rank
     if group is GroupType.SP and t % 2 == 0:
         e += n * (n + 1) // 2 + nr
@@ -173,11 +176,39 @@ class Prediction(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _derive(th: TheoremId, la: Partition, t: int) -> tuple:
-    # The case's prediction at the n0 of its reading, with the parity of one
-    # padding step of sigma, all that its move to n != n0 reads.  A
-    # vanishing schur1 case has no sigma and no step: both are None.
-    # la is checked by the reading, on a miss only: a refused case is never
-    # cached.
+    """The case's prediction at the n0 of its reading, with the parity of
+    one padding step of sigma, all that its move to n != n0 reads; both
+    sigma and step are None for a vanishing schur1 case.  la is checked by
+    the reading, on a miss only: a refused case is never cached.  A t at
+    least 4 past base = max(2, la_1 + l(la) + k), k the points 1, is
+    derived at base + (t - base) mod 4 and given its own t back."""
+    # The period.  Each t >= base passes every hook, so n0 = 1, la is its
+    # own t-core and no factor is listed.  beta(la, t) holds r = rank(la)
+    # beads t + la_i - i (i <= r) and t - r below t, one on each runner
+    # 0..t-l-1 and t - (i - la_i) (r < i <= l): the offsets are +1 on the
+    # classes la_i - i, -1 on some classes t - j (j <= l) and 0 between.
+    # Class t - j pairs with j - 1 - z, so every verdict is the same.
+    # - sigma: C(t - r, 2) inversions among the low beads, and C(r, 2) +
+    #   sum(la_i - i) that do not depend on t; C(u, 2) mod 2 has period 4.
+    #   schur1 flips it by t mod 2 when c, a fixed class or t - j, is not 0.
+    # - epsilon: GL reads T = t(t-1)/2 and c n.  Sp and O add
+    #   C(1 + (z >= 0), 2) for each of the (t - z)//2 - max(0, -z) pairs
+    #   but a fixed few, a count of period 4 mod 2, and a fixed sum for
+    #   those few; n r is fixed, and the group terms read t mod 2, t/2 or
+    #   (t - 1)/2.
+    # - step is tilt mod 2 at n0 = 1: offsets on odd classes, or -c, which
+    #   move with t mod 2.  _predict's flip reads it and T at the own t.
+    # base >= 2, so no t below 6 folds, and such a t reads nothing of la.
+    if t >= 6:
+        base = max(2, (la[0] if la else 0) + len(la) + th.ones)
+        if t - base >= 4:
+            pred, step = _derive(th, la, base + (t - base) % 4)
+            return Prediction(t, *pred[1:]), step
+    return _derive_direct(th, la, t)
+
+
+def _derive_direct(th: TheoremId, la: Partition, t: int) -> tuple:
+    # _derive read off the abacus at t itself: the fold's oracle in the tests.
     n0, cls, quo, sigma = reading(la, t)
     live = cls.z_asymmetric(th.z, th.ones)
     if not th.ones:

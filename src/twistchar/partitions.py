@@ -17,17 +17,24 @@ cannot hold one.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, index, lt, sub
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Normalize a weakly decreasing integer sequence: drop trailing zeros."""
-    seq = tuple(int(x) for x in parts)
-    for a, b in zip(seq, seq[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {seq}")
+    """Normalize a weakly decreasing integer sequence: drop trailing zeros.
+    A part that is not an int (a float, a Fraction) is refused, not
+    truncated."""
+    seq = tuple(parts)
+    try:
+        seq = tuple(map(index, seq))
+    except TypeError:
+        bad = next(x for x in seq if not hasattr(type(x), "__index__"))
+        raise ValueError(f"part {bad!r} of {seq} is not an int") from None
+    if any(map(lt, seq, seq[1:])):
+        raise ValueError(f"not weakly decreasing: {seq}")
     if seq and seq[-1] < 0:
         raise ValueError(f"negative part in {seq}")
     k = len(seq)
@@ -42,9 +49,10 @@ def size(la: Partition) -> int:
 
 def beta_set(la: Partition, m: int) -> tuple[int, ...]:
     """The strictly decreasing m-tuple (la_i + m - i), parts beyond l(la) read 0."""
-    if m < len(la):
-        raise ValueError(f"padding too short: m={m} < {len(la)} parts")
-    return tuple((la[i] if i < len(la) else 0) + m - (i + 1) for i in range(m))
+    l = len(la)
+    if m < l:
+        raise ValueError(f"padding too short: m={m} < {l} parts")
+    return (*map(add, la, range(m - 1, m - 1 - l, -1)), *range(m - l - 1, -1, -1))
 
 
 def from_beta_set(b: Iterable[int]) -> Partition:
@@ -118,6 +126,7 @@ def z_asymmetric_arms(
         if arms[-1] <= top:
             top = arms[-1] - 1
         bad = (beads >> t) & ~beads if t else 0
+        least = low
         if not bad:
             yield arms, used, beads
         elif top < low:
@@ -126,7 +135,14 @@ def z_asymmetric_arms(
             w = (1 << (top - low + 1)) - 1
             if bad & ~(w << (m + low)) & ~((w << (first - top)) >> t):
                 continue
-        for a in range(top, low - 1, -1):
+            # The highest violation x is mended by a later arm x - m or
+            # first - t - x in [low, top] (one of them is, by the windows),
+            # and every later arm is at most the next one: the next arm is
+            # at least the lesser mend.
+            x = bad.bit_length() - 1
+            grow, cut = x - m, first - t - x
+            least = min(grow if low <= grow <= top else top, cut if low <= cut <= top else top)
+        for a in range(top, least - 1, -1):
             grew = beads ^ 1 << (m + a) ^ 1 << (first - a)
             stack.append((arms + (a,), used + 2 * a + z + 1, grew, m, first))
 
@@ -163,12 +179,14 @@ def core_size(offsets: tuple[int, ...]) -> int:
     return total - length * (length - 1) // 2
 
 
+@lru_cache(maxsize=4096)
 def partners(t: int, z: int | None) -> tuple[int, ...]:
     """Class i's partner t-1-z-i, or i itself when that falls outside
     0..t-1, and every class itself when z is None (GL: no pairing).  For
     every integer z the t-core is z-asymmetric exactly when the runner
     offsets of each class and its partner sum to 0, so a self-paired class
-    has offset 0 (Garvan-Kim-Stanton)."""
+    has offset 0 (Garvan-Kim-Stanton).  Kept per (t, z): every derivation
+    miss reads it, and a tuple is immutable."""
     if z is None:
         return tuple(range(t))
     return tuple(j if 0 <= j < t else i for i, j in ((i, t - 1 - z - i) for i in range(t)))
@@ -199,22 +217,27 @@ class CoreClass(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return sum(max(o, 0) for o in self.offsets)
+        # The sum of the positive offsets: half their absolute sum, as they sum to 0.
+        return sum(map(abs, self.offsets)) // 2
 
     def excess(self, ones: int = 0) -> tuple[int, ...]:
         """Each class's count minus n at padding tn + ones, for ones < t:
         every entry moves up by `ones` and 0..ones-1 join, so class i holds
         offsets[i - ones] + (i < ones) above n.  The excess sums to ones."""
         o = self.offsets
+        if not ones:
+            return o
         return tuple(o[i - ones] + (i < ones) for i in range(len(o)))
 
     def z_asymmetric(self, z: int | None, ones: int = 0) -> bool:
         """Whether the character with `ones` points 1 appended survives:
         s_i + s_partner(i) >= 0 for each class i (`partners(t, z)`), s the
         excess.  As s sums to ones, this says that some `ones` beads can be
-        removed to leave the counts z-paired; at ones = 0, z-asymmetry."""
+        removed to leave the counts z-paired; at ones = 0, z-asymmetry.
+        The least of the t sums s_i + s_partner(i) is taken by builtins,
+        with no Python frame per class; at ones = 0 s is the offsets."""
         s = self.excess(ones)
-        return all(s[i] + s[j] >= 0 for i, j in enumerate(partners(len(s), z)))
+        return min(map(add, s, map(s.__getitem__, partners(len(s), z)))) >= 0
 
 
 class Reading(NamedTuple):
@@ -244,29 +267,27 @@ def reading(la: Partition, t: int) -> Reading:
     for x in beta:
         runners[x % t].append(x // t)
     # A runner is strictly decreasing, so its part i (from 1) is
-    # x_i - len(r) + i, and its zero parts are the trailing ones.
+    # x_i - (len(r) - i), and its zero parts are the trailing ones: all of
+    # them when its top entry is len(r) - 1.
     quotient = tuple(
-        tuple(p for i, x in enumerate(r, 1) if (p := x - len(r) + i)) for r in runners
+        tuple(filter(None, map(sub, r, range(len(r) - 1, -1, -1)))) if r and r[0] >= len(r) else ()
+        for r in runners
     )
     cls = CoreClass(tuple(len(r) - n0 for r in runners))
     # t lists: freed before the sign's m slots are laid.
     del runners
-    # Each entry goes to its slot in the block order; a permutation of m
-    # slots with c cycles has sign (-1)^(m - c).  O(m + t), whatever t is.
-    start, at = [0] * t, 0
-    for i, o in enumerate(cls.offsets):
-        start[i], at = at, at + n0 + o
-    slot = []
-    for x in beta:
-        slot.append(start[x % t])
-        start[x % t] += 1
-    parity, seen = len(slot), [False] * len(slot)
-    for p in range(len(slot)):
+    # A stable sort by class lays the entries in block order; a permutation
+    # of m slots with c cycles has sign (-1)^(m - c).  The sort takes each
+    # t entries of beta's tail, whose classes fall, as one run, so the cost
+    # stays near O(m) whatever t is.
+    order = sorted(range(len(beta)), key=[x % t for x in beta].__getitem__)
+    parity, seen = len(order), [False] * len(order)
+    for p in range(len(order)):
         if not seen[p]:
             parity -= 1
             while not seen[p]:
                 seen[p] = True
-                p = slot[p]
+                p = order[p]
     return Reading(n0, cls, quotient, -1 if parity % 2 else 1)
 
 

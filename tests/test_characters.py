@@ -99,6 +99,9 @@ def test_long_partitions_give_zero_and_empty_points_raise():
         assert got == 0 and type(got) is Fraction
         with pytest.raises(ValueError):
             weyl_character(g, (1,), ())
+        # A negative part would take negative powers: it is refused.
+        with pytest.raises(ValueError, match="negative part"):
+            weyl_character(g, (1, -1), (Fraction(5, 2), Fraction(4, 3)))
 
 
 def test_rational_points_stay_in_q():

@@ -390,6 +390,11 @@ def test_predict_and_verify_refuse_a_non_partition():
             with pytest.raises(ValueError):
                 call(TheoremId.SCHUR_FAC, la, 2, 2)
     assert factorization._derive.cache_info().currsize == 0
+    # A part that is not an int is refused, not truncated to a partition
+    # whose record would then fail to match.
+    for call in (predict, verify):
+        with pytest.raises(ValueError, match="part 2.5 of"):
+            call(TheoremId.SCHUR_FAC, (2.5, 1), 3, 1)
     # A trailing zero is still a partition.
     assert predict(TheoremId.SCHUR_FAC, (2, 0), 2, 2) == predict(TheoremId.SCHUR_FAC, (2,), 2, 2)
 
@@ -636,6 +641,68 @@ def test_a_larger_n_costs_no_second_derivation():
     n0 = _least_n(th, la, t)
     assert [predict(th, la, t, n).n for n in (n0, n0 + 1, n0)] == [n0, n0 + 1, n0]
     assert factorization._derive.cache_info().misses == 1
+
+
+def _base(th, la):
+    # The least t past every hook of la with its points 1: from here on the
+    # derivation has period 4 in t.
+    return max(2, (la[0] if la else 0) + len(la) + th.ones)
+
+
+def test_the_fold_past_the_hook_is_the_direct_derivation(monkeypatch):
+    # The direct derivation at t itself is the oracle, over two periods
+    # past the fold's start, and so is the prediction it carries to n.
+    cases = 0
+    for th in ALL:
+        for la in partitions_up_to(8):
+            base = _base(th, la)
+            for t in range(base + 4, base + 12):
+                folded = factorization._derive(th, la, t)
+                assert folded[0].t == t
+                assert folded == factorization._derive_direct(th, la, t), (th, la, t)
+                cases += 1
+    assert cases == 5 * 8 * 67
+    folded = {
+        (th, la, t, n): predict(th, la, t, n)
+        for th in ALL
+        for la in partitions_up_to(5)
+        for t in range(_base(th, la) + 4, _base(th, la) + 8)
+        for n in (1, 2, 3)
+    }
+    monkeypatch.setattr(factorization, "_derive", factorization._derive_direct)
+    for (th, la, t, n), pred in folded.items():
+        assert predict(th, la, t, n) == pred, (th, la, t, n)
+
+
+def test_a_folded_derivation_lays_no_abacus_at_its_own_t():
+    factorization._derive.cache_clear()
+    reading.cache_clear()
+    pred = predict(TheoremId.ODD_ORTH, (2, 1), 10**6, 1)
+    assert pred.t == 10**6 and pred.sign and pred.factors == ()
+    # One reading, at the fold's t' = 4 + (10^6 - 4) mod 4 = 4.
+    assert reading.cache_info().misses == 1
+    assert factorization._derive.cache_info().currsize == 2
+    assert predict(TheoremId.ODD_ORTH, (2, 1), 4, 1) == pred._replace(t=4)
+
+
+def test_the_left_side_is_constant_past_the_hook():
+    # Past the largest hook the twist leaves only h_0 (and with a point 1
+    # its prefix sums), so the left side depends on neither t, n nor the
+    # points, and it is the sign of a prediction with no factor.
+    for th in ALL:
+        for la in partitions_up_to(5):
+            base = _base(th, la)
+            values = set()
+            for t in range(base, base + 8):
+                for n in (1, 2):
+                    pred = predict(th, la, t, n)
+                    assert pred.factors == (), (th, la, t, n)
+                    for seed in (0, 1):
+                        pairs = point_pairs(sample_points(n, 1_000_003 * seed))
+                        lhs = characters.twisted_at_pairs(th.group, la, pairs, t, th.ones)
+                        assert lhs == pred.sign, (th, la, t, n, seed)
+                        values.add(lhs)
+            assert len(values) == 1, (th, la)
 
 
 def test_a_pair_of_empty_parts_is_padded_by_no_call(monkeypatch):

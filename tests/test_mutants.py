@@ -4,9 +4,11 @@ Each mutant changes one line of a module in a copy of the package and
 runs the standing scan from that copy.  A mutant of the sliced
 Jacobi-Trudi / Koike-Terada rows or of the derivation must be noticed:
 exit 2 on a mismatch (or, for the slicing, exit 1 with a one-line
-message), never 0 and never a traceback.  An equivalent mutant must leave
-the standing records byte for byte, so it pins why the line may take
-either form.  Each run costs about 0.3 s.
+message), never 0 and never a traceback.  A derivation mutant that
+builds an invalid value is refused before any mismatch is seen: exit 1
+with a one-line message.  An equivalent mutant must leave the standing
+records byte for byte, so it pins why the line may take either form.
+Each run costs about 0.3 s.
 """
 
 import hashlib
@@ -78,6 +80,19 @@ DERIVATION = {
     ),
 }
 
+REFUSED = {
+    # A quotient part read one low can be negative, and weyl_character
+    # refuses a negative part on a value-cache miss.
+    "quotient-part-one-low": (
+        "partitions.py",
+        "range(len(r) - 1, -1, -1)",
+        "range(len(r), -1, -1)",
+    ),
+    # schur1's excess then sums to 2, so a live core has no class c
+    # holding exactly one bead above n: the class lookup raises.
+    "excess-counts-class-ones": ("partitions.py", "+ (i < ones) for i", "+ (i <= ones) for i"),
+}
+
 EQUIVALENT = {
     # s_[alpha; beta] at (Y, 1/Y) is the dual of s_[beta; alpha] there, and
     # the dual character takes the same value on a point set that is closed
@@ -86,9 +101,12 @@ EQUIVALENT = {
     # x^(b+1) - xbar^b and x^b - xbar^(b+1) differ by the factor x^-1 in
     # row x, which the numerator and the denominator both take.
     "oo-laurent-shifted": ("characters.py", "GroupType.OO: (1, 0, -1)", "GroupType.OO: (0, 1, -1)"),
+    # The offsets sum to 0, so those on the even classes sum to minus
+    # those on the odd ones: tilt keeps its parity, and step with it.
+    "tilt-reads-even-classes": ("factorization.py", "sum(cls.offsets[1::2])", "sum(cls.offsets[::2])"),
 }
 
-MUTANTS = {**SLICING, **DERIVATION, **EQUIVALENT}
+MUTANTS = {**SLICING, **DERIVATION, **REFUSED, **EQUIVALENT}
 
 
 def _scan(tmp_path, mutant=None, *extra):
@@ -132,6 +150,13 @@ def test_a_mutant_of_the_derivation_fails_the_standing_scan(tmp_path, mutant):
     out = _scan(tmp_path, mutant)
     assert "Traceback" not in out.stderr, out.stderr
     assert out.returncode == 2, (out.returncode, out.stderr[-300:])
+
+
+@pytest.mark.parametrize("mutant", REFUSED)
+def test_a_mutant_that_builds_an_invalid_value_exits_1_with_one_line(tmp_path, mutant):
+    out = _scan(tmp_path, mutant)
+    assert out.returncode == 1, (out.returncode, out.stderr[-300:])
+    assert out.stderr.startswith("twistchar: ") and out.stderr.count("\n") == 1, out.stderr
 
 
 @pytest.mark.parametrize("mutant", EQUIVALENT)

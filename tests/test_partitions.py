@@ -1,6 +1,8 @@
 """Beta sets, cores, quotients, signs, and core classification."""
 
 import random
+import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -55,6 +57,10 @@ def test_as_partition_normalizes():
         as_partition([2, 3])
     with pytest.raises(ValueError):
         as_partition([2, -1])
+    # A part that is not an int is refused by name, not truncated.
+    for bad in (2.5, Fraction(5, 2), 2.0):
+        with pytest.raises(ValueError, match=re.escape(f"part {bad!r} of ")):
+            as_partition([bad, 1])
 
 
 def test_beta_set_values():
