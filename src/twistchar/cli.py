@@ -1,9 +1,9 @@
 """Command-line front end: classify, verify, scan, series.
 
-Exit codes: 0 success, 1 usage or validation error or a case too large
-to evaluate (OverflowError, MemoryError or RecursionError), 2 mathematical
-mismatch, 3 point-sampling exhaustion.  Machine output is line-delimited
-JSON and is byte-identical across runs with the same flags and seeds.
+Exit codes: 0 success, 2 mismatch, 1 refused with one stderr line: a usage
+or validation error, no n distinct points for the seed, or a case too
+large to evaluate (OverflowError, MemoryError or RecursionError).  Machine
+output is line-delimited JSON, byte-identical for the same flags and seeds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .factorization import SamplingError, TheoremId, check_seed, length_bound, verify
+from .factorization import TheoremId, check_seed, length_bound, verify
 from .partitions import as_partition, core_size, frobenius, partitions_up_to, reading, size
 from .series import count_sizes, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
 
@@ -339,9 +339,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SamplingError as exc:
-        print(f"twistchar: sampling failed: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"twistchar: {exc}", file=sys.stderr)
         return 1

@@ -376,10 +376,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-class SamplingError(RuntimeError):
-    """The point sampler ran out of retries."""
-
-
 _RETRY_BUDGET = 200
 
 
@@ -409,7 +405,7 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
             xs.append(Fraction(num, rng.randint(1, num - 1)))
         if len(set(xs)) == n:
             return tuple(xs)
-    raise SamplingError(f"could not find {n} distinct points for seed={seed}")
+    raise ValueError(f"could not draw n={n} distinct points in {_RETRY_BUDGET} tries")
 
 
 # Seed s draws its points from random.Random(_SEED_STRIDE * s).  The factor
@@ -421,7 +417,11 @@ _SEED_STRIDE = 1_000_003
 def _seed_pairs(n: int, seed: int) -> tuple:
     # The integer pairs of seed's points, checked once per (n, seed): they
     # are sample_points', so they are n distinct Fractions above 1.
-    return point_pairs(sample_points(n, _SEED_STRIDE * seed))
+    try:
+        return point_pairs(sample_points(n, _SEED_STRIDE * seed))
+    except ValueError as exc:
+        # The refusal names the seed the user gave, not its stream's.
+        raise ValueError(f"{exc} for seed={seed}") from None
 
 
 def check_seed(seed: int) -> None:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistchar import cli, factorization, partitions
-from twistchar.factorization import SamplingError, TheoremId
+from twistchar.factorization import TheoremId
 from twistchar.partitions import partitions_up_to
 
 
@@ -471,15 +471,16 @@ def test_failed_scan_keeps_the_records_before_the_failure(monkeypatch, tmp_path,
     real, calls = cli._scan_case, []
 
     def third_fails(item):
+        # The third case's point draw runs out of tries.
         calls.append(item)
         if len(calls) == 3:
-            raise SamplingError("exhausted")
+            raise ValueError("could not draw n=1 distinct points in 200 tries for seed=0")
         return real(item)
 
     monkeypatch.setattr(cli, "_scan_case", third_fails)
     cut = tmp_path / "cut.jsonl"
     code, _, err = run(argv + [str(cut)], capsys)
-    assert code == 3 and "sampling failed" in err
+    assert code == 1 and err.count("\n") == 1 and err.startswith("twistchar: could not draw")
     assert cut.read_text().splitlines() == clean.read_text().splitlines()[:2]
 
 
@@ -519,15 +520,15 @@ def test_scan_mismatch_exit_code(monkeypatch, capsys):
 
 def test_verify_sampling_failure_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
-        raise SamplingError("exhausted")
+        raise ValueError("could not draw n=1 distinct points in 200 tries for seed=0")
 
     monkeypatch.setattr(cli, "verify", boom)
     code, out, err = run(["verify", "schurfac", "2", "--t", "2", "--n", "1"], capsys)
-    assert code == 3
-    assert "sampling failed" in err
+    assert code == 1 and out == ""
+    assert err == "twistchar: could not draw n=1 distinct points in 200 tries for seed=0\n"
 
 
-def test_sampling_exhaustion_exits_three(monkeypatch, capsys):
+def test_sampling_exhaustion_exits_one(monkeypatch, capsys):
     # No real n exhausts the draw any more, so every draw repeats its value
     # here: the sampler redraws 200 times and gives up.
     class Constant:
@@ -540,17 +541,19 @@ def test_sampling_exhaustion_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Constant))
     # verify reads the points' integer pairs, kept per (n, seed).
     factorization._seed_pairs.cache_clear()
-    code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", "2"], capsys)
+    argv = ["verify", "schurfac", "1", "--t", "2", "--n", "2", "--seed", "1"]
+    code, out, err = run(argv, capsys)
     factorization._seed_pairs.cache_clear()
-    assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("twistchar: sampling failed")
+    # A refusal like any other, naming n and the seed as given, not the
+    # strided seed 1000003 of its point stream.
+    assert code == 1 and out == ""
+    assert err == "twistchar: could not draw n=2 distinct points in 200 tries for seed=1\n"
 
 
 def test_verify_draws_many_distinct_points(capsys):
     # The numerators reach max(80, n^2/5), so n = 60 finds 60 distinct
     # points, and seed 2 finds 3000 (with numerators up to 4n it ran out of
-    # draws and exited 3).
+    # draws).
     for n, seed in [("60", "0"), ("3000", "2")]:
         code, out, err = run(["verify", "schurfac", "1", "--t", "2", "--n", n, "--seed", seed], capsys)
         assert code == 0 and err == ""

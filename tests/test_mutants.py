@@ -8,11 +8,14 @@ message), never 0 and never a traceback.  A derivation mutant that
 builds an invalid value is refused before any mismatch is seen: exit 1
 with a one-line message.  An equivalent mutant must leave the standing
 records byte for byte, so it pins why the line may take either form.
-Each run costs about 0.3 s.
+A mutant that only moves a record field `match` never reads passes the
+scan with other records; the Tier-1 tests listed with it must fail when
+run from the same copy.  Each scan costs about 0.3 s.
 """
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twistchar"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "twistchar"
 
 STANDING = ["scan", "--theorems", "all", "--t", "2,3,4", "--n", "1,2", "--max-size", "7"]
 
@@ -106,27 +110,54 @@ EQUIVALENT = {
     "tilt-reads-even-classes": ("factorization.py", "sum(cls.offsets[1::2])", "sum(cls.offsets[::2])"),
 }
 
-MUTANTS = {**SLICING, **DERIVATION, **REFUSED, **EQUIVALENT}
+# name: (module, line as written, line as mutated, Tier-1 tests that must fail)
+UNSEEN = {
+    # One padding step then moves sigma and epsilon by the parity of T n0 +
+    # tilt: both flip together where they should not, so the total sign
+    # that match checks holds and only the two record fields move.
+    "step-reads-n0": (
+        "factorization.py",
+        "* (n0 + 1) + tilt) % 2",
+        "* n0 + tilt) % 2",
+        (
+            "test_factorization.py::test_sign_exponent_values",
+            "test_factorization.py::test_moved_sigma_is_the_block_sign_at_each_padding",
+            "test_factorization.py::test_carried_epsilon_is_the_closed_form_at_each_n",
+            "test_factorization.py::test_an_uncarried_epsilon_fails_the_split",
+        ),
+    ),
+}
+
+MUTANTS = {**SLICING, **DERIVATION, **REFUSED, **EQUIVALENT, **UNSEEN}
 
 
-def _scan(tmp_path, mutant=None, *extra):
+def _copy(tmp_path, mutant=None):
     copy = tmp_path / "twistchar"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     if mutant is not None:
-        module, old, new = MUTANTS[mutant]
+        module, old, new = MUTANTS[mutant][:3]
         path = copy / module
         text = path.read_text()
         assert text.count(old) == 1, mutant
         path.write_text(text.replace(old, new))
+
+
+def _run(tmp_path, *args):
+    # python -m args, importing the package from the copy under tmp_path.
     env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(
-        [sys.executable, "-m", "twistchar.cli", *STANDING, *extra],
+        [sys.executable, "-m", *args],
         env=env,
         cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def _scan(tmp_path, mutant=None, *extra):
+    _copy(tmp_path, mutant)
+    return _run(tmp_path, "twistchar.cli", *STANDING, *extra)
 
 
 def test_the_copy_passes_unmutated(tmp_path):
@@ -165,3 +196,16 @@ def test_an_equivalent_mutant_keeps_the_standing_records(tmp_path, mutant):
     out = _scan(tmp_path, mutant, "--out", str(records))
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(records.read_bytes()).hexdigest() == STANDING_DIGEST
+
+
+@pytest.mark.parametrize("mutant", UNSEEN)
+def test_a_mutant_the_scan_cannot_see_fails_its_tier1_tests(tmp_path, mutant):
+    records = tmp_path / "standing.jsonl"
+    out = _scan(tmp_path, mutant, "--out", str(records))
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(records.read_bytes()).hexdigest() != STANDING_DIGEST
+    nodes = UNSEEN[mutant][3]
+    tests = _run(tmp_path, "pytest", "-q", "-p", "no:cacheprovider", *(str(TESTS / n) for n in nodes))
+    # pytest names each failure by its path from the working directory.
+    failed = re.findall(r"^FAILED \S*/(test_\w+\.py::\S+)", tests.stdout, re.M)
+    assert sorted(failed) == sorted(nodes), tests.stdout[-2000:]
