@@ -16,8 +16,8 @@ import os
 import sys
 
 from .factorization import TheoremId, check_seed, length_bound, verify
-from .partitions import as_partition, core_size, frobenius, partitions_up_to, reading, size
-from .series import count_sizes, enum_z_asymmetric_cores, gf_z_cores, z_core_offsets
+from .partitions import as_partition, frobenius, partitions_up_to, reading, size
+from .series import enum_z_asymmetric_cores, gf_z_cores, z_core_sizes
 
 # Records may pass CPython's 4300-digit int -> str limit; lifted on import, in scan workers too.
 if hasattr(sys, "set_int_max_str_digits"):
@@ -263,7 +263,7 @@ def cmd_series(args) -> int:
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     with _open_out(args.out) as fh:
-        lattice = count_sizes(map(core_size, z_core_offsets(z, t, order)), order)
+        lattice = z_core_sizes(z, t, order)
         enumerated = enum_z_asymmetric_cores(z, t, order)
         if 0 <= z <= t - 2:
             product = gf_z_cores(z, t, order)

@@ -161,24 +161,6 @@ def core_from_offsets(offsets: tuple[int, ...]) -> Partition:
     return from_beta_set(sorted(beads, reverse=True))
 
 
-def core_size(offsets: tuple[int, ...]) -> int:
-    """|core_from_offsets(offsets)| in O(t), read off the same gaps without
-    building a beta set.  With c' = c_i - min(c), runner i holds the
-    k = c' // t beads c' - t, ..., c' - kt (c' = 0 is the only multiple of
-    t), and a beta set of L beads has size sum(beads) - L(L - 1)/2."""
-    t = len(offsets)
-    gaps = [t * o + i for i, o in enumerate(offsets)]
-    first = min(gaps)
-    total = length = 0
-    for c in gaps:
-        if c >= first + t:  # else k = 0
-            c -= first
-            k = c // t
-            total += k * c - t * k * (k + 1) // 2
-            length += k
-    return total - length * (length - 1) // 2
-
-
 @lru_cache(maxsize=4096)
 def partners(t: int, z: int | None) -> tuple[int, ...]:
     """Class i's partner t-1-z-i, or i itself when that falls outside

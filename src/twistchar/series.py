@@ -9,47 +9,40 @@ one bead moved per arm), keeps each beta set closed under x -> x - t (no
 hook divisible by t), and cuts every subtree with a violation that no
 later arm can mend; it builds no partition.  The product (`gf_z_cores`)
 is a truncated Pochhammer/theta product.  The lattice walk
-(`z_core_offsets`) is a bijection for the t-core members of each family,
+(`z_core_sizes`) is a bijection for the t-core members of each family,
 with one coordinate per class pair i < j = t-1-z-i
-(`partitions.class_pairs`); it yields each core's runner offsets, from
-which `partitions.core_size` reads the size off the runner gaps and
-`partitions.core_from_offsets` builds the core.  The product and the
-lattice walk take their pairs from the same `class_pairs`; the
-enumeration shares neither, so it is the check on the pair list.
-The size comes from the bead positions, not from the walk's cost
-t*v^2 - gap*v, which is the theta product's exponent.
+(`partitions.class_pairs`); it keeps the cores' runner gaps in one list
+and, at each leaf, reads the core's size off them and counts it.  The
+product and the lattice walk take their pairs from the same
+`class_pairs`; the enumeration shares neither, so it is the check on the
+pair list.  The size comes from the bead positions, not from the walk's
+cost t*v^2 - gap*v, which is the theta product's exponent.  Its test
+oracles are `z_core_offsets`, the same walk yielding each core's runner
+offsets, and `core_size`, the size read off one offsets tuple.
 
 A series truncated at order N is the tuple of its N+1 integer
-coefficients, q^m at index m: `count_sizes` builds one from sizes and
-`series_product` multiplies two.
+coefficients, q^m at index m; `series_product` multiplies two.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Iterator
 
 from .partitions import class_pairs, z_asymmetric_arms
 
 
-def count_sizes(sizes: Iterable[int], order: int) -> tuple[int, ...]:
-    """Histogram of the sizes: q^m counts the sizes equal to m, 0 <= m <= order."""
-    row = [0] * (order + 1)
-    for m in sizes:
-        if 0 <= m <= order:
-            row[m] += 1
-    return tuple(row)
-
-
 def series_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two coefficient tuples, truncated at the lower order."""
+    """Product of two coefficient tuples, truncated at the lower order.
+    Only b's nonzero terms are visited: a theta factor has about
+    2*sqrt(order/(a_exp + b_exp)) of them."""
     order = min(len(a), len(b)) - 1
     row = [0] * (order + 1)
+    terms = [(j, y) for j, y in enumerate(b[: order + 1]) if y]
     for i, x in enumerate(a[: order + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if y:
+        if x:
+            for j, y in terms:
+                if i + j > order:
+                    break
                 row[i + j] += x * y
     return tuple(row)
 
@@ -134,13 +127,13 @@ def _coordinate_budget(t: int, gap: int, bound: int) -> list[tuple[int, int]]:
     return [(v, c) for v in range(-r, r + 1) if (c := t * v * v - gap * v) <= bound]
 
 
-def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """The runner offsets (length t, `partitions.core_from_offsets`) of every
-    z-asymmetric t-core of size at most `bound`, for every integer z and
-    t >= 2, in the walk's order: the lattice ball of the coordinate map, one
-    coordinate per class pair.  A pair's coordinate v adds t*v^2 - gap*v
-    cells.  With no pair, as when |z| >= t-1, the only such core is the
-    empty one.  A generator: its `ValueError`s fire at the first item."""
+def z_core_sizes(z: int, t: int, bound: int) -> tuple[int, ...]:
+    """The lattice column: q^m counts the z-asymmetric t-cores of size m,
+    0 <= m <= bound, for every integer z and t >= 2.  It walks the lattice
+    ball of the coordinate map, one coordinate per class pair; a pair's
+    coordinate v adds t*v^2 - gap*v cells.  With no pair, as when
+    |z| >= t-1, the only such core is the empty one.  Each leaf reads its
+    core's size off the runner gaps and builds no core."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if t < 2:
@@ -148,30 +141,53 @@ def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
     # A pair whose only offset within the bound is 0 holds offset 0 in
     # every core, so the walk leaves it out.  Offsets (1, -1) cost the
     # least, t - gap, and `class_pairs` comes in order of decreasing gap,
-    # so the pairs that can move come first.  The offset of class i is the
-    # pair's coordinate, and class j holds its negative.
+    # so the pairs that can move come first.
     pairs, budgets = [], []
     for i, j in class_pairs(t, z):
         if t - (j - i) > bound:
             break
         pairs.append((i, j))
         budgets.append(_coordinate_budget(t, j - i, bound))
-    off = [0] * t
+    row = [0] * (bound + 1)
     if not pairs:
-        yield tuple(off)
-        return
+        row[0] = 1
+        return tuple(row)
+    # Runner i's first empty position at padding tn is tn + c_i, with
+    # c_i = t*o_i + i for its offset o_i: class i holds the pair's
+    # coordinate v and class j its negative.  Every leaf sets the gaps of
+    # every walked pair, so one list holds the path.
+    gaps = list(range(t))
     last = len(pairs) - 1
 
-    # Depth first, each pair's offsets largest first.  Every leaf sets the
-    # offsets of every walked pair, so one list holds the path.
-    def walk(k: int, room: int) -> Iterator[tuple[int, ...]]:
+    # Depth first, each pair's offsets largest first, one frame per
+    # movable pair: past the stack, a ball too large to walk is refused
+    # with a RecursionError.  A leaf reads its core's size off the gaps,
+    # not from the walk's cost t*v^2 - gap*v, which is the theta
+    # product's exponent.  With c' = c_i - min(c), runner i holds the
+    # n = c' // t beads c' - t, ..., c' - nt (c' = 0 is the only multiple
+    # of t), and a beta set of L beads has size sum(beads) - L(L - 1)/2.
+    def walk(k: int, room: int) -> None:
         i, j = pairs[k]
         for v, c in reversed(budgets[k]):
-            if c <= room:
-                off[i], off[j] = v, -v
-                if k == last:
-                    yield tuple(off)
-                else:
-                    yield from walk(k + 1, room - c)
+            if c > room:
+                continue
+            gaps[i], gaps[j] = t * v + i, j - t * v
+            if k < last:
+                walk(k + 1, room - c)
+                continue
+            first = min(gaps)
+            total = length = 0
+            for g in gaps:
+                if g >= first + t:  # else n = 0
+                    g -= first
+                    n = g // t
+                    total += n * g - t * n * (n + 1) // 2
+                    length += n
+            # Every walked core fits the bound; a wrong size is a
+            # mismatched row, never an IndexError or a count from the end.
+            size = total - length * (length - 1) // 2
+            if 0 <= size <= bound:
+                row[size] += 1
 
-    yield from walk(0, bound)
+    walk(0, bound)
+    return tuple(row)

@@ -8,8 +8,12 @@ Frobenius-coordinate test ``is_z_asymmetric``, ``from_frobenius`` (the
 inverse of ``partitions.frobenius``), the built family
 ``z_asymmetric_up_to`` with its size count ``enum_z_asymmetric``, and the
 beta-set closure tests ``is_core_beads`` and ``is_t_core``.
-``pair_offsets`` and ``lattice_cores`` read the lattice walk of
-``series.z_core_offsets`` as coordinates and as built cores.
+The series oracles are ``count_sizes`` (a size histogram),
+``series_product_dense`` (the product over every pair of terms),
+``z_core_offsets`` (the lattice walk of ``series.z_core_sizes``, yielding
+each core's runner offsets) and ``core_size`` (a core's size read off one
+offsets tuple); ``pair_offsets`` and ``lattice_cores`` read that walk as
+coordinates and as built cores.
 ``twisted`` is ``characters.twisted_at_pairs`` at Fraction points, with
 no check.  ``twisted_full_matrix`` builds the twisted character's matrix
 entry by entry, and ``twisted_full_det`` takes its determinant with no
@@ -30,7 +34,7 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
-from twistchar import characters
+from twistchar import characters, series
 from twistchar.characters import DegeneratePointError, GroupType
 from twistchar.cyclotomic import field, omega_pow
 from twistchar.factorization import TheoremId
@@ -48,7 +52,6 @@ from twistchar.partitions import (
     size,
     z_asymmetric_arms,
 )
-from twistchar.series import count_sizes, z_core_offsets
 
 
 def partitions_strategy(max_part: int = 9, max_len: int = 7):
@@ -273,6 +276,78 @@ def is_t_core(la: Partition, t: int) -> bool:
     return is_core_beads(sum(1 << x for x in beta_set(la, len(la))), t)
 
 
+def count_sizes(sizes: Iterable[int], order: int) -> tuple[int, ...]:
+    """Histogram of the sizes: q^m counts the sizes equal to m, 0 <= m <= order."""
+    row = [0] * (order + 1)
+    for m in sizes:
+        if 0 <= m <= order:
+            row[m] += 1
+    return tuple(row)
+
+
+def series_product_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """`series.series_product` over every pair of coefficients."""
+    order = min(len(a), len(b)) - 1
+    row = [0] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            row[i + j] += a[i] * b[j]
+    return tuple(row)
+
+
+def core_size(offsets: tuple[int, ...]) -> int:
+    """|core_from_offsets(offsets)| in O(t), read off the same gaps without
+    building a beta set.  With c' = c_i - min(c), runner i holds the
+    k = c' // t beads c' - t, ..., c' - kt (c' = 0 is the only multiple of
+    t), and a beta set of L beads has size sum(beads) - L(L - 1)/2."""
+    t = len(offsets)
+    gaps = [t * o + i for i, o in enumerate(offsets)]
+    first = min(gaps)
+    total = length = 0
+    for c in gaps:
+        if c >= first + t:  # else k = 0
+            c -= first
+            k = c // t
+            total += k * c - t * k * (k + 1) // 2
+            length += k
+    return total - length * (length - 1) // 2
+
+
+def z_core_offsets(z: int, t: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The runner offsets (length t, `partitions.core_from_offsets`) of every
+    z-asymmetric t-core of size at most `bound`, for every integer z and
+    t >= 2, in the walk's order: the lattice ball of `series.z_core_sizes`,
+    one coordinate per class pair, with the same pair budgets.  A
+    generator: its `ValueError`s fire at the first item."""
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    if t < 2:
+        raise ValueError(f"need t >= 2, got {t}")
+    pairs, budgets = [], []
+    for i, j in class_pairs(t, z):
+        if t - (j - i) > bound:
+            break
+        pairs.append((i, j))
+        budgets.append(series._coordinate_budget(t, j - i, bound))
+    off = [0] * t
+    if not pairs:
+        yield tuple(off)
+        return
+    last = len(pairs) - 1
+
+    def walk(k: int, room: int) -> Iterator[tuple[int, ...]]:
+        i, j = pairs[k]
+        for v, c in reversed(budgets[k]):
+            if c <= room:
+                off[i], off[j] = v, -v
+                if k == last:
+                    yield tuple(off)
+                else:
+                    yield from walk(k + 1, room - c)
+
+    yield from walk(0, bound)
+
+
 def pair_offsets(v, z: int, t: int) -> tuple[int, ...]:
     """The runner offsets at lattice coordinates v: v_k on the lower class
     of the k-th pair of `class_pairs(t, z)`, -v_k on its partner, and 0 on
@@ -284,7 +359,7 @@ def pair_offsets(v, z: int, t: int) -> tuple[int, ...]:
 
 
 def lattice_cores(z: int, t: int, bound: int) -> list[Partition]:
-    """The cores whose offsets `series.z_core_offsets` walks, each built by
+    """The cores whose offsets `z_core_offsets` walks, each built by
     `core_from_offsets`, sorted by size."""
     cores = map(core_from_offsets, z_core_offsets(z, t, bound))
     return sorted(cores, key=lambda la: (size(la), la))
@@ -370,7 +445,7 @@ def z_core_offsets_stack(z: int, t: int, bound: int) -> list[tuple[int, ...]]:
     """Runner offsets of the z-asymmetric t-cores of size <= bound, by a
     stack walk over every class pair i < j (offsets (v, -v), cost
     t*v^2 - (j-i)*v) that pops each pair's largest offset first: the order
-    `series.z_core_offsets` keeps."""
+    `z_core_offsets` keeps."""
     pairs = list(class_pairs(t, z))
     out, stack = [], [((), 0)]
     while stack:

@@ -738,22 +738,17 @@ def _bump_at_5(got):
     return tuple(c + (m == 5) for m, c in enumerate(got))
 
 
-def _twice_at_5(offsets):
-    for o in offsets:
-        yield from [o] * (1 + (partitions.core_size(o) == 5))
-
-
 @pytest.mark.parametrize(
     "column, target, wrap",
     [
         ("enum", "enum_z_asymmetric_cores", _bump_at_5),
         ("product", "gf_z_cores", _bump_at_5),
-        ("lattice", "z_core_offsets", _twice_at_5),
+        ("lattice", "z_core_sizes", _bump_at_5),
     ],
 )
 def test_series_reports_a_mismatch_on_its_row(monkeypatch, tmp_path, capsys, column, target, wrap):
-    # One column off by one at m = 5 (the lattice column by listing the
-    # size-5 core twice); only that row and its record may disagree.
+    # One column off by one at m = 5; only that row and its record may
+    # disagree.
     real = getattr(cli, target)
     monkeypatch.setattr(cli, target, lambda *args: wrap(real(*args)))
     p = tmp_path / "series.jsonl"

@@ -1,7 +1,8 @@
-"""Mutation gate for the twisted rows and the derivation.
+"""Mutation gate for the twisted rows, the derivation and the lattice leaf.
 
-Each mutant changes one line of a module in a copy of the package and
-runs the standing scan from that copy.  A mutant of the sliced
+Each mutant changes one line (one of them two adjacent lines) of a
+module in a copy of the package and runs the standing scan from that
+copy.  A mutant of the sliced
 Jacobi-Trudi / Koike-Terada rows or of the derivation must be noticed:
 exit 2 on a mismatch (or, for the slicing, exit 1 with a one-line
 message), never 0 and never a traceback.  A derivation mutant that
@@ -10,7 +11,11 @@ with a one-line message.  An equivalent mutant must leave the standing
 records byte for byte, so it pins why the line may take either form.
 A mutant that only moves a record field `match` never reads passes the
 scan with other records; the Tier-1 tests listed with it must fail when
-run from the same copy.  Each scan costs about 0.3 s.
+run from the same copy.  Each scan costs about 0.3 s.  A mutant of the
+lattice walk's leaf, which reads each core's size off its runner gaps, is
+run through `series` instead: exit 2 with a MISMATCH row, never 0 and
+never a traceback, and an equivalent one must leave the table byte for
+byte.
 """
 
 import hashlib
@@ -30,6 +35,11 @@ STANDING = ["scan", "--theorems", "all", "--t", "2,3,4", "--n", "1,2", "--max-si
 
 # sha256 of the standing scan's --out records, as pinned in CI.
 STANDING_DIGEST = "b86909f20e2aece49e8e0701b92265815ffed5debfb49c9ead2d62e786c10cb2"
+
+SERIES = ["series", "--z", "0", "--t", "3", "--N", "26"]
+
+# sha256 of that command's table.
+SERIES_DIGEST = "138e7edcf3e96865deab85198c319d0a69813d4fcfbfc825c96d5138f4839f4b"
 
 # name: (module, line as written, line as mutated)
 SLICING = {
@@ -110,6 +120,31 @@ EQUIVALENT = {
     "tilt-reads-even-classes": ("factorization.py", "sum(cls.offsets[1::2])", "sum(cls.offsets[::2])"),
 }
 
+LATTICE_LEAF = {
+    "leaf-size-one-high": (
+        "series.py",
+        "size = total - length * (length - 1) // 2",
+        "size = total - length * (length - 1) // 2 + 1",
+    ),
+    # A runner that holds exactly one bead is skipped.
+    "bead-test-reads-2t": ("series.py", "if g >= first + t:", "if g >= first + 2 * t:"),
+    # Two adjacent lines.  No core at z = 0, t = 3 has size 26, so no
+    # size runs past the row, and the guard's loss must not hide the
+    # mismatch.
+    "size-guard-gone-one-high": (
+        "series.py",
+        "size = total - length * (length - 1) // 2\n            if 0 <= size <= bound:",
+        "size = total - length * (length - 1) // 2 + 1\n            if True:",
+    ),
+}
+
+LATTICE_EQUIVALENT = {
+    # c_i = t*o_i + i is i mod t, so a gap is a multiple of t above the
+    # least only on the least's own runner, where it is 0 above it: no gap
+    # lies exactly t above the least.
+    "bead-test-strict": ("series.py", "if g >= first + t:", "if g > first + t:"),
+}
+
 # name: (module, line as written, line as mutated, Tier-1 tests that must fail)
 UNSEEN = {
     # One padding step then moves sigma and epsilon by the parity of T n0 +
@@ -128,7 +163,7 @@ UNSEEN = {
     ),
 }
 
-MUTANTS = {**SLICING, **DERIVATION, **REFUSED, **EQUIVALENT, **UNSEEN}
+MUTANTS = {**SLICING, **DERIVATION, **REFUSED, **EQUIVALENT, **LATTICE_LEAF, **LATTICE_EQUIVALENT, **UNSEEN}
 
 
 def _copy(tmp_path, mutant=None):
@@ -164,6 +199,9 @@ def test_the_copy_passes_unmutated(tmp_path):
     out = _scan(tmp_path)
     assert out.returncode == 0, out.stderr
     assert "mismatch=0" in out.stderr
+    out = _run(tmp_path, "twistchar.cli", *SERIES)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == SERIES_DIGEST
 
 
 @pytest.mark.parametrize("mutant", SLICING)
@@ -196,6 +234,24 @@ def test_an_equivalent_mutant_keeps_the_standing_records(tmp_path, mutant):
     out = _scan(tmp_path, mutant, "--out", str(records))
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(records.read_bytes()).hexdigest() == STANDING_DIGEST
+
+
+@pytest.mark.parametrize("mutant", LATTICE_LEAF)
+def test_a_mutant_of_the_lattice_leaf_fails_the_series_check(tmp_path, mutant):
+    _copy(tmp_path, mutant)
+    out = _run(tmp_path, "twistchar.cli", *SERIES)
+    assert "Traceback" not in out.stderr, out.stderr
+    assert out.returncode == 2, (out.returncode, out.stderr[-300:])
+    assert "   <- MISMATCH" in out.stdout
+    assert out.stderr == "series: z=0 t=3 N=26 MISMATCH\n"
+
+
+@pytest.mark.parametrize("mutant", LATTICE_EQUIVALENT)
+def test_an_equivalent_mutant_of_the_lattice_leaf_keeps_the_series_table(tmp_path, mutant):
+    _copy(tmp_path, mutant)
+    out = _run(tmp_path, "twistchar.cli", *SERIES)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == SERIES_DIGEST
 
 
 @pytest.mark.parametrize("mutant", UNSEEN)

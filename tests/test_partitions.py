@@ -12,6 +12,7 @@ from helpers import (
     block_sign_oracle,
     ceil_div,
     conjugate,
+    core_size,
     from_frobenius,
     is_core_beads,
     is_t_core,
@@ -33,7 +34,6 @@ from twistchar.partitions import (
     beta_set,
     class_pairs,
     core_from_offsets,
-    core_size,
     frobenius,
     from_beta_set,
     mu_padded,

@@ -1,39 +1,42 @@
 """Generating functions, theta products, and the core lattice bijection."""
 
 import json
+import random
 
 import pytest
 
 from twistchar import cli, partitions, series
 from helpers import (
     conjugate,
+    core_size,
+    count_sizes,
     enum_z_asymmetric,
     is_t_core,
     is_z_asymmetric,
     lattice_cores,
     pair_offsets,
     qpoch,
+    series_product_dense,
     t_core_strips,
     z_asymmetric_up_to,
+    z_core_offsets,
     z_core_offsets_stack,
 )
 from twistchar.partitions import (
     class_pairs,
     core_from_offsets,
-    core_size,
     partitions_of,
     partitions_up_to,
     reading,
     size,
 )
 from twistchar.series import (
-    count_sizes,
     enum_z_asymmetric_cores,
     gf_z_asymmetric,
     gf_z_cores,
     series_product,
     theta_f,
-    z_core_offsets,
+    z_core_sizes,
 )
 
 
@@ -45,6 +48,20 @@ def test_series_arithmetic():
     # Sizes past the order, and negative ones, are not counted.
     assert count_sizes([0, 5, 9, -1, 5, 9], 5) == (1, 0, 0, 0, 0, 2)
     assert count_sizes([], 0) == (0,)
+
+
+def test_series_product_matches_the_dense_product():
+    # Runs of zeros on either side, unequal lengths and order 0: the
+    # product visits b's nonzero terms only and stops past the order.
+    rng = random.Random(43)
+    for _ in range(400):
+        a, b = (
+            tuple(rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(rng.randint(1, 30)))
+            for _ in range(2)
+        )
+        assert series_product(a, b) == series_product_dense(a, b), (a, b)
+    for a, b in [((5,), (0,)), ((0,), (7, 1)), ((2, 1, 0), (3,)), ((0, 0, 4), (0, 0, 0, 9))]:
+        assert series_product(a, b) == series_product_dense(a, b), (a, b)
 
 
 def test_one_minus_power_helper():
@@ -196,6 +213,7 @@ def test_core_counts_three_ways(z, t):
                 brute[m] += 1
     assert tuple(brute) == gf_z_cores(z, t, order)
     assert count_sizes(map(size, lattice_cores(z, t, order)), order) == tuple(brute)
+    assert z_core_sizes(z, t, order) == tuple(brute)
 
 
 @pytest.mark.parametrize("t", [3, 4])
@@ -292,17 +310,20 @@ def test_lattice_walk_leaves_out_the_pairs_that_cannot_move(monkeypatch):
 
     monkeypatch.setattr(series, "_coordinate_budget", spy)
     for z, t, bound in [(0, 20, 10), (1, 20, 10), (-1, 9, 4), (0, 5, 30)]:
-        gaps.clear()
-        vectors = list(z_core_offsets(z, t, bound))
         # Offsets (1, -1) on the pair i < j add t - (j - i) cells; only the
         # pairs that can move are walked, and the others stay at 0.
         pairs = list(class_pairs(t, z))
         movable = [(i, j) for i, j in pairs if t - (j - i) <= bound]
+        gaps.clear()
+        counts = z_core_sizes(z, t, bound)
+        assert gaps == [j - i for i, j in movable], (z, t)
+        gaps.clear()
+        vectors = list(z_core_offsets(z, t, bound))
         assert gaps == [j - i for i, j in movable], (z, t)
         still = [c for pair in pairs if pair not in movable for c in pair]
         assert all(v[c] == 0 for v in vectors for c in still), (z, t)
-        # One vector per core.
-        assert len({core_from_offsets(v) for v in vectors}) == len(vectors)
+        # One vector per core, and one count.
+        assert len({core_from_offsets(v) for v in vectors}) == len(vectors) == sum(counts)
 
 
 def test_lattice_walk_keeps_the_stack_walk_order():
@@ -311,6 +332,24 @@ def test_lattice_walk_keeps_the_stack_walk_order():
             for bound in (0, 5, 26, 60):
                 want = z_core_offsets_stack(z, t, bound)
                 assert list(z_core_offsets(z, t, bound)) == want, (z, t, bound)
+
+
+def test_lattice_column_reads_the_sizes_of_the_walked_offsets():
+    for t in range(2, 11):
+        for z in range(-t - 3, t + 4):
+            for bound in (0, 5, 26, 60):
+                want = count_sizes(map(core_size, z_core_offsets(z, t, bound)), bound)
+                assert z_core_sizes(z, t, bound) == want, (z, t, bound)
+
+
+def test_lattice_column_refuses_a_negative_bound_and_t_below_2():
+    # A function, not a generator: the call itself refuses.
+    for z in (5, 0, -1):
+        with pytest.raises(ValueError, match="bound"):
+            z_core_sizes(z, 3, -1)
+    for t in (1, 0, -2):
+        with pytest.raises(ValueError, match="t >= 2"):
+            z_core_sizes(0, t, 5)
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -444,6 +483,11 @@ def test_lattice_walk_at_large_t_budgets_only_the_pairs_that_move(monkeypatch, z
 
     monkeypatch.setattr(series, "_coordinate_budget", counted)
     order = 3
+    family = len(list(z_asymmetric_up_to(z, order)))
+    counts = z_core_sizes(z, 10**5, order)
+    assert len(calls) <= order + 2
+    assert sum(counts) == family
+    calls.clear()
     offsets = list(z_core_offsets(z, 10**5, order))
     assert len(calls) <= order + 2
-    assert len(offsets) == len(list(z_asymmetric_up_to(z, order)))
+    assert len(offsets) == family
