@@ -11,9 +11,10 @@ whose entries are powers of rational evaluation points.  The four families:
 
 with b = beta_set(la, n) and xbar the inverse point.  The OO form uses
 integer exponents only, so no square roots are ever needed.
-At the points x_i = p_i/q_i each bialternant is taken over Z: row i
-times an integer s_i is an int row, and the bialternant is
-det(int rows) / prod s_i.  With top = b_1, the row's largest exponent:
+Both routes read each point p/q as its integer pair (p, q).  Each
+bialternant is taken over Z: row i times an integer s_i is an int row,
+the bialternant is det(int rows) / prod s_i, and the character is one
+Fraction of the two.  With top = b_1, the row's largest exponent:
 
   GL  p^b q^(top-b)                                  s_i = q^top
   SP  (p^(2b+2) - q^(2b+2)) (pq)^(top-b)             s_i = (pq)^(top+1)
@@ -21,7 +22,7 @@ det(int rows) / prod s_i.  With top = b_1, the row's largest exponent:
   OE  (p^(2b) + q^(2b)) (pq)^(top-b), (pq)^top at b = 0
                                                      s_i = (pq)^top
 
-Negative points and the point 1 need no special case.
+Negative points, the point 1 and a pair (q, p) with p < 0 need no special case.
 
 `twisted_at_pairs` evaluates the same characters at the root-of-unity
 twist (X, wX, ..., w^(t-1) X) of rational points without leaving Q: it
@@ -85,24 +86,22 @@ _KOIKE_TERADA = {GroupType.SP: (0, 1), GroupType.OO: (1, 1), GroupType.OE: (2, -
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _bialternant(g: GroupType, pts, betas) -> Fraction:
-    """det of the bialternant matrix at the points p/q, over Z: row i times
-    an integer s_i is an int row, divided out by the product of the s_i
+def _bialternant(g: GroupType, pts, betas) -> tuple:
+    """det of the bialternant matrix at the pairs (p, q) of the points p/q,
+    over Z: the int det of the rows times s_i, and the product of the s_i
     (module docstring)."""
     top = betas[0]
     rows, scale = [], 1
     if g is GroupType.GL:
-        for x in pts:
-            p, q = x.numerator, x.denominator
+        for p, q in pts:
             rows.append([p ** b * q ** (top - b) for b in betas])
             scale *= q ** top
-        return Fraction(det(rows), scale)
+        return det(rows), scale
     # x^(b+u) + sign xbar^(b+v) is (p^(2b+k) + sign q^(2b+k)) / (p^(b+v) q^(b+u))
     # with k = u + v, so s_i = p^(top+v) q^(top+u) leaves (pq)^(top-b) over.
     u, v, sign = _LAURENT[g]
     k = u + v
-    for x in pts:
-        p, q = x.numerator, x.denominator
+    for p, q in pts:
         pq = p * q
         rows.append([
             (p ** (2 * b + k) + sign * q ** (2 * b + k)) * pq ** (top - b)
@@ -110,16 +109,17 @@ def _bialternant(g: GroupType, pts, betas) -> Fraction:
             for b in betas
         ])
         scale *= p ** (top + v) * q ** (top + u)
-    return Fraction(det(rows), scale)
+    return det(rows), scale
 
 
 @lru_cache(maxsize=4096)
-def _denominator(g: GroupType, pts: tuple) -> Fraction:
+def _denominator(g: GroupType, pts: tuple) -> tuple:
     return _bialternant(g, pts, beta_set((), len(pts)))
 
 
 def weyl_character(g: GroupType, la: Partition, pts: tuple) -> Fraction:
-    """Evaluate the character of group type g at the given Fraction points.
+    """Evaluate the character of group type g at the integer pairs (p, q)
+    of the points p/q (`point_pairs`); a non-pair fails to unpack: TypeError.
 
     A partition with more parts than there are points indexes no
     representation; the character is zero by convention, and that zero is
@@ -131,14 +131,13 @@ def weyl_character(g: GroupType, la: Partition, pts: tuple) -> Fraction:
         raise ValueError("at least one evaluation point is required")
     if la and la[-1] < 0:
         raise ValueError(f"negative part in {la}")
-    if not all(isinstance(x, Fraction) for x in pts):
-        raise TypeError(f"points must be Fractions, got {pts}")
     if len(la) > n:
         return _ZERO
-    den = _denominator(g, pts)
+    den, den_scale = _denominator(g, pts)
     if not den:
         raise DegeneratePointError(f"{g.value} denominator vanishes at {pts}")
-    return _bialternant(g, pts, beta_set(la, n)) / den
+    num, scale = _bialternant(g, pts, beta_set(la, n))
+    return Fraction(num * den_scale, scale * den)
 
 
 @lru_cache(maxsize=4096)
@@ -214,15 +213,13 @@ def _scales(d: int, s: int, sign: int, l: int) -> tuple:
 
 
 def point_pairs(xs: tuple) -> tuple:
-    """The integer pairs (p, q) of the Fraction points p/q, q > 0: the form
-    in which the point-keyed caches of both routes take them."""
+    """The integer pairs (p, q), q > 0, of the Fraction points p/q."""
     return tuple((x.numerator, x.denominator) for x in xs)
 
 
 def twisted_at_pairs(g: GroupType, la: Partition, pairs: tuple, t: int, ones: int = 0) -> Fraction:
-    """The character of type g at (X, wX, ..., w^(t-1) X), over Q, with
-    `ones` points 1 appended to the twisted tuple; pairs are the integer
-    pairs (p, q) of the rational points X = p/q (`point_pairs`).  It
+    """The character of type g at the twist (X, wX, ..., w^(t-1) X) of the
+    points X given as pairs, over Q, with `ones` points 1 appended.  It
     equals the bialternant ratio at those tn + ones points in Q(w), the
     tests' oracle.  There is no Weyl denominator, so the points may
     coincide.

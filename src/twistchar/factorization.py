@@ -83,18 +83,20 @@ def length_bound(th: TheoremId, t: int, n: int) -> int:
     return t * n + th.ones
 
 
-def _canonical(la: Partition) -> Partition:
-    # la as a tuple, its trailing zeros dropped, so that the bound reads its
-    # canonical length.  Other input is checked on a derivation miss only.
-    la = tuple(la)
-    return as_partition(la) if la and not la[-1] else la
-
-
 def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> Partition:
     """la in canonical form, once the case's t, n and length are checked."""
     if t < 2 or n < 1:
         raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
-    la = _canonical(la)
+    # la as a tuple, its trailing zeros dropped, so that the bound reads its
+    # canonical length, and refused if its sum fails or is no int, as every
+    # cache takes 2.0 for 2.  Other input is checked on a miss only.
+    la = tuple(la)
+    try:
+        whole = type(sum(la)) is int
+    except TypeError:
+        whole = False
+    if not whole or la and not la[-1]:
+        la = as_partition(la)
     if len(la) > length_bound(th, t, n):
         raise ValueError(
             f"partition has {len(la)} parts, bound for {th.value} is {length_bound(th, t, n)}"
@@ -285,12 +287,12 @@ def _predict(th: TheoremId, la: Partition, t: int, n: int) -> Prediction:
     return Prediction(pred.t, n, eps, -pred.sigma if flip else pred.sigma, pred.sign, pred.factors)
 
 
-# A factor's point set, built from the t-th powers Y = (x_1^t, ..., x_n^t).
+# A factor's point set, built from the pairs (p^t, q^t) of Y = (x_1^t, ...).
 _POINT_SETS = {
     "Y": lambda ys: ys,
-    "Y,1": lambda ys: ys + (Fraction(1),),
-    "Y,1/Y": lambda ys: ys + tuple(1 / y for y in ys),
-    "-Y": lambda ys: tuple(-y for y in ys),
+    "Y,1": lambda ys: ys + ((1, 1),),
+    "Y,1/Y": lambda ys: ys + tuple((q, p) for p, q in ys),
+    "-Y": lambda ys: tuple((-p, q) for p, q in ys),
 }
 
 
@@ -302,7 +304,7 @@ def _factor_value(group: GroupType, mu: Partition, at: str, pairs: tuple, t: int
     # of (X, t), formed here on a miss only, and a key of ints and a group
     # hashes no Fraction.  A DegeneratePointError is raised again on every
     # call, never cached.
-    ys = tuple(Fraction(p ** t, q ** t) for p, q in pairs)
+    ys = tuple((p ** t, q ** t) for p, q in pairs)
     return weyl_character(group, mu, _POINT_SETS[at](ys))
 
 

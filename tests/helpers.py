@@ -14,8 +14,9 @@ The series oracles are ``count_sizes`` (a size histogram),
 each core's runner offsets) and ``core_size`` (a core's size read off one
 offsets tuple); ``pair_offsets`` and ``lattice_cores`` read that walk as
 coordinates and as built cores.
-``twisted`` is ``characters.twisted_at_pairs`` at Fraction points, with
-no check.  ``twisted_full_matrix`` builds the twisted character's matrix
+``twisted`` and ``weyl`` are ``characters.twisted_at_pairs`` and
+``characters.weyl_character`` at Fraction points, read as their integer
+pairs.  ``twisted_full_matrix`` builds the twisted character's matrix
 entry by entry, and ``twisted_full_det`` takes its determinant with no
 singular-support rule.  The ``check_*``
 functions scan all partitions below a size bound and return a list of
@@ -178,6 +179,12 @@ def twisted(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> Fr
     runtime's `characters.twisted_at_pairs`, which checks nothing, at their
     integer pairs."""
     return characters.twisted_at_pairs(g, la, characters.point_pairs(xs), t, ones)
+
+
+def weyl(g: GroupType, la: Partition, pts: tuple) -> Fraction:
+    """The character of type g at the Fraction points pts: the runtime's
+    `characters.weyl_character` at their integer pairs."""
+    return characters.weyl_character(g, la, characters.point_pairs(pts))
 
 
 def twisted_full_matrix(g: GroupType, la: Partition, xs: tuple, t: int, ones: int = 0) -> tuple[list, int]:

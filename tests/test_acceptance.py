@@ -29,8 +29,9 @@ from helpers import (
     lattice_cores,
     pair_offsets,
     t_core_strips,
+    weyl,
 )
-from twistchar.characters import GroupType, weyl_character
+from twistchar.characters import GroupType
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
     TheoremId,
@@ -78,11 +79,11 @@ def test_criterion_01_gl_factorization_sweep():
 
 
 def _gl2(p, q, x2, one):
-    return weyl_character(GroupType.GL, tuple(v for v in (p, q) if v), (x2, one))
+    return weyl(GroupType.GL, tuple(v for v in (p, q) if v), (x2, one))
 
 
 def _gl1(k, x2):
-    return weyl_character(GroupType.GL, row(k), (x2,))
+    return weyl(GroupType.GL, row(k), (x2,))
 
 
 def _augmented_two_variable_form(a, b, c, x2, one):
@@ -181,15 +182,13 @@ def test_criterion_04_orthogonal_sweeps_and_two_part_forms():
                 la = tuple(p for p in (a, b) if p)
                 got = lhs_value(TheoremId.EVEN_ORTH, la, 2, 1, (x,))
                 if a % 2 == 1 and b % 2 == 1:
-                    want = weyl_character(
-                        GroupType.OO, row((b - 1) // 2), (-x2,)
-                    ) * weyl_character(GroupType.OE, row((a + 1) // 2), (x2,))
+                    want = weyl(GroupType.OO, row((b - 1) // 2), (-x2,)) * weyl(
+                        GroupType.OE, row((a + 1) // 2), (x2,)
+                    )
                     if ((b + 1) // 2) % 2:
                         want = -want
                 elif a % 2 == 0 and b % 2 == 0:
-                    want = weyl_character(
-                        GroupType.OO, row(a // 2), (-x2,)
-                    ) * weyl_character(GroupType.OE, row(b // 2), (x2,))
+                    want = weyl(GroupType.OO, row(a // 2), (-x2,)) * weyl(GroupType.OE, row(b // 2), (x2,))
                     if (a // 2) % 2:
                         want = -want
                 else:
@@ -197,9 +196,7 @@ def test_criterion_04_orthogonal_sweeps_and_two_part_forms():
                 assert got == want, ("even", a, b)
                 got = lhs_value(TheoremId.ODD_ORTH, la, 2, 1, (x,))
                 if (a - b) % 2 == 0:
-                    want = weyl_character(
-                        GroupType.GL, row((a + b) // 2), (x2, 1 / x2)
-                    )
+                    want = weyl(GroupType.GL, row((a + b) // 2), (x2, 1 / x2))
                     if a % 2:
                         want = -want
                     assert got == want, ("odd", a, b)

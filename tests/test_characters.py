@@ -1,8 +1,9 @@
 """Classical-group characters as exact bialternant ratios.
 
-`weyl_character` takes rational points only.  At points in Q(w) the tests
-use their oracle, `helpers.bialternant`, and check it here against
-tableaux and the rank-one and rank-two closed forms."""
+`weyl_character` takes the integer pairs (p, q) of rational points p/q;
+the tests call it at Fraction points through `helpers.weyl`.  At points
+in Q(w) the tests use their oracle, `helpers.bialternant`, and check it
+here against tableaux and the rank-one and rank-two closed forms."""
 
 import random
 from fractions import Fraction
@@ -24,9 +25,10 @@ from helpers import (
     twisted_full_det,
     twisted_full_matrix,
     twisted_points,
+    weyl,
 )
 from twistchar import characters, factorization
-from twistchar.characters import DegeneratePointError, GroupType, weyl_character
+from twistchar.characters import DegeneratePointError, GroupType, point_pairs, weyl_character
 from twistchar.cyclotomic import CycloElem, field
 from twistchar.factorization import _POINT_SETS, TheoremId, lhs_value, predict, sample_points
 from twistchar.linalg import det
@@ -95,13 +97,13 @@ def test_long_partitions_give_zero_and_empty_points_raise():
     assert bialternant(GroupType.OO, (1, 1, 1), pts) == zero
     assert bialternant(GroupType.OE, (3, 2, 1), pts) == zero
     for g in GroupType:
-        got = weyl_character(g, (3, 2, 1), (Fraction(5, 2), Fraction(4, 3)))
+        got = weyl(g, (3, 2, 1), (Fraction(5, 2), Fraction(4, 3)))
         assert got == 0 and type(got) is Fraction
         with pytest.raises(ValueError):
             weyl_character(g, (1,), ())
         # A negative part would take negative powers: it is refused.
         with pytest.raises(ValueError, match="negative part"):
-            weyl_character(g, (1, -1), (Fraction(5, 2), Fraction(4, 3)))
+            weyl(g, (1, -1), (Fraction(5, 2), Fraction(4, 3)))
 
 
 def test_rational_points_stay_in_q():
@@ -109,13 +111,13 @@ def test_rational_points_stay_in_q():
         pts = embed(vals, 3)
         for g in GroupType:
             for la in partitions_up_to(3, max_length=n):
-                got = weyl_character(g, la, vals)
+                got = weyl(g, la, vals)
                 assert type(got) is Fraction
                 assert pts[0].field.from_rational(got) == bialternant(g, la, pts)
-    with pytest.raises(TypeError):
-        weyl_character(GroupType.GL, (1,), (2, 3))
-    with pytest.raises(TypeError):
-        weyl_character(GroupType.GL, (1,), embed(POINTS[2], 3))
+    # A point that is not an integer pair fails to unpack.
+    for pts in [(2, 3), POINTS[2], embed(POINTS[2], 3)]:
+        with pytest.raises(TypeError):
+            weyl_character(GroupType.GL, (1,), pts)
 
 
 def test_degenerate_points_are_reported():
@@ -130,7 +132,7 @@ def test_degenerate_points_are_reported():
 
 def test_degenerate_negative_points_are_reported():
     # Two equal points at -Y: equal rows, so the integer denominator is 0.
-    pts = _POINT_SETS["-Y"]((Fraction(9, 4), Fraction(9, 4)))
+    pts = _POINT_SETS["-Y"](((9, 4), (9, 4)))
     for g in GroupType:
         for _ in range(2):
             with pytest.raises(DegeneratePointError):
@@ -146,7 +148,7 @@ def test_rational_bialternant_hands_det_only_ints(monkeypatch):
 
     monkeypatch.setattr(characters, "det", checked)
     characters._denominator.cache_clear()
-    ys = (Fraction(7, 2), Fraction(-5, 3))
+    ys = ((7, 2), (-5, 3))
     # Every layout whose Weyl denominator is nonzero: SP and OO vanish at
     # the point 1, and SP, OO and OE wherever x_i x_j = 1.
     layouts = {
@@ -181,19 +183,21 @@ def test_rational_bialternant_matches_the_fraction_entry_matrix(g, at, ys, la):
     # integer one: row i of the same matrix times s_i, divided out after.
     # A row scale that is off by a factor common to la and the empty
     # partition cancels in the character, so the denominator is compared
-    # on its own too.
-    pts = _POINT_SETS[at](tuple(ys))
+    # on its own too.  The point set is built from the pairs, as the right
+    # side builds it, and read back as Fractions for the oracle.
+    pairs = _POINT_SETS[at](point_pairs(ys))
+    pts = tuple(Fraction(p, q) for p, q in pairs)
     n = len(pts)
     if len(la) > n:
-        assert weyl_character(g, la, pts) == 0
+        assert weyl_character(g, la, pairs) == 0
         return
     den = det(entry_matrix(g, pts, beta_set((), n)))
-    assert characters._denominator(g, pts) == den
+    assert Fraction(*characters._denominator(g, pairs)) == den
     if not den:
         with pytest.raises(DegeneratePointError):
-            weyl_character(g, la, pts)
+            weyl_character(g, la, pairs)
         return
-    got = weyl_character(g, la, pts)
+    got = weyl_character(g, la, pairs)
     assert type(got) is Fraction
     assert got == det(entry_matrix(g, pts, beta_set(la, n))) / den
 
@@ -281,7 +285,7 @@ def test_untwisted_rows_match_weyl_character_over_q():
     reads = [(g, 0) for g in GroupType] + [(GroupType.GL, 1), (GroupType.OE, 1)]
     for g, ones in reads:
         for la in las:
-            want = weyl_character(g, la, xs + (Fraction(1),) * ones)
+            want = weyl(g, la, xs + (Fraction(1),) * ones)
             assert twisted(g, la, xs, 1, ones=ones) == want, (g, la, ones)
 
 

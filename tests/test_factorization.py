@@ -20,14 +20,10 @@ from helpers import (
     t_core_strips,
     twisted,
     twisted_points,
+    weyl,
 )
 from twistchar import characters, cyclotomic, factorization, partitions
-from twistchar.characters import (
-    DegeneratePointError,
-    GroupType,
-    point_pairs,
-    weyl_character,
-)
+from twistchar.characters import DegeneratePointError, GroupType, point_pairs
 from twistchar.cyclotomic import field
 from twistchar.factorization import (
     Prediction,
@@ -246,23 +242,27 @@ def _count_dets(monkeypatch) -> list:
     return calls
 
 
+# Every runtime cache a verify reads, with its (hits, misses) over one cold
+# standing pass.
+_STANDING_TRAFFIC = {
+    factorization._derive: (467, 640),
+    reading: (508, 132),
+    partitions.partners: (925, 12),
+    characters._twisted_h: (530, 48),
+    characters._unbalanced: (344, 496),
+    characters._column_keys: (428, 68),
+    characters._scales: (258, 30),
+    characters._denominator: (76, 40),
+    factorization._factor_value: (399, 116),
+    factorization._padded: (131, 28),
+    factorization._zero_pad: (1104, 3),
+    factorization._seed_pairs: (1105, 2),
+}
+
+
 def test_caches_are_transparent_and_reused_on_the_standing_grid(monkeypatch):
-    # Every runtime cache a verify reads, with its (hits, misses) over one
-    # cold standing pass: a change that moves no work leaves each as it is.
-    pins = {
-        factorization._derive: (467, 640),
-        reading: (508, 132),
-        partitions.partners: (925, 12),
-        characters._twisted_h: (530, 48),
-        characters._unbalanced: (344, 496),
-        characters._column_keys: (428, 68),
-        characters._scales: (258, 30),
-        characters._denominator: (76, 40),
-        factorization._factor_value: (399, 116),
-        factorization._padded: (131, 28),
-        factorization._zero_pad: (1104, 3),
-        factorization._seed_pairs: (1105, 2),
-    }
+    # A change that moves no work leaves each cache's traffic as it is.
+    pins = _STANDING_TRAFFIC
     for cache in pins:
         cache.cache_clear()
     dets = _count_dets(monkeypatch)
@@ -307,10 +307,15 @@ def test_every_row_shares_one_reading_per_case(monkeypatch):
 
 
 def test_a_warm_scan_hashes_no_fraction_and_checks_each_case_once(monkeypatch):
-    # Both point-keyed caches are keyed on the points' integer pairs, and
-    # verify checks the seed and the case once per op and the points once
-    # per (n, seed), where they are drawn.
-    cold = _standing_grid()
+    # Both routes and every point-keyed cache, the Weyl denominators' too,
+    # read the points as their integer pairs, and verify checks the seed
+    # and the case once per op and the points once per (n, seed), where
+    # they are drawn.  So a cold pass hashes a Fraction only in
+    # sample_points' distinctness set, once per drawn point: one point at
+    # n = 1 and two at n = 2.  A warm pass hashes none.
+    drawn = [*sample_points(1, 0), *sample_points(2, 0)]
+    for cache in _STANDING_TRAFFIC:
+        cache.cache_clear()
     hashed, checked = [], Counter()
     real_hash = Fraction.__hash__
 
@@ -319,6 +324,9 @@ def test_a_warm_scan_hashes_no_fraction_and_checks_each_case_once(monkeypatch):
         return lambda *args: checked.update([name]) or real(*args)
 
     monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or real_hash(x))
+    cold = _standing_grid()
+    assert hashed == drawn
+    hashed.clear()
     for name in ("check_seed", "_check_case"):
         monkeypatch.setattr(factorization, name, counted(name))
     assert _standing_grid() == cold
@@ -335,8 +343,8 @@ def test_cache_keys_keep_groups_apart():
     sp = factorization._factor_value(GroupType.SP, (2,), "Y", point_pairs(xs), 3)
     oe = factorization._factor_value(GroupType.OE, (2,), "Y", point_pairs(xs), 3)
     assert factorization._factor_value.cache_info().misses == 2
-    assert sp == weyl_character(GroupType.SP, (2,), ys)
-    assert oe == weyl_character(GroupType.OE, (2,), ys)
+    assert sp == weyl(GroupType.SP, (2,), ys)
+    assert oe == weyl(GroupType.OE, (2,), ys)
     assert sp == oe + 1
     # GL reads the points alone; OO reads them with their inverses.
     gl = twisted(GroupType.GL, (2, 1), xs, 3)
@@ -413,6 +421,29 @@ def test_predict_and_verify_refuse_a_non_partition():
             call(TheoremId.SCHUR_FAC, (2.5, 1), 3, 1)
     # A trailing zero is still a partition.
     assert predict(TheoremId.SCHUR_FAC, (2, 0), 2, 2) == predict(TheoremId.SCHUR_FAC, (2,), 2, 2)
+
+
+def test_a_part_equal_to_an_int_is_refused_warm_and_cold():
+    # Every cache takes 2.0 for the key 2, so (2.0, 1) would read the
+    # derivation of (2, 1) once that is cached.  It is refused by name
+    # before any cache is read, whether or not (2, 1) is cached.
+    th, t, n = TheoremId.SCHUR_FAC, 3, 1
+    pts = sample_points(n, 0)
+    calls = (
+        lambda la: verify(th, la, t, n),
+        lambda la: predict(th, la, t, n),
+        lambda la: lhs_value(th, la, t, n, pts),
+    )
+    for warm in (False, True):
+        for cache in _STANDING_TRAFFIC:
+            cache.cache_clear()
+        if warm:
+            for call in calls:
+                call((2, 1))
+        for la in [(2.0, 1), (Fraction(2), 1), (2, "1")]:
+            for call in calls:
+                with pytest.raises(ValueError, match=r"^part .* is not an int$"):
+                    call(la)
 
 
 def test_a_trailing_zero_is_judged_by_the_canonical_length(monkeypatch):
@@ -864,8 +895,8 @@ def test_padded_weight_swap_symmetry(front, back, n):
         return
     pts = sample_points(n, seed=11)
     both = tuple(x ** 2 for x in pts) + tuple(x ** -2 for x in pts)
-    a = weyl_character(GroupType.GL, mu_padded(front, back, n), both)
-    b = weyl_character(GroupType.GL, mu_padded(back, front, n), both)
+    a = weyl(GroupType.GL, mu_padded(front, back, n), both)
+    b = weyl(GroupType.GL, mu_padded(back, front, n), both)
     assert a == b
 
 
@@ -919,7 +950,7 @@ def test_single_class_schur_determinant():
     seen = 0
     for pts, t, betas, betas0, comp, p in full_class_cases():
         xt = tuple(x ** t for x in pts)
-        lhs = weyl_character(GroupType.GL, comp, xt)
+        lhs = weyl(GroupType.GL, comp, xt)
         assert lhs == det(amat(pts, betas, 0)) / det(amat(pts, betas0, 0))
         seen += 1
     assert seen > 90
@@ -929,7 +960,7 @@ def test_single_class_symplectic_determinant():
     seen = 0
     for pts, t, betas, betas0, comp, p in full_class_cases():
         xt = tuple(x ** t for x in pts)
-        lhs = weyl_character(GroupType.SP, comp, xt)
+        lhs = weyl(GroupType.SP, comp, xt)
         num = det(msub(amat(pts, betas, t - p), amat(pts, betas, t - p, bar=True)))
         den = det(msub(amat(pts, betas0, t - p), amat(pts, betas0, t - p, bar=True)))
         assert lhs == num / den
@@ -945,7 +976,7 @@ def test_single_class_odd_orthogonal_determinant():
     ):
         q = t // 2 - p
         xt = tuple(x ** t for x in pts)
-        lhs = weyl_character(GroupType.OO, comp, xt)
+        lhs = weyl(GroupType.OO, comp, xt)
         num = det(msub(amat(pts, betas, q), amat(pts, betas, q, bar=True)))
         den = det(msub(amat(pts, betas0, q), amat(pts, betas0, q, bar=True)))
         assert lhs == num / den
@@ -958,7 +989,7 @@ def test_single_class_even_orthogonal_determinant():
     for pts, t, betas, betas0, comp, p in full_class_cases():
         n = len(pts)
         xt = tuple(x ** t for x in pts)
-        lhs = weyl_character(GroupType.OE, comp, xt)
+        lhs = weyl(GroupType.OE, comp, xt)
         num = det(madd(amat(pts, betas, -p), amat(pts, betas, -p, bar=True)))
         den = det(madd(amat(pts, betas0, -p), amat(pts, betas0, -p, bar=True)))
         delta = 1 if len(comp) < n else 0
@@ -983,7 +1014,7 @@ def test_paired_class_block_determinant():
                     if p == q or nps[p] + nps[q] != 2 * n:
                         continue
                     rho = mu_padded(quo[q], quo[p], n)
-                    lhs = weyl_character(GroupType.GL, rho, xt_both)
+                    lhs = weyl(GroupType.GL, rho, xt_both)
                     top = hstack(
                         amat(pts, cb[q], -q), amat(pts, cb[p], t - p, bar=True)
                     )

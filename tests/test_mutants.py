@@ -1,11 +1,14 @@
-"""Mutation gate for the twisted rows, the derivation and the lattice leaf.
+"""Mutation gate for the twisted rows, the derivation, the right side's
+bialternants and point sets, and the lattice leaf.
 
 Each mutant changes one line (one of them two adjacent lines) of a
 module in a copy of the package and runs the standing scan from that
 copy.  A mutant of the sliced
 Jacobi-Trudi / Koike-Terada rows or of the derivation must be noticed:
 exit 2 on a mismatch (or, for the slicing, exit 1 with a one-line
-message), never 0 and never a traceback.  A derivation mutant that
+message), never 0 and never a traceback.  A mutant of the right side's
+integer bialternant or of a factor's point set must give exit 2 with
+its own count of mismatches.  A mutant that
 builds an invalid value is refused before any mismatch is seen: exit 1
 with a one-line message.  An equivalent mutant must leave the standing
 records byte for byte, so it pins why the line may take either form.
@@ -94,6 +97,16 @@ DERIVATION = {
     ),
 }
 
+# name: (module, line as written, line as mutated, mismatches on the scan)
+RIGHT_SIDE = {
+    "minus-y-keeps-its-sign": ("factorization.py", "(-p, q)", "(p, q)", 20),
+    "point-one-read-as-two": ("factorization.py", "ys + ((1, 1),)", "ys + ((2, 1),)", 70),
+    "sp-laurent-sign-plus": ("characters.py", "GroupType.SP: (1, 1, -1)", "GroupType.SP: (1, 1, 1)", 33),
+    "oe-laurent-sign-minus": ("characters.py", "GroupType.OE: (0, 0, 1)", "GroupType.OE: (0, 0, -1)", 33),
+    # OE's b = 0 entry then reads x^0 + xbar^0 = 2, not its half.
+    "oe-b0-entry-not-halved": ("characters.py", "if b or k else", "if b else", 82),
+}
+
 REFUSED = {
     # A quotient part read one low can be negative, and weyl_character
     # refuses a negative part on a value-cache miss.
@@ -105,6 +118,9 @@ REFUSED = {
     # schur1's excess then sums to 2, so a live core has no class c
     # holding exactly one bead above n: the class lookup raises.
     "excess-counts-class-ones": ("partitions.py", "+ (i < ones) for i", "+ (i <= ones) for i"),
+    # 1/Y then repeats Y, so the first (Y, 1/Y) factor's GL denominator
+    # vanishes: DegeneratePointError.
+    "inverse-y-not-inverted": ("factorization.py", "tuple((q, p) for p, q in ys)", "tuple((p, q) for p, q in ys)"),
 }
 
 EQUIVALENT = {
@@ -163,7 +179,7 @@ UNSEEN = {
     ),
 }
 
-MUTANTS = {**SLICING, **DERIVATION, **REFUSED, **EQUIVALENT, **LATTICE_LEAF, **LATTICE_EQUIVALENT, **UNSEEN}
+MUTANTS = {**SLICING, **DERIVATION, **RIGHT_SIDE, **REFUSED, **EQUIVALENT, **LATTICE_LEAF, **LATTICE_EQUIVALENT, **UNSEEN}
 
 
 def _copy(tmp_path, mutant=None):
@@ -219,6 +235,14 @@ def test_a_mutant_of_the_derivation_fails_the_standing_scan(tmp_path, mutant):
     out = _scan(tmp_path, mutant)
     assert "Traceback" not in out.stderr, out.stderr
     assert out.returncode == 2, (out.returncode, out.stderr[-300:])
+
+
+@pytest.mark.parametrize("mutant", RIGHT_SIDE)
+def test_a_mutant_of_the_right_side_fails_the_standing_scan(tmp_path, mutant):
+    out = _scan(tmp_path, mutant)
+    assert "Traceback" not in out.stderr, out.stderr
+    assert out.returncode == 2, (out.returncode, out.stderr[-300:])
+    assert f" mismatch={RIGHT_SIDE[mutant][3]} " in out.stderr, out.stderr[-300:]
 
 
 @pytest.mark.parametrize("mutant", REFUSED)
