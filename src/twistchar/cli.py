@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .factorization import TheoremId, check_seed, length_bound, verify
+from .factorization import TheoremId, _check_case, check_seed, length_bound, verify
 from .partitions import as_partition, frobenius, partitions_up_to, reading, size
 from .series import enum_z_asymmetric_cores, gf_z_cores, z_core_sizes
 
@@ -75,7 +75,8 @@ def _partition_str(la: tuple[int, ...]) -> str:
 
 
 def _open_out(path: str | None):
-    """The --out file, opened before any work so that a bad path costs none."""
+    """The --out file, opened once every refusable step is done, so that
+    a refused command leaves an existing file as it was."""
     return contextlib.nullcontext() if path is None else open(path, "w")
 
 
@@ -97,12 +98,9 @@ _CLASS_NAMES = {
 
 
 def cmd_classify(args) -> int:
-    la = parse_partition(args.partition)
     t, n = args.t, args.n
-    if t < 2 or n < 1:
-        raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
-    if len(la) > t * n:
-        raise ValueError(f"partition has {len(la)} parts, limit is tn = {t * n}")
+    # schurfac's bound is tn, the padding that the residue counts read.
+    la = _check_case(TheoremId.SCHUR_FAC, parse_partition(args.partition), t, n)
     # The quotient is the same at every padding that is a multiple of t, and
     # the counts at tn are n plus the offsets: the shared reading serves.
     _, cls, quo, _ = reading(la, t)
@@ -171,8 +169,8 @@ def cmd_verify(args) -> int:
 
 
 def _scan_case(item) -> dict:
-    th_value, la, t, n, seed = item
-    return verify(TheoremId(th_value), la, t, n, seed=seed).as_dict()
+    th, la, t, n, seed = item
+    return verify(th, la, t, n, seed=seed).as_dict()
 
 
 def _scan_items(theorems, ts, ns, max_size, seeds):
@@ -182,20 +180,17 @@ def _scan_items(theorems, ts, ns, max_size, seeds):
                 las = list(partitions_up_to(max_size, max_length=length_bound(th, t, n)))
                 for seed in seeds:
                     for la in las:
-                        yield (th.value, la, t, n, seed)
+                        yield (th, la, t, n, seed)
 
 
 def cmd_scan(args) -> int:
     if args.theorems.strip() == "all":
         theorems = list(TheoremId)
     else:
-        names = [x.strip() for x in args.theorems.split(",") if x.strip()]
-        bad = [x for x in names if x not in {th.value for th in TheoremId}]
-        if bad:
-            raise ValueError(f"unknown theorem names: {bad}")
-        if not names:
+        # TheoremId refuses an unknown name, and names it.
+        theorems = [TheoremId(x.strip()) for x in args.theorems.split(",") if x.strip()]
+        if not theorems:
             raise ValueError(f"no theorem names in --theorems {args.theorems!r}")
-        theorems = [TheoremId(x) for x in names]
     ts = _parse_int_list(args.t, "--t")
     ns = _parse_int_list(args.n, "--n")
     seeds = _parse_int_list(args.seeds, "--seeds")
@@ -203,7 +198,7 @@ def cmd_scan(args) -> int:
         raise ValueError("need max-size >= 0, nonempty t/n/seed lists")
     if any(t < 2 for t in ts) or any(n < 1 for n in ns):
         raise ValueError("need every t >= 2 and n >= 1")
-    # verify checks each seed again, but only after --out is truncated.
+    # verify checks each seed too, where it draws, but after --out is truncated.
     for seed in seeds:
         check_seed(seed)
     # A repeated entry would check the same cases at the same points twice.
@@ -258,21 +253,22 @@ def cmd_scan(args) -> int:
 
 def cmd_series(args) -> int:
     z, t, order = args.z, args.t, args.N
-    if order < 0:
-        raise ValueError(f"need N >= 0, got {order}")
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    # The columns are computed before --out is opened, as verify's record
+    # is: z_core_sizes refuses N < 0 and t < 2 first, and a lattice walk
+    # deeper than the stack leaves an existing file as it was.
+    lattice = z_core_sizes(z, t, order)
+    enumerated = enum_z_asymmetric_cores(z, t, order)
+    try:
+        product = gf_z_cores(z, t, order)
+    except ValueError:
+        # With N and t accepted, only a z outside 0..t-2, which has no
+        # product form, is refused here: the column is left out.
+        product = (None,) * (order + 1)
+    rows = [
+        (m, e, p, c, e == c and p in (None, e))
+        for m, (e, p, c) in enumerate(zip(enumerated, product, lattice))
+    ]
     with _open_out(args.out) as fh:
-        lattice = z_core_sizes(z, t, order)
-        enumerated = enum_z_asymmetric_cores(z, t, order)
-        if 0 <= z <= t - 2:
-            product = gf_z_cores(z, t, order)
-        else:
-            product = (None,) * (order + 1)
-        rows = [
-            (m, e, p, c, e == c and p in (None, e))
-            for m, (e, p, c) in enumerate(zip(enumerated, product, lattice))
-        ]
         _emit(
             (
                 {"m": m, "enum": e, "product": p, "lattice": c, "match": agree}

@@ -415,17 +415,6 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
 _SEED_STRIDE = 1_000_003
 
 
-@lru_cache(maxsize=4096)
-def _seed_pairs(n: int, seed: int) -> tuple:
-    # The integer pairs of seed's points, checked once per (n, seed): they
-    # are sample_points', so they are n distinct Fractions above 1.
-    try:
-        return point_pairs(sample_points(n, _SEED_STRIDE * seed))
-    except ValueError as exc:
-        # The refusal names the seed the user gave, not its stream's.
-        raise ValueError(f"{exc} for seed={seed}") from None
-
-
 def check_seed(seed: int) -> None:
     """Refuse a negative seed."""
     # random.Random seeds with |a|, so a negative seed would replay the
@@ -434,19 +423,32 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"need seed >= 0, got {seed}")
 
 
+@lru_cache(maxsize=4096)
+def _seed_pairs(n: int, seed: int) -> tuple:
+    # The integer pairs of seed's points, checked once per (n, seed): they
+    # are sample_points', so they are n distinct Fractions above 1.  The
+    # seed is checked on a miss only, before the draw: a refused seed is
+    # never cached.
+    check_seed(seed)
+    try:
+        return point_pairs(sample_points(n, _SEED_STRIDE * seed))
+    except ValueError as exc:
+        # The refusal names the seed the user gave, not its stream's.
+        raise ValueError(f"{exc} for seed={seed}") from None
+
+
 def verify(th: TheoremId, la: Partition, t: int, n: int, seed: int = 0) -> VerificationReport:
     """Compare lhs_value and rhs_value at the point tuple of `seed`,
     sample_points(n, _SEED_STRIDE * seed).  k point tuples for one case
     are k seeds.
 
-    The seed and the case are checked once, and the points once per
-    (n, seed) where they are drawn; both sides are then evaluated by the
-    cores that lhs_value and rhs_value call after their own checks, at the
-    points' integer pairs."""
-    check_seed(seed)
+    The case is checked once per call, and the seed and the points once
+    per (n, seed) where they are drawn; both sides are then evaluated by
+    the cores that lhs_value and rhs_value call after their own checks, at
+    the points' integer pairs."""
     la = _check_case(th, la, t, n)
-    pred = _predict(th, la, t, n)
     pairs = _seed_pairs(n, seed)
+    pred = _predict(th, la, t, n)
     lhs = twisted_at_pairs(th.group, la, pairs, t, th.ones)
     rhs = _rhs(pred, pairs)
     # Positional, in field order: the keyword form costs a dict per op.

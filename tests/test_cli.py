@@ -177,6 +177,18 @@ def test_lattice_walk_deeper_than_the_stack_exits_one(capsys):
     assert err.startswith("twistchar: too large to evaluate: RecursionError")
 
 
+def test_lattice_walk_deeper_than_the_stack_leaves_out_file_alone(tmp_path, capsys):
+    # The columns are computed before --out is opened, as verify's record is.
+    p = tmp_path / "old.jsonl"
+    p.write_bytes(b'{"kept":true}\n')
+    argv = ["series", "--z", "0", "--t", "2100", "--N", "2100", "--out", str(p)]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("twistchar: too large to evaluate: RecursionError")
+    assert p.read_bytes() == b'{"kept":true}\n'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -189,6 +201,14 @@ def test_classify_errors_give_one_message_line(argv, capsys):
     code, out, err = run(["classify"] + argv, capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+
+
+def test_classify_length_bound_is_the_library_check(capsys):
+    # classify refuses through factorization's case check, at schurfac's
+    # bound tn, which its residue counts read.
+    code, out, err = run(["classify", "1,1,1,1", "--t", "3", "--n", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "twistchar: partition has 4 parts, bound for schurfac is 3\n"
 
 
 def test_verify_text_output(capsys):
@@ -496,6 +516,16 @@ def test_scan_rejects_bad_lists(capsys):
     ]
     for argv in bad:
         assert run(argv, capsys)[0] == 1
+
+
+@pytest.mark.parametrize("names, bad", [("bogus,schurfac", "bogus"), ("all,schurfac", "all")])
+def test_scan_names_an_unknown_theorem(names, bad, capsys):
+    # "all" is a name only on its own.
+    argv = ["scan", "--theorems", names, "--t", "2", "--n", "1", "--max-size", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+    assert repr(bad) in err
 
 
 def test_scan_mismatch_exit_code(monkeypatch, capsys):

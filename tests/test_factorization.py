@@ -214,8 +214,16 @@ def test_seeds_stay_injective():
     # random.Random seeds with |a|, so seed -1 would replay seed 1's points.
     th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
     assert sample_points(n, -1_000_003) == sample_points(n, 1_000_003)
+    # The seed is checked on a _seed_pairs miss, before the draw, and a
+    # refused seed is never cached: it is refused cold and after seed 0's
+    # points at the same n are cached.
+    factorization._seed_pairs.cache_clear()
     with pytest.raises(ValueError, match="seed >= 0"):
         verify(th, la, t, n, seed=-1)
+    factorization._seed_pairs(n, 0)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        verify(th, la, t, n, seed=-1)
+    assert factorization._seed_pairs.cache_info().currsize == 1
     assert verify(th, la, t, n, seed=0).match
 
 
@@ -308,8 +316,8 @@ def test_every_row_shares_one_reading_per_case(monkeypatch):
 
 def test_a_warm_scan_hashes_no_fraction_and_checks_each_case_once(monkeypatch):
     # Both routes and every point-keyed cache, the Weyl denominators' too,
-    # read the points as their integer pairs, and verify checks the seed
-    # and the case once per op and the points once per (n, seed), where
+    # read the points as their integer pairs, and verify checks the case
+    # once per op and the seed and the points once per (n, seed), where
     # they are drawn.  So a cold pass hashes a Fraction only in
     # sample_points' distinctness set, once per drawn point: one point at
     # n = 1 and two at n = 2.  A warm pass hashes none.
@@ -331,7 +339,9 @@ def test_a_warm_scan_hashes_no_fraction_and_checks_each_case_once(monkeypatch):
         monkeypatch.setattr(factorization, name, counted(name))
     assert _standing_grid() == cold
     assert hashed == []
-    assert checked == {"check_seed": 1107, "_check_case": 1107}
+    # The seed is checked on a _seed_pairs miss, where it is drawn: a warm
+    # pass draws none.
+    assert (checked["check_seed"], checked["_check_case"]) == (0, 1107)
 
 
 def test_cache_keys_keep_groups_apart():
