@@ -11,14 +11,16 @@ later arm can mend; it builds no partition.  The product (`gf_z_cores`)
 is a truncated Pochhammer/theta product.  The lattice walk
 (`z_core_sizes`) is a bijection for the t-core members of each family,
 with one coordinate per class pair i < j = t-1-z-i
-(`partitions.class_pairs`); it keeps the cores' runner gaps in one list
-and, at each leaf, reads the core's size off them and counts it.  The
-product and the lattice walk take their pairs from the same
-`class_pairs`; the enumeration shares neither, so it is the check on the
-pair list.  The size comes from the bead positions, not from the walk's
-cost t*v^2 - gap*v, which is the theta product's exponent.  Its test
-oracles are `z_core_offsets`, the same walk yielding each core's runner
-offsets, and `core_size`, the size read off one offsets tuple.
+(`partitions.class_pairs`); it reads every core at one padding, carries
+the bead sum and bead count of the runners set so far down the walk,
+and at each leaf reads the core's size off those two numbers, in O(1)
+whatever t is, and counts it.  The product and the lattice walk take
+their pairs from the same `class_pairs`; the enumeration shares neither,
+so it is the check on the pair list.  The size comes from the bead
+positions, not from the walk's cost t*v^2 - gap*v, which is the theta
+product's exponent.  Its test oracles are `z_core_offsets`, the same
+walk yielding each core's runner offsets, and `core_size`, the size read
+off one offsets tuple.
 
 A series truncated at order N is the tuple of its N+1 integer
 coefficients, q^m at index m; `series_product` multiplies two.
@@ -133,7 +135,8 @@ def z_core_sizes(z: int, t: int, bound: int) -> tuple[int, ...]:
     ball of the coordinate map, one coordinate per class pair; a pair's
     coordinate v adds t*v^2 - gap*v cells.  With no pair, as when
     |z| >= t-1, the only such core is the empty one.  Each leaf reads its
-    core's size off the runner gaps and builds no core."""
+    core's size off the bead sum and count carried down to it, builds no
+    core and lists no runner."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if t < 2:
@@ -152,42 +155,38 @@ def z_core_sizes(z: int, t: int, bound: int) -> tuple[int, ...]:
     if not pairs:
         row[0] = 1
         return tuple(row)
-    # Runner i's first empty position at padding tn is tn + c_i, with
-    # c_i = t*o_i + i for its offset o_i: class i holds the pair's
-    # coordinate v and class j its negative.  Every leaf sets the gaps of
-    # every walked pair, so one list holds the path.
-    gaps = list(range(t))
+    # Every core is read at one padding tn, with n the budgets' radius, so
+    # runner i holds its n + o_i >= 0 beads at i, i + t, ...: h beads there
+    # sum to h*i + t*h*(h - 1)/2.  A pair at coordinate v puts h = n + v on
+    # class i and h = n - v on class j.  The runners no pair moves hold n
+    # beads each, and their sum and count are one closed form.
+    n = isqrt(bound // t) + 1
+    rest = t - 2 * len(pairs)
+    still = n * (t * (t - 1) // 2 - sum(i + j for i, j in pairs)) + rest * t * n * (n - 1) // 2
     last = len(pairs) - 1
 
     # Depth first, each pair's offsets largest first, one frame per
     # movable pair: past the stack, a ball too large to walk is refused
-    # with a RecursionError.  A leaf reads its core's size off the gaps,
-    # not from the walk's cost t*v^2 - gap*v, which is the theta
-    # product's exponent.  With c' = c_i - min(c), runner i holds the
-    # n = c' // t beads c' - t, ..., c' - nt (c' = 0 is the only multiple
-    # of t), and a beta set of L beads has size sum(beads) - L(L - 1)/2.
-    def walk(k: int, room: int) -> None:
+    # with a RecursionError.  Each frame carries the bead sum and count of
+    # the runners set so far, and a leaf reads its core's size off them,
+    # not from the walk's cost t*v^2 - gap*v, which is the theta product's
+    # exponent: a beta set of L beads has size sum(beads) - L(L - 1)/2.
+    def walk(k: int, room: int, total: int, length: int) -> None:
         i, j = pairs[k]
         for v, c in reversed(budgets[k]):
             if c > room:
                 continue
-            gaps[i], gaps[j] = t * v + i, j - t * v
+            a, b = n + v, n - v  # class i's and class j's beads
+            beads = total + a * i + t * a * (a - 1) // 2 + b * j + t * b * (b - 1) // 2
+            count = length + a + b
             if k < last:
-                walk(k + 1, room - c)
+                walk(k + 1, room - c, beads, count)
                 continue
-            first = min(gaps)
-            total = length = 0
-            for g in gaps:
-                if g >= first + t:  # else n = 0
-                    g -= first
-                    n = g // t
-                    total += n * g - t * n * (n + 1) // 2
-                    length += n
             # Every walked core fits the bound; a wrong size is a
             # mismatched row, never an IndexError or a count from the end.
-            size = total - length * (length - 1) // 2
+            size = beads - count * (count - 1) // 2
             if 0 <= size <= bound:
                 row[size] += 1
 
-    walk(0, bound)
+    walk(0, bound, still, rest * n)
     return tuple(row)

@@ -303,10 +303,12 @@ def series_product_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, .
 
 
 def core_size(offsets: tuple[int, ...]) -> int:
-    """|core_from_offsets(offsets)| in O(t), read off the same gaps without
-    building a beta set.  With c' = c_i - min(c), runner i holds the
-    k = c' // t beads c' - t, ..., c' - kt (c' = 0 is the only multiple of
-    t), and a beta set of L beads has size sum(beads) - L(L - 1)/2."""
+    """|core_from_offsets(offsets)| in O(t), read off the runner gaps
+    c_i = t*o_i + i at the least padding, without building a beta set; the
+    lattice leaf reads it at a fixed padding instead.  With
+    c' = c_i - min(c), runner i holds the k = c' // t beads c' - t, ...,
+    c' - kt (c' = 0 is the only multiple of t), and a beta set of L beads
+    has size sum(beads) - L(L - 1)/2."""
     t = len(offsets)
     gaps = [t * o + i for i, o in enumerate(offsets)]
     first = min(gaps)

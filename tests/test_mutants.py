@@ -15,10 +15,11 @@ records byte for byte, so it pins why the line may take either form.
 A mutant that only moves a record field `match` never reads passes the
 scan with other records; the Tier-1 tests listed with it must fail when
 run from the same copy.  Each scan costs about 0.3 s.  A mutant of the
-lattice walk's leaf, which reads each core's size off its runner gaps, is
-run through `series` instead: exit 2 with a MISMATCH row, never 0 and
-never a traceback, and an equivalent one must leave the table byte for
-byte.
+lattice walk's leaf, which reads each core's size off the bead sum and
+bead count the walk carries at one padding, is run through `series`
+instead: exit 2 with a MISMATCH row, never 0 and never a traceback, and
+an equivalent one, such as a larger padding, must leave the table byte
+for byte.
 """
 
 import hashlib
@@ -139,26 +140,27 @@ EQUIVALENT = {
 LATTICE_LEAF = {
     "leaf-size-one-high": (
         "series.py",
-        "size = total - length * (length - 1) // 2",
-        "size = total - length * (length - 1) // 2 + 1",
+        "size = beads - count * (count - 1) // 2",
+        "size = beads - count * (count - 1) // 2 + 1",
     ),
-    # A runner that holds exactly one bead is skipped.
-    "bead-test-reads-2t": ("series.py", "if g >= first + t:", "if g >= first + 2 * t:"),
+    # Class i's runner counted with one bead more than it holds, in the
+    # bead count only: L is the carried count, not t*n.
+    "bead-count-one-high": ("series.py", "count = length + a + b", "count = length + a + 1 + b"),
     # Two adjacent lines.  No core at z = 0, t = 3 has size 26, so no
     # size runs past the row, and the guard's loss must not hide the
     # mismatch.
     "size-guard-gone-one-high": (
         "series.py",
-        "size = total - length * (length - 1) // 2\n            if 0 <= size <= bound:",
-        "size = total - length * (length - 1) // 2 + 1\n            if True:",
+        "size = beads - count * (count - 1) // 2\n            if 0 <= size <= bound:",
+        "size = beads - count * (count - 1) // 2 + 1\n            if True:",
     ),
 }
 
 LATTICE_EQUIVALENT = {
-    # c_i = t*o_i + i is i mod t, so a gap is a multiple of t above the
-    # least only on the least's own runner, where it is 0 above it: no gap
-    # lies exactly t above the least.
-    "bead-test-strict": ("series.py", "if g >= first + t:", "if g > first + t:"),
+    # Runner i's k beads sum to k*i + t*k*(k - 1)/2, and L(L - 1)/2 with
+    # L = tn moves with them: one more bead on every runner shifts each
+    # bead up by t and adds bead i at the bottom, which leaves the size.
+    "padding-one-more": ("series.py", "n = isqrt(bound // t) + 1", "n = isqrt(bound // t) + 2"),
 }
 
 # name: (module, line as written, line as mutated, Tier-1 tests that must fail)

@@ -491,3 +491,25 @@ def test_lattice_walk_at_large_t_budgets_only_the_pairs_that_move(monkeypatch, z
     offsets = list(z_core_offsets(z, 10**5, order))
     assert len(calls) <= order + 2
     assert len(offsets) == family
+
+
+def test_series_at_t_past_any_list_runs_with_its_few_rows(tmp_path):
+    # No hook of a partition of size <= 12 reaches t = 10**18, so every
+    # column is the family's own product; the lattice leaf never lists
+    # the t runners.
+    p = tmp_path / "series.jsonl"
+    argv = ["series", "--z", "0", "--t", str(10**18), "--N", "12", "--out", str(p)]
+    assert cli.main(argv) == 0
+    recs = [json.loads(ln) for ln in p.read_text().splitlines()]
+    want = list(gf_z_asymmetric(0, 12))
+    for column in ("enum", "product", "lattice"):
+        assert [r[column] for r in recs] == want, column
+
+
+@pytest.mark.parametrize("t", [999, 1000, 1001])
+def test_lattice_column_reads_the_walked_sizes_at_large_t(t):
+    # At N < t the padding is t and most runners hold one bead each: the
+    # leaf sums them in closed form, and t's parity sets the middle class.
+    for z in (-1, 0, 1, 3):
+        want = count_sizes(map(core_size, z_core_offsets(z, t, 40)), 40)
+        assert z_core_sizes(z, t, 40) == want, z
