@@ -14,8 +14,9 @@ import functools
 import json
 import os
 import sys
+from itertools import product
 
-from .factorization import TheoremId, _check_case, check_seed, length_bound, verify
+from .factorization import TheoremId, _check_case, _seed_pairs, length_bound, verify
 from .partitions import as_partition, frobenius, partitions_up_to, reading, size
 from .series import enum_z_asymmetric_cores, gf_z_cores, z_core_sizes
 
@@ -53,11 +54,17 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return as_partition(parts)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _grid(text: str, flag: str, entry=int) -> list:
+    """One of scan's comma-separated lists, each entry read by `entry`.
+    Every entry must parse, so a blank one is refused, and none may repeat:
+    it would check the same cases at the same points twice."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad integer list for {flag}: {text!r}")
+        entries = [entry(x.strip()) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    if len(set(entries)) < len(entries):
+        raise ValueError(f"{flag}: repeated entry in {text!r}")
+    return entries
 
 
 def _jobs(text: str) -> int:
@@ -184,28 +191,21 @@ def _scan_items(theorems, ts, ns, max_size, seeds):
 
 
 def cmd_scan(args) -> int:
+    # "all" is a name only on its own; TheoremId names an unknown one.
     if args.theorems.strip() == "all":
         theorems = list(TheoremId)
     else:
-        # TheoremId refuses an unknown name, and names it.
-        theorems = [TheoremId(x.strip()) for x in args.theorems.split(",") if x.strip()]
-        if not theorems:
-            raise ValueError(f"no theorem names in --theorems {args.theorems!r}")
-    ts = _parse_int_list(args.t, "--t")
-    ns = _parse_int_list(args.n, "--n")
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    if args.max_size < 0 or not ts or not ns or not seeds:
-        raise ValueError("need max-size >= 0, nonempty t/n/seed lists")
-    if any(t < 2 for t in ts) or any(n < 1 for n in ns):
-        raise ValueError("need every t >= 2 and n >= 1")
-    # verify checks each seed too, where it draws, but after --out is truncated.
-    for seed in seeds:
-        check_seed(seed)
-    # A repeated entry would check the same cases at the same points twice.
-    lists = {"--theorems": [th.value for th in theorems], "--t": ts, "--n": ns, "--seeds": seeds}
-    for flag, entries in lists.items():
-        if len(set(entries)) < len(entries):
-            raise ValueError(f"repeated entry in {flag}: {','.join(map(str, entries))}")
+        theorems = _grid(args.theorems, "--theorems", TheoremId)
+    ts, ns, seeds = _grid(args.t, "--t"), _grid(args.n, "--n"), _grid(args.seeds, "--seeds")
+    if args.max_size < 0:
+        raise ValueError(f"need --max-size >= 0, got {args.max_size}")
+    # The library checks each t, n and seed before --out is opened: the
+    # case's range once per (theorem, t, n), and the seed where its points
+    # are drawn, once per (n, seed).  Fork workers inherit the drawn pairs.
+    for th, t, n in product(theorems, ts, ns):
+        _check_case(th, (), t, n)
+    for n, seed in product(ns, seeds):
+        _seed_pairs(n, seed)
 
     items = _scan_items(theorems, ts, ns, args.max_size, seeds)
     cases = matches = vanishes = 0

@@ -85,8 +85,9 @@ def length_bound(th: TheoremId, t: int, n: int) -> int:
 
 def _check_case(th: TheoremId, la: Partition, t: int, n: int) -> Partition:
     """la in canonical form, once the case's t, n and length are checked."""
-    if t < 2 or n < 1:
-        raise ValueError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
+    # Every cache takes 3.0 and True for 3 and 1, so t and n must be ints.
+    if type(t) is not int or type(n) is not int or t < 2 or n < 1:
+        raise ValueError(f"need int t >= 2 and n >= 1, got t={t!r}, n={n!r}")
     # la as a tuple, its trailing zeros dropped, so that the bound reads its
     # canonical length, and refused if its sum fails or is no int, as every
     # cache takes 2.0 for 2.  Other input is checked on a miss only.
@@ -380,9 +381,15 @@ class VerificationReport(NamedTuple):
 
 _RETRY_BUDGET = 200
 
+# The stride of the seeds' point streams: it keeps the points, and so the
+# bytes, of every earlier record.
+_SEED_STRIDE = 1_000_003
+
 
 def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
-    """Deterministic tuple of n distinct rationals > 1, the same for every t.
+    """The point tuple of a record's seed: a deterministic tuple of n
+    distinct rationals > 1, the same for every t, drawn from
+    random.Random(1000003 seed).
 
     That is all the right side needs.  The t-th powers Y of distinct points
     above 1 are distinct and above 1, so 1, Y and 1/Y share no value, no
@@ -390,16 +397,21 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
     (Y, 1), (Y, 1/Y) or -Y vanishes, whatever t is.  Being above 1, no point
     is 0, which is all the left side's SP, OE and OO need.  A draw that
     repeats a value is redrawn whole; weyl_character's DegeneratePointError
-    stays the exact guard.
+    stays the exact guard.  This refuses an n below 1, a negative seed and
+    a draw that repeats a value 200 times, naming n and the seed.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need int n >= 1, got n={n!r}")
+    # random.Random seeds with |a|, so a negative seed would replay the
+    # points of its absolute value.
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"need int seed >= 0, got seed={seed!r}")
     # Numerators run to n^2/5, so the n draws fall among about n^4/50
     # (numerator, denominator) pairs and a repeat, which redraws them all,
     # grows rarer as n grows.  For n <= 20 the range is 3..80, so those
     # draws never change.
     top = max(80, n * n // 5)
-    rng = random.Random(seed)
+    rng = random.Random(_SEED_STRIDE * seed)
     for _ in range(_RETRY_BUDGET):
         xs = []
         for _ in range(n):
@@ -407,46 +419,31 @@ def sample_points(n: int, seed: int) -> tuple[Fraction, ...]:
             xs.append(Fraction(num, rng.randint(1, num - 1)))
         if len(set(xs)) == n:
             return tuple(xs)
-    raise ValueError(f"could not draw n={n} distinct points in {_RETRY_BUDGET} tries")
-
-
-# Seed s draws its points from random.Random(_SEED_STRIDE * s).  The factor
-# keeps the point stream, and so the bytes, of every earlier record.
-_SEED_STRIDE = 1_000_003
-
-
-def check_seed(seed: int) -> None:
-    """Refuse a negative seed."""
-    # random.Random seeds with |a|, so a negative seed would replay the
-    # points of its absolute value.
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
+    raise ValueError(
+        f"could not draw n={n} distinct points in {_RETRY_BUDGET} tries for seed={seed}"
+    )
 
 
 @lru_cache(maxsize=4096)
 def _seed_pairs(n: int, seed: int) -> tuple:
-    # The integer pairs of seed's points, checked once per (n, seed): they
-    # are sample_points', so they are n distinct Fractions above 1.  The
-    # seed is checked on a miss only, before the draw: a refused seed is
-    # never cached.
-    check_seed(seed)
-    try:
-        return point_pairs(sample_points(n, _SEED_STRIDE * seed))
-    except ValueError as exc:
-        # The refusal names the seed the user gave, not its stream's.
-        raise ValueError(f"{exc} for seed={seed}") from None
+    # The integer pairs of seed's points, drawn and checked once per
+    # (n, seed): they are sample_points', so they are n distinct Fractions
+    # above 1.  A refused seed is never cached.
+    return point_pairs(sample_points(n, seed))
 
 
 def verify(th: TheoremId, la: Partition, t: int, n: int, seed: int = 0) -> VerificationReport:
     """Compare lhs_value and rhs_value at the point tuple of `seed`,
-    sample_points(n, _SEED_STRIDE * seed).  k point tuples for one case
-    are k seeds.
+    sample_points(n, seed).  k point tuples for one case are k seeds.
 
-    The case is checked once per call, and the seed and the points once
-    per (n, seed) where they are drawn; both sides are then evaluated by
-    the cores that lhs_value and rhs_value call after their own checks, at
-    the points' integer pairs."""
+    The case and the seed's type are checked once per call, and the seed's
+    sign and the points once per (n, seed), by sample_points where they are
+    drawn; both sides are then evaluated by the cores that lhs_value and
+    rhs_value call after their own checks, at the points' integer pairs."""
     la = _check_case(th, la, t, n)
+    # _seed_pairs takes 1.0 and True for 1, so the type is checked per call.
+    if type(seed) is not int:
+        raise ValueError(f"need int seed >= 0, got seed={seed!r}")
     pairs = _seed_pairs(n, seed)
     pred = _predict(th, la, t, n)
     lhs = twisted_at_pairs(th.group, la, pairs, t, th.ones)

@@ -505,17 +505,23 @@ def test_failed_scan_keeps_the_records_before_the_failure(monkeypatch, tmp_path,
 
 
 def test_scan_rejects_bad_lists(capsys):
+    # Each refusal is one line naming its flag, or the library's t or n.
     bad = [
-        ["scan", "--theorems", "bogus", "--t", "2", "--n", "1", "--max-size", "2"],
-        ["scan", "--t", "2,x", "--n", "1", "--max-size", "2"],
-        ["scan", "--t", "1", "--n", "1", "--max-size", "2"],
-        ["scan", "--t", "2", "--n", "0", "--max-size", "2"],
-        ["scan", "--t", "2", "--n", "1", "--max-size", "-1"],
-        ["scan", "--theorems", "", "--t", "2", "--n", "1", "--max-size", "2"],
-        ["scan", "--theorems", " , ", "--t", "2", "--n", "1", "--max-size", "2"],
+        (["scan", "--theorems", "bogus", "--t", "2", "--n", "1", "--max-size", "2"], "--theorems"),
+        (["scan", "--t", "2,x", "--n", "1", "--max-size", "2"], "--t"),
+        (["scan", "--t", "1", "--n", "1", "--max-size", "2"], "t=1"),
+        (["scan", "--t", "2", "--n", "0", "--max-size", "2"], "n=0"),
+        (["scan", "--t", "2", "--n", "1", "--max-size", "-1"], "--max-size"),
+        (["scan", "--theorems", "", "--t", "2", "--n", "1", "--max-size", "2"], "--theorems"),
+        (["scan", "--theorems", " , ", "--t", "2", "--n", "1", "--max-size", "2"], "--theorems"),
+        (["scan", "--t", "2", "--n", "1", "--max-size", "2", "--seeds", ","], "--seeds"),
+        (["scan", "--t", "2", "--n", "", "--max-size", "2"], "--n"),
     ]
-    for argv in bad:
-        assert run(argv, capsys)[0] == 1
+    for argv, named in bad:
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("twistchar: "), argv
+        assert named in err, argv
 
 
 @pytest.mark.parametrize("names, bad", [("bogus,schurfac", "bogus"), ("all,schurfac", "all")])
@@ -558,17 +564,20 @@ def test_verify_sampling_failure_exit_code(monkeypatch, capsys):
     assert err == "twistchar: could not draw n=1 distinct points in 200 tries for seed=0\n"
 
 
+class _Constant:
+    """Stands in for random.Random: every draw repeats its value."""
+
+    def __init__(self, seed):
+        pass
+
+    def randint(self, low, high):
+        return low
+
+
 def test_sampling_exhaustion_exits_one(monkeypatch, capsys):
     # No real n exhausts the draw any more, so every draw repeats its value
     # here: the sampler redraws 200 times and gives up.
-    class Constant:
-        def __init__(self, seed):
-            pass
-
-        def randint(self, low, high):
-            return low
-
-    monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=Constant))
+    monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=_Constant))
     # verify reads the points' integer pairs, kept per (n, seed).
     factorization._seed_pairs.cache_clear()
     argv = ["verify", "schurfac", "1", "--t", "2", "--n", "2", "--seed", "1"]
@@ -578,6 +587,23 @@ def test_sampling_exhaustion_exits_one(monkeypatch, capsys):
     # strided seed 1000003 of its point stream.
     assert code == 1 and out == ""
     assert err == "twistchar: could not draw n=2 distinct points in 200 tries for seed=1\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_refused_draw_leaves_scan_out_alone(monkeypatch, tmp_path, capsys, jobs):
+    # The seed's points are drawn before --out is opened, so a draw that
+    # runs out of tries is refused before the file is touched.
+    monkeypatch.setattr(factorization, "random", SimpleNamespace(Random=_Constant))
+    factorization._seed_pairs.cache_clear()
+    p = tmp_path / "old.jsonl"
+    p.write_bytes(b'{"kept":true}\n')
+    argv = ["scan", "--theorems", "schurfac", "--t", "2", "--n", "2", "--max-size", "2",
+            "--seeds", "1", "--jobs", jobs, "--out", str(p)]
+    code, out, err = run(argv, capsys)
+    factorization._seed_pairs.cache_clear()
+    assert code == 1 and out == ""
+    assert err == "twistchar: could not draw n=2 distinct points in 200 tries for seed=1\n"
+    assert p.read_bytes() == b'{"kept":true}\n'
 
 
 def test_verify_draws_many_distinct_points(capsys):

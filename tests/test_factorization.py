@@ -2,6 +2,7 @@
 behind them, verified in exact arithmetic."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -185,9 +186,9 @@ def test_a_record_at_large_t_builds_no_field(monkeypatch):
 
 
 def test_a_records_seed_names_its_points(monkeypatch):
-    # Seed s is checked at sample_points(n, 1000003 s) and nowhere else.
+    # Seed s is checked at sample_points(n, s) and nowhere else.
     th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
-    pts = sample_points(n, 1_000_003 * seed)
+    pts = sample_points(n, seed)
     good = verify(th, la, t, n, seed=seed)
     assert good.match
 
@@ -211,12 +212,15 @@ def test_a_records_seed_names_its_points(monkeypatch):
 
 
 def test_seeds_stay_injective():
-    # random.Random seeds with |a|, so seed -1 would replay seed 1's points.
+    # random.Random seeds with |a|, so seed -1 would replay seed 1's points:
+    # the draw refuses it.
     th, la, t, n = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2
-    assert sample_points(n, -1_000_003) == sample_points(n, 1_000_003)
-    # The seed is checked on a _seed_pairs miss, before the draw, and a
-    # refused seed is never cached: it is refused cold and after seed 0's
-    # points at the same n are cached.
+    assert random.Random(-1_000_003).random() == random.Random(1_000_003).random()
+    with pytest.raises(ValueError, match="seed >= 0"):
+        sample_points(n, -1)
+    # The seed is checked on a _seed_pairs miss, by the draw, and a refused
+    # seed is never cached: it is refused cold and after seed 0's points at
+    # the same n are cached.
     factorization._seed_pairs.cache_clear()
     with pytest.raises(ValueError, match="seed >= 0"):
         verify(th, la, t, n, seed=-1)
@@ -335,13 +339,12 @@ def test_a_warm_scan_hashes_no_fraction_and_checks_each_case_once(monkeypatch):
     cold = _standing_grid()
     assert hashed == drawn
     hashed.clear()
-    for name in ("check_seed", "_check_case"):
-        monkeypatch.setattr(factorization, name, counted(name))
+    monkeypatch.setattr(factorization, "_check_case", counted("_check_case"))
     assert _standing_grid() == cold
     assert hashed == []
-    # The seed is checked on a _seed_pairs miss, where it is drawn: a warm
-    # pass draws none.
-    assert (checked["check_seed"], checked["_check_case"]) == (0, 1107)
+    # The seed is checked on a _seed_pairs miss, where it is drawn, and
+    # _STANDING_TRAFFIC's (1105, 2) shows that a warm pass draws none.
+    assert checked["_check_case"] == 1107
 
 
 def test_cache_keys_keep_groups_apart():
@@ -456,6 +459,41 @@ def test_a_part_equal_to_an_int_is_refused_warm_and_cold():
                     call(la)
 
 
+def _refuses_non_ints(call, good, bad):
+    # Every cache takes 3.0 and True for 3 and 1, so each is refused by
+    # name, cold and once the int case is cached.
+    for warm in (False, True):
+        for cache in _STANDING_TRAFFIC:
+            cache.cache_clear()
+        if warm:
+            call(**good)
+        for key, value in bad:
+            with pytest.raises(ValueError) as exc:
+                call(**{**good, key: value})
+            assert f"{key}={value!r}" in str(exc.value)
+
+
+def test_verify_refuses_a_non_int_t_n_or_seed():
+    good = dict(th=TheoremId.SCHUR_FAC, la=(2, 1), t=3, n=1, seed=1)
+    bad = [("t", 3.0), ("n", 1.0), ("n", True), ("seed", 1.5), ("seed", True)]
+    _refuses_non_ints(verify, good, bad)
+
+
+def test_predict_refuses_a_non_int_t_or_n():
+    good = dict(th=TheoremId.SCHUR_FAC, la=(2, 1), t=3, n=1)
+    _refuses_non_ints(predict, good, [("t", 3.0), ("n", 1.0), ("n", True)])
+
+
+def test_lhs_value_refuses_a_non_int_t_or_n():
+    good = dict(th=TheoremId.SCHUR_FAC, la=(2, 1), t=7, n=1, pts=sample_points(1, 0))
+    _refuses_non_ints(lhs_value, good, [("t", 7.0), ("n", 1.0), ("n", True)])
+
+
+def test_sample_points_refuses_a_non_int_n_or_seed():
+    bad = [("n", 2.0), ("n", True), ("seed", 1.5), ("seed", True)]
+    _refuses_non_ints(sample_points, dict(n=2, seed=1), bad)
+
+
 def test_a_trailing_zero_is_judged_by_the_canonical_length(monkeypatch):
     # (1, 0, 0) is the partition (1,): one part, within schurfac's bound 2.
     th, t, n = TheoremId.SCHUR_FAC, 2, 1
@@ -482,7 +520,7 @@ def test_a_trailing_zero_is_judged_by_the_canonical_length(monkeypatch):
 
 def test_a_draw_that_repeats_a_value_is_redrawn_whole():
     # Seed 636 first draws (3/2, 3/2) at n = 2.
-    assert sample_points(2, 1_000_003 * 636) == (
+    assert sample_points(2, 636) == (
         Fraction(29, 20),
         Fraction(10, 7),
     )
@@ -513,7 +551,7 @@ def test_degenerate_points_raise_on_every_call():
 def test_a_patched_rhs_leaves_no_value_in_the_cache(monkeypatch):
     th, la, t, n, seed = TheoremId.SYMPLECTIC, (3, 2, 1, 1, 1), 3, 2, 5
     pred = predict(th, la, t, n)
-    pts = sample_points(n, 1_000_003 * seed)
+    pts = sample_points(n, seed)
     rhs = rhs_value(pred, pts)
     real = factorization._rhs
     with monkeypatch.context() as m:
@@ -755,7 +793,7 @@ def test_the_left_side_is_constant_past_the_hook():
                     pred = predict(th, la, t, n)
                     assert pred.factors == (), (th, la, t, n)
                     for seed in (0, 1):
-                        pairs = point_pairs(sample_points(n, 1_000_003 * seed))
+                        pairs = point_pairs(sample_points(n, seed))
                         lhs = characters.twisted_at_pairs(th.group, la, pairs, t, th.ones)
                         assert lhs == pred.sign, (th, la, t, n, seed)
                         values.add(lhs)
