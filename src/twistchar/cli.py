@@ -31,15 +31,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse hands a subcommand's unknown flags up to the top-level
-        # parser, whose usage line shows none of them; the parser that met
-        # them reports them instead.
-        args, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args, extras
-
 
 def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -290,7 +281,8 @@ def cmd_series(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its {subcommand: parser} map."""
     parser = _Parser(prog="twistchar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -328,11 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_series)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser would scan the line and hand it to the subparser
+    # to parse again; a leading subcommand goes straight to its own parser.
+    if argv and argv[0] in commands:
+        parser, argv = commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

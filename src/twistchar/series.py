@@ -138,7 +138,7 @@ def z_core_sizes(z: int, t: int, bound: int) -> tuple[int, ...]:
     core's size off the bead sum and count carried down to it, builds no
     core and lists no runner."""
     if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+        raise ValueError(f"order must be nonnegative, got {bound}")
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     # A pair whose only offset within the bound is 0 holds offset 0 in

@@ -1,9 +1,11 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -674,6 +676,84 @@ def test_trials_is_a_usage_error(argv, capsys, monkeypatch):
     assert error == f"twistchar {argv[0]}: error: unrecognized arguments: --trials 2"
 
 
+def test_an_unknown_flag_before_the_command_is_the_top_levels(capsys, monkeypatch):
+    # Only a leading subcommand goes straight to its own parser; here the
+    # top-level parser meets --x first and names every unknown argument.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--x", "series", "--z", "1", "--t", "3", "--N", "5", "--trials", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: twistchar [-h] {classify,verify,scan,series}")
+    assert error == "twistchar: error: unrecognized arguments: --x --trials 2"
+
+
+def _spy_parses(monkeypatch):
+    """Every parse_known_args call on a cli parser, as (prog, namespace);
+    the namespace is None when the parse exits."""
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        call = [self.prog, None]
+        calls.append(call)
+        got = real(self, args, namespace)
+        call[1] = got[0]
+        return got
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+    return calls
+
+
+_VALID_ARGV = [
+    ["classify", "3,2,1,1,1", "--t", "3", "--n", "2"],
+    ["classify", "", "--json", "--n=1", "--t", "2"],
+    ["verify", "sympfact", "3,2,1,1,1", "--t", "3", "--n", "2"],
+    ["verify", "schurfac", "2,1", "--n", "1", "--t=3", "--seed", "4", "--json", "--out", "OUT"],
+    ["scan", "--t", "2", "--n", "1", "--max-size", "2"],
+    ["scan", "--theorems", "schurfac", "--t=2,3", "--n", "1", "--max-size", "3",
+     "--seeds", "0,1", "--format", "json", "--jobs", "1", "--out", "OUT"],
+    ["series", "--z", "0", "--t", "3", "--N", "26"],
+    ["series", "--N=8", "--t", "4", "--z", "-1", "--out", "OUT"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=lambda argv: "-".join(argv[:2]))
+@pytest.mark.parametrize("from_sys", [False, True], ids=["argv", "sys.argv"])
+def test_a_leading_command_is_parsed_once_by_its_own_parser(
+    argv, from_sys, tmp_path, capsys, monkeypatch
+):
+    # The nested parse, top level then subparser, is the oracle: the direct
+    # parse gives its Namespace without `command`, and the top-level parser
+    # is never called.  main() with no argv reads sys.argv[1:].
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    nested = vars(cli.build_parser()[0].parse_args(argv))
+    assert nested.pop("command") == argv[0]
+    calls = _spy_parses(monkeypatch)
+    if from_sys:
+        monkeypatch.setattr(sys, "argv", ["twistchar", *argv])
+        assert cli.main() == 0
+    else:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [prog for prog, _ in calls] == [f"twistchar {argv[0]}"]
+    assert vars(calls[0][1]) == nested
+
+
+@pytest.mark.parametrize(
+    "argv, code", [([], 1), (["-h"], 0), (["bogus"], 1), (["--json"], 1)]
+)
+def test_anything_else_goes_to_the_top_level_parser(argv, code, capsys, monkeypatch):
+    calls = _spy_parses(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    assert calls[0][0] == "twistchar"
+    assert (out if code == 0 else err).startswith("usage: twistchar [-h]")
+
+
 @pytest.mark.parametrize(
     "repeat",
     [["--seeds", "0,0"], ["--t", "2,3,2"], ["--n", "1,1"], ["--theorems", "schurfac,schurfac"]],
@@ -829,4 +909,6 @@ def test_series_rejects_unreachable_family(capsys):
         assert all(row[1] == row[3] and row[2] == "-" for row in rows)
         assert [row[0] for row in rows if row[1] != "0"] == sizes
     assert run(["series", "--z", "0", "--t", "1", "--N", "5"], capsys)[0] == 1
-    assert run(["series", "--z", "1", "--t", "3", "--N", "-1"], capsys)[0] == 1
+    # The first column computed refuses N < 0, in the other columns' words.
+    code, out, err = run(["series", "--z", "1", "--t", "3", "--N", "-1"], capsys)
+    assert (code, out, err) == (1, "", "twistchar: order must be nonnegative, got -1\n")

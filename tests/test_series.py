@@ -345,7 +345,7 @@ def test_lattice_column_reads_the_sizes_of_the_walked_offsets():
 def test_lattice_column_refuses_a_negative_bound_and_t_below_2():
     # A function, not a generator: the call itself refuses.
     for z in (5, 0, -1):
-        with pytest.raises(ValueError, match="bound"):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
             z_core_sizes(z, 3, -1)
     for t in (1, 0, -2):
         with pytest.raises(ValueError, match="t >= 2"):
