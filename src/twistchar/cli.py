@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 2 mismatch, 1 refused with one stderr line: a usage
 or validation error, no n distinct points for the seed, or a case too
-large to evaluate (OverflowError, MemoryError or RecursionError).  Machine
-output is line-delimited JSON, byte-identical for the same flags and seeds.
+large to evaluate (OverflowError, MemoryError or RecursionError).  Ctrl-C
+exits 130 with one stderr line, and a serial scan's --out ends on its last
+whole record; a `scan --jobs N` pool is not stopped cleanly, as
+Executor.map has already submitted the whole grid.  Machine output is
+line-delimited JSON, byte-identical for the same flags and seeds.
 """
 
 from __future__ import annotations
@@ -58,16 +61,6 @@ def _grid(text: str, flag: str, entry=int) -> list:
     return entries
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
-    return jobs
-
-
 def _partition_str(la: tuple[int, ...]) -> str:
     return "(" + ",".join(str(p) for p in la) + ")"
 
@@ -82,17 +75,6 @@ def _emit(records, fh) -> None:
     if fh is not None:
         for rec in records:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-# classify's name for the cores each theorem row leaves alive: JSON key
-# and text label.  The appended-one row's value is the class c.
-_CLASS_NAMES = {
-    TheoremId.SCHUR_FAC: ("empty", "Empty"),
-    TheoremId.SCHUR_ONE: ("single_row", "SingleRow"),
-    TheoremId.SYMPLECTIC: ("symplectic", "Symplectic"),
-    TheoremId.EVEN_ORTH: ("orthogonal", "Orthogonal"),
-    TheoremId.ODD_ORTH: ("self_conjugate", "SelfConjugate"),
-}
 
 
 def cmd_classify(args) -> int:
@@ -112,7 +94,7 @@ def cmd_classify(args) -> int:
         live = cls.z_asymmetric(th.z, th.ones)
         if th.ones:
             live = cls.excess(th.ones).index(1) if live else None
-        verdicts.append((_CLASS_NAMES[th], live))
+        verdicts.append((th, live))
     if args.json:
         rec = {
             "partition": list(la),
@@ -122,15 +104,15 @@ def cmd_classify(args) -> int:
             "quotient": [list(q) for q in quo],
             "frobenius": {"arms": list(fro.alpha), "legs": list(fro.beta)},
             "residue_counts": list(counts),
-            **{key: live for (key, _), live in verdicts},
+            **{th.key: live for th, live in verdicts},
             "rank": cls.rank,
         }
         print(json.dumps(rec, separators=(",", ":")))
         return 0
     # c is an int, and c = 0 or 1 compares equal to False or True.
     flags = [
-        label if live is True else f"{label}({live})"
-        for (_, label), live in verdicts
+        th.label if live is True else f"{th.label}({live})"
+        for th, live in verdicts
         if live is not None and live is not False
     ]
     print(f"partition      {_partition_str(la)}  size {size(la)}")
@@ -190,6 +172,8 @@ def cmd_scan(args) -> int:
     ts, ns, seeds = _grid(args.t, "--t"), _grid(args.n, "--n"), _grid(args.seeds, "--seeds")
     if args.max_size < 0:
         raise ValueError(f"need --max-size >= 0, got {args.max_size}")
+    if args.jobs < 1:
+        raise ValueError(f"need --jobs >= 1, got {args.jobs}")
     # The library checks each t, n and seed before --out is opened: the
     # case's range once per (theorem, t, n), and the seed where its points
     # are drawn, once per (n, seed).  Fork workers inherit the drawn pairs.
@@ -310,7 +294,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--seeds", default="0", help="comma-separated list")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 
@@ -341,6 +325,9 @@ def main(argv=None) -> int:
         # lattice walk with more movable class pairs than the stack holds.
         print(f"twistchar: too large to evaluate: {exc!r}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("twistchar: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

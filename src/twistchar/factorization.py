@@ -62,20 +62,24 @@ from .partitions import (
 
 
 class TheoremId(Enum):
-    """The theorem table: name, left group, z (None: no pairing), points 1."""
+    """The theorem table: name, left group, z (None: no pairing), points 1,
+    and classify's JSON key and text label for the cores the row leaves
+    alive (for the appended-one row, its value is the class c)."""
 
     # As for GroupType: the identity hash, in C, keys the derivation cache.
     __hash__ = object.__hash__
 
-    SCHUR_FAC = ("schurfac", GroupType.GL, None, 0)
-    SCHUR_ONE = ("schur1", GroupType.GL, None, 1)
-    SYMPLECTIC = ("sympfact", GroupType.SP, 1, 0)
-    EVEN_ORTH = ("eorthfact", GroupType.OE, -1, 0)
-    ODD_ORTH = ("oorthfact", GroupType.OO, 0, 0)
+    SCHUR_FAC = ("schurfac", GroupType.GL, None, 0, "empty", "Empty")
+    SCHUR_ONE = ("schur1", GroupType.GL, None, 1, "single_row", "SingleRow")
+    SYMPLECTIC = ("sympfact", GroupType.SP, 1, 0, "symplectic", "Symplectic")
+    EVEN_ORTH = ("eorthfact", GroupType.OE, -1, 0, "orthogonal", "Orthogonal")
+    ODD_ORTH = ("oorthfact", GroupType.OO, 0, 0, "self_conjugate", "SelfConjugate")
 
-    def __new__(cls, name: str, group: GroupType, z: int | None, ones: int):
+    def __new__(
+        cls, name: str, group: GroupType, z: int | None, ones: int, key: str, label: str
+    ):
         th = object.__new__(cls)
-        th._value_, th.group, th.z, th.ones = name, group, z, ones
+        th._value_, th.group, th.z, th.ones, th.key, th.label = name, group, z, ones, key, label
         return th
 
 

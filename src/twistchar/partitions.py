@@ -286,12 +286,8 @@ def mu_padded(front: Partition, back: Partition, n: int) -> Partition:
 
 
 def partitions_of(m: int, max_length: int | None = None) -> Iterator[Partition]:
-    """All partitions of m in reverse lexicographic order."""
-    if m < 0:
-        return
-    if m == 0:
-        yield ()
-        return
+    """All partitions of m in reverse lexicographic order: none for m < 0,
+    the empty one for m = 0."""
 
     def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:

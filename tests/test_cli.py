@@ -774,13 +774,45 @@ def test_repeated_list_entries_leave_scan_out_alone(tmp_path, capsys, jobs, repe
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_bad_jobs_exit_one_with_a_message(capsys, jobs):
-    assert run(["classify", "2,1", "--t", "2", "--n", "1"], capsys)[0] == 0
+def test_bad_jobs_exit_one_with_a_message(tmp_path, capsys, jobs):
+    # Refused in cmd_scan beside --max-size, before --out is opened.
+    p = tmp_path / "old.jsonl"
+    p.write_bytes(b'{"kept":true}\n')
+    argv = ["scan", "--t", "2", "--n", "1", "--max-size", "1", "--jobs", jobs, "--out", str(p)]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("twistchar: ")
+    assert "--jobs" in err and jobs in err
+    assert p.read_bytes() == b'{"kept":true}\n'
+
+
+def test_a_jobs_flag_that_is_no_int_is_refused_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", "--t", "2", "--n", "1", "--max-size", "1", "--jobs", jobs])
+        cli.main(["scan", "--t", "2", "--n", "1", "--max-size", "1", "--jobs", "abc"])
     assert exc.value.code == 1
     last = capsys.readouterr().err.splitlines()[-1]
-    assert "--jobs" in last and repr(jobs) in last
+    assert last == "twistchar scan: error: argument --jobs: invalid int value: 'abc'"
+
+
+def test_an_interrupted_serial_scan_ends_in_one_line(monkeypatch, tmp_path, capsys):
+    argv = ["scan", "--t", "2,3", "--n", "1", "--max-size", "3", "--out"]
+    whole, cut = tmp_path / "whole.jsonl", tmp_path / "cut.jsonl"
+    assert run(argv + [str(whole)], capsys)[0] == 0
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return factorization.verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify", interrupted)
+    code, _, err = run(argv + [str(cut)], capsys)
+    assert code == 130
+    assert err == "twistchar: interrupted\n"
+    assert cut.read_bytes().splitlines(keepends=True) == (
+        whole.read_bytes().splitlines(keepends=True)[:2]
+    )
 
 
 class _SerialPool:

@@ -586,6 +586,9 @@ def test_partition_generation_order():
     assert list(partitions_of(5, max_length=2)) == [(5,), (4, 1), (3, 2)]
     assert list(partitions_of(0)) == [()]
     assert list(partitions_of(-1)) == []
+    assert list(partitions_of(0, max_length=0)) == [()]
+    assert list(partitions_of(3, max_length=0)) == []
+    assert list(partitions_up_to(-1)) == []
     assert list(partitions_up_to(3)) == [
         (),
         (1,),
